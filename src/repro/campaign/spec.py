@@ -195,6 +195,21 @@ def _donor_asns(spec: ScenarioSpec) -> list[int]:
     return list(range(_DONOR_ASN_BASE, _DONOR_ASN_BASE + spec.n_donor_ases))
 
 
+def _scheduled_links(scenario: Scenario) -> dict[int, list[tuple[float, int]]]:
+    """The base world's scheduled ``(hour, provider)`` link adds per AS.
+
+    The builder's background churn moves some donors to the other
+    regional mid-window.  A mutator that adds or tears down one of the
+    same adjacencies would make the timeline fail on its first query, so
+    each mutator consults this map to leave churned donors alone.
+    """
+    links: dict[int, list[tuple[float, int]]] = {}
+    for event in scenario.timeline.events:
+        if isinstance(event, NewLinkEvent):
+            links.setdefault(event.a_asn, []).append((event.time_hour, event.b_asn))
+    return links
+
+
 def _param(spec: ScenarioSpec, name: str, default: Any, allowed: set[str]) -> Any:
     unknown = set(spec.params) - allowed
     if unknown:
@@ -232,12 +247,35 @@ def _staggered_join(
             f"{len(donors)} donor ASes"
         )
     join_day = spec.effective_join_day
-    picks = rng.permutation(len(donors))[:n]
-    for i, pick in enumerate(sorted(int(p) for p in picks)):
+    order = [int(p) for p in rng.permutation(len(donors))]
+    # Joining peers the AS with every exchange member; a churn link to a
+    # member scheduled after the join would then already exist.  Such
+    # donors are dropped and the wave re-drawn from the next in line.
+    members = set(scenario.ixps.get(scenario.ixp_name).members)
+    links = _scheduled_links(scenario)
+    excluded: set[int] = set()
+    while True:
+        picks = sorted([p for p in order if p not in excluded][:n])
+        if len(picks) < n:
+            raise SimulationError(
+                f"scenario {spec.name!r}: fewer than {n} donor ASes can "
+                "join without clashing with scheduled churn"
+            )
+        hours = [
+            (join_day + 1 + (i % max(spread, 1))) * 24.0 + float(rng.integers(6, 18))
+            for i in range(n)
+        ]
+        clashes = {
+            pick
+            for pick, hour in zip(picks, hours)
+            for at, other in links.get(donors[pick], ())
+            if at > hour and other in members
+        }
+        if not clashes:
+            break
+        excluded |= clashes
+    for pick, hour in zip(picks, hours):
         asn = donors[pick]
-        hour = (join_day + 1 + (i % max(spread, 1))) * 24.0 + float(
-            rng.integers(6, 18)
-        )
         scenario.timeline.add_event(
             IxpJoinEvent(
                 time_hour=hour, asn=asn, ixp_name=scenario.ixp_name,
@@ -263,7 +301,11 @@ def _depeering(
     n = int(_param(spec, "n_depeered", 2, allowed))
     day = int(_param(spec, "event_day", spec.effective_join_day + 2, allowed))
     donors = _donor_asns(spec)
-    picks = sorted(int(p) for p in rng.permutation(len(donors))[:n])
+    # A donor the base churn already moves to the other regional would
+    # get that link twice; take the next donor in line instead.
+    links = _scheduled_links(scenario)
+    order = [int(p) for p in rng.permutation(len(donors))]
+    picks = sorted([p for p in order if donors[p] not in links][:n])
     for i, pick in enumerate(picks):
         asn = donors[pick]
         upstreams = [
@@ -319,7 +361,21 @@ def _route_leak(
     day = int(_param(spec, "leak_day", spec.effective_join_day + 1, allowed))
     donors = _donor_asns(spec)
     index = int(_param(spec, "leaker_index", int(rng.integers(0, len(donors))), allowed))
-    asn = donors[index % len(donors)]
+    # The leaker must not already buy from London, nor be a churned donor
+    # whose regional adjacency the base world tears down itself; walk on
+    # to the next donor that is neither.
+    links = _scheduled_links(scenario)
+    ring = [donors[(index + k) % len(donors)] for k in range(len(donors))]
+    candidates = [
+        asn for asn in ring
+        if asn not in links and _GLOBAL_LON not in scenario.topology.providers(asn)
+    ]
+    if not candidates:
+        raise SimulationError(
+            f"scenario {spec.name!r}: no donor AS can leak without clashing "
+            "with its existing transit or scheduled churn"
+        )
+    asn = candidates[0]
     hour = day * 24.0 + float(rng.integers(1, 12))
     scenario.timeline.add_event(
         NewLinkEvent(time_hour=hour, a_asn=asn, b_asn=_GLOBAL_LON, provider=True)

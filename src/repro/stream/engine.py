@@ -185,11 +185,14 @@ class StreamStudy:
         metrics = get_metrics()
         with span("ingest", batch=batch.index, rows=batch.n_rows) as sp:
             fault_point("stream.batch", key=str(batch.index))
+            pre_times = self._panel_acc.panel.times
             with span("panel.apply"):
                 delta = self._panel_acc.apply(batch.frame)
-            if delta.edited_old_times:
-                # An existing panel row changed; every cached warm-start
-                # factorization is built on stale rows now.
+            if delta.edited_old_times and delta.oldest_edited_time < pre_times[-1]:
+                # A sealed row (a day before the open newest one) changed;
+                # every cached warm-start factorization is stale now.
+                # Edits to the open row are what intra-day batches do,
+                # and the refitter never caches that row.
                 self._epoch += 1
             with span("assignment.apply"):
                 self._assign_acc.apply(batch.frame)

@@ -2,17 +2,25 @@
 
 After each ingested batch only a handful of units are dirty.  For each
 one the :class:`LiveRefitter` refits the robust synthetic control,
-reusing both the unit's cached donor pool and its previous
+reusing both the unit's cached donor pool and its cached
 :class:`~repro.synthcontrol.robust.DonorFactorization` (through
-:func:`~repro.synthcontrol.incremental.extend_factorization`) whenever
-the new panel merely *appended* rows — the common steady-state, where
-a batch adds a day of data and nothing else moves.  A warm refit then
-costs one small-core SVD instead of a donor screen plus a full
-factorization; anything that breaks append-only growth (edits to
-existing panel rows, imputed cells in the old block, a failed prior
-fit) falls back to the cold path: a fresh donor screen and a full SVD.
-Either route feeds the same downstream math, and on exact inputs both
-routes agree.
+:func:`~repro.synthcontrol.incremental.extend_factorization`).
+
+The newest panel day is an *open* row: a batch shorter than a day keeps
+rewriting it, while every earlier day is *sealed*.  Each unit caches the
+factorization of its sealed rows only.  A refresh first warm-extends
+that cache with any days sealed since the unit's last refresh, then
+extends the result by the open row to get the full-matrix
+factorization it fits on.  Both steps are the exact append identity of
+:mod:`repro.synthcontrol.incremental`, so a warm refresh costs two
+small-core SVDs instead of a donor screen plus a full factorization —
+for day batches and for batches shorter than a day alike.  Anything
+that breaks growth of the sealed block — the engine's epoch bump on an
+edit to a sealed day, a day inserted inside the cached prefix, imputed
+cells in the sealed block, a failed prior fit — falls back to the cold
+path: a fresh donor screen and a full SVD of the sealed rows.  Either
+route feeds the same downstream math, and on exact inputs both routes
+agree.
 
 Placebo inference is amortized.  A warm refresh recomputes the unit's
 *effect* (denoise + ridge fit, well under a millisecond) every batch,
@@ -59,8 +67,9 @@ class UnitFitState:
 
     unit: str
     donors: tuple[str, ...] = ()
-    fact: DonorFactorization | None = field(default=None, repr=False)
-    times: tuple[Any, ...] = ()  # panel time prefix the factorization covers
+    fact: DonorFactorization | None = field(default=None, repr=False)  # sealed rows
+    times: tuple[Any, ...] = ()  # sealed panel days the factorization covers
+    full: DonorFactorization | None = field(default=None, repr=False)  # + open row
     epoch: int = -1  # engine epoch the factorization was built under
     row: StudyRow | None = None
     skip_reason: str | None = None
@@ -123,7 +132,7 @@ class LiveRefitter:
                 raise EstimationError(f"only {pre_periods} pre-treatment days")
             if post_periods < self._min_post:
                 raise EstimationError(f"only {post_periods} post-treatment days")
-            donors, donor_matrix, fact, warm = self._donor_pool(
+            donors, donor_matrix, sealed, fact, warm = self._donor_pool(
                 state, panel, assignment, unit, epoch, pre_periods
             )
             denoised, _ = denoise_from_factorization(fact, energy=self._energy)
@@ -164,6 +173,7 @@ class LiveRefitter:
             )
         except (DonorPoolError, EstimationError, PipelineError) as exc:
             state.fact = None
+            state.full = None
             state.donors = ()
             state.times = ()
             state.row = None
@@ -172,8 +182,9 @@ class LiveRefitter:
             state.skip_reason = str(exc)
             return state
         state.donors = donors
-        state.fact = fact
-        state.times = panel.times
+        state.fact = sealed
+        state.times = () if sealed is None else panel.times[: sealed.n_times]
+        state.full = fact
         state.epoch = epoch
         state.skip_reason = None
         state.row = StudyRow(
@@ -197,38 +208,50 @@ class LiveRefitter:
         unit: str,
         epoch: int,
         pre_periods: int,
-    ) -> tuple[tuple[str, ...], np.ndarray, DonorFactorization, bool]:
-        """The unit's donor pool, matrix, SVD, and whether it was warm.
+    ) -> tuple[
+        tuple[str, ...],
+        np.ndarray,
+        DonorFactorization | None,
+        DonorFactorization,
+        bool,
+    ]:
+        """The unit's donor pool, matrix, sealed and full SVDs, and warmth.
 
-        When the cached factorization is warm-eligible — same engine
-        epoch, the panel merely grew, and the cached time prefix is
-        intact — the cached donor pool is reused *without* re-running
-        the correlation screen: none of the screen's pre-period inputs
+        When the cached sealed factorization is warm-eligible — same
+        engine epoch, and its days are still the panel's leading sealed
+        days — the cached donor pool is reused *without* re-running the
+        correlation screen: none of the screen's pre-period inputs
         changed, and skipping it keeps the warm refresh at the cost of
-        one small-core SVD.  (The screen's ``max_missing`` filter also
-        sees the appended rows, so a pool picked today could differ at
-        the margin from one picked at first fit; live rows are advisory
-        and ``finalize()`` re-screens every unit from scratch.)  Any
-        break in append-only growth falls back to a fresh screen and a
-        cold factorization.
+        two small-core SVDs.  (The screen's ``max_missing`` filter also
+        sees the later rows, so a pool picked today could differ at the
+        margin from one picked at first fit; live rows are advisory and
+        ``finalize()`` re-screens every unit from scratch.)  Otherwise
+        the refresh goes cold: a fresh screen and a full SVD of the
+        sealed rows, extended by the open row.  The sealed factorization
+        is ``None`` when its block has imputed cells, which no warm
+        extension could keep exact.
         """
+        n_sealed = panel.n_times - 1
         n_known = len(state.times)
         warm_ok = (
             state.fact is not None
             and state.donors
             and state.epoch == epoch
-            and panel.n_times > n_known
+            and n_sealed >= n_known
             and panel.times[:n_known] == state.times
         )
         if warm_ok:
             donors = state.donors
             donor_matrix = np.column_stack([panel.series(d) for d in donors])
             try:
-                fact = extend_factorization(state.fact, donor_matrix[n_known:])
+                sealed = extend_factorization(
+                    state.fact, donor_matrix[n_known:n_sealed]
+                )
+                fact = extend_factorization(sealed, donor_matrix[n_sealed:])
                 self.warm_refits += 1
-                return donors, donor_matrix, fact, True
+                return donors, donor_matrix, sealed, fact, True
             except EstimationError:
-                pass  # imputed old block: exactness would be lost, go cold
+                pass  # imputed sealed block: exactness would be lost, go cold
         donors = tuple(
             select_donors(
                 panel,
@@ -240,4 +263,9 @@ class LiveRefitter:
         )
         donor_matrix = np.column_stack([panel.series(d) for d in donors])
         self.cold_refits += 1
-        return donors, donor_matrix, factor_donor_matrix(donor_matrix), False
+        head = donor_matrix[:n_sealed]
+        if n_sealed > 0 and np.isfinite(head).all():
+            sealed = factor_donor_matrix(head)
+            fact = extend_factorization(sealed, donor_matrix[n_sealed:])
+            return donors, donor_matrix, sealed, fact, False
+        return donors, donor_matrix, None, factor_donor_matrix(donor_matrix), False

@@ -58,8 +58,11 @@ class PanelDelta:
         Axis growth this batch caused.
     edited_old_times:
         True when some dirty cell sits on a day the panel already had —
-        i.e. an *existing* matrix row changed, which invalidates any
-        append-only warm start of donor SVDs built on the old rows.
+        i.e. an *existing* matrix row changed.
+    oldest_edited_time:
+        The oldest such pre-existing day, or ``None`` when the batch
+        edited none.  An edit older than the panel's newest pre-batch
+        day rewrote a row that warm-started donor SVDs treat as sealed.
     """
 
     dirty_units: tuple[str, ...]
@@ -67,6 +70,7 @@ class PanelDelta:
     n_new_times: int
     n_new_units: int
     edited_old_times: bool
+    oldest_edited_time: Any = None
 
 
 class PanelAccumulator:
@@ -100,7 +104,7 @@ class PanelAccumulator:
         # Pass 1 — register axes and stash this batch's values per cell.
         # Iterating keys in first-appearance order registers new units in
         # the same order the batch pivot's unit factorize would.
-        edited_old = False
+        oldest_edited: Any = None
         n_new_units = 0
         fresh_times: dict[Any, None] = {}
         dirty_units: dict[str, None] = {}
@@ -114,7 +118,8 @@ class PanelAccumulator:
                 n_new_units += 1
             dirty_units[label] = None
             if day in self._time_pos:
-                edited_old = True
+                if oldest_edited is None or day < oldest_edited:
+                    oldest_edited = day
             else:
                 fresh_times[day] = None
             chunk = vals[segments.order[segments.starts[g] : segments.ends[g]]]
@@ -167,7 +172,8 @@ class PanelAccumulator:
             n_dirty_cells=n_dirty,
             n_new_times=n_new_times,
             n_new_units=n_new_units,
-            edited_old_times=edited_old,
+            edited_old_times=oldest_edited is not None,
+            oldest_edited_time=oldest_edited,
         )
 
 

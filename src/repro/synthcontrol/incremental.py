@@ -121,7 +121,7 @@ def live_placebo_ratios(
     skipped = 0
     for col in range(n):
         denoised, _rank = loo[col]
-        rest_names = tuple(nm for i, nm in enumerate(donor_names) if i != col)
+        rest_names = donor_names[:col] + donor_names[col + 1 :]
         try:
             placebo_fit = fit_from_denoised(
                 donors[:, col],

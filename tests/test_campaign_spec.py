@@ -94,6 +94,16 @@ class TestBuildScenario:
         assert len(staggered.treated_units) > len(base.treated_units)
         assert len(staggered.join_hours) == len(base.join_hours) + 2
 
+    @pytest.mark.parametrize("kind", scenario_kinds())
+    def test_every_kind_materialises_across_seeds(self, kind):
+        # The base world's background churn moves some donors between
+        # regionals; no mutator may schedule a link that clashes with it
+        # (or with a London transit the donor already buys).
+        for seed in range(20):
+            spec = ScenarioSpec(name=f"{kind}-{seed}", kind=kind, seed=seed)
+            scenario = build_scenario(spec)
+            scenario.timeline.state_at(spec.duration_days * 24.0 - 1.0)
+
     def test_congestion_shock_registers_a_shock(self):
         spec = ScenarioSpec(
             name="shock", kind="congestion-shock", seed=2, duration_days=10,

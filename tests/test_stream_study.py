@@ -10,13 +10,15 @@ journal truncated mid-record by the kill.
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.chaos import FaultPlan, FaultSpec, active_plan
 from repro.errors import CheckpointError, InjectedFault, PipelineError
 from repro.frames.io import to_csv_text
 from repro.pipeline import run_ixp_study
-from repro.stream import StreamStudy, random_batches, slice_frame
+from repro.stream import MeasurementBatch, StreamStudy, random_batches, slice_frame
+from repro.synthcontrol.robust import denoise_from_factorization, factor_donor_matrix
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +125,63 @@ class TestLiveResult:
         # Every refit that reached the factorization (warm or cold)
         # rebuilds its ensemble when amortization is off.
         assert refreshes == sum(r.warm_refits + r.cold_refits for r in out.reports)
+
+
+def _batch_units(batch):
+    return {str(u) for u in batch.frame.column("unit").factorize()[1]}
+
+
+class TestIntraDayWarmStart:
+    def test_warm_factorization_matches_cold_at_mid_day(
+        self, small_frame, small_scenario
+    ):
+        # Six-hour batches rewrite the open newest day three times out of
+        # four; the sealed-row cache must still yield the exact
+        # full-matrix factorization after every one of them.
+        study = StreamStudy(small_scenario.ixp_name)
+        checked = 0
+        for batch in slice_frame(small_frame, batch_hours=6.0):
+            study.ingest(batch)
+            panel = study.panel
+            treated = set(study.assignment().treated_units)
+            for unit in sorted(treated & _batch_units(batch)):
+                state = study._refitter.state(unit)
+                if state is None or state.full is None:
+                    continue
+                matrix = np.column_stack([panel.series(d) for d in state.donors])
+                warm, warm_rank = denoise_from_factorization(state.full)
+                cold, cold_rank = denoise_from_factorization(
+                    factor_donor_matrix(matrix)
+                )
+                assert warm_rank == cold_rank
+                np.testing.assert_allclose(warm, cold, rtol=1e-9)
+                checked += 1
+        assert checked > 0
+        warm_refits = sum(r.warm_refits for r in study.reports)
+        cold_refits = sum(r.cold_refits for r in study.reports)
+        assert warm_refits > cold_refits
+
+    def test_late_edit_to_sealed_day_goes_cold(self, small_frame, small_scenario):
+        study = StreamStudy(small_scenario.ixp_name)
+        batches = slice_frame(small_frame, batch_hours=24.0)
+        for batch in batches:
+            study.ingest(batch)
+        # Late rows for a day well before the newest one: a sealed row
+        # changes, so no cached sealed factorization may be reused.
+        late = batches[-4]
+        assert int(late.end_hour // 24) < study.panel.times[-1]
+        epoch = study._epoch
+        report = study.ingest(
+            MeasurementBatch(
+                index=len(batches),
+                start_hour=late.start_hour,
+                end_hour=late.end_hour,
+                frame=late.frame,
+            )
+        )
+        assert study._epoch == epoch + 1
+        assert report.cold_refits > 0
+        assert report.warm_refits == 0
 
 
 class TestResume:
