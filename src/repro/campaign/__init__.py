@@ -26,7 +26,6 @@ from repro.campaign.allocator import (
 from repro.campaign.scheduler import (
     CampaignResult,
     CampaignRoundReport,
-    CampaignUnitFit,
     ScenarioVerdict,
     run_campaign,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "CampaignRoundReport",
-    "CampaignUnitFit",
     "SCENARIO_KINDS",
     "ScenarioStat",
     "ScenarioVerdict",

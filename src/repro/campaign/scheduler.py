@@ -5,21 +5,30 @@ campaign on the existing executor/retry/checkpoint/shared-memory stack:
 
 - **Stage A** builds each scenario's world and measurement frame (into
   a per-scenario :class:`~repro.pipeline.shm.SharedFrameArena`, closed
-  as soon as the panel is pivoted out), screens treated units with the
-  batch study's own :func:`~repro.pipeline.study.prepare_unit_plan`,
-  and opens one checkpoint journal per scenario.
+  as soon as the panel is pivoted out), plans each scenario's units
+  with the batch study's own :func:`~repro.pipeline.study.prepare_unit_plan`
+  (the plan chooses every unit's donors), and opens one checkpoint
+  journal per scenario.  One prefactor table for the whole fleet,
+  keyed by ``(scenario, unit)``, then batch-factors every planned
+  unit's donor matrix.
 - **Stage B** interleaves every scenario's base unit fits round-robin
   onto one shared executor — scenario B's fits don't wait for scenario
-  A's, and a single process pool serves the whole campaign.
+  A's, and a single process pool serves the whole campaign.  Each fit
+  is the study's own :func:`~repro.pipeline.study.fit_unit`.
 - **Stage C** spends the placebo-refit budget in rounds: the
   :mod:`~repro.campaign.allocator` hands each round's refits to
   scenarios in proportion to their current placebo-ratio CI width
   (Zeph-style), freezing converged scenarios, and each round's grants
-  are interleaved onto the same pool.
+  are interleaved onto the same pool as single-column
+  :func:`~repro.pipeline.study.refit_unit` calls.  Fits and refits read
+  their unit's factorization from the prefactor table: installed
+  in-process on a serial run, attached as shared-memory slabs by every
+  pooled worker.
 - The **verdict table** generalizes Table 1 across scenarios; each
-  scenario's rows are built with exactly the batch study's p-value
-  convention, so a campaign given enough budget to exhaust every
-  placebo queue reproduces ``run_ixp_study``'s rows bit-for-bit.
+  scenario's rows are built by the batch study's own
+  :func:`~repro.pipeline.study.unit_row`, so a campaign given enough
+  budget to exhaust every placebo queue reproduces ``run_ixp_study``'s
+  rows bit-for-bit.
 
 Determinism contract: the verdict table is a pure function of the spec
 fleet and the campaign parameters — identical across ``--jobs`` values,
@@ -52,196 +61,33 @@ from repro.chaos.runtime import current_attempt, fault_point, task_attempt
 from repro.errors import (
     CheckpointError,
     DonorPoolError,
-    EstimationError,
     PipelineError,
     TransientError,
 )
-from repro.estimators.bootstrap import permutation_p_value
 from repro.mplatform.speedtest import measurements_frame
 from repro.obs import span
 from repro.obs.metrics import get_metrics
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.checkpoint import StudyCheckpoint
 from repro.pipeline.crossing import assign_treatment
-from repro.pipeline.executor import RetryPolicy, get_executor, resolve_n_jobs
-from repro.pipeline.shm import SharedFrameArena, SharedPanelOwner, SharedPanelRef
+from repro.pipeline.executor import RetryPolicy, resolve_n_jobs
+from repro.pipeline.prefactor import prefactor_unit_plan
+from repro.pipeline.shm import SharedFrameArena, SharedPanelOwner
 from repro.pipeline.study import (
     StudyResult,
     StudyRow,
+    UnitFit,
     _UnitTask,
+    fit_unit,
+    journal_planned_skips,
     prepare_unit_plan,
+    refit_unit,
+    unit_fit_executor,
+    unit_row,
 )
 from repro.stream.state import ingest_frame
 from repro.studies.ixp_latency import scenario_truth
-from repro.synthcontrol.donor import Panel, select_donors
-from repro.synthcontrol.placebo import _PlaceboContext, _placebo_refit_inner
-from repro.synthcontrol.robust import DenoiseCache, robust_synthetic_control
-
-
-# ---------------------------------------------------------------------------
-# Worker-side task payloads and entry points
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CampaignUnitFit:
-    """One base fit's journald state: everything but the p-value.
-
-    The p-value is *not* here by design — it is a function of however
-    many placebo refits the budget ended up granting, recomputed from
-    the refit ledger whenever the verdict table is built.
-    """
-
-    unit: str
-    effect: float
-    rmse_ratio: float
-    pre_periods: int
-    post_periods: int
-    donors: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class _BaseFitTask:
-    """One scenario-qualified base unit fit, picklable for the pool."""
-
-    scenario: str
-    unit: str
-    pre_periods: int
-    post_periods: int
-    panel: Panel | SharedPanelRef
-    excluded: tuple[str, ...]
-    max_donor_missing: float
-    energy: float
-    ridge: float
-
-
-@dataclass(frozen=True)
-class _RefitTask:
-    """One placebo refit (scenario, unit, leave-one-out column)."""
-
-    scenario: str
-    unit: str
-    col: int
-    donors: tuple[str, ...]
-    pre_periods: int
-    panel: Panel | SharedPanelRef
-    energy: float
-    ridge: float
-    min_pre_rmse: float = 1e-9
-
-
-#: Per-worker-process content-keyed SVD cache: every refit of the same
-#: (scenario, unit) donor matrix reuses one factorization.  Recreated
-#: when it grows past the bound so a long campaign cannot leak SVDs.
-_WORKER_CACHE = DenoiseCache()
-_WORKER_CACHE_CAP = 64
-
-
-def _worker_cache() -> DenoiseCache:
-    global _WORKER_CACHE
-    if len(_WORKER_CACHE._factorizations) > _WORKER_CACHE_CAP:
-        _WORKER_CACHE = DenoiseCache()
-    return _WORKER_CACHE
-
-
-def _task_panel(panel: Panel | SharedPanelRef) -> Panel:
-    return panel.load() if isinstance(panel, SharedPanelRef) else panel
-
-
-def _campaign_unit_fit(task: _BaseFitTask) -> CampaignUnitFit | tuple[str, str]:
-    """Fit one unit's synthetic control (no placebos): fit or skip.
-
-    Mirrors :func:`repro.pipeline.study._analyse_unit` exactly — same
-    donor screen, same cached robust fit — minus the placebo loop,
-    which the budget allocator owns.  The fault key is scenario-
-    qualified (``"<scenario>/<unit>"``) so chaos plans can target one
-    scenario's fits without touching its neighbours'.
-    """
-    metrics = get_metrics()
-    panel = _task_panel(task.panel)
-    with span("fits.unit", unit=task.unit, scenario=task.scenario) as sp:
-        fault_point("fits.unit", key=f"{task.scenario}/{task.unit}")
-        try:
-            donors = select_donors(
-                panel,
-                task.unit,
-                excluded=task.excluded,
-                pre_periods=task.pre_periods,
-                max_missing=task.max_donor_missing,
-            )
-            donor_matrix = np.column_stack([panel.series(d) for d in donors])
-            # placebo_test creates a DenoiseCache when given none, so the
-            # treated fit here takes the identical cached code path.
-            fit = robust_synthetic_control(
-                panel.series(task.unit),
-                donor_matrix,
-                task.pre_periods,
-                treated_name=task.unit,
-                donor_names=donors,
-                energy=task.energy,
-                ridge=task.ridge,
-                cache=DenoiseCache(),
-            )
-        except (DonorPoolError, EstimationError) as exc:
-            sp.set(status="skipped", reason=str(exc))
-            metrics.counter(
-                "units_skipped_total", "treated units the study could not fit"
-            ).inc()
-            return (task.unit, str(exc))
-        sp.set(status="ok", n_donors=len(donors))
-        metrics.counter(
-            "units_analysed_total", "treated units with a fitted StudyRow"
-        ).inc()
-        return CampaignUnitFit(
-            unit=task.unit,
-            effect=float(fit.effect),
-            rmse_ratio=float(fit.rmse_ratio),
-            pre_periods=task.pre_periods,
-            post_periods=task.post_periods,
-            donors=tuple(donors),
-        )
-
-
-def _campaign_refit(task: _RefitTask) -> tuple[str, float | None, str]:
-    """One placebo refit: ``(donor_name, ratio | None, skip_reason)``.
-
-    Runs the same pure inner refit as the batch study's placebo loop
-    (:func:`~repro.synthcontrol.placebo._placebo_refit_inner` over a
-    leave-one-out de-noising of the full factorization), so a campaign
-    that exhausts a unit's queue produces the batch study's exact
-    ratios.
-    """
-    metrics = get_metrics()
-    panel = _task_panel(task.panel)
-    donor = task.donors[task.col]
-    with span(
-        "placebo", donor=donor, scenario=task.scenario, unit=task.unit
-    ) as sp:
-        fault_point(
-            "campaign.refit", key=f"{task.scenario}/{task.unit}/{donor}"
-        )
-        matrix = np.column_stack([panel.series(d) for d in task.donors])
-        fact = _worker_cache().factorization(matrix)
-        ctx = _PlaceboContext(
-            donors=matrix,
-            donor_names=task.donors,
-            pre_periods=task.pre_periods,
-            min_pre_rmse=task.min_pre_rmse,
-            method="robust",
-            fit_kwargs={},
-            fact=fact,
-            energy=task.energy,
-            ridge=task.ridge,
-            loo=None,
-        )
-        name, ratio, reason = _placebo_refit_inner(ctx, task.col)
-        sp.set(ok=ratio is not None)
-        metrics.counter("placebos_total", "placebo refits attempted").inc()
-        if ratio is None:
-            sp.set(reason=reason)
-            metrics.counter(
-                "placebos_skipped_total", "placebo refits that failed estimation"
-            ).inc()
-    return name, ratio, reason
+from repro.synthcontrol.donor import Panel
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +103,7 @@ class _ScenarioState:
     owner: SharedPanelOwner | None
     plan: list
     checkpoint: StudyCheckpoint | None
-    fits: dict[str, CampaignUnitFit] = field(default_factory=dict)
+    fits: dict[str, UnitFit] = field(default_factory=dict)
     fit_skips: dict[str, str] = field(default_factory=dict)
     #: Every possible refit, in deterministic queue order; the budget
     #: walks this list front to back, so "which refits ran" is a pure
@@ -298,8 +144,11 @@ class _ScenarioState:
                 vals.append(rec[1])
         return vals
 
-    def task_panel(self) -> Panel | SharedPanelRef:
-        return self.owner.ref if self.owner is not None else self.panel
+    def tasks(self) -> dict[str, _UnitTask]:
+        """The plan's fit tasks by unit, in plan order."""
+        return {
+            step.unit: step for step in self.plan if isinstance(step, _UnitTask)
+        }
 
 
 def _build_refit_queue(state: _ScenarioState) -> list[tuple[str, int]]:
@@ -309,11 +158,7 @@ def _build_refit_queue(state: _ScenarioState) -> list[tuple[str, int]]:
     of any) so a small budget still samples every unit's null
     distribution instead of exhausting the first unit's donors.
     """
-    units = [
-        step.unit
-        for step in state.plan
-        if isinstance(step, _UnitTask) and step.unit in state.fits
-    ]
+    units = [unit for unit in state.tasks() if unit in state.fits]
     max_cols = max(
         (len(state.fits[u].donors) for u in units), default=0
     )
@@ -611,7 +456,6 @@ def run_campaign(
     metrics = get_metrics()
     workers = resolve_n_jobs(n_jobs)
     states: list[_ScenarioState] = []
-    executor = None
     spent = 0
     trace: list[AllocationRound] = []
     try:
@@ -673,233 +517,217 @@ def run_campaign(
                             fit_kwargs=tuple(
                                 sorted({"energy": energy, "ridge": ridge}.items())
                             ),
+                            task_panel=owner.ref if owner is not None else panel,
+                            scenario=spec.name,
                         ),
                         checkpoint=ckpt,
                     )
                     states.append(state)
 
-            executor = get_executor(n_jobs, retry=retry)
-
-            # ------------------------------------------------- stage B
-            per_scenario_tasks: list[list[_BaseFitTask]] = []
+            # One prefactor table for the whole fleet, keyed by
+            # (scenario, unit): the base fits and every budgeted refit
+            # read their unit's factorization from it.
+            prefactors = {}
             for state in states:
-                tasks = []
-                for step in state.plan:
-                    if not isinstance(step, _UnitTask):
-                        state.fit_skips[step[0]] = step[1]
-                        continue
-                    cached = (
-                        state.checkpoint.completed_fits.get(step.unit)
-                        if state.checkpoint is not None
-                        else None
-                    )
-                    if cached is not None:
-                        state.fits[step.unit] = CampaignUnitFit(
-                            unit=cached["unit"],
-                            effect=cached["effect"],
-                            rmse_ratio=cached["rmse_ratio"],
-                            pre_periods=cached["pre_periods"],
-                            post_periods=cached["post_periods"],
-                            donors=tuple(cached["donors"]),
-                        )
-                        continue
-                    skip = (
-                        state.checkpoint.completed.get(step.unit)
-                        if state.checkpoint is not None
-                        else None
-                    )
-                    if isinstance(skip, tuple):
-                        state.fit_skips[skip[0]] = skip[1]
-                        continue
-                    tasks.append(
-                        _BaseFitTask(
-                            scenario=state.name,
-                            unit=step.unit,
-                            pre_periods=step.pre_periods,
-                            post_periods=step.post_periods,
-                            panel=state.task_panel(),
-                            excluded=step.excluded,
-                            max_donor_missing=max_donor_missing,
-                            energy=energy,
-                            ridge=ridge,
-                        )
-                    )
-                per_scenario_tasks.append(tasks)
-            fit_tasks = _interleave(per_scenario_tasks)
-            by_name = {state.name: state for state in states}
-
-            def _journal_fit(index: int, result: Any) -> None:
-                task = fit_tasks[index]
-                state = by_name[task.scenario]
-                if state.checkpoint is None:
-                    return
-                if isinstance(result, CampaignUnitFit):
-                    state.checkpoint.append_unit_fit(
-                        result.unit,
-                        result.effect,
-                        result.rmse_ratio,
-                        result.pre_periods,
-                        result.post_periods,
-                        list(result.donors),
-                    )
-                else:
-                    state.checkpoint.append_result(result)
-
-            with span("campaign.fits", n_tasks=len(fit_tasks)):
-                outcomes = executor.map(
-                    _campaign_unit_fit, fit_tasks, on_result=_journal_fit
+                prefactors.update(
+                    prefactor_unit_plan(state.panel, list(state.tasks().values()))
                 )
-            for task, outcome in zip(fit_tasks, outcomes):
-                state = by_name[task.scenario]
-                if isinstance(outcome, CampaignUnitFit):
-                    state.fits[outcome.unit] = outcome
-                else:
-                    state.fit_skips[outcome[0]] = outcome[1]
-            for state in states:
-                state.queue = _build_refit_queue(state)
-                if state.checkpoint is not None:
-                    state.done.update(state.checkpoint.completed_refits)
+            with unit_fit_executor(
+                prefactors, n_jobs=n_jobs, retry=retry
+            ) as executor:
 
-            # ------------------------------------------------- stage C
-            round_index = 0
-            while spent < budget:
-                stats = [
-                    ScenarioStat(
-                        name=state.name,
-                        ci_width=placebo_ci_width(state.ratio_values()),
-                        remaining=state.remaining,
-                        converged=state.frozen,
-                        n_ratios=len(state.ratio_values()),
-                    )
-                    for state in states
-                ]
-                k = min(round_refits, budget - spent)
-                if allocation == "adaptive":
-                    grants = allocate_round(
-                        stats, k, floor=floor, seed=alloc_seed
-                    )
-                else:
-                    grants = uniform_round(stats, k)
-                granted = sum(grants.values())
-                if granted == 0:
-                    break
-
-                per_scenario_refits: list[list[_RefitTask]] = []
+                # ------------------------------------------------- stage B
+                per_scenario_tasks: list[list[_UnitTask]] = []
                 for state in states:
-                    give = grants.get(state.name, 0)
+                    journal_planned_skips(state.plan, state.checkpoint)
                     tasks = []
-                    for unit, col in state.queue[
-                        state.next_index : state.next_index + give
-                    ]:
-                        fit = state.fits[unit]
-                        tasks.append(
-                            _RefitTask(
-                                scenario=state.name,
-                                unit=unit,
-                                col=col,
-                                donors=fit.donors,
-                                pre_periods=fit.pre_periods,
-                                panel=state.task_panel(),
-                                energy=energy,
-                                ridge=ridge,
-                            )
+                    for step in state.tasks().values():
+                        cached = (
+                            state.checkpoint.completed_fits.get(step.unit)
+                            if state.checkpoint is not None
+                            else None
                         )
-                    state.next_index += give
-                    per_scenario_refits.append(tasks)
-                round_tasks = _interleave(per_scenario_refits)
-                fresh = [
-                    t for t in round_tasks
-                    if (t.unit, t.col) not in by_name[t.scenario].done
-                ]
+                        if cached is not None:
+                            state.fits[step.unit] = UnitFit(
+                                **{**cached, "donors": tuple(cached["donors"])}
+                            )
+                            continue
+                        skip = (
+                            state.checkpoint.completed.get(step.unit)
+                            if state.checkpoint is not None
+                            else None
+                        )
+                        if isinstance(skip, tuple):
+                            state.fit_skips[skip[0]] = skip[1]
+                            continue
+                        tasks.append(step)
+                    per_scenario_tasks.append(tasks)
+                fit_tasks = _interleave(per_scenario_tasks)
+                by_name = {state.name: state for state in states}
 
-                def _journal_refit(index: int, result: Any) -> None:
-                    task = fresh[index]
+                def _journal_fit(index: int, result: Any) -> None:
+                    task = fit_tasks[index]
                     state = by_name[task.scenario]
                     if state.checkpoint is None:
                         return
-                    name, ratio, reason = result
-                    state.checkpoint.append_placebo(
-                        task.unit, task.col, name, ratio, reason
-                    )
+                    if isinstance(result, UnitFit):
+                        state.checkpoint.append_unit_fit(
+                            result.unit,
+                            result.effect,
+                            result.rmse_ratio,
+                            result.pre_periods,
+                            result.post_periods,
+                            list(result.donors),
+                        )
+                    else:
+                        state.checkpoint.append_result(result)
 
-                with span(
-                    "campaign.round",
-                    index=round_index,
-                    granted=granted,
-                    n_fresh=len(fresh),
-                    allocations=json.dumps(
-                        dict(sorted(grants.items())), sort_keys=True
-                    ),
-                ):
-                    results = executor.map(
-                        _campaign_refit, fresh, on_result=_journal_refit
+                with span("campaign.fits", n_tasks=len(fit_tasks)):
+                    outcomes = executor.map(
+                        fit_unit, fit_tasks, on_result=_journal_fit
                     )
-                for task, result in zip(fresh, results):
-                    by_name[task.scenario].done[(task.unit, task.col)] = result
-                spent += granted
-                metrics.counter(
-                    "campaign_refits_total",
-                    "placebo refits granted by the campaign allocator",
-                ).inc(granted)
-
-                widths_after: dict[str, float] = {}
-                converged_after: dict[str, bool] = {}
+                for task, outcome in zip(fit_tasks, outcomes):
+                    state = by_name[task.scenario]
+                    if isinstance(outcome, UnitFit):
+                        state.fits[outcome.unit] = outcome
+                    else:
+                        state.fit_skips[outcome[0]] = outcome[1]
                 for state in states:
-                    width = placebo_ci_width(state.ratio_values())
-                    widths_after[state.name] = width
-                    if (
-                        not state.frozen
-                        and len(state.ratio_values()) >= min_ratios
-                        and math.isfinite(width)
-                        and width <= tol
+                    state.queue = _build_refit_queue(state)
+                    if state.checkpoint is not None:
+                        state.done.update(state.checkpoint.completed_refits)
+
+                # ------------------------------------------------- stage C
+                round_index = 0
+                while spent < budget:
+                    stats = [
+                        ScenarioStat(
+                            name=state.name,
+                            ci_width=placebo_ci_width(state.ratio_values()),
+                            remaining=state.remaining,
+                            converged=state.frozen,
+                            n_ratios=len(state.ratio_values()),
+                        )
+                        for state in states
+                    ]
+                    k = min(round_refits, budget - spent)
+                    if allocation == "adaptive":
+                        grants = allocate_round(
+                            stats, k, floor=floor, seed=alloc_seed
+                        )
+                    else:
+                        grants = uniform_round(stats, k)
+                    granted = sum(grants.values())
+                    if granted == 0:
+                        break
+
+                    per_scenario_refits: list[list[tuple[_UnitTask, int]]] = []
+                    for state in states:
+                        give = grants.get(state.name, 0)
+                        plan_tasks = state.tasks()
+                        per_scenario_refits.append(
+                            [
+                                (plan_tasks[unit], col)
+                                for unit, col in state.queue[
+                                    state.next_index : state.next_index + give
+                                ]
+                            ]
+                        )
+                        state.next_index += give
+                    fresh = [
+                        (task, col)
+                        for task, col in _interleave(per_scenario_refits)
+                        if (task.unit, col) not in by_name[task.scenario].done
+                    ]
+
+                    def _journal_refit(index: int, result: Any) -> None:
+                        task, col = fresh[index]
+                        state = by_name[task.scenario]
+                        if state.checkpoint is None:
+                            return
+                        name, ratio, reason = result
+                        state.checkpoint.append_placebo(
+                            task.unit, col, name, ratio, reason
+                        )
+
+                    with span(
+                        "campaign.round",
+                        index=round_index,
+                        granted=granted,
+                        n_fresh=len(fresh),
+                        allocations=json.dumps(
+                            dict(sorted(grants.items())), sort_keys=True
+                        ),
                     ):
-                        if allocation == "adaptive":
-                            state.frozen = True
-                            metrics.counter(
-                                "campaign_scenarios_frozen_total",
-                                "scenarios frozen by the adaptive allocator",
-                            ).inc()
-                    # The trace's convergence flag is evaluated for both
-                    # allocation modes (uniform never *acts* on it) so
-                    # adaptive-vs-uniform comparisons read one field.
-                    converged_after[state.name] = (
-                        state.remaining == 0
-                        or (
-                            len(state.ratio_values()) >= min_ratios
+                        results = executor.map(
+                            refit_unit, fresh, on_result=_journal_refit
+                        )
+                    for (task, col), result in zip(fresh, results):
+                        by_name[task.scenario].done[(task.unit, col)] = result
+                    spent += granted
+                    metrics.counter(
+                        "campaign_refits_total",
+                        "placebo refits granted by the campaign allocator",
+                    ).inc(granted)
+
+                    widths_after: dict[str, float] = {}
+                    converged_after: dict[str, bool] = {}
+                    for state in states:
+                        width = placebo_ci_width(state.ratio_values())
+                        widths_after[state.name] = width
+                        if (
+                            not state.frozen
+                            and len(state.ratio_values()) >= min_ratios
                             and math.isfinite(width)
                             and width <= tol
-                        )
-                    )
-                trace.append(
-                    AllocationRound(
-                        index=round_index,
-                        allocations={n: grants.get(n, 0) for n in names},
-                        widths={s.name: s.ci_width for s in stats},
-                        converged={s.name: s.converged for s in stats},
-                        spent_before=spent - granted,
-                        granted=granted,
-                        widths_after=widths_after,
-                        converged_after=converged_after,
-                    )
-                )
-                if telemetry is not None:
-                    for state in states:
-                        telemetry.publisher(state.name).publish_batch(
-                            CampaignRoundReport(
-                                round_index=round_index,
-                                scenario=state.name,
-                                granted=grants.get(state.name, 0),
-                                executed=state.executed,
-                                remaining=state.remaining,
-                                ci_width=(
-                                    None
-                                    if math.isinf(widths_after[state.name])
-                                    else widths_after[state.name]
-                                ),
-                                converged=converged_after[state.name],
+                        ):
+                            if allocation == "adaptive":
+                                state.frozen = True
+                                metrics.counter(
+                                    "campaign_scenarios_frozen_total",
+                                    "scenarios frozen by the adaptive allocator",
+                                ).inc()
+                        # The trace's convergence flag is evaluated for both
+                        # allocation modes (uniform never *acts* on it) so
+                        # adaptive-vs-uniform comparisons read one field.
+                        converged_after[state.name] = (
+                            state.remaining == 0
+                            or (
+                                len(state.ratio_values()) >= min_ratios
+                                and math.isfinite(width)
+                                and width <= tol
                             )
                         )
-                round_index += 1
+                    trace.append(
+                        AllocationRound(
+                            index=round_index,
+                            allocations={n: grants.get(n, 0) for n in names},
+                            widths={s.name: s.ci_width for s in stats},
+                            converged={s.name: s.converged for s in stats},
+                            spent_before=spent - granted,
+                            granted=granted,
+                            widths_after=widths_after,
+                            converged_after=converged_after,
+                        )
+                    )
+                    if telemetry is not None:
+                        for state in states:
+                            telemetry.publisher(state.name).publish_batch(
+                                CampaignRoundReport(
+                                    round_index=round_index,
+                                    scenario=state.name,
+                                    granted=grants.get(state.name, 0),
+                                    executed=state.executed,
+                                    remaining=state.remaining,
+                                    ci_width=(
+                                        None
+                                        if math.isinf(widths_after[state.name])
+                                        else widths_after[state.name]
+                                    ),
+                                    converged=converged_after[state.name],
+                                )
+                            )
+                    round_index += 1
 
             # ------------------------------------------------- verdicts
             verdicts: list[ScenarioVerdict] = []
@@ -946,8 +774,6 @@ def run_campaign(
                 if telemetry is not None:
                     telemetry.publisher(state.name).publish_final(study)
     finally:
-        if executor is not None:
-            executor.close()
         for state in states:
             if state.checkpoint is not None:
                 state.checkpoint.close()
@@ -979,11 +805,11 @@ class CampaignRoundReport:
 def _scenario_study(state: _ScenarioState) -> StudyResult:
     """Assemble one scenario's StudyResult from its fit/refit ledgers.
 
-    Follows the plan order and the batch study's conventions exactly:
-    surviving ratios enter the p-value in donor-column order under the
-    add-one ``greater`` permutation convention, and a unit whose entire
-    queue was spent without one surviving placebo becomes a skip with
-    ``placebo_test``'s verbatim reason string.
+    Follows the plan order and builds each row with the batch study's
+    own :func:`~repro.pipeline.study.unit_row`: surviving ratios enter
+    the p-value in donor-column order, and a unit whose entire queue
+    was spent without one surviving placebo becomes a skip with the
+    study's reason string.
     """
     rows: list[StudyRow] = []
     skipped: list[tuple[str, str]] = []
@@ -996,52 +822,20 @@ def _scenario_study(state: _ScenarioState) -> StudyResult:
             skipped.append((step.unit, reason))
             continue
         fit = state.fits[step.unit]
-        attempted = [
-            (col, state.done[(step.unit, col)])
+        refits = [
+            state.done[(step.unit, col)]
             for col in range(len(fit.donors))
             if (step.unit, col) in state.done
         ]
-        values = [
-            ratio for _, (_, ratio, _) in attempted if ratio is not None
-        ]
-        n_failed = sum(1 for _, (_, ratio, _) in attempted if ratio is None)
-        if not values and len(attempted) == len(fit.donors) and fit.donors:
-            # The batch study's placebo_test raises DonorPoolError here;
-            # its message is replicated verbatim for parity.
-            skipped.append(
-                (
-                    step.unit,
-                    f"no placebo fits succeeded for {step.unit!r} "
-                    f"({n_failed} skipped); donor pool too small",
-                )
+        try:
+            # A budget-starved unit (refits cut short by the budget or
+            # its scenario's freeze) gets p = 1: a state the unbudgeted
+            # study can't reach.
+            rows.append(
+                unit_row(fit, refits, exhausted=len(refits) == len(fit.donors))
             )
-            continue
-        if values:
-            p = permutation_p_value(
-                fit.rmse_ratio,
-                np.asarray(values, dtype=float),
-                alternative="greater",
-            )
-        else:
-            # Budget-starved unit: none of its refits ran before the
-            # campaign's budget (or its scenario's freeze) cut in — a
-            # state the unbudgeted study can't reach.  With an empty
-            # null the add-one convention gives (1+0)/(1+0): no
-            # evidence, never significance.
-            p = 1.0
-        rows.append(
-            StudyRow(
-                unit=step.unit,
-                rtt_delta_ms=fit.effect,
-                rmse_ratio=fit.rmse_ratio,
-                p_value=float(p),
-                pre_periods=fit.pre_periods,
-                post_periods=fit.post_periods,
-                n_donors=len(fit.donors),
-                n_placebos=len(values),
-                n_placebos_skipped=n_failed,
-            )
-        )
+        except DonorPoolError as exc:
+            skipped.append((step.unit, str(exc)))
     return StudyResult(
         rows=tuple(rows),
         assignment=state.assignment,

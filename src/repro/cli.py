@@ -114,7 +114,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             retry=_retry_policy(args),
             checkpoint=args.checkpoint,
             resume=args.resume,
-            batch_fits=not args.no_batch_fits,
             share_frames=args.shared_frames,
         )
     print(output.format_report())
@@ -201,7 +200,6 @@ def _cmd_import(args: argparse.Namespace) -> int:
             retry=_retry_policy(args),
             checkpoint=args.checkpoint,
             resume=args.resume,
-            batch_fits=not args.no_batch_fits,
         )
     finally:
         if arena is not None:
@@ -299,7 +297,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
         live_refits=not args.no_live_refits,
-        batch_fits=not args.no_batch_fits,
         telemetry=publisher,
     )
     try:
@@ -583,16 +580,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_fits_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-batch-fits",
-        action="store_true",
-        help="disable the cross-unit batched fit engine (one SVD per unit "
-        "instead of one stacked SVD per matrix shape); rows are "
-        "bit-identical either way",
-    )
-
-
 def _add_shared_frames_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shared-frames",
@@ -622,7 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table1.add_argument("--donors", type=int, default=25, help="donor ASes")
     p_table1.add_argument("--seed", type=int, default=2, help="world seed")
     _add_jobs_argument(p_table1)
-    _add_batch_fits_argument(p_table1)
     _add_shared_frames_argument(p_table1)
     _add_resilience_arguments(p_table1)
     _add_timings_argument(p_table1)
@@ -642,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="peering-LAN prefix (repeatable) for hop-IP matching",
     )
     _add_jobs_argument(p_import)
-    _add_batch_fits_argument(p_import)
     _add_shared_frames_argument(p_import)
     _add_resilience_arguments(p_import)
     _add_timings_argument(p_import)
@@ -725,7 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
         "after the final table (lets scrapers catch the end state)",
     )
     _add_jobs_argument(p_stream)
-    _add_batch_fits_argument(p_stream)
     _add_resilience_arguments(p_stream)
     _add_obs_arguments(p_stream)
     _add_sampler_argument(p_stream)

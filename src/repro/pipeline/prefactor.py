@@ -1,63 +1,59 @@
 """Cross-unit batched fit planning (the fit half of the batched engine).
 
-``execute_unit_plan`` used to hand each treated unit's task to a worker
-that imputed, SVD-factored, and leave-one-out-decomposed its donor
-matrix privately — one LAPACK dispatch per unit plus one per placebo
-core batch, even though every unit in a study screens the same donor
-pool and therefore produces the same ``(T, J)`` matrix shape.  This
-module hoists that work into a **planning pass** in the parent:
+Every treated unit in a study screens the same donor pool, so their
+donor matrices usually share one ``(T, J)`` shape.  Instead of letting
+each fit impute, SVD-factor, and leave-one-out-decompose its matrix
+privately — one LAPACK dispatch per unit plus one per placebo core
+batch — this module hoists that work into a **planning pass** in the
+parent:
 
-- :func:`prefactor_unit_plan` re-runs each task's donor selection (with
-  tracing off, so the real fits keep recording the canonical spans),
-  groups the donor matrices by shape, and feeds them through the
-  stacked primitives :func:`~repro.synthcontrol.robust.factor_donor_matrices`
-  and :func:`~repro.synthcontrol.robust.denoise_leave_one_out_many` —
-  one 3-D gufunc SVD per shape group instead of one 2-D SVD per unit.
-- The resulting :class:`UnitPrefactor` table is installed in a
-  per-process registry (:func:`set_active_prefactors`) for serial runs,
-  or packed into shared-memory slabs (:func:`publish_prefactors`) that
-  pooled workers attach zero-copy through a picklable
-  :class:`PrefactorSlabs`.
+- :func:`prefactor_unit_plan` builds each planned unit's donor matrix
+  from the donors the plan already chose (``_UnitTask.donors``), groups
+  the matrices by shape, and feeds them through the stacked primitives
+  :func:`~repro.synthcontrol.robust.factor_donor_matrices` and
+  :func:`~repro.synthcontrol.robust.denoise_leave_one_out_many` — one
+  3-D gufunc SVD per shape group instead of one 2-D SVD per unit.  The
+  pass records one ``fits.prefactor`` span.
+- The resulting :class:`UnitPrefactor` table, keyed by
+  ``(scenario, unit)``, is installed in a per-process registry
+  (:func:`set_active_prefactors`) for serial runs, or packed into
+  shared-memory slabs (:func:`publish_prefactors`) that pooled workers
+  attach zero-copy through a picklable :class:`PrefactorSlabs`.  The
+  batch study's scenario is ``""``; a campaign keys each scenario's
+  units by its name, so scenarios that share unit labels never share a
+  factorization.
 
 Bit-identity is the invariant that makes this safe to enable by
 default: the stacked SVD runs the same LAPACK routine on the same
-bytes as the per-unit call, so a fit seeded from a prefactor is
+bytes as the per-unit call, so a fit that reads its prefactor is
 indistinguishable — to the last bit of every
 :class:`~repro.pipeline.study.StudyRow` field — from one that factored
-its own matrix.  A unit whose donor selection fails, or whose selected
-donors disagree with the prefactor's (either means the panel changed
-under us), simply falls back to the private factorization.
+its own matrix.  A unit with an entirely-missing donor column is left
+out of the table and factors privately, so the fit surfaces its error.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import DonorPoolError, EstimationError
-from repro.obs import tracing_disabled
+from repro.obs import span
 from repro.pipeline.shm import SharedArrayRef, SharedFrameArena
-from repro.synthcontrol.donor import Panel, select_donors
+from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.robust import (
     DonorFactorization,
     denoise_leave_one_out_many,
     factor_donor_matrices,
 )
 
+if TYPE_CHECKING:
+    from repro.pipeline.study import _UnitTask
 
-class _FitTask(Protocol):
-    """The slice of :class:`~repro.pipeline.study._UnitTask` we read."""
-
-    unit: str
-    pre_periods: int
-    excluded: tuple[str, ...]
-    max_donor_missing: float
-    method: str
-    max_placebos: int | None
-    fit_kwargs: tuple[tuple[str, object], ...]
+#: A prefactor's registry key: ``(scenario, unit)``.
+PrefactorKey = tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -66,9 +62,6 @@ class UnitPrefactor:
 
     Attributes
     ----------
-    donors:
-        The donor names the planning pass selected — a fit only uses
-        this prefactor if its own selection matches exactly.
     fact:
         The unit's donor-matrix factorization (imputation + thin SVD).
     loo:
@@ -77,80 +70,68 @@ class UnitPrefactor:
         small a placebo cap) for leave-one-out work to exist.
     """
 
-    donors: tuple[str, ...]
     fact: DonorFactorization
     loo: tuple[tuple[np.ndarray, int], ...] | None
 
 
 def prefactor_unit_plan(
-    panel: Panel, tasks: Sequence[_FitTask]
-) -> dict[str, UnitPrefactor]:
+    panel: Panel, tasks: Sequence[_UnitTask]
+) -> dict[PrefactorKey, UnitPrefactor]:
     """Batch-factor every robust task's donor matrix across units.
 
-    Runs each task's donor screen exactly as :func:`_analyse_unit`
-    will — under :func:`~repro.obs.tracing_disabled`, so the canonical
-    ``donors.select`` spans are still recorded (once) by the real
-    fits — then stacks same-shaped matrices into single gufunc SVD
-    calls.  Units whose screen raises here are left out of the table
-    (the real fit records the skip, with tracing on); units with an
-    entirely-missing donor column are likewise left to the real fit so
-    its error message is the one surfaced.
+    Reads each task's donor matrix out of *panel* by the donor names
+    the plan chose, then stacks same-shaped matrices into single gufunc
+    SVD calls.  Units with an entirely-missing donor column are left
+    to the real fit so its error message is the one surfaced.
     """
-    entries: list[tuple[_FitTask, tuple[str, ...], np.ndarray]] = []
-    with tracing_disabled():
+    with span("fits.prefactor") as sp:
+        entries: list[tuple[_UnitTask, np.ndarray]] = []
         for task in tasks:
             if task.method != "robust":
                 continue
-            try:
-                donors = select_donors(
-                    panel,
-                    task.unit,
-                    excluded=task.excluded,
-                    pre_periods=task.pre_periods,
-                    max_missing=task.max_donor_missing,
-                )
-            except (DonorPoolError, EstimationError):
-                continue
-            matrix = np.column_stack([panel.series(d) for d in donors])
-            if matrix.shape[1] == 0 or not np.isfinite(matrix).any(axis=0).all():
-                continue
-            entries.append((task, tuple(donors), matrix))
-    if not entries:
-        return {}
-    facts = factor_donor_matrices([matrix for _task, _donors, matrix in entries])
-    # Leave-one-out batches group across units too — but only for tasks
-    # that would compute one (>= 2 donors and a placebo cap above 1),
-    # keyed by the (energy, cap) pair so mixed fit parameters cannot
-    # silently share a threshold.
-    loos: list[tuple[tuple[np.ndarray, int], ...] | None] = [None] * len(entries)
-    loo_groups: dict[tuple[float, int | None], list[int]] = {}
-    for i, (task, _donors, matrix) in enumerate(entries):
-        j = matrix.shape[1]
-        limit = j if task.max_placebos is None else min(int(task.max_placebos), j)
-        if j >= 2 and limit > 1:
-            energy = float(dict(task.fit_kwargs).get("energy", 0.99))  # type: ignore[arg-type]
-            loo_groups.setdefault((energy, task.max_placebos), []).append(i)
-    for (energy, max_placebos), members in loo_groups.items():
-        batch = denoise_leave_one_out_many(
-            [facts[i] for i in members], energy=energy, limit=max_placebos
+            matrix = np.column_stack([panel.series(d) for d in task.donors])
+            if np.isfinite(matrix).any(axis=0).all():
+                entries.append((task, matrix))
+        sp.set(
+            n_units=len(entries),
+            n_groups=len({matrix.shape for _task, matrix in entries}),
         )
-        for i, loo in zip(members, batch):
-            loos[i] = loo
-    return {
-        task.unit: UnitPrefactor(donors=donors, fact=facts[i], loo=loos[i])
-        for i, (task, donors, _matrix) in enumerate(entries)
-    }
+        if not entries:
+            return {}
+        facts = factor_donor_matrices([matrix for _task, matrix in entries])
+        # Leave-one-out batches group across units too — but only for
+        # tasks that would compute one (>= 2 donors and a placebo cap
+        # above 1), keyed by the (energy, cap) pair so mixed fit
+        # parameters cannot silently share a threshold.
+        loos: list[tuple[tuple[np.ndarray, int], ...] | None] = [None] * len(entries)
+        loo_groups: dict[tuple[float, int | None], list[int]] = {}
+        for i, (task, matrix) in enumerate(entries):
+            j = matrix.shape[1]
+            limit = j if task.max_placebos is None else min(int(task.max_placebos), j)
+            if j >= 2 and limit > 1:
+                energy = float(dict(task.fit_kwargs).get("energy", 0.99))  # type: ignore[arg-type]
+                loo_groups.setdefault((energy, task.max_placebos), []).append(i)
+        for (energy, max_placebos), members in loo_groups.items():
+            batch = denoise_leave_one_out_many(
+                [facts[i] for i in members], energy=energy, limit=max_placebos
+            )
+            for i, loo in zip(members, batch):
+                loos[i] = loo
+        return {
+            (task.scenario, task.unit): UnitPrefactor(fact=facts[i], loo=loos[i])
+            for i, (task, _matrix) in enumerate(entries)
+        }
 
 
 # --------------------------------------------------------------------------
-# Per-process registry: how _analyse_unit finds its unit's prefactor.
+# Per-process registry: how a unit fit finds its unit's prefactor.
 # The serial path installs the parent's table directly; pooled workers
 # install a table rebuilt from shared-memory slabs in their initializer.
 
-_ACTIVE: dict[str, UnitPrefactor] = {}
+_ACTIVE: dict[PrefactorKey, UnitPrefactor] = {}
 
 
-def set_active_prefactors(table: dict[str, UnitPrefactor]) -> None:
+def set_active_prefactors(table: dict[PrefactorKey, UnitPrefactor]) -> None:
     """Install *table* as this process's active prefactor registry."""
     _ACTIVE.clear()
     _ACTIVE.update(table)
@@ -161,9 +142,9 @@ def clear_active_prefactors() -> None:
     _ACTIVE.clear()
 
 
-def get_prefactor(unit: str) -> UnitPrefactor | None:
-    """The active prefactor for *unit*, if the planning pass produced one."""
-    return _ACTIVE.get(unit)
+def get_prefactor(key: PrefactorKey) -> UnitPrefactor | None:
+    """The active prefactor for ``(scenario, unit)``, if the planning pass made one."""
+    return _ACTIVE.get(key)
 
 
 # --------------------------------------------------------------------------
@@ -176,13 +157,12 @@ class _SlabGroup:
     """One shape group's stacked arrays plus per-unit metadata.
 
     The float payload lives in arena blocks (:class:`SharedArrayRef`
-    fields); only names, shapes, donor tuples, and integer sidecars
-    ride in the pickle — a few hundred bytes per group however large
-    the panel is.
+    fields); only names, shapes, unit keys, and integer sidecars ride
+    in the pickle — a few hundred bytes per group however large the
+    panel is.
     """
 
-    units: tuple[str, ...]
-    donors: tuple[tuple[str, ...], ...]
+    units: tuple[PrefactorKey, ...]
     finite_counts: tuple[tuple[int, ...], ...]
     loo_ranks: tuple[tuple[int, ...], ...] | None
     filled: SharedArrayRef
@@ -199,14 +179,14 @@ class PrefactorSlabs:
 
     groups: tuple[_SlabGroup, ...]
 
-    def load(self) -> dict[str, UnitPrefactor]:
+    def load(self) -> dict[PrefactorKey, UnitPrefactor]:
         """Attach every group's blocks and rebuild the per-unit table.
 
         Views are zero-copy slices of the slabs (memoised per process
         by the attach cache), so a worker's table costs one attach per
         block, not one array copy per unit.
         """
-        table: dict[str, UnitPrefactor] = {}
+        table: dict[PrefactorKey, UnitPrefactor] = {}
         for group in self.groups:
             filled = group.filled.load()
             col_means = group.col_means.load()
@@ -229,14 +209,12 @@ class PrefactorSlabs:
                         (loo_slab[i, col], rank)
                         for col, rank in enumerate(group.loo_ranks[i])
                     )
-                table[unit] = UnitPrefactor(
-                    donors=group.donors[i], fact=fact, loo=loo
-                )
+                table[unit] = UnitPrefactor(fact=fact, loo=loo)
         return table
 
 
 def publish_prefactors(
-    table: dict[str, UnitPrefactor], arena: SharedFrameArena
+    table: dict[PrefactorKey, UnitPrefactor], arena: SharedFrameArena
 ) -> PrefactorSlabs:
     """Pack *table* into arena blocks for zero-copy worker attach.
 
@@ -246,7 +224,7 @@ def publish_prefactors(
     (finite counts, kept ranks) travel in the pickle so the float
     blocks round-trip bit-exact without dtype games.
     """
-    groups: dict[tuple[tuple[int, int], int], list[str]] = {}
+    groups: dict[tuple[tuple[int, int], int], list[PrefactorKey]] = {}
     for unit, pf in table.items():
         shape = (pf.fact.n_times, pf.fact.n_donors)
         n_loo = len(pf.loo) if pf.loo is not None else 0
@@ -267,7 +245,6 @@ def publish_prefactors(
             if n_loo
             else None
         )
-        donors: list[tuple[str, ...]] = []
         finite_counts: list[tuple[int, ...]] = []
         loo_ranks: list[tuple[int, ...]] = []
         for i, unit in enumerate(units):
@@ -277,7 +254,6 @@ def publish_prefactors(
             u[i] = pf.fact.u
             s[i] = pf.fact.s
             vt[i] = pf.fact.vt
-            donors.append(pf.donors)
             finite_counts.append(tuple(int(c) for c in pf.fact.finite_counts))
             if n_loo and pf.loo is not None:
                 for col, (denoised, _rank) in enumerate(pf.loo):
@@ -286,7 +262,6 @@ def publish_prefactors(
         packed.append(
             _SlabGroup(
                 units=tuple(units),
-                donors=tuple(donors),
                 finite_counts=tuple(finite_counts),
                 loo_ranks=tuple(loo_ranks) if n_loo else None,
                 filled=arena.ref(f"prefactor.{gi}.filled"),

@@ -6,18 +6,23 @@ build the daily median-RTT panel, fit a robust synthetic control per
 treated unit against a never-crossing donor pool, and report the
 estimated RTT change with RMSE-ratio and placebo-p diagnostics.
 
-Treated units are analysed independently, so the per-unit work (donor
-screening, the robust fit, and every placebo refit) fans out over the
-executor backends in :mod:`repro.pipeline.executor`; ``n_jobs=1`` is
-the serial reference and any other worker count produces a numerically
-identical :class:`StudyResult`.
+The plan (:func:`prepare_unit_plan`) screens every treated unit once —
+shape checks, then the donor pool — into picklable tasks.  Each task's
+fit work (the robust fit and every placebo refit) is independent, so it
+fans out over the executor backends in :mod:`repro.pipeline.executor`;
+``n_jobs=1`` is the serial reference and any other worker count
+produces a numerically identical :class:`StudyResult`.  The same fit
+engine runs a campaign's budgeted fits: :func:`fit_unit` for the base
+fit, :func:`refit_unit` for one placebo refit at a time.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -28,13 +33,20 @@ if TYPE_CHECKING:
 
 from repro.chaos.runtime import fault_point
 from repro.errors import DonorPoolError, EstimationError, PipelineError
+from repro.estimators.bootstrap import permutation_p_value
 from repro.frames.frame import Frame
 from repro.obs import child_seconds, get_metrics, span
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import TreatmentAssignment, assign_treatment
-from repro.pipeline.executor import RetryPolicy, get_executor, resolve_n_jobs
+from repro.pipeline.executor import (
+    Executor,
+    RetryPolicy,
+    get_executor,
+    resolve_n_jobs,
+)
 from repro.pipeline.prefactor import (
+    PrefactorKey,
     PrefactorSlabs,
     UnitPrefactor,
     clear_active_prefactors,
@@ -49,9 +61,20 @@ from repro.pipeline.shm import (
     SharedPanelRef,
     attach_shared_panel,
 )
+from repro.synthcontrol.classic import _validate_panel, classic_synthetic_control
 from repro.synthcontrol.donor import Panel, select_donors
-from repro.synthcontrol.placebo import placebo_test
-from repro.synthcontrol.robust import DenoiseCache
+from repro.synthcontrol.placebo import (
+    _fitter,
+    _placebo_refit,
+    _PlaceboContext,
+    _robust_params,
+)
+from repro.synthcontrol.robust import (
+    denoise_from_factorization,
+    denoise_leave_one_out,
+    factor_donor_matrix,
+    fit_from_denoised,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -238,68 +261,253 @@ class StudyResult:
 
 
 @dataclass(frozen=True)
+class UnitScreen:
+    """The per-unit screen: pre/post-period counts, then the donor pool.
+
+    Shared by :func:`prepare_unit_plan` and the stream's live refits
+    (:class:`~repro.stream.refit.LiveRefitter`), so a unit is screened
+    with the same checks and the same skip-reason strings wherever it
+    is fitted.  :meth:`periods` raises :class:`PipelineError` for a
+    malformed label and :class:`EstimationError` with the skip reason
+    when either side of the first crossing is too short;
+    :meth:`donors` is the study's only call into
+    :func:`~repro.synthcontrol.donor.select_donors`.
+    """
+
+    min_pre_periods: int = 7
+    min_post_periods: int = 3
+    max_donor_missing: float = 0.5
+
+    def periods(
+        self, panel: Panel, assignment: TreatmentAssignment, unit: str
+    ) -> tuple[int, int]:
+        """``(pre_periods, post_periods)`` around *unit*'s first crossing."""
+        parse_unit_label(unit)
+        first_day = int(assignment.first_crossing_hour[unit] // 24)
+        pre_periods = _pre_period_count(panel, first_day)
+        post_periods = panel.n_times - pre_periods
+        if pre_periods < self.min_pre_periods:
+            raise EstimationError(f"only {pre_periods} pre-treatment days")
+        if post_periods < self.min_post_periods:
+            raise EstimationError(f"only {post_periods} post-treatment days")
+        return pre_periods, post_periods
+
+    def donors(
+        self,
+        panel: Panel,
+        assignment: TreatmentAssignment,
+        unit: str,
+        pre_periods: int,
+    ) -> tuple[str, ...]:
+        """*unit*'s donor pool: never-treated units, correlation-ranked."""
+        return tuple(
+            select_donors(
+                panel,
+                unit,
+                excluded=tuple(assignment.treated_units),
+                pre_periods=pre_periods,
+                max_missing=self.max_donor_missing,
+            )
+        )
+
+
+@dataclass(frozen=True)
 class _UnitTask:
-    """One treated unit's fit work, picklable for process-pool workers.
+    """One treated unit's planned fit, picklable for process-pool workers.
 
     ``panel`` is a :class:`SharedPanelRef` when a process pool runs the
-    task — the pickled payload is then the unit label, a few scalars,
-    and a block name, not the panel matrix — and an in-process
-    :class:`Panel` on the serial path.  ``fit_kwargs`` is a tuple of
-    sorted items (not a dict) so this frozen dataclass is actually
-    hashable and workers cannot mutate shared fit parameters.
+    task — the pickled payload is then the unit label, its donor names,
+    a few scalars, and a block name, not the panel matrix — and an
+    in-process :class:`Panel` on the serial path.  ``donors`` is the
+    pool the plan's screen chose, so no fit re-runs the screen.
+    ``scenario`` is ``""`` for the batch study and the scenario's name
+    in a campaign; it qualifies fault keys, span attributes, and the
+    unit's prefactor key.  ``fit_kwargs`` is a tuple of sorted items
+    (not a dict) so this frozen dataclass is actually hashable and
+    workers cannot mutate shared fit parameters.
     """
 
     unit: str
     pre_periods: int
     post_periods: int
     panel: Panel | SharedPanelRef
-    excluded: tuple[str, ...]
-    max_donor_missing: float
+    donors: tuple[str, ...]
     method: str
     max_placebos: int | None
     fit_kwargs: tuple[tuple[str, object], ...]
+    scenario: str = ""
 
 
-def _analyse_unit(task: _UnitTask) -> StudyRow | tuple[str, str]:
-    """Fit one treated unit: a :class:`StudyRow`, or ``(unit, reason)``."""
-    metrics = get_metrics()
-    panel = (
-        task.panel.load() if isinstance(task.panel, SharedPanelRef) else task.panel
+@dataclass(frozen=True)
+class UnitFit:
+    """One planned unit's base fit: everything but the p-value.
+
+    A campaign journals this and computes the p-value later, from
+    however many placebo refits its budget ended up granting.
+    """
+
+    unit: str
+    effect: float
+    rmse_ratio: float
+    pre_periods: int
+    post_periods: int
+    donors: tuple[str, ...]
+
+
+def _load_panel(panel: Panel | SharedPanelRef) -> Panel:
+    return panel.load() if isinstance(panel, SharedPanelRef) else panel
+
+
+def _placebo_context(task: _UnitTask, panel: Panel) -> _PlaceboContext:
+    """The donor matrix and factorization every fit of *task* shares.
+
+    A robust unit's factorization (and leave-one-out batch) comes from
+    the active prefactor table when the planning pass produced one —
+    bit-identical to factoring here, which is the fallback.
+    """
+    _fitter(task.method)  # reject unknown methods before any work
+    matrix = np.column_stack([panel.series(d) for d in task.donors])
+    kwargs = dict(task.fit_kwargs)
+    fact = loo = None
+    energy, ridge = 0.99, 1e-2
+    if task.method == "robust":
+        energy, ridge = _robust_params(**kwargs)
+        kwargs = {}
+        pf = get_prefactor((task.scenario, task.unit))
+        if pf is not None:
+            fact, loo = pf.fact, pf.loo
+        else:
+            fact = factor_donor_matrix(matrix)
+    return _PlaceboContext(
+        donors=matrix,
+        donor_names=task.donors,
+        pre_periods=task.pre_periods,
+        min_pre_rmse=1e-9,
+        method=task.method,
+        fit_kwargs=kwargs,
+        fact=fact,
+        energy=energy,
+        ridge=ridge,
+        loo=loo,
     )
-    with span("fits.unit", unit=task.unit) as sp:
-        fault_point("fits.unit", key=task.unit)
-        try:
-            donors = select_donors(
-                panel,
-                task.unit,
-                excluded=task.excluded,
-                pre_periods=task.pre_periods,
-                max_missing=task.max_donor_missing,
+
+
+def _base_fit(task: _UnitTask) -> tuple[UnitFit, _PlaceboContext]:
+    """Fit the treated unit's synthetic control (no placebos)."""
+    panel = _load_panel(task.panel)
+    t_fit = time.perf_counter()
+    with span("fit", treated=task.unit, method=task.method):
+        ctx = _placebo_context(task, panel)
+        treated, donors = _validate_panel(
+            panel.series(task.unit), ctx.donors, task.pre_periods
+        )
+        if ctx.fact is not None:
+            denoised, _rank = denoise_from_factorization(ctx.fact, energy=ctx.energy)
+            fit = fit_from_denoised(
+                treated, denoised, task.pre_periods, task.unit, task.donors,
+                ridge=ctx.ridge,
             )
-            donor_matrix = np.column_stack([panel.series(d) for d in donors])
-            # A prefactor computed by the planning pass supplies this
-            # unit's SVD work ready-made (bit-identical to computing it
-            # here); it is only trusted when its donor selection matches
-            # ours exactly — any drift means the panel changed and the
-            # fit silently recomputes.
-            cache = loo = None
-            pf = get_prefactor(task.unit) if task.method == "robust" else None
-            if pf is not None and pf.donors == tuple(donors):
-                cache = DenoiseCache()
-                cache.seed(donor_matrix, pf.fact)
-                loo = pf.loo
-            summary = placebo_test(
-                panel.series(task.unit),
-                donor_matrix,
+        else:
+            fit = classic_synthetic_control(
+                treated,
+                donors,
                 task.pre_periods,
                 treated_name=task.unit,
-                donor_names=donors,
-                method=task.method,
-                max_placebos=task.max_placebos,
-                cache=cache,
-                loo=loo,
-                **dict(task.fit_kwargs),
+                donor_names=task.donors,
+                **ctx.fit_kwargs,
             )
+    get_metrics().histogram(
+        "fit_seconds", help="wall-clock seconds per treated-unit fit"
+    ).observe(time.perf_counter() - t_fit)
+    return (
+        UnitFit(
+            unit=task.unit,
+            effect=fit.effect,
+            rmse_ratio=fit.rmse_ratio,
+            pre_periods=task.pre_periods,
+            post_periods=task.post_periods,
+            donors=task.donors,
+        ),
+        ctx,
+    )
+
+
+def _placebo_refits(
+    task: _UnitTask, ctx: _PlaceboContext
+) -> list[tuple[str, float | None, str]]:
+    """Every placebo refit the study runs for *task*, in donor order.
+
+    Without a prefactor, the leave-one-out de-noisings batch into one
+    stacked SVD here, exactly as the planning pass would have.
+    """
+    j = len(task.donors)
+    limit = j if task.max_placebos is None else min(task.max_placebos, j)
+    if ctx.fact is not None and ctx.loo is None and limit > 1:
+        ctx = replace(
+            ctx, loo=denoise_leave_one_out(ctx.fact, energy=ctx.energy, limit=limit)
+        )
+    return [_placebo_refit(ctx, col) for col in range(limit)]
+
+
+def unit_row(
+    fit: UnitFit,
+    refits: Sequence[tuple[str, float | None, str]],
+    exhausted: bool,
+) -> StudyRow:
+    """The Table-1 row for *fit* given the placebo refits run for it.
+
+    Surviving ratios enter the add-one ``greater`` placebo p-value in
+    the order given.  When no refit survived, an *exhausted* refit
+    queue raises :class:`DonorPoolError` (the unit is skipped); a queue
+    the caller stopped early gives ``p = 1``: no evidence, never
+    significance.
+    """
+    values = [ratio for _name, ratio, _reason in refits if ratio is not None]
+    n_failed = len(refits) - len(values)
+    if values:
+        p = permutation_p_value(
+            fit.rmse_ratio, np.asarray(values, dtype=float), alternative="greater"
+        )
+    elif exhausted:
+        raise DonorPoolError(
+            f"no placebo fits succeeded for {fit.unit!r} "
+            f"({n_failed} skipped); donor pool too small"
+        )
+    else:
+        p = 1.0
+    return StudyRow(
+        unit=fit.unit,
+        rtt_delta_ms=fit.effect,
+        rmse_ratio=fit.rmse_ratio,
+        p_value=float(p),
+        pre_periods=fit.pre_periods,
+        post_periods=fit.post_periods,
+        n_donors=len(fit.donors),
+        n_placebos=len(values),
+        n_placebos_skipped=n_failed,
+    )
+
+
+def _run_unit(
+    task: _UnitTask, with_placebos: bool
+) -> StudyRow | UnitFit | tuple[str, str]:
+    """One ``fits.unit`` span: the base fit, then its placebo refits.
+
+    The fault key is scenario-qualified (``"<scenario>/<unit>"``) in a
+    campaign so chaos plans can target one scenario's fits.
+    """
+    metrics = get_metrics()
+    scenario = {"scenario": task.scenario} if task.scenario else {}
+    key = f"{task.scenario}/{task.unit}" if task.scenario else task.unit
+    attrs: dict[str, object] = {}
+    with span("fits.unit", unit=task.unit, **scenario) as sp:
+        fault_point("fits.unit", key=key)
+        try:
+            fit, ctx = _base_fit(task)
+            result: StudyRow | UnitFit = fit
+            if with_placebos:
+                result = unit_row(fit, _placebo_refits(task, ctx), exhausted=True)
+                attrs = {"n_placebos": result.n_placebos}
         except (DonorPoolError, EstimationError) as exc:
             logger.warning("skipping unit %s: %s", task.unit, exc)
             sp.set(status="skipped", reason=str(exc))
@@ -307,28 +515,45 @@ def _analyse_unit(task: _UnitTask) -> StudyRow | tuple[str, str]:
                 "units_skipped_total", "treated units the study could not fit"
             ).inc()
             return (task.unit, str(exc))
-        sp.set(
-            status="ok",
-            n_donors=len(donors),
-            n_placebos=len(summary.placebo_rmse_ratios),
-        )
+        sp.set(status="ok", n_donors=len(task.donors), **attrs)
         metrics.counter(
             "units_analysed_total", "treated units with a fitted StudyRow"
         ).inc()
         metrics.histogram(
             "donor_pool_size", COUNT_BUCKETS, "donors surviving the screen, per unit"
-        ).observe(len(donors))
-        return StudyRow(
-            unit=task.unit,
-            rtt_delta_ms=summary.fit.effect,
-            rmse_ratio=summary.fit.rmse_ratio,
-            p_value=summary.p_value,
-            pre_periods=task.pre_periods,
-            post_periods=task.post_periods,
-            n_donors=len(donors),
-            n_placebos=len(summary.placebo_rmse_ratios),
-            n_placebos_skipped=summary.n_placebos_skipped,
-        )
+        ).observe(len(task.donors))
+        return result
+
+
+def _analyse_unit(task: _UnitTask) -> StudyRow | tuple[str, str]:
+    """Fit one treated unit: a :class:`StudyRow`, or ``(unit, reason)``."""
+    return _run_unit(task, with_placebos=True)  # type: ignore[return-value]
+
+
+def fit_unit(task: _UnitTask) -> UnitFit | tuple[str, str]:
+    """Base-fit one planned unit without placebos (a campaign's stage B)."""
+    return _run_unit(task, with_placebos=False)  # type: ignore[return-value]
+
+
+def refit_unit(item: tuple[_UnitTask, int]) -> tuple[str, float | None, str]:
+    """One placebo refit ``(task, col)``: ``(donor, ratio | None, reason)``.
+
+    A campaign's stage C spends its budget one refit at a time; each
+    runs the study's own refit on the unit's shared factorization, so a
+    campaign that exhausts a unit's queue reproduces the study's
+    ratios.  The fault site is ``campaign.refit``, keyed by
+    ``"<scenario>/<unit>/<donor>"``.
+    """
+    task, col = item
+    ctx = _placebo_context(task, _load_panel(task.panel))
+    return _placebo_refit(
+        ctx,
+        col,
+        site="campaign.refit",
+        key=f"{task.scenario}/{task.unit}/{task.donors[col]}",
+        scenario=task.scenario,
+        unit=task.unit,
+    )
 
 
 def prepare_unit_plan(
@@ -342,37 +567,36 @@ def prepare_unit_plan(
     max_placebos: int | None = None,
     fit_kwargs: tuple[tuple[str, object], ...] = (),
     task_panel: Panel | SharedPanelRef | None = None,
+    scenario: str = "",
 ) -> list[tuple[str, str] | _UnitTask]:
     """Screen treated units into an ordered plan of fits and skips.
 
-    The cheap shape screens (label parse, pre/post-period counts) run
-    inline here; every surviving unit becomes a picklable
-    :class:`_UnitTask` carrying *task_panel* — the in-process panel by
-    default, a :class:`SharedPanelRef` when the fits will fan out.
-    Both the batch study and the streaming engine's finalize build
+    Every treated unit goes through :class:`UnitScreen` once, here:
+    the shape screen, then the donor screen.  A unit either check
+    rejects becomes a planned ``(unit, reason)`` skip; every survivor
+    becomes a picklable :class:`_UnitTask` carrying its donors and
+    *task_panel* — the in-process panel by default, a
+    :class:`SharedPanelRef` when the fits will fan out.  The batch
+    study, the streaming engine's finalize, and the campaign all build
     their plans here, which is what keeps their rows bit-identical:
     given equal panels and assignments, the plans (and therefore every
     downstream fit) are equal.
     """
     if task_panel is None:
         task_panel = panel
-    treated = assignment.treated_units
+    screen = UnitScreen(min_pre_periods, min_post_periods, max_donor_missing)
     plan: list[tuple[str, str] | _UnitTask] = []
-    for unit in treated:
-        parse_unit_label(unit)  # fail loudly on malformed labels
-        first_hour = assignment.first_crossing_hour[unit]
-        first_day = int(first_hour // 24)
+    for unit in assignment.treated_units:
         try:
-            pre_periods = _pre_period_count(panel, first_day)
+            pre_periods, post_periods = screen.periods(panel, assignment, unit)
         except EstimationError as exc:
             plan.append((unit, str(exc)))
             continue
-        post_periods = panel.n_times - pre_periods
-        if pre_periods < min_pre_periods:
-            plan.append((unit, f"only {pre_periods} pre-treatment days"))
-            continue
-        if post_periods < min_post_periods:
-            plan.append((unit, f"only {post_periods} post-treatment days"))
+        try:
+            donors = screen.donors(panel, assignment, unit, pre_periods)
+        except (DonorPoolError, EstimationError) as exc:
+            logger.warning("skipping unit %s: %s", unit, exc)
+            plan.append((unit, str(exc)))
             continue
         plan.append(
             _UnitTask(
@@ -380,11 +604,11 @@ def prepare_unit_plan(
                 pre_periods=pre_periods,
                 post_periods=post_periods,
                 panel=task_panel,
-                excluded=tuple(treated),
-                max_donor_missing=max_donor_missing,
+                donors=donors,
                 method=method,
                 max_placebos=max_placebos,
                 fit_kwargs=fit_kwargs,
+                scenario=scenario,
             )
         )
     n_planned_skips = sum(1 for step in plan if not isinstance(step, _UnitTask))
@@ -393,6 +617,17 @@ def prepare_unit_plan(
             "units_skipped_total", "treated units the study could not fit"
         ).inc(n_planned_skips)
     return plan
+
+
+def journal_planned_skips(
+    plan: list[tuple[str, str] | _UnitTask], checkpoint: "StudyCheckpoint | None"
+) -> None:
+    """Append the plan's skips that *checkpoint* does not hold yet."""
+    if checkpoint is None:
+        return
+    for step in plan:
+        if not isinstance(step, _UnitTask) and step[0] not in checkpoint.completed:
+            checkpoint.append_result(step)
 
 
 def _attach_study_state(
@@ -410,6 +645,42 @@ def _attach_study_state(
         set_active_prefactors(slabs.load())
 
 
+@contextmanager
+def unit_fit_executor(
+    prefactors: dict[PrefactorKey, UnitPrefactor],
+    *,
+    n_jobs: int | None = 1,
+    retry: RetryPolicy | None = None,
+    panel_ref: SharedPanelRef | None = None,
+) -> Iterator[Executor]:
+    """An executor whose unit fits read *prefactors*.
+
+    A serial run installs the table in-process; a pooled run publishes
+    it as shared-memory slabs that every worker (respawned ones too)
+    attaches in its initializer, alongside *panel_ref* when given.  The
+    table is uninstalled and the slabs unlinked on exit.
+    """
+    initializer = attach_shared_panel if panel_ref is not None else None
+    initargs: tuple = (panel_ref,) if panel_ref is not None else ()
+    arena: SharedFrameArena | None = None
+    try:
+        if prefactors:
+            if resolve_n_jobs(n_jobs) > 1:
+                arena = SharedFrameArena(tag="prefactor")
+                initializer = _attach_study_state
+                initargs = (panel_ref, publish_prefactors(prefactors, arena))
+            else:
+                set_active_prefactors(prefactors)
+        with get_executor(
+            n_jobs, retry=retry, initializer=initializer, initargs=initargs
+        ) as executor:
+            yield executor
+    finally:
+        clear_active_prefactors()
+        if arena is not None:
+            arena.close()
+
+
 def execute_unit_plan(
     plan: list[tuple[str, str] | _UnitTask],
     *,
@@ -423,20 +694,19 @@ def execute_unit_plan(
 
     *checkpoint*, when given, is an **open**
     :class:`~repro.pipeline.checkpoint.StudyCheckpoint` (the caller
-    owns its lifecycle): units already journaled are served from
-    ``checkpoint.completed`` and each fresh outcome is appended the
-    moment it lands.  Fan-out follows the batch study's contract —
-    order-stable results, shared-memory attach via *owner* — so serial
-    and pooled runs return identical rows.
+    owns its lifecycle): the plan's skips and each fresh outcome are
+    journaled, and units already journaled are served from
+    ``checkpoint.completed``.  Fan-out follows the batch study's
+    contract — order-stable results, shared-memory attach via *owner* —
+    so serial and pooled runs return identical rows.
 
     With *batch_fits* (the default), a planning pass batch-factors
     every robust unit's donor matrix across units first — one stacked
-    SVD per matrix shape (:func:`~repro.pipeline.prefactor.prefactor_unit_plan`)
-    — and the fits reuse those factorizations: installed directly in
-    the serial process, shipped to pooled workers as shared-memory
-    slabs.  Rows are bit-identical with the flag on or off; turn it off
-    to pin down a suspected batching interaction or to trade peak
-    memory (the stacked slabs) for per-unit SVD time.
+    SVD per matrix shape (:func:`~repro.pipeline.prefactor.prefactor_unit_plan`,
+    recorded as one ``fits.prefactor`` span) — and the fits read those
+    factorizations (:func:`unit_fit_executor`).  Rows are bit-identical
+    with the flag on or off: ``batch_fits=False`` is the reference path
+    on which every fit factors its own donor matrix.
     """
     fit_units = [step for step in plan if isinstance(step, _UnitTask)]
     completed: dict[str, StudyRow | tuple[str, str]] = (
@@ -450,65 +720,37 @@ def execute_unit_plan(
 
     rows: list[StudyRow] = []
     skipped: list[tuple[str, str]] = []
-    workers = resolve_n_jobs(n_jobs)
-    arena: SharedFrameArena | None = None
     with span(
         "fits",
         n_tasks=len(tasks),
         n_jobs=n_jobs,
         n_resumed=len(fit_units) - len(tasks),
     ):
-        try:
-            prefactors: dict[str, UnitPrefactor] | None = None
-            if batch_fits and tasks:
-                first = tasks[0].panel
-                plan_panel = (
-                    owner.panel
-                    if owner is not None
-                    else first.load()
-                    if isinstance(first, SharedPanelRef)
-                    else first
-                )
-                prefactors = prefactor_unit_plan(plan_panel, tasks) or None
-            # Workers map the shared blocks at spawn (initializer),
-            # including the respawned workers of a pool rebuilt
-            # after BrokenProcessPool — the blocks outlive any pool.
-            initializer = attach_shared_panel if owner is not None else None
-            initargs: tuple = (owner.ref,) if owner is not None else ()
-            if prefactors is not None:
-                if workers > 1:
-                    arena = SharedFrameArena(tag="prefactor")
-                    initializer = _attach_study_state
-                    initargs = (
-                        owner.ref if owner is not None else None,
-                        publish_prefactors(prefactors, arena),
-                    )
-                else:
-                    set_active_prefactors(prefactors)
-            with get_executor(
-                n_jobs,
-                retry=retry,
-                initializer=initializer,
-                initargs=initargs,
-            ) as executor:
-                outcomes = iter(
-                    executor.map(_analyse_unit, tasks, on_result=_journal)
-                )
-            for step in plan:
-                if isinstance(step, _UnitTask):
-                    result = completed.get(step.unit)
-                    if result is None:
-                        result = next(outcomes)
-                else:
-                    result = step
-                if isinstance(result, StudyRow):
-                    rows.append(result)
-                else:
-                    skipped.append(result)
-        finally:
-            clear_active_prefactors()
-            if arena is not None:
-                arena.close()
+        journal_planned_skips(plan, checkpoint)
+        prefactors: dict[PrefactorKey, UnitPrefactor] = {}
+        if batch_fits and tasks:
+            plan_panel = (
+                owner.panel if owner is not None else _load_panel(tasks[0].panel)
+            )
+            prefactors = prefactor_unit_plan(plan_panel, tasks)
+        with unit_fit_executor(
+            prefactors,
+            n_jobs=n_jobs,
+            retry=retry,
+            panel_ref=owner.ref if owner is not None else None,
+        ) as executor:
+            outcomes = iter(executor.map(_analyse_unit, tasks, on_result=_journal))
+        for step in plan:
+            if isinstance(step, _UnitTask):
+                result = completed.get(step.unit)
+                if result is None:
+                    result = next(outcomes)
+            else:
+                result = step
+            if isinstance(result, StudyRow):
+                rows.append(result)
+            else:
+                skipped.append(result)
     return rows, skipped
 
 
@@ -568,8 +810,10 @@ def run_ixp_study(
         an uninterrupted run's.
     batch_fits:
         Batch donor-matrix SVDs across treated units before fitting
-        (see :func:`execute_unit_plan`); on by default, bit-identical
-        rows either way.
+        (see :func:`execute_unit_plan`); on by default.  ``False`` is
+        the unbatched reference path the parity tests compare against:
+        every fit factors its own donor matrix, and the rows are
+        bit-identical.
     """
     logger.info(
         "running IXP study on %d measurements (ixp=%s, method=%s, n_jobs=%s)",

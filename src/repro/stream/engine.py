@@ -113,7 +113,6 @@ class StreamStudy:
         resume: bool = False,
         live_refits: bool = True,
         live_placebo_every: int = 4,
-        batch_fits: bool = True,
         telemetry: object | None = None,
     ) -> None:
         self.ixp_name = ixp_name
@@ -127,7 +126,6 @@ class StreamStudy:
         self._outcome = outcome
         self._n_jobs = n_jobs
         self._retry = retry
-        self._batch_fits = batch_fits
         self._live = live_refits and method == "robust"
         self._epoch = 0
         self._panel_acc = PanelAccumulator(outcome=outcome)
@@ -313,7 +311,6 @@ class StreamStudy:
                     retry=self._retry,
                     owner=owner,
                     checkpoint=self._ckpt,
-                    batch_fits=self._batch_fits,
                 )
         finally:
             if owner is not None:

@@ -50,8 +50,8 @@ import numpy as np
 from repro.errors import DonorPoolError, EstimationError, PipelineError
 from repro.estimators.bootstrap import permutation_p_value
 from repro.pipeline.crossing import TreatmentAssignment
-from repro.pipeline.study import StudyRow, _pre_period_count, parse_unit_label
-from repro.synthcontrol.donor import Panel, select_donors
+from repro.pipeline.study import StudyRow, UnitScreen
+from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.incremental import extend_factorization, live_placebo_ratios
 from repro.synthcontrol.robust import (
     DonorFactorization,
@@ -98,9 +98,9 @@ class LiveRefitter:
         self._energy = energy
         self._ridge = ridge
         self._max_placebos = max_placebos
-        self._min_pre = min_pre_periods
-        self._min_post = min_post_periods
-        self._max_missing = max_donor_missing
+        self._screen = UnitScreen(
+            min_pre_periods, min_post_periods, max_donor_missing
+        )
         self._placebo_every = placebo_every
         self._states: dict[str, UnitFitState] = {}
         self.warm_refits = 0
@@ -124,14 +124,7 @@ class LiveRefitter:
             stagger = len(self._states) % self._placebo_every
             state = self._states[unit] = UnitFitState(unit=unit, stagger=stagger)
         try:
-            parse_unit_label(unit)
-            first_day = int(assignment.first_crossing_hour[unit] // 24)
-            pre_periods = _pre_period_count(panel, first_day)
-            post_periods = panel.n_times - pre_periods
-            if pre_periods < self._min_pre:
-                raise EstimationError(f"only {pre_periods} pre-treatment days")
-            if post_periods < self._min_post:
-                raise EstimationError(f"only {post_periods} post-treatment days")
+            pre_periods, post_periods = self._screen.periods(panel, assignment, unit)
             donors, donor_matrix, sealed, fact, warm = self._donor_pool(
                 state, panel, assignment, unit, epoch, pre_periods
             )
@@ -252,15 +245,7 @@ class LiveRefitter:
                 return donors, donor_matrix, sealed, fact, True
             except EstimationError:
                 pass  # imputed sealed block: exactness would be lost, go cold
-        donors = tuple(
-            select_donors(
-                panel,
-                unit,
-                excluded=tuple(assignment.treated_units),
-                pre_periods=pre_periods,
-                max_missing=self._max_missing,
-            )
-        )
+        donors = self._screen.donors(panel, assignment, unit, pre_periods)
         donor_matrix = np.column_stack([panel.series(d) for d in donors])
         self.cold_refits += 1
         head = donor_matrix[:n_sealed]

@@ -100,7 +100,6 @@ def run_table1_experiment(
     retry: RetryPolicy | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
-    batch_fits: bool = True,
     share_frames: bool = False,
 ) -> IxpStudyOutput:
     """Run the full case study at the given scale.
@@ -111,8 +110,7 @@ def run_table1_experiment(
     number in the table; *retry*, *checkpoint*, and *resume* pass
     through to :func:`run_ixp_study` (the world and measurements are
     regenerated on resume — only the per-unit fits are journaled).
-    *batch_fits* (default on) batches donor-matrix SVDs across treated
-    units; *share_frames* generates the measurement frame straight into
+    *share_frames* generates the measurement frame straight into
     a shared-memory :class:`~repro.pipeline.shm.SharedFrameArena` —
     numbers are bit-identical either way.
     """
@@ -143,7 +141,6 @@ def run_table1_experiment(
                 retry=retry,
                 checkpoint=checkpoint,
                 resume=resume,
-                batch_fits=batch_fits,
             )
             truth = scenario_truth(scenario)
     finally:

@@ -118,17 +118,26 @@ class _PlaceboContext:
     loo: tuple[tuple[np.ndarray, int], ...] | None = None
 
 
-def _placebo_refit(ctx: _PlaceboContext, col: int) -> tuple[str, float | None, str]:
+def _placebo_refit(
+    ctx: _PlaceboContext,
+    col: int,
+    site: str = "placebo.refit",
+    key: str | None = None,
+    **attrs: object,
+) -> tuple[str, float | None, str]:
     """Refit donor *col* as pseudo-treated: ``(name, ratio | None, reason)``.
 
     Only estimation failures (:class:`DonorPoolError` /
     :class:`EstimationError`) are converted into a skip record;
     programming errors propagate to the caller.  Each refit records one
-    ``placebo`` span (``ok`` attribute marks survivors) and bumps the
-    placebo counters, whichever process it runs in.
+    ``placebo`` span (``ok`` attribute marks survivors; *attrs* add
+    context) and bumps the placebo counters, whichever process it runs
+    in.  Its fault point is *site*, keyed by *key* (default: the donor
+    name).
     """
-    with span("placebo", donor=ctx.donor_names[col]) as sp:
-        fault_point("placebo.refit", key=ctx.donor_names[col])
+    donor = ctx.donor_names[col]
+    with span("placebo", donor=donor, **attrs) as sp:
+        fault_point(site, key=donor if key is None else key)
         name, ratio, reason = _placebo_refit_inner(ctx, col)
         sp.set(ok=ratio is not None)
         metrics = get_metrics()
@@ -203,7 +212,6 @@ def placebo_rmse_ratios(
     n_jobs: int | None = 1,
     cache: DenoiseCache | None = None,
     retry: "RetryPolicy | None" = None,
-    loo: tuple[tuple[np.ndarray, int], ...] | None = None,
     **fit_kwargs: object,
 ) -> PlaceboRatios:
     """RMSE ratios from treating each donor as a pseudo-treated unit.
@@ -217,10 +225,7 @@ def placebo_rmse_ratios(
     *n_jobs* fans refits out over a process pool (results are identical
     to the serial run, in donor order).  For the robust method, the
     donor matrix is imputed and factored once — optionally through a
-    shared *cache* — and every refit reuses that SVD.  A caller that
-    already holds the leave-one-out de-noisings (the cross-unit batched
-    fit engine) passes them as *loo* — bit-identical values skip the
-    per-study SVD entirely; ignored for the classic method.
+    shared *cache* — and every refit reuses that SVD.
     """
     _fitter(method)  # reject unknown methods before any work
     donors = np.asarray(donors, dtype=float)
@@ -250,17 +255,10 @@ def placebo_rmse_ratios(
     # numpy.linalg.svd call (bit-identical to the per-column downdate,
     # one LAPACK sweep instead of J).  Fanned-out refits keep the
     # per-column path: shipping the full denoised stack to each worker
-    # would cost more in pickling than the batched SVD saves.  A
-    # caller-provided batch (already computed, possibly shared-memory
-    # backed) is used as-is on either path.
-    if fact is None or limit <= 1:
-        loo = None
-    elif loo is not None:
-        loo = tuple(loo[:limit])
-    elif resolve_n_jobs(n_jobs) == 1:
+    # would cost more in pickling than the batched SVD saves.
+    loo = None
+    if fact is not None and limit > 1 and resolve_n_jobs(n_jobs) == 1:
         loo = denoise_leave_one_out(fact, energy=energy, limit=limit)
-    else:
-        loo = None
 
     ctx = _PlaceboContext(
         donors=donors,
@@ -302,7 +300,6 @@ def placebo_test(
     n_jobs: int | None = 1,
     cache: DenoiseCache | None = None,
     retry: "RetryPolicy | None" = None,
-    loo: tuple[tuple[np.ndarray, int], ...] | None = None,
     **fit_kwargs: object,
 ) -> PlaceboSummary:
     """Fit the treated unit and compute its placebo-based p-value.
@@ -312,9 +309,7 @@ def placebo_test(
     small p means few untreated paths diverged as sharply.  *n_jobs*
     parallelises the placebo refits; *cache* (created per call when
     omitted) lets the treated fit and every placebo share the donor
-    matrix's de-noising work; *loo*, when the caller pre-computed the
-    leave-one-out batch (the cross-unit fit engine), removes the last
-    per-unit SVD from this call entirely.
+    matrix's de-noising work.
     """
     if donor_names is None:
         donor_names = [f"donor_{i}" for i in range(donors.shape[1])]
@@ -355,7 +350,6 @@ def placebo_test(
         n_jobs=n_jobs,
         cache=cache,
         retry=retry,
-        loo=loo,
         **fit_kwargs,
     )
     if not ratios:

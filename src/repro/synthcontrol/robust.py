@@ -442,16 +442,6 @@ class DenoiseCache:
             self._factorizations[key] = fact
         return fact
 
-    def seed(self, matrix: np.ndarray, fact: DonorFactorization) -> None:
-        """Pre-load *matrix*'s factorization (e.g. from a batched sweep).
-
-        The batched fit engine factors every unit's donor matrix up
-        front (:func:`factor_donor_matrices`); seeding the cache lets
-        :func:`robust_synthetic_control` and the placebo loop reuse
-        those SVDs through the existing cache lookups, no new code path.
-        """
-        self._factorizations[self._key(matrix)] = fact
-
     def denoise(
         self, matrix: np.ndarray, energy: float = 0.99, min_rank: int = 1
     ) -> tuple[np.ndarray, int]:

@@ -189,6 +189,7 @@ class TestPrefactorEngine:
 
     def _tasks(self, panel, treated, max_placebos=None):
         from repro.pipeline.study import _UnitTask
+        from repro.synthcontrol.donor import select_donors
 
         return [
             _UnitTask(
@@ -196,8 +197,15 @@ class TestPrefactorEngine:
                 pre_periods=12,
                 post_periods=panel.n_times - 12,
                 panel=panel,
-                excluded=tuple(treated),
-                max_donor_missing=0.5,
+                donors=tuple(
+                    select_donors(
+                        panel,
+                        unit,
+                        excluded=tuple(treated),
+                        pre_periods=12,
+                        max_missing=0.5,
+                    )
+                ),
                 method="robust",
                 max_placebos=max_placebos,
                 fit_kwargs=(("energy", 0.99), ("ridge", 1e-2)),
@@ -210,20 +218,10 @@ class TestPrefactorEngine:
         treated = [panel.units[0], panel.units[1]]
         tasks = self._tasks(panel, treated)
         table = prefactor_unit_plan(panel, tasks)
-        assert set(table) == set(treated)
+        assert set(table) == {("", unit) for unit in treated}
         for task in tasks:
-            pf = table[task.unit]
-            from repro.synthcontrol.donor import select_donors
-
-            donors = select_donors(
-                panel,
-                task.unit,
-                excluded=task.excluded,
-                pre_periods=task.pre_periods,
-                max_missing=task.max_donor_missing,
-            )
-            assert pf.donors == tuple(donors)
-            matrix = np.column_stack([panel.series(d) for d in donors])
+            pf = table[("", task.unit)]
+            matrix = np.column_stack([panel.series(d) for d in task.donors])
             single = factor_donor_matrix(matrix)
             np.testing.assert_array_equal(pf.fact.u, single.u)
             np.testing.assert_array_equal(pf.fact.s, single.s)
@@ -244,7 +242,6 @@ class TestPrefactorEngine:
             assert set(loaded) == set(table)
             for unit, pf in table.items():
                 got = loaded[unit]
-                assert got.donors == pf.donors
                 np.testing.assert_array_equal(got.fact.filled, pf.fact.filled)
                 np.testing.assert_array_equal(got.fact.col_means, pf.fact.col_means)
                 np.testing.assert_array_equal(
@@ -287,47 +284,41 @@ class TestPrefactorEngine:
         table = prefactor_unit_plan(panel, self._tasks(panel, [panel.units[0]]))
         try:
             set_active_prefactors(table)
-            assert get_prefactor(panel.units[0]) is table[panel.units[0]]
-            assert get_prefactor("AS999/nowhere") is None
+            key = ("", panel.units[0])
+            assert get_prefactor(key) is table[key]
+            assert get_prefactor(("", "AS999/nowhere")) is None
+            assert get_prefactor(("other", panel.units[0])) is None
         finally:
             clear_active_prefactors()
-        assert get_prefactor(panel.units[0]) is None
+        assert get_prefactor(("", panel.units[0])) is None
 
     def test_seeded_placebo_test_matches_private_fit(self):
+        from repro.pipeline.study import _analyse_unit
+
         panel = self._panel()
         unit = panel.units[0]
-        tasks = self._tasks(panel, [unit])
-        table = prefactor_unit_plan(panel, tasks)
-        pf = table[unit]
-        matrix = np.column_stack([panel.series(d) for d in pf.donors])
-        treated_series = panel.series(unit)
-        from repro.synthcontrol.robust import DenoiseCache
-
-        cache = DenoiseCache()
-        cache.seed(matrix, pf.fact)
-        seeded = placebo_test(
-            treated_series,
-            matrix,
-            12,
-            donor_names=pf.donors,
-            cache=cache,
-            loo=pf.loo,
-            energy=0.99,
-            ridge=1e-2,
-        )
+        (task,) = self._tasks(panel, [unit])
+        table = prefactor_unit_plan(panel, [task])
+        matrix = np.column_stack([panel.series(d) for d in task.donors])
         private = placebo_test(
-            treated_series,
+            panel.series(unit),
             matrix,
             12,
-            donor_names=pf.donors,
+            treated_name=unit,
+            donor_names=task.donors,
             energy=0.99,
             ridge=1e-2,
         )
+        try:
+            set_active_prefactors(table)
+            seeded = _analyse_unit(task)
+        finally:
+            clear_active_prefactors()
+        assert seeded == _analyse_unit(task)  # the unseeded fit
         assert seeded.p_value == private.p_value
-        assert seeded.placebo_rmse_ratios == private.placebo_rmse_ratios
-        np.testing.assert_array_equal(
-            seeded.fit.synthetic, private.fit.synthetic
-        )
+        assert seeded.rtt_delta_ms == private.fit.effect
+        assert seeded.rmse_ratio == private.fit.rmse_ratio
+        assert seeded.n_placebos == len(private.placebo_rmse_ratios)
 
 
 class TestStudyLevelBitIdentity:
@@ -359,3 +350,50 @@ class TestStudyLevelBitIdentity:
         )
         assert batched.rows == reference.rows
         assert batched.skipped == reference.skipped
+
+
+class TestDonorsChosenOnce:
+    """The plan's screen is the only donor selection a study runs."""
+
+    @pytest.fixture
+    def selections(self, monkeypatch):
+        import sys
+
+        from repro.synthcontrol import donor as donor_module
+
+        calls: list[str] = []
+        original = donor_module.select_donors
+
+        def counting(panel, treated_unit, *args, **kwargs):
+            calls.append(treated_unit)
+            return original(panel, treated_unit, *args, **kwargs)
+
+        # Patch every module namespace that bound the function at import.
+        for name, module in list(sys.modules.items()):
+            if module is None or not (name == "repro" or name.startswith("repro.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("batch_fits", [True, False])
+    def test_one_selection_per_planned_unit(
+        self, selections, small_frame, small_scenario, n_jobs, batch_fits
+    ):
+        result = run_ixp_study(
+            small_frame,
+            small_scenario.ixp_name,
+            n_jobs=n_jobs,
+            batch_fits=batch_fits,
+        )
+        # No unit fails the shape screen here, so every treated unit is
+        # planned: a fitted row or a donor-screen skip.
+        assert not any("treatment" in reason for _unit, reason in result.skipped)
+        planned = len(result.rows) + len(result.skipped)
+        assert planned > 0
+        assert len(selections) == planned
+        assert sorted(selections) == sorted(
+            [r.unit for r in result.rows] + [u for u, _ in result.skipped]
+        )

@@ -117,6 +117,36 @@ class TestStudyParity:
         assert study.rows == reference.rows
         assert study.skipped == reference.skipped
 
+    def test_scenarios_sharing_unit_labels_match_their_own_studies(self):
+        """Two baseline worlds share unit labels but not data: a
+        prefactor table keyed by unit alone would cross their fits."""
+        from repro.campaign import build_scenario
+        from repro.mplatform import measurements_frame
+        from repro.pipeline import run_ixp_study
+
+        specs = [
+            ScenarioSpec(
+                name=name, kind="baseline", seed=seed, measurement_seed=seed + 4,
+                n_donor_ases=8, duration_days=10,
+            )
+            for name, seed in (("left", 1), ("right", 2))
+        ]
+        references = {}
+        for spec in specs:
+            scenario = build_scenario(spec)
+            frame = measurements_frame(scenario, rng=spec.measurement_seed)
+            references[spec.name] = run_ixp_study(
+                frame, scenario.ixp_name, method="robust"
+            )
+        left = {r.unit for r in references["left"].rows}
+        assert left & {r.unit for r in references["right"].rows}
+        for n_jobs in (1, 2):
+            result = run_campaign(specs, budget=10_000, tol=0.0, n_jobs=n_jobs)
+            for spec in specs:
+                study = result.studies[spec.name]
+                assert study.rows == references[spec.name].rows, (n_jobs, spec.name)
+                assert study.skipped == references[spec.name].skipped
+
 
 class TestValidation:
     def test_duplicate_spec_names_rejected(self):

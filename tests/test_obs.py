@@ -461,6 +461,25 @@ class TestStudyTraceParity:
             ]
             assert len(survivors) == sum(r.n_placebos for r in serial.rows)
 
+    def test_stacked_svd_records_one_prefactor_span(
+        self, small_frame, small_scenario
+    ):
+        ixp = small_scenario.ixp_name
+        for batch_fits, expected in ((True, 1), (False, 0)):
+            get_tracer().reset()
+            try:
+                result = run_ixp_study(small_frame, ixp, batch_fits=batch_fits)
+                records = list(get_tracer().records)
+            finally:
+                get_tracer().reset()
+            spans = [r for r in records if r.name == "fits.prefactor"]
+            assert len(spans) == expected, batch_fits
+            by_id = {r.span_id: r for r in records}
+            for sp in spans:
+                assert by_id[sp.parent_id].name == "fits"
+                assert sp.attrs["n_units"] == len(result.rows)
+                assert sp.attrs["n_groups"] >= 1
+
     def test_result_identical_with_tracing_off(self, small_frame, small_scenario):
         ixp = small_scenario.ixp_name
         traced_result = run_ixp_study(small_frame, ixp)

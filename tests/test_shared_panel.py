@@ -142,8 +142,7 @@ class TestUnitTaskPayload:
             pre_periods=10,
             post_periods=10,
             panel=panel,
-            excluded=("AS100/cpt",),
-            max_donor_missing=0.5,
+            donors=tuple(f"AS{100 + j}/cpt" for j in range(1, 6)),
             method="robust",
             max_placebos=None,
             fit_kwargs=(("energy", 0.99), ("ridge", 1e-2)),
