@@ -19,6 +19,8 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The checkout root, for the row-wise reference oracles under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import numpy as np
 
@@ -27,9 +29,9 @@ from _report import write_report
 from repro.frames import read_csv_text, to_csv_text
 from repro.mplatform import measurements_frame
 from repro.netsim import build_table1_scenario
-from repro.pipeline import rowwise
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import assign_treatment
+from tests import rowwise_pipeline as rowwise
 
 MIN_SPEEDUP = 10.0
 SMOKE = os.environ.get("ANALYSIS_BENCH_SMOKE") == "1"

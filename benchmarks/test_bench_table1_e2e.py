@@ -28,6 +28,8 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The checkout root, for the row-wise reference oracles under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import numpy as np
 
@@ -35,11 +37,12 @@ from _report import write_report
 
 from repro.mplatform import SpeedTestGenerator, measurements_frame
 from repro.netsim import build_table1_scenario
-from repro.pipeline import rowwise, run_ixp_study
+from repro.pipeline import run_ixp_study
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import assign_treatment
 from repro.pipeline.shm import SharedFrameArena, live_arena_blocks
 from repro.synthcontrol import robust_synthetic_control, select_donors
+from tests import rowwise_pipeline as rowwise
 
 MIN_SPEEDUP = 10.0
 SMOKE = os.environ.get("ANALYSIS_BENCH_SMOKE") == "1"

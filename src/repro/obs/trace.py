@@ -9,8 +9,9 @@ call structure through a context variable, so the finished trace is a
 tree: a study contains an assignment span, a panel span, one donor
 screen per planned unit, and a fits span; the fits span contains the
 stacked-SVD ``fits.prefactor`` span and one ``fits.unit`` span per
-treated unit; each unit contains its treated fit and one ``placebo``
-span per placebo refit.
+treated unit; each unit contains its treated fit, one
+``placebo.ensemble`` span for the stacked placebo kernel, and one
+``placebo`` span per placebo refit.
 
 Spans are recorded *flat* (one :class:`SpanRecord` per finished span,
 appended at exit in post-order) and the tree is rebuilt from parent

@@ -22,7 +22,7 @@ import logging
 import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -65,16 +65,12 @@ from repro.synthcontrol.classic import _validate_panel, classic_synthetic_contro
 from repro.synthcontrol.donor import Panel, select_donors
 from repro.synthcontrol.placebo import (
     _fitter,
-    _placebo_refit,
     _PlaceboContext,
-    _robust_params,
+    placebo_context,
+    placebo_outcomes,
+    record_placebo,
 )
-from repro.synthcontrol.robust import (
-    denoise_from_factorization,
-    denoise_leave_one_out,
-    factor_donor_matrix,
-    fit_from_denoised,
-)
+from repro.synthcontrol.robust import factor_donor_matrix, fit_from_factorization
 
 logger = logging.getLogger(__name__)
 
@@ -367,28 +363,13 @@ def _placebo_context(task: _UnitTask, panel: Panel) -> _PlaceboContext:
     """
     _fitter(task.method)  # reject unknown methods before any work
     matrix = np.column_stack([panel.series(d) for d in task.donors])
-    kwargs = dict(task.fit_kwargs)
     fact = loo = None
-    energy, ridge = 0.99, 1e-2
     if task.method == "robust":
-        energy, ridge = _robust_params(**kwargs)
-        kwargs = {}
         pf = get_prefactor((task.scenario, task.unit))
-        if pf is not None:
-            fact, loo = pf.fact, pf.loo
-        else:
-            fact = factor_donor_matrix(matrix)
-    return _PlaceboContext(
-        donors=matrix,
-        donor_names=task.donors,
-        pre_periods=task.pre_periods,
-        min_pre_rmse=1e-9,
-        method=task.method,
-        fit_kwargs=kwargs,
-        fact=fact,
-        energy=energy,
-        ridge=ridge,
-        loo=loo,
+        fact, loo = (pf.fact, pf.loo) if pf else (factor_donor_matrix(matrix), None)
+    return placebo_context(
+        matrix, task.donors, task.pre_periods, task.method, dict(task.fit_kwargs),
+        fact=fact, loo=loo,
     )
 
 
@@ -402,10 +383,9 @@ def _base_fit(task: _UnitTask) -> tuple[UnitFit, _PlaceboContext]:
             panel.series(task.unit), ctx.donors, task.pre_periods
         )
         if ctx.fact is not None:
-            denoised, _rank = denoise_from_factorization(ctx.fact, energy=ctx.energy)
-            fit = fit_from_denoised(
-                treated, denoised, task.pre_periods, task.unit, task.donors,
-                ridge=ctx.ridge,
+            fit = fit_from_factorization(
+                treated, ctx.fact, task.pre_periods, task.unit, task.donors,
+                energy=ctx.energy, ridge=ctx.ridge,
             )
         else:
             fit = classic_synthetic_control(
@@ -437,16 +417,14 @@ def _placebo_refits(
 ) -> list[tuple[str, float | None, str]]:
     """Every placebo refit the study runs for *task*, in donor order.
 
-    Without a prefactor, the leave-one-out de-noisings batch into one
-    stacked SVD here, exactly as the planning pass would have.
+    One :func:`~repro.synthcontrol.placebo.placebo_ensemble` call (on
+    the prefactor's leave-one-out batch when the plan made one), then
+    one ``placebo`` record per column.
     """
     j = len(task.donors)
     limit = j if task.max_placebos is None else min(task.max_placebos, j)
-    if ctx.fact is not None and ctx.loo is None and limit > 1:
-        ctx = replace(
-            ctx, loo=denoise_leave_one_out(ctx.fact, energy=ctx.energy, limit=limit)
-        )
-    return [_placebo_refit(ctx, col) for col in range(limit)]
+    outcomes = placebo_outcomes(ctx, range(limit))
+    return [record_placebo(ctx, col, outcome) for col, outcome in enumerate(outcomes)]
 
 
 def unit_row(
@@ -546,9 +524,10 @@ def refit_unit(item: tuple[_UnitTask, int]) -> tuple[str, float | None, str]:
     """
     task, col = item
     ctx = _placebo_context(task, _load_panel(task.panel))
-    return _placebo_refit(
+    return record_placebo(
         ctx,
         col,
+        placebo_outcomes(ctx, [col])[0],
         site="campaign.refit",
         key=f"{task.scenario}/{task.unit}/{task.donors[col]}",
         scenario=task.scenario,

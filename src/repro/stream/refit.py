@@ -24,15 +24,16 @@ agree.
 
 Placebo inference is amortized.  A warm refresh recomputes the unit's
 *effect* (denoise + ridge fit, well under a millisecond) every batch,
-but the placebo RMSE-ratio ensemble — one leave-one-out SVD sweep plus
-a ridge fit per donor, the bulk of a refresh — is recomputed only
-every ``placebo_every`` batches per unit (and on every cold refit,
-where the donor pool may have changed).  Units stagger their refresh
-phases so the cost spreads evenly across batches instead of spiking.
-In between, the live p-value ranks the *fresh* treated ratio against
-the cached ensemble; the placebo distribution drifts by at most
-``placebo_every`` batches of data.  ``placebo_every=1`` restores full
-per-batch inference.
+but the placebo RMSE-ratio ensemble — the batch study's own kernel,
+:func:`~repro.synthcontrol.placebo.placebo_ensemble` (one leave-one-out
+SVD sweep plus one stacked ridge solve over every donor), the bulk of
+a refresh — is recomputed only every ``placebo_every`` batches per unit
+(and on every cold refit, where the donor pool may have changed).
+Units stagger their refresh phases so the cost spreads evenly across
+batches instead of spiking.  In between, the live p-value ranks the
+*fresh* treated ratio against the cached ensemble; the placebo
+distribution drifts by at most ``placebo_every`` batches of data.
+``placebo_every=1`` restores full per-batch inference.
 
 Live rows are advisory: they show the study evolving while the stream
 runs.  The engine's ``finalize()`` re-runs the batch study's own
@@ -55,9 +56,8 @@ from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.incremental import extend_factorization, live_placebo_ratios
 from repro.synthcontrol.robust import (
     DonorFactorization,
-    denoise_from_factorization,
     factor_donor_matrix,
-    fit_from_denoised,
+    fit_from_factorization,
 )
 
 
@@ -128,13 +128,13 @@ class LiveRefitter:
             donors, donor_matrix, sealed, fact, warm = self._donor_pool(
                 state, panel, assignment, unit, epoch, pre_periods
             )
-            denoised, _ = denoise_from_factorization(fact, energy=self._energy)
-            fit = fit_from_denoised(
+            fit = fit_from_factorization(
                 panel.series(unit),
-                denoised,
+                fact,
                 pre_periods,
                 unit,
                 donors,
+                energy=self._energy,
                 ridge=self._ridge,
             )
             rebuild = (

@@ -190,8 +190,11 @@ class AssignmentAccumulator:
         self.ixp_name = ixp_name
         self._share = min_crossing_share
         self._window = window_hours
-        self._hours: dict[str, np.ndarray] = {}  # per unit, sorted ascending
+        # Per unit, sorted ascending: views ``buf[:n]`` of growable
+        # buffers (see :meth:`_append`), so a pure append costs O(batch).
+        self._hours: dict[str, np.ndarray] = {}
         self._cross: dict[str, np.ndarray] = {}
+        self._buffers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._first: dict[str, float] = {}
         self._any_cross: set[str] = set()  # units with >= 1 crossing row ever
 
@@ -226,19 +229,20 @@ class AssignmentAccumulator:
             batch_cross = batch_cross[hour_order]
             known = self._hours.get(label)
             if known is None:
-                self._hours[label] = batch_hours
-                self._cross[label] = batch_cross
+                self._store(label, batch_hours, batch_cross)
             elif batch_hours[0] >= known[-1]:
                 # Pure append — the live-feed steady state.
-                self._hours[label] = np.concatenate([known, batch_hours])
-                self._cross[label] = np.concatenate([self._cross[label], batch_cross])
+                self._append(label, batch_hours, batch_cross)
             else:
                 # Sorted-merge insert: O(history) memcpy, no re-sort.  Ties
                 # land left of existing equal hours — immaterial, the
                 # debounce windows cut on hour values.
                 at = np.searchsorted(known, batch_hours, side="left")
-                self._hours[label] = np.insert(known, at, batch_hours)
-                self._cross[label] = np.insert(self._cross[label], at, batch_cross)
+                self._store(
+                    label,
+                    np.insert(known, at, batch_hours),
+                    np.insert(self._cross[label], at, batch_cross),
+                )
             if batch_cross.any():
                 self._any_cross.add(label)
             elif label not in self._any_cross:
@@ -260,6 +264,29 @@ class AssignmentAccumulator:
             else:
                 self._first[label] = candidate
         return tuple(names)
+
+    def _store(self, label: str, hours: np.ndarray, cross: np.ndarray) -> None:
+        """Make *hours*/*cross* the unit's whole history (and its buffers)."""
+        self._buffers[label] = (hours, cross)
+        self._hours[label] = hours
+        self._cross[label] = cross
+
+    def _append(self, label: str, hours: np.ndarray, cross: np.ndarray) -> None:
+        """Append in place, doubling the unit's buffers when they are full."""
+        hour_buf, cross_buf = self._buffers[label]
+        n = len(self._hours[label])
+        end = n + len(hours)
+        if end > len(hour_buf):
+            capacity = max(2 * len(hour_buf), end)
+            grown_hours = np.empty(capacity, dtype=hour_buf.dtype)
+            grown_cross = np.empty(capacity, dtype=cross_buf.dtype)
+            grown_hours[:n] = hour_buf[:n]
+            grown_cross[:n] = cross_buf[:n]
+            hour_buf, cross_buf = self._buffers[label] = (grown_hours, grown_cross)
+        hour_buf[n:end] = hours
+        cross_buf[n:end] = cross
+        self._hours[label] = hour_buf[:end]
+        self._cross[label] = cross_buf[:end]
 
     def assignment(self) -> TreatmentAssignment:
         """The assignment over everything absorbed so far.

@@ -27,7 +27,6 @@ from repro.synthcontrol.robustness import (
     robustness_summary,
 )
 from repro.synthcontrol.robust import (
-    DenoiseCache,
     DonorFactorization,
     denoise_from_factorization,
     denoise_without_column,
@@ -39,7 +38,6 @@ from repro.synthcontrol.robust import (
 )
 
 __all__ = [
-    "DenoiseCache",
     "DonorFactorization",
     "FitDiagnostics",
     "Panel",

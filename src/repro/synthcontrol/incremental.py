@@ -25,12 +25,12 @@ previously imputed cells).  :func:`extend_factorization` raises
 :class:`~repro.errors.EstimationError` in those cases and the caller
 falls back to a cold :func:`~repro.synthcontrol.robust.factor_donor_matrix`.
 
-:func:`live_placebo_ratios` is the matching inference loop: the same
-math as the batch placebo engine (one batched leave-one-out de-noising,
-one ridge refit per pseudo-treated donor, the same skip screens) minus
-the per-refit span/metric/fault bookkeeping, which would dominate a
-millisecond refresh.  Live rows are advisory — the engine's finalize
-pass re-runs the fully instrumented batch loop for the exact table.
+:func:`live_placebo_ratios` is the matching inference step.  It is not
+a copy of the batch placebo loop but a call into the same kernel,
+:func:`~repro.synthcontrol.placebo.placebo_ensemble` (one leave-one-out
+SVD sweep, one stacked ridge solve, the same skip screens), without
+the per-column span/metric/fault bookkeeping a study records around
+it.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DonorPoolError, EstimationError
-from repro.synthcontrol.robust import (
-    DonorFactorization,
-    denoise_leave_one_out,
-    fit_from_denoised,
-)
+from repro.synthcontrol.placebo import placebo_ensemble
+from repro.synthcontrol.robust import DonorFactorization
 
 
 def extend_factorization(
@@ -104,40 +101,26 @@ def live_placebo_ratios(
     min_pre_rmse: float = 1e-9,
     limit: int | None = None,
 ) -> tuple[list[float], int]:
-    """Span-free placebo RMSE ratios for a live (mid-stream) refresh.
+    """Placebo RMSE ratios for a live (mid-stream) refresh.
 
-    Mirrors the batch loop's math and skip semantics — estimation
-    failures, degenerate pre-fits (``pre_rmse < min_pre_rmse``), and
-    non-finite ratios are dropped — without its per-refit span, metric,
-    and fault-injection hooks.  Returns ``(ratios, n_skipped)`` with
-    ratios in donor order.
+    :func:`~repro.synthcontrol.placebo.placebo_ensemble` over the first
+    *limit* donors (all when ``None``), reduced to ``(ratios,
+    n_skipped)`` with ratios in donor order; a pool of fewer than two
+    donors has no placebos.  *donor_names* is kept for callers of the
+    older signature: the kernel needs no labels.
     """
     j = donors.shape[1]
     n = j if limit is None else max(0, min(int(limit), j))
     if n == 0 or j < 2:
         return [], 0
-    loo = denoise_leave_one_out(fact, energy=energy, limit=n)
-    ratios: list[float] = []
-    skipped = 0
-    for col in range(n):
-        denoised, _rank = loo[col]
-        rest_names = donor_names[:col] + donor_names[col + 1 :]
-        try:
-            placebo_fit = fit_from_denoised(
-                donors[:, col],
-                denoised,
-                pre_periods,
-                f"placebo:{donor_names[col]}",
-                rest_names,
-                ridge=ridge,
-            )
-        except (DonorPoolError, EstimationError):
-            skipped += 1
-            continue
-        if placebo_fit.pre_rmse < min_pre_rmse or not np.isfinite(
-            placebo_fit.rmse_ratio
-        ):
-            skipped += 1
-            continue
-        ratios.append(float(placebo_fit.rmse_ratio))
-    return ratios, skipped
+    outcomes = placebo_ensemble(
+        fact,
+        donors,
+        pre_periods,
+        range(n),
+        energy=energy,
+        ridge=ridge,
+        min_pre_rmse=min_pre_rmse,
+    )
+    ratios = [ratio for ratio, _reason in outcomes if ratio is not None]
+    return ratios, n - len(ratios)

@@ -6,15 +6,18 @@ placebo ratios: if paths that did *not* receive the treatment diverge
 from their synthetic controls as much as the treated path did, the
 observed shift "could arise from model noise alone".
 
-Two performance properties matter at study scale:
-
-- placebo refits are independent, so :func:`placebo_rmse_ratios` fans
-  them out over an executor backend (``n_jobs``) with order-stable,
-  backend-independent results;
-- for the robust method, every leave-one-donor-out refit shares the
-  donor matrix's imputation and SVD through
-  :func:`~repro.synthcontrol.robust.denoise_without_column`, so the
-  expensive factorization happens once per unit, not once per donor.
+:func:`placebo_ensemble` is the one robust placebo kernel; the batch
+study, a campaign's refits, :func:`placebo_test` and the stream's live
+refresh all call it.  It runs one leave-one-out SVD sweep (or reuses
+the caller's), one stacked ridge solve (``np.linalg.solve`` on the 3-D
+array) and whole-array RMSEs.  Each stacked slice runs the same
+BLAS/LAPACK call on the same bytes as the per-column
+:func:`~repro.synthcontrol.robust.fit_from_denoised`, so ratios are
+bit-identical to it; a column with missing pseudo-treated cells or a
+zero spectrum, or a stack whose solve fails, keeps that per-row form.
+:func:`record_placebo` adds a study's per-column span, fault point and
+counters, and :func:`placebo_rmse_ratios` fans columns out over an
+executor backend (``n_jobs``) with backend-independent results.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import functools
 import logging
 import time
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -35,15 +38,18 @@ from repro.chaos.runtime import fault_point
 from repro.errors import DonorPoolError, EstimationError
 from repro.estimators.bootstrap import permutation_p_value
 from repro.obs import get_metrics, span
-from repro.synthcontrol.classic import classic_synthetic_control
+from repro.synthcontrol.classic import (
+    _donor_names,
+    _validate_panel,
+    classic_synthetic_control,
+)
 from repro.synthcontrol.result import PlaceboSummary, SyntheticControlFit
 from repro.synthcontrol.robust import (
-    DenoiseCache,
     DonorFactorization,
-    denoise_leave_one_out,
-    denoise_without_column,
+    denoise_leave_out,
     factor_donor_matrix,
     fit_from_denoised,
+    fit_from_factorization,
     robust_synthetic_control,
 )
 
@@ -118,27 +124,182 @@ class _PlaceboContext:
     loo: tuple[tuple[np.ndarray, int], ...] | None = None
 
 
-def _placebo_refit(
+def placebo_context(
+    donors: np.ndarray,
+    donor_names: Sequence[str],
+    pre_periods: int,
+    method: str,
+    fit_kwargs: dict,
+    *,
+    min_pre_rmse: float = 1e-9,
+    fact: DonorFactorization | None = None,
+    loo: tuple[tuple[np.ndarray, int], ...] | None = None,
+) -> _PlaceboContext:
+    """The placebo context of a donor matrix (factored as *fact* when robust)."""
+    energy, ridge = 0.99, 1e-2
+    kwargs = dict(fit_kwargs)
+    if method == "robust":
+        energy, ridge = _robust_params(**kwargs)
+        kwargs = {}
+    return _PlaceboContext(
+        donors, tuple(donor_names), pre_periods, min_pre_rmse, method, kwargs,
+        fact, energy, ridge, loo,
+    )
+
+
+#: A placebo column's outcome: its RMSE ratio, or ``None`` and the reason.
+Outcome = tuple[float | None, str]
+
+
+def _screen(pre_rmse: float, post_rmse: float, min_pre_rmse: float) -> Outcome:
+    """The skip screens on a placebo's RMSEs (ratio as ``SyntheticControlFit``'s)."""
+    if pre_rmse < min_pre_rmse:
+        return None, (
+            f"degenerate pre-fit (pre_rmse={pre_rmse:.3g} < {min_pre_rmse:.3g})"
+        )
+    finite_pre = np.isfinite(pre_rmse) and pre_rmse != 0
+    ratio = post_rmse / pre_rmse if finite_pre else float("inf")
+    if not np.isfinite(ratio):
+        return None, "non-finite RMSE ratio"
+    return float(ratio), ""
+
+
+def _fitted_outcome(min_pre_rmse: float, fit: FitFunction, *args, **kwargs) -> Outcome:
+    """One per-row placebo fit, screened; estimation failures become a skip."""
+    try:
+        placebo = fit(*args, **kwargs)
+    except (DonorPoolError, EstimationError) as exc:
+        return None, str(exc) or type(exc).__name__
+    return _screen(placebo.pre_rmse, placebo.post_rmse, min_pre_rmse)
+
+
+def _stacked_rmses(
+    stack: np.ndarray, pseudo: np.ndarray, pre_periods: int, ridge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ridge-fit fully observed rows at once: ``(pre_rmse, post_rmse, finite)``.
+
+    *stack* is ``(n, T, J-1)`` and *pseudo* ``(n, T)``.  Raises
+    :class:`numpy.linalg.LinAlgError` when any system is singular.
+    ``finite[i]`` is False where row *i*'s gaps are not all finite: its
+    per-row RMSEs would mask those cells.
+    """
+    a = stack[:, :pre_periods]
+    at = a.swapaxes(1, 2)
+    lhs = at @ a + ridge * np.eye(stack.shape[2])
+    weights = np.linalg.solve(lhs, at @ pseudo[:, :pre_periods, None])
+    gaps = pseudo - (stack @ weights)[:, :, 0]
+    sq = gaps**2
+    pre = np.sqrt(sq[:, :pre_periods].mean(axis=1))
+    post = np.sqrt(sq[:, pre_periods:].mean(axis=1))
+    return pre, post, np.isfinite(gaps).all(axis=1)
+
+
+def placebo_ensemble(
+    fact: DonorFactorization,
+    donors: np.ndarray,
+    pre_periods: int,
+    cols: Sequence[int],
+    *,
+    energy: float = 0.99,
+    ridge: float = 1e-2,
+    min_pre_rmse: float = 1e-9,
+    loo: Sequence[tuple[np.ndarray, int]] | None = None,
+) -> list[Outcome]:
+    """The robust placebo ensemble of *cols*, in their order.
+
+    Each column of the raw ``T x J`` *donors* matrix (factored as
+    *fact*) is fit as pseudo-treated on the denoised panel of the
+    others.  Returns ``(ratio, "")`` per surviving placebo and ``(None,
+    reason)`` per skipped one.  *loo*, when given, is an
+    already-computed ``(denoised, rank)`` batch indexed by column (the
+    prefactor table's), used instead of a fresh SVD sweep.  Records one
+    ``placebo.ensemble`` span.
+    """
+    cols = [int(c) for c in cols]
+    n_times, j = donors.shape
+    with span("placebo.ensemble", n_cols=len(cols)) as sp:
+        if j < 2:
+            sp.set(n_stacked=0, n_per_row=len(cols))
+            return [(None, "cannot delete the only donor column")] * len(cols)
+        if loo is None:
+            stack, ranks = denoise_leave_out(fact, cols, energy=energy)
+        else:
+            stack = np.stack([loo[c][0] for c in cols])
+            ranks = np.array([loo[c][1] for c in cols])
+        pseudo = np.ascontiguousarray(donors[:, cols].T, dtype=float)
+        rows = np.flatnonzero(np.isfinite(pseudo).all(axis=1) & (ranks > 0))
+        out: list[Outcome | None] = [None] * len(cols)
+        if rows.size and 2 <= pre_periods < n_times:
+            try:
+                pre, post, finite = _stacked_rmses(
+                    stack[rows], pseudo[rows], pre_periods, ridge
+                )
+            except np.linalg.LinAlgError:
+                finite = np.zeros(rows.size, dtype=bool)
+            for pos in np.flatnonzero(finite):
+                out[rows[pos]] = _screen(
+                    float(pre[pos]), float(post[pos]), min_pre_rmse
+                )
+        per_row = [i for i, outcome in enumerate(out) if outcome is None]
+        for i in per_row:
+            out[i] = _fitted_outcome(
+                min_pre_rmse, fit_from_denoised, pseudo[i], stack[i], pre_periods,
+                "placebo", (), ridge=ridge,
+            )
+        sp.set(n_stacked=len(cols) - len(per_row), n_per_row=len(per_row))
+    return out  # type: ignore[return-value]
+
+
+def placebo_outcomes(ctx: _PlaceboContext, cols: Sequence[int]) -> list[Outcome]:
+    """Refit *cols* of *ctx* as pseudo-treated units, in order.
+
+    The robust method runs :func:`placebo_ensemble` once; the classic
+    method refits column by column.
+    """
+    if ctx.method == "robust":
+        assert ctx.fact is not None
+        return placebo_ensemble(
+            ctx.fact,
+            ctx.donors,
+            ctx.pre_periods,
+            cols,
+            energy=ctx.energy,
+            ridge=ctx.ridge,
+            min_pre_rmse=ctx.min_pre_rmse,
+            loo=ctx.loo,
+        )
+    return [
+        _fitted_outcome(
+            ctx.min_pre_rmse,
+            classic_synthetic_control,
+            ctx.donors[:, col],
+            np.delete(ctx.donors, col, axis=1),
+            ctx.pre_periods,
+            **ctx.fit_kwargs,
+        )
+        for col in cols
+    ]
+
+
+def record_placebo(
     ctx: _PlaceboContext,
     col: int,
+    outcome: Outcome,
     site: str = "placebo.refit",
     key: str | None = None,
     **attrs: object,
 ) -> tuple[str, float | None, str]:
-    """Refit donor *col* as pseudo-treated: ``(name, ratio | None, reason)``.
+    """Book-keep donor *col*'s refit: ``(name, ratio | None, reason)``.
 
-    Only estimation failures (:class:`DonorPoolError` /
-    :class:`EstimationError`) are converted into a skip record;
-    programming errors propagate to the caller.  Each refit records one
-    ``placebo`` span (``ok`` attribute marks survivors; *attrs* add
-    context) and bumps the placebo counters, whichever process it runs
-    in.  Its fault point is *site*, keyed by *key* (default: the donor
-    name).
+    Records one ``placebo`` span (``ok`` attribute marks survivors;
+    *attrs* add context) and bumps the placebo counters, whichever
+    process it runs in.  Its fault point is *site*, keyed by *key*
+    (default: the donor name).
     """
     donor = ctx.donor_names[col]
+    ratio, reason = outcome
     with span("placebo", donor=donor, **attrs) as sp:
         fault_point(site, key=donor if key is None else key)
-        name, ratio, reason = _placebo_refit_inner(ctx, col)
         sp.set(ok=ratio is not None)
         metrics = get_metrics()
         metrics.counter("placebos_total", "placebo refits attempted").inc()
@@ -147,59 +308,59 @@ def _placebo_refit(
             metrics.counter(
                 "placebos_skipped_total", "placebo refits that failed estimation"
             ).inc()
-            logger.debug("placebo %s skipped: %s", name, reason)
-    return name, ratio, reason
+            logger.debug("placebo %s skipped: %s", donor, reason)
+    return donor, ratio, reason
 
 
-def _placebo_refit_inner(
-    ctx: _PlaceboContext, col: int
-) -> tuple[str, float | None, str]:
-    name = ctx.donor_names[col]
-    pseudo = ctx.donors[:, col]
-    try:
-        if ctx.method == "robust":
-            assert ctx.fact is not None
-            if ctx.loo is not None:
-                denoised, _rank = ctx.loo[col]
-            else:
-                denoised, _rank = denoise_without_column(
-                    ctx.fact, col, energy=ctx.energy
-                )
-            rest_names = tuple(
-                n for i, n in enumerate(ctx.donor_names) if i != col
-            )
-            placebo_fit = fit_from_denoised(
-                pseudo,
-                denoised,
-                ctx.pre_periods,
-                f"placebo:{name}",
-                rest_names,
-                ridge=ctx.ridge,
-            )
-        else:
-            rest = np.delete(ctx.donors, col, axis=1)
-            rest_names = tuple(
-                n for i, n in enumerate(ctx.donor_names) if i != col
-            )
-            placebo_fit = classic_synthetic_control(
-                pseudo,
-                rest,
-                ctx.pre_periods,
-                treated_name=f"placebo:{name}",
-                donor_names=rest_names,
-                **ctx.fit_kwargs,
-            )
-    except (DonorPoolError, EstimationError) as exc:
-        return name, None, str(exc) or type(exc).__name__
-    if placebo_fit.pre_rmse < ctx.min_pre_rmse:
-        return name, None, (
-            f"degenerate pre-fit (pre_rmse={placebo_fit.pre_rmse:.3g} "
-            f"< {ctx.min_pre_rmse:.3g})"
+def _placebo_task(ctx: _PlaceboContext, col: int) -> tuple[str, float | None, str]:
+    """One fanned-out column: its refit, then its bookkeeping."""
+    return record_placebo(ctx, col, placebo_outcomes(ctx, [col])[0])
+
+
+def _run_placebos(
+    donors: np.ndarray,
+    pre_periods: int,
+    donor_names: Sequence[str],
+    method: str,
+    max_placebos: int | None,
+    min_pre_rmse: float,
+    n_jobs: int | None,
+    retry: "RetryPolicy | None",
+    fit_kwargs: dict,
+    fact: DonorFactorization | None = None,
+) -> PlaceboRatios:
+    """The first *max_placebos* placebos, serial or one column per task."""
+    from repro.pipeline.executor import get_executor, resolve_n_jobs
+
+    donors = np.asarray(donors, dtype=float)
+    if donors.ndim != 2:
+        raise DonorPoolError(
+            f"donor matrix must be 2-D (T x J), got shape {donors.shape}"
         )
-    ratio = placebo_fit.rmse_ratio
-    if not np.isfinite(ratio):
-        return name, None, "non-finite RMSE ratio"
-    return name, float(ratio), ""
+    j = donors.shape[1]
+    limit = j if max_placebos is None else min(max_placebos, j)
+    ctx = placebo_context(
+        donors, donor_names, pre_periods, method, fit_kwargs,
+        min_pre_rmse=min_pre_rmse, fact=fact,
+    )
+    if method == "robust" and fact is None and limit > 0:
+        ctx = replace(ctx, fact=factor_donor_matrix(donors))
+    if resolve_n_jobs(n_jobs) == 1:
+        # One kernel call for every column; the executor then records
+        # (and, under a retry policy, re-records) each outcome.
+        outcomes = placebo_outcomes(ctx, range(limit))
+
+        def task(col: int) -> tuple[str, float | None, str]:
+            return record_placebo(ctx, col, outcomes[col])
+
+    else:
+        task = functools.partial(_placebo_task, ctx)
+    with get_executor(n_jobs, retry=retry) as executor:
+        results = executor.map(task, range(limit))
+    return PlaceboRatios(
+        ratios=tuple((name, ratio) for name, ratio, _ in results if ratio is not None),
+        skipped=tuple((name, why) for name, ratio, why in results if ratio is None),
+    )
 
 
 def placebo_rmse_ratios(
@@ -210,7 +371,6 @@ def placebo_rmse_ratios(
     max_placebos: int | None = None,
     min_pre_rmse: float = 1e-9,
     n_jobs: int | None = 1,
-    cache: DenoiseCache | None = None,
     retry: "RetryPolicy | None" = None,
     **fit_kwargs: object,
 ) -> PlaceboRatios:
@@ -222,70 +382,15 @@ def placebo_rmse_ratios(
     failures are skipped — unexpected exceptions propagate.
     *max_placebos* caps the count (taking the first k donors, which are
     correlation-ranked by :func:`~repro.synthcontrol.donor.select_donors`).
-    *n_jobs* fans refits out over a process pool (results are identical
-    to the serial run, in donor order).  For the robust method, the
-    donor matrix is imputed and factored once — optionally through a
-    shared *cache* — and every refit reuses that SVD.
+    *n_jobs* fans refits out over a process pool, one column per task
+    (results are identical to the serial run, in donor order).  For the
+    robust method the donor matrix is imputed and factored once.
     """
     _fitter(method)  # reject unknown methods before any work
-    donors = np.asarray(donors, dtype=float)
-    if donors.ndim != 2:
-        raise DonorPoolError(
-            f"donor matrix must be 2-D (T x J), got shape {donors.shape}"
-        )
-    j = donors.shape[1]
-    limit = j if max_placebos is None else min(max_placebos, j)
-
-    fact: DonorFactorization | None = None
-    energy, ridge = 0.99, 1e-2
-    classic_kwargs: dict = dict(fit_kwargs)
-    if method == "robust":
-        energy, ridge = _robust_params(**fit_kwargs)
-        classic_kwargs = {}
-        if limit > 0:
-            fact = (
-                cache.factorization(donors)
-                if cache is not None
-                else factor_donor_matrix(donors)
-            )
-
-    from repro.pipeline.executor import get_executor, resolve_n_jobs
-
-    # Serial refits batch every leave-one-out SVD into a single 3-D
-    # numpy.linalg.svd call (bit-identical to the per-column downdate,
-    # one LAPACK sweep instead of J).  Fanned-out refits keep the
-    # per-column path: shipping the full denoised stack to each worker
-    # would cost more in pickling than the batched SVD saves.
-    loo = None
-    if fact is not None and limit > 1 and resolve_n_jobs(n_jobs) == 1:
-        loo = denoise_leave_one_out(fact, energy=energy, limit=limit)
-
-    ctx = _PlaceboContext(
-        donors=donors,
-        donor_names=tuple(donor_names),
-        pre_periods=pre_periods,
-        min_pre_rmse=min_pre_rmse,
-        method=method,
-        fit_kwargs=classic_kwargs,
-        fact=fact,
-        energy=energy,
-        ridge=ridge,
-        loo=loo,
+    return _run_placebos(
+        donors, pre_periods, donor_names, method, max_placebos, min_pre_rmse,
+        n_jobs, retry, fit_kwargs,
     )
-
-    with get_executor(n_jobs, retry=retry) as executor:
-        outcomes = executor.map(
-            functools.partial(_placebo_refit, ctx), range(limit)
-        )
-
-    ratios: list[tuple[str, float]] = []
-    skipped: list[tuple[str, str]] = []
-    for name, ratio, reason in outcomes:
-        if ratio is None:
-            skipped.append((name, reason))
-        else:
-            ratios.append((name, ratio))
-    return PlaceboRatios(ratios=tuple(ratios), skipped=tuple(skipped))
 
 
 def placebo_test(
@@ -298,7 +403,6 @@ def placebo_test(
     max_placebos: int | None = None,
     min_pre_rmse: float = 1e-9,
     n_jobs: int | None = 1,
-    cache: DenoiseCache | None = None,
     retry: "RetryPolicy | None" = None,
     **fit_kwargs: object,
 ) -> PlaceboSummary:
@@ -307,26 +411,23 @@ def placebo_test(
     The p-value is the add-one share of placebo RMSE ratios greater than
     or equal to the treated unit's ratio (``alternative="greater"``):
     small p means few untreated paths diverged as sharply.  *n_jobs*
-    parallelises the placebo refits; *cache* (created per call when
-    omitted) lets the treated fit and every placebo share the donor
-    matrix's de-noising work.
+    parallelises the placebo refits.  For the robust method the donor
+    matrix is factored once, for the treated fit and every placebo.
     """
     if donor_names is None:
         donor_names = [f"donor_{i}" for i in range(donors.shape[1])]
     fitter = _fitter(method)
     t_fit = time.perf_counter()
+    fact = None
     with span("fit", treated=treated_name, method=method):
         if method == "robust":
-            if cache is None:
-                cache = DenoiseCache()
-            fit = fitter(
-                treated,
-                donors,
-                pre_periods,
-                treated_name=treated_name,
-                donor_names=donor_names,
-                cache=cache,
-                **fit_kwargs,
+            energy, ridge = _robust_params(**fit_kwargs)
+            treated, donors = _validate_panel(treated, donors, pre_periods)
+            names = _donor_names(donor_names, donors.shape[1])
+            fact = factor_donor_matrix(donors)
+            fit = fit_from_factorization(
+                treated, fact, pre_periods, treated_name, names,
+                energy=energy, ridge=ridge,
             )
         else:
             fit = fitter(
@@ -340,17 +441,9 @@ def placebo_test(
     get_metrics().histogram(
         "fit_seconds", help="wall-clock seconds per treated-unit fit"
     ).observe(time.perf_counter() - t_fit)
-    ratios = placebo_rmse_ratios(
-        donors,
-        pre_periods,
-        list(donor_names),
-        method=method,
-        max_placebos=max_placebos,
-        min_pre_rmse=min_pre_rmse,
-        n_jobs=n_jobs,
-        cache=cache,
-        retry=retry,
-        **fit_kwargs,
+    ratios = _run_placebos(
+        donors, pre_periods, donor_names, method, max_placebos, min_pre_rmse,
+        n_jobs, retry, fit_kwargs, fact,
     )
     if not ratios:
         raise DonorPoolError(

@@ -22,13 +22,13 @@ filled donor matrix — can be computed once and reused:
 :func:`denoise_without_column` produces the leave-one-donor-out
 denoised panel the placebo engine needs by *downdating* the shared
 factorization (an SVD of the small ``k x (J-1)`` core instead of the
-full ``T x (J-1)`` matrix).  :class:`DenoiseCache` memoises both within
-a study run.
+full ``T x (J-1)`` matrix).  :func:`denoise_leave_out` runs that
+downdate for many deleted columns in one stacked SVD, which is what the
+placebo ensemble (:mod:`repro.synthcontrol.placebo`) builds on.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -181,17 +181,22 @@ def factor_donor_matrices(
     return [fact for fact in facts if fact is not None]
 
 
-def _rank_for_energy(s: np.ndarray, energy: float, min_rank: int) -> int:
+def _rank_for_energy(s: np.ndarray, energy: float, min_rank: int) -> np.ndarray:
     """Smallest rank whose squared singular values reach *energy*.
 
-    An exact hit keeps exactly that many values: the comparison allows
-    :data:`_ENERGY_TOL` of float dust so ``cum[r-1] == energy`` up to
-    rounding never keeps an extra component.
+    Works along the last axis, so a ``(n, k)`` stack of spectra gets
+    its n ranks from whole-array reductions (row sums of a C-contiguous
+    stack reduce exactly like the 1-D sum).  An exact hit keeps exactly
+    that many values: the comparison allows :data:`_ENERGY_TOL` of float
+    dust so ``cum[r-1] == energy`` up to rounding never keeps an extra
+    component.
     """
-    cum = np.cumsum(s**2) / np.sum(s**2)
-    rank = int(np.searchsorted(cum, energy - _ENERGY_TOL, side="left")) + 1
-    rank = max(rank, min_rank)
-    return min(rank, len(s))
+    sq = s**2
+    cum = np.cumsum(sq, axis=-1) / sq.sum(axis=-1, keepdims=True)
+    # cum never decreases, so counting the entries below the target is
+    # a left-sided searchsorted.
+    rank = (cum < energy - _ENERGY_TOL).sum(axis=-1) + 1
+    return np.clip(rank, min_rank, s.shape[-1])
 
 
 def _rescale_denoised(
@@ -219,7 +224,7 @@ def denoise_from_factorization(
     _check_energy(energy)
     if fact.s.sum() == 0:
         return fact.filled, 0
-    rank = _rank_for_energy(fact.s, energy, min_rank)
+    rank = int(_rank_for_energy(fact.s, energy, min_rank))
     denoised = (fact.u[:, :rank] * fact.s[:rank]) @ fact.vt[:rank]
     p_obs = float(fact.finite_counts.sum()) / fact.filled.size
     return _rescale_denoised(denoised, fact.col_means, p_obs), rank
@@ -250,7 +255,7 @@ def denoise_without_column(
     u_core, s_sub, vt_sub = np.linalg.svd(core, full_matrices=False)
     if s_sub.sum() == 0:
         return np.delete(fact.filled, col, axis=1), 0
-    rank = _rank_for_energy(s_sub, energy, min_rank)
+    rank = int(_rank_for_energy(s_sub, energy, min_rank))
     u_sub = fact.u @ u_core[:, :rank]
     denoised = (u_sub * s_sub[:rank]) @ vt_sub[:rank]
     observed = int(fact.finite_counts.sum() - fact.finite_counts[col])
@@ -266,47 +271,99 @@ def _loo_count(fact: DonorFactorization, limit: int | None) -> int:
     return j if limit is None else max(0, min(int(limit), j))
 
 
-def _loo_cores(fact: DonorFactorization, n: int) -> np.ndarray:
-    """The first *n* leave-one-out cores ``S Vt'`` as one ``(n, k, J-1)`` fill.
+def _keep_columns(cols: np.ndarray, j: int) -> np.ndarray:
+    """Row ``i`` lists the columns that survive deleting ``cols[i]``."""
+    keep = np.arange(j - 1)[None, :]
+    # Shift indices >= the deleted column up by one.
+    return keep + (keep >= cols[:, None])
+
+
+def _loo_cores(fact: DonorFactorization, cols: np.ndarray) -> np.ndarray:
+    """The leave-one-out cores ``S Vt'`` of *cols* as one ``(n, k, J-1)`` fill.
 
     One fancy-index gather replaces the historical
     ``np.stack([np.delete(svt, col, axis=1) ...])`` loop — the same
     values land in the same positions without J Python-level copies.
     """
     svt = fact.s[:, None] * fact.vt
-    j = fact.n_donors
-    cols = np.arange(n)[:, None]
-    keep = np.arange(j - 1)[None, :]
-    # Row c keeps columns [0..c-1, c+1..J-1]: shift indices >= c up by one.
-    return np.ascontiguousarray(svt[:, keep + (keep >= cols)].swapaxes(0, 1))
+    keep = _keep_columns(cols, fact.n_donors)
+    return np.ascontiguousarray(svt[:, keep].swapaxes(0, 1))
 
 
-def _loo_finalize(
+def _loo_stack(
     fact: DonorFactorization,
+    cols: np.ndarray,
     u_cores: np.ndarray,
     s_subs: np.ndarray,
     vt_subs: np.ndarray,
-    n: int,
     energy: float,
     min_rank: int,
-) -> tuple[tuple[np.ndarray, int], ...]:
-    """Threshold and rescale each decomposed core back to a denoised panel."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold and rescale decomposed cores into one denoised stack.
+
+    Returns ``(stack, ranks)``: ``stack[i]`` is the ``T x (J-1)``
+    panel with ``cols[i]`` deleted.  Columns sharing a rank rebuild in
+    one stacked matmul per factor; each slice runs the same BLAS call
+    on the same bytes as the per-column product, so every panel is
+    bit-identical to :func:`denoise_without_column`.  A core with a
+    zero spectrum keeps the raw filled columns at rank 0.
+    """
     j = fact.n_donors
-    total_observed = float(fact.finite_counts.sum())
-    out: list[tuple[np.ndarray, int]] = []
-    for col in range(n):
-        col_means = np.delete(fact.col_means, col)
-        s_sub = s_subs[col]
-        if s_sub.sum() == 0:
-            out.append((np.delete(fact.filled, col, axis=1), 0))
-            continue
-        rank = _rank_for_energy(s_sub, energy, min_rank)
-        u_sub = fact.u @ u_cores[col][:, :rank]
-        denoised = (u_sub * s_sub[:rank]) @ vt_subs[col][:rank]
-        observed = int(total_observed - fact.finite_counts[col])
-        p_obs = observed / (fact.n_times * (j - 1))
-        out.append((_rescale_denoised(denoised, col_means, p_obs), rank))
-    return tuple(out)
+    keep = _keep_columns(cols, j)
+    stack = np.empty((len(cols), fact.n_times, j - 1))
+    ranks = np.zeros(len(cols), dtype=int)
+    live = s_subs.sum(axis=1) != 0
+    for i in np.flatnonzero(~live):
+        stack[i] = fact.filled[:, keep[i]]
+    ranks[live] = _rank_for_energy(s_subs[live], energy, min_rank)
+    for rank in np.unique(ranks[live]):
+        members = np.flatnonzero(live & (ranks == rank))
+        u_sub = fact.u @ u_cores[members][:, :, :rank]
+        stack[members] = (u_sub * s_subs[members][:, None, :rank]) @ vt_subs[
+            members
+        ][:, :rank]
+    observed = fact.finite_counts.sum() - fact.finite_counts[cols]
+    p_obs = observed / (fact.n_times * (j - 1))
+    shrunk = np.flatnonzero(live & (p_obs > 0) & (p_obs < 1))
+    if shrunk.size:
+        col_means = fact.col_means[keep[shrunk]][:, None, :]
+        stack[shrunk] = (
+            col_means + (stack[shrunk] - col_means) / p_obs[shrunk][:, None, None]
+        )
+    return stack, ranks
+
+
+def denoise_leave_out(
+    fact: DonorFactorization,
+    cols: Sequence[int],
+    energy: float = 0.99,
+    min_rank: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out de-noisings of *cols* from **one** batched SVD.
+
+    The placebo loop needs the denoised panel with column *j* deleted,
+    for every placebo *j*.  Each of those reduces to the SVD of the
+    small ``k x (J-1)`` core ``S Vt'`` (see
+    :func:`denoise_without_column`) — and the cores all share one
+    shape, so they stack into a ``(n, k, J-1)`` array that a single
+    :func:`numpy.linalg.svd` call decomposes in one LAPACK sweep instead
+    of n Python-level calls.  Per-matrix results are bit-identical to
+    the one-at-a-time downdate (the gufunc runs the same routine on the
+    same bytes).
+
+    Returns ``(stack, ranks)``: the ``(n, T, J-1)`` denoised panels and
+    their kept ranks, in the order of *cols*.
+    """
+    _check_energy(energy)
+    if fact.n_donors < 2:
+        raise DonorPoolError("cannot delete the only donor column")
+    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+    u_cores, s_subs, vt_subs = np.linalg.svd(_loo_cores(fact, cols), full_matrices=False)
+    return _loo_stack(fact, cols, u_cores, s_subs, vt_subs, energy, min_rank)
+
+
+def _as_loo(stack: np.ndarray, ranks: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:
+    return tuple((panel, int(rank)) for panel, rank in zip(stack, ranks))
 
 
 def denoise_leave_one_out(
@@ -315,32 +372,14 @@ def denoise_leave_one_out(
     min_rank: int = 1,
     limit: int | None = None,
 ) -> tuple[tuple[np.ndarray, int], ...]:
-    """Every leave-one-donor-out de-noising from **one** batched SVD.
+    """Every leave-one-donor-out de-noising, as ``(denoised, rank)`` pairs.
 
-    The placebo loop needs the denoised panel with column *j* deleted,
-    for every *j*.  Each of those reduces to the SVD of the small
-    ``k x (J-1)`` core ``S Vt'`` (see :func:`denoise_without_column`) —
-    and the cores all share one shape, so they stack into a
-    ``(J, k, J-1)`` array that a single :func:`numpy.linalg.svd` call
-    decomposes in one LAPACK sweep instead of J Python-level calls.
-    Per-matrix results are bit-identical to the one-at-a-time downdate
-    (the gufunc runs the same routine on the same bytes), so serial and
-    fanned-out placebo loops keep agreeing exactly.
-
-    Returns ``(denoised, rank)`` per column, for the first *limit*
-    columns (all of them when ``None``).
+    :func:`denoise_leave_out` over the first *limit* columns (all of
+    them when ``None``).
     """
     _check_energy(energy)
     n = _loo_count(fact, limit)
-    if n == 0:
-        return ()
-    if fact.s.sum() == 0:
-        return tuple(
-            (np.delete(fact.filled, col, axis=1), 0) for col in range(n)
-        )
-    cores = _loo_cores(fact, n)
-    u_cores, s_subs, vt_subs = np.linalg.svd(cores, full_matrices=False)
-    return _loo_finalize(fact, u_cores, s_subs, vt_subs, n, energy, min_rank)
+    return _as_loo(*denoise_leave_out(fact, range(n), energy, min_rank))
 
 
 def denoise_leave_one_out_many(
@@ -356,45 +395,28 @@ def denoise_leave_one_out_many(
     stack for a single gufunc :func:`numpy.linalg.svd` call, and each
     unit's slice finalizes exactly as the within-unit batch would —
     per-unit results are bit-identical to calling
-    :func:`denoise_leave_one_out` once per factorization.  Units with a
-    zero spectrum take the same no-SVD fallback as the single-unit
-    path.
+    :func:`denoise_leave_one_out` once per factorization.
     """
     _check_energy(energy)
-    counts = [_loo_count(fact, limit) for fact in facts]
-    results: list[tuple[tuple[np.ndarray, int], ...] | None] = [None] * len(facts)
+    cols = [np.arange(_loo_count(fact, limit)) for fact in facts]
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, (fact, n) in enumerate(zip(facts, counts)):
-        if n == 0:
-            results[i] = ()
-        elif fact.s.sum() == 0:
-            results[i] = tuple(
-                (np.delete(fact.filled, col, axis=1), 0) for col in range(n)
-            )
-        else:
-            core_shape = (len(fact.s), fact.n_donors - 1)
-            groups.setdefault(core_shape, []).append(i)
-    for shape, members in groups.items():
-        stack = np.empty((sum(counts[i] for i in members), *shape))
+    for i, fact in enumerate(facts):
+        groups.setdefault((len(fact.s), fact.n_donors - 1), []).append(i)
+    results: list[tuple[tuple[np.ndarray, int], ...]] = [()] * len(facts)
+    for members in groups.values():
+        cores = np.concatenate([_loo_cores(facts[i], cols[i]) for i in members])
+        u_cores, s_subs, vt_subs = np.linalg.svd(cores, full_matrices=False)
         offset = 0
         for i in members:
-            stack[offset : offset + counts[i]] = _loo_cores(facts[i], counts[i])
-            offset += counts[i]
-        u_cores, s_subs, vt_subs = np.linalg.svd(stack, full_matrices=False)
-        offset = 0
-        for i in members:
-            n = counts[i]
-            results[i] = _loo_finalize(
-                facts[i],
-                u_cores[offset : offset + n],
-                s_subs[offset : offset + n],
-                vt_subs[offset : offset + n],
-                n,
-                energy,
-                min_rank,
+            part = slice(offset, offset + len(cols[i]))
+            results[i] = _as_loo(
+                *_loo_stack(
+                    facts[i], cols[i], u_cores[part], s_subs[part], vt_subs[part],
+                    energy, min_rank,
+                )
             )
-            offset += n
-    return [r for r in results if r is not None]
+            offset += len(cols[i])
+    return results
 
 
 def singular_value_threshold(
@@ -410,50 +432,6 @@ def singular_value_threshold(
     return denoise_from_factorization(
         factor_donor_matrix(matrix), energy=energy, min_rank=min_rank
     )
-
-
-class DenoiseCache:
-    """Memoised de-noising within one study run.
-
-    The treated-unit fit and every placebo refit of the same donor
-    matrix share imputation and the full SVD; repeated fits at the same
-    energy (robustness sweeps, ablations) reuse the denoised panel
-    itself.  Keys combine the matrix shape, the requested energy, and a
-    content digest, so equal-shaped but different panels never collide.
-    Cached arrays are shared — treat them as read-only.
-    """
-
-    def __init__(self) -> None:
-        self._factorizations: dict[tuple, DonorFactorization] = {}
-        self._denoised: dict[tuple, tuple[np.ndarray, int]] = {}
-
-    @staticmethod
-    def _key(matrix: np.ndarray) -> tuple:
-        matrix = np.ascontiguousarray(matrix, dtype=float)
-        digest = hashlib.sha1(matrix.tobytes()).hexdigest()
-        return (matrix.shape, digest)
-
-    def factorization(self, matrix: np.ndarray) -> DonorFactorization:
-        """The (cached) factorization of *matrix*."""
-        key = self._key(matrix)
-        fact = self._factorizations.get(key)
-        if fact is None:
-            fact = factor_donor_matrix(matrix)
-            self._factorizations[key] = fact
-        return fact
-
-    def denoise(
-        self, matrix: np.ndarray, energy: float = 0.99, min_rank: int = 1
-    ) -> tuple[np.ndarray, int]:
-        """The (cached) denoised panel of *matrix* at *energy*."""
-        key = (*self._key(matrix), float(energy), int(min_rank))
-        hit = self._denoised.get(key)
-        if hit is None:
-            hit = denoise_from_factorization(
-                self.factorization(matrix), energy=energy, min_rank=min_rank
-            )
-            self._denoised[key] = hit
-        return hit
 
 
 def ridge_weights(
@@ -497,6 +475,22 @@ def fit_from_denoised(
     )
 
 
+def fit_from_factorization(
+    treated: np.ndarray,
+    fact: DonorFactorization,
+    pre_periods: int,
+    treated_name: str,
+    donor_names: tuple[str, ...],
+    energy: float = 0.99,
+    ridge: float = 1e-2,
+) -> SyntheticControlFit:
+    """Both stages on a pre-computed factorization: threshold, then regress."""
+    denoised, _rank = denoise_from_factorization(fact, energy=energy)
+    return fit_from_denoised(
+        treated, denoised, pre_periods, treated_name, donor_names, ridge=ridge
+    )
+
+
 def robust_synthetic_control(
     treated: np.ndarray,
     donors: np.ndarray,
@@ -505,7 +499,6 @@ def robust_synthetic_control(
     donor_names: Sequence[str] | None = None,
     energy: float = 0.99,
     ridge: float = 1e-2,
-    cache: DenoiseCache | None = None,
 ) -> SyntheticControlFit:
     """Fit robust synthetic control on a T x J donor panel.
 
@@ -519,16 +512,16 @@ def robust_synthetic_control(
         hard-threshold de-noising step.
     ridge:
         L2 penalty of the second-stage regression.
-    cache:
-        Optional :class:`DenoiseCache`; repeated fits of the same donor
-        matrix within a study run then share the de-noising work.
     """
     treated, donors = _validate_panel(treated, donors, pre_periods)
     names = _donor_names(donor_names, donors.shape[1])
-    if cache is not None:
-        denoised, _rank = cache.denoise(donors, energy=energy)
-    else:
-        denoised, _rank = singular_value_threshold(donors, energy=energy)
-    return fit_from_denoised(
-        treated, denoised, pre_periods, treated_name, names, ridge=ridge
+    _check_energy(energy)
+    return fit_from_factorization(
+        treated,
+        factor_donor_matrix(donors),
+        pre_periods,
+        treated_name,
+        names,
+        energy=energy,
+        ridge=ridge,
     )

@@ -3,8 +3,8 @@
 Every factorized fast path (grouping, aggregation, pivot, join, the
 crossing scan, and the panel builder) must reproduce the historical
 per-row Python loops exactly — same keys, same order, same floats to
-the last bit.  The references live in ``repro.frames.rowwise`` and
-``repro.pipeline.rowwise``; frames here are randomized with duplicate
+the last bit.  The references live in ``tests/rowwise_frames.py`` and
+``tests/rowwise_pipeline.py``; frames here are randomized with duplicate
 keys and missing values to exercise the edge paths.
 """
 
@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.frames import rowwise as frw
 from repro.frames.column import Column
 from repro.frames.frame import Frame
 from repro.frames.groupby import group_by, pivot
-from repro.pipeline import rowwise as prw
 from repro.pipeline.crossing import assign_treatment, crossing_mask
 from repro.synthcontrol.donor import build_panel
+from tests import rowwise_frames as frw
+from tests import rowwise_pipeline as prw
 
 AGGS = ["count", "sum", "mean", "median", "min", "max", "std", "first", "nunique"]
 

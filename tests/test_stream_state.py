@@ -121,3 +121,56 @@ class TestAssignmentAccumulator:
         acc = AssignmentAccumulator(small_scenario.ixp_name)
         touched = acc.apply(batch.frame)
         assert set(touched) == set(str(u) for u in set(small_frame["unit"]))
+
+
+class TestAssignmentBuffers:
+    """Pure appends grow per-unit buffers in place; inserts re-seat them."""
+
+    IXP = "IX-TEST"
+
+    def _batch(self, unit_hours):
+        units, hours, ixps = [], [], []
+        for unit, unit_hours_ in unit_hours.items():
+            for hour in unit_hours_:
+                units.append(unit)
+                hours.append(float(hour))
+                # Unit "a" crosses from hour 6 on; "b" crosses every
+                # other hour, so its windows stay contested.
+                crossing = hour >= 6 if unit == "a" else int(hour) % 2 == 0
+                ixps.append(self.IXP if crossing else "")
+        return Frame.from_dict({"unit": units, "time_hour": hours, "ixps": ixps})
+
+    def test_append_grow_insert_append_matches_oracle(self):
+        # (batch, whether unit "a" keeps the buffer it had before it)
+        feed = [
+            ({"a": [0, 1, 2, 3], "b": [0, 1]}, False),  # seeds the buffers
+            ({"a": [4, 5, 6], "b": [2, 3, 4]}, False),  # grows past capacity
+            ({"a": [7], "b": [5]}, True),  # fits the doubled capacity
+            ({"a": [2.5, 5.5], "b": [0.5, 4.5]}, False),  # sorted insert
+            ({"a": [30, 31, 32, 33, 34, 35], "b": [40, 41]}, False),  # grows
+            ({"a": [36], "b": [42]}, True),
+        ]
+        acc = AssignmentAccumulator(self.IXP)
+        want_hours = {"a": np.empty(0), "b": np.empty(0)}
+        merged = None
+        for batch, in_place in feed:
+            before = acc._buffers.get("a", (None,))[0]
+            frame = self._batch(batch)
+            acc.apply(frame)
+            assert (acc._buffers["a"][0] is before) == in_place
+            merged = frame if merged is None else merged.concat(frame)
+            for unit, hours in batch.items():
+                new = np.sort(np.asarray(hours, dtype=float))
+                known = want_hours[unit]
+                if known.size == 0 or new[0] >= known[-1]:
+                    want_hours[unit] = np.concatenate([known, new])
+                else:
+                    at = np.searchsorted(known, new, side="left")
+                    want_hours[unit] = np.insert(known, at, new)
+                got = acc._hours[unit]
+                np.testing.assert_array_equal(got, want_hours[unit])
+                expect_cross = (
+                    got >= 6 if unit == "a" else got.astype(int) % 2 == 0
+                )
+                np.testing.assert_array_equal(acc._cross[unit], expect_cross)
+            assert acc.assignment() == assign_treatment(merged, self.IXP)

@@ -218,38 +218,6 @@ class TestDenoiseReuse:
             assert rank_d == rank_k
             np.testing.assert_allclose(down, direct, rtol=0, atol=1e-8)
 
-    def test_cache_returns_same_objects(self):
-        from repro.synthcontrol import DenoiseCache
-
-        cache = DenoiseCache()
-        m = self._noisy_panel()
-        first, rank1 = cache.denoise(m, energy=0.95)
-        second, rank2 = cache.denoise(m, energy=0.95)
-        assert rank1 == rank2
-        assert first is second  # memoised, not recomputed
-
-    def test_cache_distinguishes_equal_shapes(self):
-        from repro.synthcontrol import DenoiseCache
-
-        cache = DenoiseCache()
-        a = self._noisy_panel(seed=1)
-        b = self._noisy_panel(seed=2)
-        da, _ = cache.denoise(a, energy=0.95)
-        db, _ = cache.denoise(b, energy=0.95)
-        assert not np.allclose(da, db)
-
-    def test_cached_fit_matches_uncached(self):
-        from repro.synthcontrol import DenoiseCache
-
-        m = self._noisy_panel()
-        treated = m[:, 0] + 1.0
-        donors = m[:, 1:]
-        plain = robust_synthetic_control(treated, donors, 25)
-        cached = robust_synthetic_control(
-            treated, donors, 25, cache=DenoiseCache()
-        )
-        np.testing.assert_array_equal(plain.synthetic, cached.synthetic)
-
 
 class TestRidgeWeights:
     def test_shrinkage_toward_zero(self):
