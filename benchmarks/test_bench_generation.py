@@ -9,28 +9,50 @@ Both modes share one plan phase (the Poisson cell counts come off a
 dedicated rate-RNG stream), so the row counts agree *exactly* — the
 speedup is measured on identically sized outputs, and the equality is
 asserted alongside the wall-times.
+
+Smoke mode (``ANALYSIS_BENCH_SMOKE=1``, used by CI) generates a small
+world and checks parity only: identical batched and scalar cell counts,
+and a batched frame byte-identical to the per-cell reference generator
+in ``tests/reference_generation.py``.  No wall-clock ratio is asserted.
 """
 
+import collections
+import os
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The checkout root, for the reference generator under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import numpy as np
 
 from _report import write_report
 
 from repro.mplatform import SpeedTestGenerator
+from repro.mplatform.speedtest import _split_rng
 from repro.netsim import build_table1_scenario
+from tests.reference_generation import assert_frames_identical, reference_frame
 
 MIN_SPEEDUP = 5.0
+SMOKE = os.environ.get("ANALYSIS_BENCH_SMOKE") == "1"
+
+
+def _cell_counts(frame):
+    hours = np.floor(frame["time_hour"]).astype(np.int64)
+    return collections.Counter(zip(frame["unit"].tolist(), hours.tolist()))
 
 
 def test_generation_fast_path(benchmark):
-    scenario = build_table1_scenario(
-        n_donor_ases=30, duration_days=60, join_day=30, seed=2, user_scale=10.0
-    )
+    if SMOKE:
+        scenario = build_table1_scenario(
+            n_donor_ases=8, duration_days=12, join_day=6, seed=2
+        )
+    else:
+        scenario = build_table1_scenario(
+            n_donor_ases=30, duration_days=60, join_day=30, seed=2, user_scale=10.0
+        )
 
     t0 = time.perf_counter()
     scalar = SpeedTestGenerator(scenario).generate_frame(rng=3, mode="scalar")
@@ -45,6 +67,12 @@ def test_generation_fast_path(benchmark):
     batched_s = time.perf_counter() - t0
 
     assert batched.num_rows == scalar.num_rows, "modes must plan identical cells"
+    if SMOKE:
+        assert _cell_counts(batched) == _cell_counts(scalar)
+        rate_rng, noise_rng = _split_rng(3)
+        expected = reference_frame(SpeedTestGenerator(scenario), rate_rng, noise_rng)
+        assert_frames_identical(batched, expected)
+        return
     assert batched.num_rows > 1_000_000, "10x scale should exceed a million tests"
     assert batched.column_names == scalar.column_names
 

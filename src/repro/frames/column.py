@@ -352,10 +352,12 @@ class Column:
         else:
             # Hash one value per *run*, not per row: columns built chunk by
             # chunk (the measurement generator, CSV import) carry long
-            # constant runs, and numpy's elementwise object comparison
-            # short-circuits on identity, so the boundary scan is cheap.
-            # Worst case (no runs) this is the plain hash pass plus one
-            # C-level comparison sweep.
+            # constant runs.  The boundary scan is one C-level comparison
+            # sweep; where a run repeats one object (the generator fills
+            # each chunk with a single shared string) str comparison
+            # answers from identity without reading the characters.
+            # Worst case (no runs) this is the plain hash pass plus the
+            # sweep.
             boundary = np.empty(n, dtype=bool)
             boundary[0] = True
             boundary[1:] = values[1:] != values[:-1]

@@ -9,15 +9,17 @@ collider can be conditioned on (to reproduce the bias) or avoided.
 
 Generation runs in two phases sharing one *plan*:
 
-1. **Plan** — walk the window, price each cell's ambient RTT from a
-   vectorised per-route curve, and draw each ⟨group, hour⟩ cell's
-   Poisson test count from a dedicated *rate* RNG stream.
+1. **Plan** — walk the window one routing-state run at a time, price
+   every ⟨hour, group⟩ cell's ambient RTT and test rate as arrays, and
+   draw every cell's Poisson test count in one call on a dedicated
+   *rate* RNG stream.  The plan is a set of columns, one entry per
+   cell with at least one test.
 2. **Emit** — either the batched columnar path
    (:meth:`SpeedTestGenerator.generate_frame`, the default: one
-   vectorised RNG call per pooled route instead of per test, column
-   chunks instead of ``Measurement`` objects) or the scalar path
-   (:meth:`SpeedTestGenerator.generate` / ``mode="scalar"``, one
-   :class:`Measurement` per test).
+   vectorised RNG call per ⟨group, routing-state⟩ pool instead of per
+   test, column chunks instead of ``Measurement`` objects) or the
+   scalar path (:meth:`SpeedTestGenerator.generate` / ``mode="scalar"``,
+   one :class:`Measurement` per test).
 
 Because the Poisson draws live on their own stream, the two emission
 modes produce *exactly* the same cell counts under the same seed, and
@@ -32,6 +34,7 @@ experiment E2.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -122,25 +125,48 @@ class SpeedTestConfig:
     max_tests_per_group_hour: int = 200
 
 
-@dataclass(frozen=True)
-class _Cell:
-    """One ⟨group, hour⟩ cell with a positive test count."""
-
-    group_index: int
-    hour: float
-    n_tests: int
-    ambient_ms: float
-    recently_changed: bool
-    state_key: tuple[int, frozenset]
-
-
 @dataclass
 class _GenerationPlan:
-    """Everything emission needs: cells plus route/topology lookups."""
+    """The window's test cells as columns, plus per-routing-state lookups.
 
-    cells: list[_Cell]
-    routes: dict[tuple[int, tuple], Route]  # (asn, state_key) -> route
-    topologies: dict[tuple, Topology]  # state_key -> epoch topology
+    One entry per ⟨hour, group⟩ cell with a positive test count, in
+    row-major ⟨hour, group⟩ order — the order the counts were drawn in.
+    ``state`` indexes ``topologies`` and ``routes`` (the state's route
+    to the content AS per source AS).
+    """
+
+    hour: np.ndarray  # int64
+    group: np.ndarray  # int64 index into the scenario's user groups
+    n_tests: np.ndarray  # int64, > 0
+    ambient: np.ndarray  # float64 ms: the RTT the cell's rate was priced at
+    recent: np.ndarray  # bool: the route changed within the curiosity window
+    state: np.ndarray  # int64
+    topologies: list[Topology]
+    routes: list[dict[int, Route]]
+
+    def __len__(self) -> int:
+        return len(self.hour)
+
+    def pools(self) -> list[np.ndarray]:
+        """Cell indices of each ⟨group, routing-state⟩ pool.
+
+        Pools come in order of first appearance and keep plan order
+        inside, so per-pool noise draws follow the cell order.
+        """
+        if not len(self):
+            return []
+        key = self.state * (int(self.group.max()) + 1) + self.group
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        pool_start = first[inverse]  # each cell's pool, named by its first cell
+        order = np.argsort(pool_start, kind="stable")
+        return np.split(order, np.flatnonzero(np.diff(pool_start[order])) + 1)
+
+
+def _shared(n: int, value: object) -> np.ndarray:
+    """An object column of *n* references to one *value* (no per-row copy)."""
+    out = np.empty(n, dtype=object)
+    out.fill(value)
+    return out
 
 
 class SpeedTestGenerator:
@@ -188,39 +214,59 @@ class SpeedTestGenerator:
     # -- planning -------------------------------------------------------------
 
     def _plan(self, rate_rng: np.random.Generator) -> _GenerationPlan:
-        """Walk the window and fix every cell's test count and rate context.
-
-        Ambient RTT comes from one vectorised noise-free curve per
-        ⟨AS, routing-state⟩ (evaluated over the whole integer-hour grid)
-        instead of a per-cell Python loop over links; the Poisson count
-        draws happen here, in deterministic ⟨hour, group⟩ order, so both
-        emission modes inherit identical cells.
-        """
+        """Fix every cell's test count and rate context (both modes share it)."""
         with span("generate.plan") as sp:
             plan = self._plan_cells(rate_rng)
-            sp.set(cells=len(plan.cells))
+            sp.set(cells=len(plan))
         return plan
 
+    def _state_runs(self, n_hours: int) -> list[tuple[int, int]]:
+        """Half-open ``[start, stop)`` hour runs of one routing state each."""
+        cuts = {0, n_hours}
+        for hour in self.scenario.timeline.state_change_hours():
+            cut = math.ceil(hour)
+            if 0 < cut < n_hours:
+                cuts.add(cut)
+        edges = sorted(cuts)
+        return list(zip(edges[:-1], edges[1:]))
+
     def _plan_cells(self, rate_rng: np.random.Generator) -> _GenerationPlan:
+        """Price every ⟨hour, group⟩ cell as arrays, then draw all counts.
+
+        The window is walked one routing-state run at a time.  Ambient
+        RTT comes from one noise-free curve per ⟨AS, routing-state⟩ over
+        the whole hour grid.  Rates use the float operations of
+        :meth:`UserGroup.test_rate` elementwise, and the counts come from
+        one Poisson call over the cells that have a route, in row-major
+        ⟨hour, group⟩ order — the draw sequence of a per-cell loop.
+        """
         scenario = self.scenario
         config = self.config
+        groups = scenario.user_groups
         n_hours = int(scenario.duration_hours)
+        n_groups = len(groups)
         grid = np.arange(n_hours, dtype=np.float64)
-        cells: list[_Cell] = []
-        routes_by_key: dict[tuple[int, tuple], Route] = {}
-        topologies: dict[tuple, Topology] = {}
-        ambient_curves: dict[tuple[int, tuple], np.ndarray] = {}
+        ambient = np.full((n_hours, n_groups), np.nan)
+        recent = np.zeros((n_hours, n_groups), dtype=bool)
+        has_route = np.zeros((n_hours, n_groups), dtype=bool)
+        state_of_hour = np.zeros(n_hours, dtype=np.int64)
+        state_ids: dict[tuple, int] = {}
+        topologies: list[Topology] = []
+        routes_by_state: list[dict[int, Route]] = []
+        ambient_curves: dict[tuple[int, int], np.ndarray] = {}
         last_path: dict[int, tuple[int, ...]] = {}
         last_change: dict[int, float] = {}
 
-        for hour in range(n_hours):
-            t = float(hour)
+        for start, stop in self._state_runs(n_hours):
+            t = float(start)
             state = scenario.timeline.state_at(t)
             routes = scenario.timeline.routes_at(t, scenario.content_asn)
-            state_key = (state.epoch, state.dead_links)
-            if state_key not in topologies:
-                topologies[state_key] = state.topology
-            for gi, group in enumerate(scenario.user_groups):
+            sid = state_ids.setdefault((state.epoch, state.dead_links), len(state_ids))
+            if sid == len(topologies):
+                topologies.append(state.topology)
+                routes_by_state.append(routes)
+            state_of_hour[start:stop] = sid
+            for gi, group in enumerate(groups):
                 route = routes.get(group.asn)
                 if route is None:
                     continue
@@ -228,48 +274,53 @@ class SpeedTestGenerator:
                     last_change[group.asn] = t
                 last_path[group.asn] = route.path
 
-                route_key = (group.asn, state_key)
-                if route_key not in routes_by_key:
-                    routes_by_key[route_key] = route
-                    ambient_curves[route_key] = scenario.latency.expected_rtt_batch(
-                        route, grid, topology=state.topology
+                curve = ambient_curves.get((group.asn, sid))
+                if curve is None:
+                    curve = ambient_curves[(group.asn, sid)] = (
+                        scenario.latency.expected_rtt_batch(
+                            route, grid, topology=state.topology
+                        )
                     )
-                ambient = float(ambient_curves[route_key][hour]) + self._backhaul_ms(
+                has_route[start:stop, gi] = True
+                ambient[start:stop, gi] = curve[start:stop] + self._backhaul_ms(
                     group.asn, group.city, group.backhaul_city
                 )
-                since_change = (
-                    t - last_change[group.asn] if group.asn in last_change else None
-                )
-                if config.endogenous:
-                    rate = group.test_rate(
-                        ambient, since_change, config.change_window_hours
-                    )
-                else:
-                    rate = group.base_rate_per_hour
-                n_tests = int(
-                    min(
-                        rate_rng.poisson(rate * group.n_users),
-                        config.max_tests_per_group_hour,
-                    )
-                )
-                if n_tests == 0:
-                    continue
-                recently_changed = (
-                    since_change is not None
-                    and since_change < config.change_window_hours
-                )
-                cells.append(
-                    _Cell(
-                        group_index=gi,
-                        hour=t,
-                        n_tests=n_tests,
-                        ambient_ms=ambient,
-                        recently_changed=recently_changed,
-                        state_key=state_key,
-                    )
-                )
+                if group.asn in last_change:
+                    since_change = grid[start:stop] - last_change[group.asn]
+                    recent[start:stop, gi] = since_change < config.change_window_hours
+
+        def per_group(name: str) -> np.ndarray:
+            return np.array([getattr(g, name) for g in groups], dtype=np.float64)
+
+        rate = np.broadcast_to(per_group("base_rate_per_hour"), ambient.shape)
+        if config.endogenous:
+            reference = per_group("rtt_reference_ms")
+            rate = np.where(
+                ambient > reference,
+                rate
+                * (1.0 + per_group("perf_sensitivity") * (ambient - reference) / 100.0),
+                rate,
+            )
+            rate = np.where(
+                recent, rate * (1.0 + per_group("change_sensitivity")), rate
+            )
+        lam = rate * per_group("n_users")
+        counts = np.zeros((n_hours, n_groups), dtype=np.int64)
+        counts[has_route] = np.minimum(
+            rate_rng.poisson(lam[has_route]), config.max_tests_per_group_hour
+        )
+
+        cells = np.flatnonzero(counts)
+        hour, group = np.divmod(cells, n_groups)
         return _GenerationPlan(
-            cells=cells, routes=routes_by_key, topologies=topologies
+            hour=hour,
+            group=group,
+            n_tests=counts.ravel()[cells],
+            ambient=ambient.ravel()[cells],
+            recent=recent.ravel()[cells],
+            state=state_of_hour[hour],
+            topologies=topologies,
+            routes=routes_by_state,
         )
 
     # -- scalar emission (the escape hatch) -----------------------------------
@@ -298,36 +349,41 @@ class SpeedTestGenerator:
         plan = self._plan(rate_rng)
         scenario = self.scenario
         out: list[Measurement] = []
-        for cell in plan.cells:
-            group = scenario.user_groups[cell.group_index]
-            route = plan.routes[(group.asn, cell.state_key)]
-            topo = plan.topologies[cell.state_key]
-            crossings = self._crossings(group.asn, cell.hour)
-            backhaul = self._backhaul_ms(group.asn, group.city, group.backhaul_city)
-            for _ in range(cell.n_tests):
-                test_hour = cell.hour + float(noise_rng.uniform(0, 1))
-                sample = scenario.latency.sample_rtt(
-                    route, test_hour, noise_rng, topology=topo
-                )
-                rtt = sample.total_ms + backhaul
-                tput = self.throughput.sample(
-                    route, rtt, test_hour, noise_rng, topology=topo
-                )
-                trigger = self._classify_trigger(
-                    group, cell.ambient_ms, cell.recently_changed, noise_rng
-                )
-                out.append(
-                    Measurement(
-                        asn=group.asn,
-                        city=group.city,
-                        time_hour=test_hour,
-                        rtt_ms=rtt,
-                        as_path=route.path,
-                        ixps_crossed=crossings,
-                        trigger=trigger,
-                        download_mbps=tput.download_mbps,
+        with span("generate.emit", pools=len(plan.pools())):
+            for i in range(len(plan)):
+                group = scenario.user_groups[plan.group[i]]
+                sid = plan.state[i]
+                route = plan.routes[sid][group.asn]
+                topo = plan.topologies[sid]
+                hour = float(plan.hour[i])
+                ambient = float(plan.ambient[i])
+                recently_changed = bool(plan.recent[i])
+                crossings = self._crossings(group.asn, hour)
+                backhaul = self._backhaul_ms(group.asn, group.city, group.backhaul_city)
+                for _ in range(int(plan.n_tests[i])):
+                    test_hour = hour + float(noise_rng.uniform(0, 1))
+                    sample = scenario.latency.sample_rtt(
+                        route, test_hour, noise_rng, topology=topo
                     )
-                )
+                    rtt = sample.total_ms + backhaul
+                    tput = self.throughput.sample(
+                        route, rtt, test_hour, noise_rng, topology=topo
+                    )
+                    trigger = self._classify_trigger(
+                        group, ambient, recently_changed, noise_rng
+                    )
+                    out.append(
+                        Measurement(
+                            asn=group.asn,
+                            city=group.city,
+                            time_hour=test_hour,
+                            rtt_ms=rtt,
+                            as_path=route.path,
+                            ixps_crossed=crossings,
+                            trigger=trigger,
+                            download_mbps=tput.download_mbps,
+                        )
+                    )
         return out
 
     # -- batched emission (the columnar fast path) ----------------------------
@@ -344,9 +400,11 @@ class SpeedTestGenerator:
         routing-state⟩ pair into single vectorised RTT/throughput/
         trigger draws and accumulates typed column chunks — no
         per-test Python work and no intermediate ``Measurement``
-        objects.  Repeated per-pool strings (unit label, AS path, IXP
-        list) are stored as one shared object per chunk, not copied
-        per row.
+        objects.  Each link's pre-noise load is computed once per pool
+        for both the RTT and the throughput draw.  Constant per-pool
+        strings (city, unit label, AS path, IXP list, server site) are
+        one shared object per chunk, and trigger labels are the three
+        :class:`Trigger` values, so no string is copied per row.
 
         ``mode="scalar"`` is the escape hatch: the classic object path
         (:meth:`generate`) followed by row-by-row frame export.  Cell
@@ -379,62 +437,76 @@ class SpeedTestGenerator:
         arena: "SharedFrameArena | None" = None,
     ) -> Frame:
         rate_rng, noise_rng = _split_rng(rng)
-        plan = self._plan(rate_rng)
+        return self._emit_frame(self._plan(rate_rng), noise_rng, arena)
+
+    def _emit_frame(
+        self,
+        plan: _GenerationPlan,
+        noise_rng: np.random.Generator,
+        arena: "SharedFrameArena | None" = None,
+    ) -> Frame:
+        """Draw every pool's tests with one vectorised call per quantity.
+
+        Each link's pre-noise load is computed once per pool and read by
+        both the RTT draw and the throughput bottleneck.
+        """
         scenario = self.scenario
-
-        pools: dict[tuple[int, tuple], list[_Cell]] = {}
-        for cell in plan.cells:
-            pools.setdefault((cell.group_index, cell.state_key), []).append(cell)
-
+        latency = scenario.latency
+        # A custom throughput model may price a different latency model.
+        share_loads = self.throughput.latency is latency
+        pools = plan.pools()
         builder = FrameBuilder(MEASUREMENT_COLUMNS, kinds=_FRAME_KINDS)
-        for (gi, state_key), pool in pools.items():
-            group = scenario.user_groups[gi]
-            route = plan.routes[(group.asn, state_key)]
-            topo = plan.topologies[state_key]
-            counts = np.array([c.n_tests for c in pool], dtype=np.int64)
-            n = int(counts.sum())
+        with span("generate.emit", pools=len(pools)):
+            for cells in pools:
+                first = cells[0]
+                group = scenario.user_groups[plan.group[first]]
+                sid = plan.state[first]
+                route = plan.routes[sid][group.asn]
+                topo = plan.topologies[sid]
+                counts = plan.n_tests[cells]
+                n = int(counts.sum())
 
-            start_hours = np.repeat(
-                np.array([c.hour for c in pool], dtype=np.float64), counts
-            )
-            time_hour = start_hours + noise_rng.uniform(0.0, 1.0, size=n)
-            latency = scenario.latency.sample_rtt_batch(
-                route, time_hour, noise_rng, topology=topo
-            )
-            backhaul = self._backhaul_ms(group.asn, group.city, group.backhaul_city)
-            rtt = latency.total_ms + backhaul
-            tput = self.throughput.sample_batch(
-                route, rtt, time_hour, noise_rng, topology=topo
-            )
-            ambient = np.repeat(
-                np.array([c.ambient_ms for c in pool], dtype=np.float64), counts
-            )
-            recent = np.repeat(
-                np.array([c.recently_changed for c in pool], dtype=np.float64), counts
-            )
-            triggers = self._classify_triggers_batch(group, ambient, recent, noise_rng)
+                start_hours = np.repeat(plan.hour[cells].astype(np.float64), counts)
+                time_hour = start_hours + noise_rng.uniform(0.0, 1.0, size=n)
+                loads = latency.link_loads(route, time_hour, topology=topo)
+                sample = latency.sample_rtt_batch(
+                    route, time_hour, noise_rng, topology=topo, loads=loads
+                )
+                backhaul = self._backhaul_ms(group.asn, group.city, group.backhaul_city)
+                rtt = sample.total_ms + backhaul
+                tput = self.throughput.sample_batch(
+                    route,
+                    rtt,
+                    time_hour,
+                    noise_rng,
+                    topology=topo,
+                    loads=loads if share_loads else None,
+                )
+                ambient = np.repeat(plan.ambient[cells], counts)
+                recent = np.repeat(plan.recent[cells].astype(np.float64), counts)
+                triggers = self._classify_triggers_batch(
+                    group, ambient, recent, noise_rng
+                )
 
-            crossings = self._crossings(group.asn, pool[0].hour)
-            builder.append_chunk(
-                {
-                    "asn": np.full(n, group.asn, dtype=np.int64),
-                    "city": np.full(n, group.city, dtype=object),
-                    "unit": np.full(n, group.unit_label, dtype=object),
-                    "time_hour": time_hour,
-                    "day": (time_hour // 24.0).astype(np.int64),
-                    "rtt_ms": rtt,
-                    "as_path": np.full(
-                        n, "-".join(str(a) for a in route.path), dtype=object
-                    ),
-                    "crosses_ixp": np.full(n, len(crossings) > 0, dtype=np.bool_),
-                    "ixps": np.full(n, ",".join(crossings), dtype=object),
-                    "trigger": triggers,
-                    "server_site": np.full(n, "default", dtype=object),
-                    "download_mbps": tput.download_mbps,
-                }
-            )
-        alloc = arena.column_alloc("measurements") if arena is not None else None
-        return builder.build(alloc=alloc)
+                crossings = self._crossings(group.asn, float(plan.hour[first]))
+                builder.append_chunk(
+                    {
+                        "asn": np.full(n, group.asn, dtype=np.int64),
+                        "city": _shared(n, group.city),
+                        "unit": _shared(n, group.unit_label),
+                        "time_hour": time_hour,
+                        "day": (time_hour // 24.0).astype(np.int64),
+                        "rtt_ms": rtt,
+                        "as_path": _shared(n, "-".join(str(a) for a in route.path)),
+                        "crosses_ixp": np.full(n, len(crossings) > 0, dtype=np.bool_),
+                        "ixps": _shared(n, ",".join(crossings)),
+                        "trigger": triggers,
+                        "server_site": _shared(n, "default"),
+                        "download_mbps": tput.download_mbps,
+                    }
+                )
+            alloc = arena.column_alloc("measurements") if arena is not None else None
+            return builder.build(alloc=alloc)
 
     # -- trigger attribution ---------------------------------------------------
 
@@ -480,8 +552,9 @@ class SpeedTestGenerator:
         classified by the same thresholds as :meth:`_classify_trigger`.
         """
         n = len(ambient_rtt)
+        out = _shared(n, Trigger.BASELINE.value)
         if not self.config.endogenous:
-            return np.full(n, Trigger.BASELINE.value, dtype=object)
+            return out
         perf_mult = (
             1.0
             + group.perf_sensitivity
@@ -490,7 +563,6 @@ class SpeedTestGenerator:
         )
         change_mult = 1.0 + group.change_sensitivity * recently_changed
         draw = rng.uniform(0.0, 1.0, size=n) * (perf_mult * change_mult)
-        out = np.full(n, Trigger.BASELINE.value, dtype=object)
         out[draw >= 1.0] = Trigger.PERFORMANCE.value
         out[draw >= perf_mult] = Trigger.ROUTE_CHANGE.value
         return out

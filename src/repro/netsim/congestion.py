@@ -15,6 +15,7 @@ queueing delay added per traversal follows an M/M/1-style blow-up,
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +155,49 @@ class CongestionModel:
             util += float(rng.normal(0.0, self.noise_std))
         return float(np.clip(util, 0.0, MAX_UTILIZATION))
 
+    def loads_batch(
+        self, links: Sequence[tuple[str, float]], hours: np.ndarray
+    ) -> list[np.ndarray]:
+        """Pre-noise utilization of several links over one *hours* array.
+
+        *links* holds one ``(region, bias)`` pair per link.  Each load is
+        the region's diurnal curve plus the link's bias plus every active
+        shock in its region, before noise and clipping; the diurnal curve
+        is evaluated once per region, not once per link.  Turn a load
+        into a utilization with :meth:`utilization_from_load`.
+        """
+        hours = np.asarray(hours, dtype=np.float64)
+        curves: dict[str, np.ndarray] = {}
+        loads = []
+        for region, bias in links:
+            if region not in curves:
+                curves[region] = self.profile_for(region).utilization_batch(hours)
+            util = curves[region] + bias
+            for shock in self.shocks:
+                if shock.region == region:
+                    active = (hours >= shock.start_hour) & (hours < shock.end_hour)
+                    util = util + shock.extra_utilization * active
+            loads.append(util)
+        return loads
+
+    def utilization_from_load(
+        self, load: np.ndarray, rng: np.random.Generator | None = None
+    ) -> np.ndarray:
+        """Clip a pre-noise *load* to a utilization.
+
+        When *rng* is given, one normal noise draw per element is added
+        first, so the noisy RTT draw and the noise-free bottleneck can
+        both start from the same load.
+        """
+        if rng is not None and self.noise_std > 0:
+            load = load + rng.normal(0.0, self.noise_std, size=load.shape)
+        return np.clip(load, 0.0, MAX_UTILIZATION)
+
+    def queueing_from_utilization(self, util: np.ndarray) -> np.ndarray:
+        """One-way M/M/1 queueing delay for a utilization array."""
+        delay = self.base_queueing_ms * util / np.maximum(1.0 - util, 1e-3)
+        return np.minimum(delay, self.max_queueing_ms)
+
     def utilization_batch(
         self,
         region: str,
@@ -167,15 +211,8 @@ class CongestionModel:
         active shocks (masked per element), the per-link *bias*, and —
         when *rng* is given — one normal noise draw per element.
         """
-        hours = np.asarray(hours, dtype=np.float64)
-        util = self.profile_for(region).utilization_batch(hours) + bias
-        for shock in self.shocks:
-            if shock.region == region:
-                active = (hours >= shock.start_hour) & (hours < shock.end_hour)
-                util = util + shock.extra_utilization * active
-        if rng is not None and self.noise_std > 0:
-            util = util + rng.normal(0.0, self.noise_std, size=hours.shape)
-        return np.clip(util, 0.0, MAX_UTILIZATION)
+        (load,) = self.loads_batch([(region, bias)], hours)
+        return self.utilization_from_load(load, rng)
 
     def queueing_delay_ms(
         self,
@@ -197,6 +234,6 @@ class CongestionModel:
         bias: float = 0.0,
     ) -> np.ndarray:
         """One-way queueing delay over an *hours* array (vectorised M/M/1)."""
-        util = self.utilization_batch(region, hours, rng, bias)
-        delay = self.base_queueing_ms * util / np.maximum(1.0 - util, 1e-3)
-        return np.minimum(delay, self.max_queueing_ms)
+        return self.queueing_from_utilization(
+            self.utilization_batch(region, hours, rng, bias)
+        )

@@ -226,3 +226,15 @@ class Timeline:
         """Hours at which permanent events change the topology."""
         self._build()
         return [t for t in self._epoch_times if t != float("-inf")]
+
+    def state_change_hours(self) -> list[float]:
+        """Hours at which :meth:`state_at` can change, ascending.
+
+        Epoch boundaries plus every interval event's start and end: the
+        state is constant on each half-open span between two of them.
+        """
+        self._build()
+        hours = set(self.epoch_boundaries())
+        for event in self._interval_events:
+            hours.update((event.time_hour, event.time_hour + event.duration_hours))
+        return sorted(hours)

@@ -166,12 +166,34 @@ class LatencyModel:
             noise_ms=noise,
         )
 
+    def link_loads(
+        self, route: Route, hours: np.ndarray, topology: Topology | None = None
+    ) -> list[np.ndarray]:
+        """Pre-noise utilization of each link on *route* over *hours*.
+
+        One array per link, in path order (see
+        :meth:`CongestionModel.loads_batch`).  The batched RTT draw and
+        the throughput bottleneck both read these, so a caller that
+        needs both computes the diurnal curves once.
+        """
+        return self.congestion.loads_batch(
+            [
+                (
+                    self.link_region(link),
+                    link.congestion_bias + self.load_bias.get(link.key, 0.0),
+                )
+                for link in self._links_on(route, topology)
+            ],
+            hours,
+        )
+
     def sample_rtt_batch(
         self,
         route: Route,
         hours: np.ndarray,
         rng: np.random.Generator,
         topology: Topology | None = None,
+        loads: list[np.ndarray] | None = None,
     ) -> LatencyBatch:
         """Draw one RTT measurement per element of *hours* along *route*.
 
@@ -182,14 +204,20 @@ class LatencyModel:
         per-sample Python cost is amortised to nothing.  Distribution
         is identical to the scalar path; draw *order* differs, so the
         two are seed-comparable only statistically.
+
+        *loads*, when given, must be :meth:`link_loads` of the same
+        route, hours and topology; passing them only skips recomputing
+        them.
         """
         hours = np.asarray(hours, dtype=np.float64)
+        if loads is None:
+            loads = self.link_loads(route, hours, topology)
         prop = self.propagation_ms(route, topology)
+        congestion = self.congestion
         queueing = np.zeros_like(hours)
-        for link in self._links_on(route, topology):
-            bias = link.congestion_bias + self.load_bias.get(link.key, 0.0)
-            queueing += 2.0 * self.congestion.queueing_delay_ms_batch(
-                self.link_region(link), hours, rng, bias=bias
+        for load in loads:
+            queueing += 2.0 * congestion.queueing_from_utilization(
+                congestion.utilization_from_load(load, rng)
             )
         last_mile = np.maximum(
             rng.normal(self.last_mile_ms, self.last_mile_ms / 4, size=hours.shape), 0.5
@@ -232,10 +260,10 @@ class LatencyModel:
         test rates from: one pass per link instead of one per hour.
         """
         hours = np.asarray(hours, dtype=np.float64)
+        congestion = self.congestion
         queueing = np.zeros_like(hours)
-        for link in self._links_on(route, topology):
-            bias = link.congestion_bias + self.load_bias.get(link.key, 0.0)
-            queueing += 2.0 * self.congestion.queueing_delay_ms_batch(
-                self.link_region(link), hours, None, bias=bias
+        for load in self.link_loads(route, hours, topology):
+            queueing += 2.0 * congestion.queueing_from_utilization(
+                congestion.utilization_from_load(load)
             )
         return self.propagation_ms(route, topology) + queueing + self.last_mile_ms

@@ -134,16 +134,21 @@ class ThroughputModel:
         route: Route,
         hours: np.ndarray,
         topology: Topology | None = None,
+        loads: list[np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Minimum residual capacity along the route per hour (noise-free)."""
+        """Minimum residual capacity along the route per hour (noise-free).
+
+        *loads*, when given, must be ``latency.link_loads`` of the same
+        route, hours and topology; passing them only skips recomputing
+        them.
+        """
         hours = np.asarray(hours, dtype=np.float64)
+        if loads is None:
+            loads = self.latency.link_loads(route, hours, topology)
         residual = np.full(hours.shape, self.access_capacity_mbps)
         congestion = self.latency.congestion
-        for link in self.latency._links_on(route, topology):
-            bias = link.congestion_bias + self.latency.load_bias.get(link.key, 0.0)
-            util = congestion.utilization_batch(
-                self.latency.link_region(link), hours, None, bias
-            )
+        for load in loads:
+            util = congestion.utilization_from_load(load)
             residual = np.minimum(
                 residual,
                 self.core_capacity_mbps * np.maximum(1.0 - util, MIN_RESIDUAL),
@@ -176,14 +181,16 @@ class ThroughputModel:
         hours: np.ndarray,
         rng: np.random.Generator,
         topology: Topology | None = None,
+        loads: list[np.ndarray] | None = None,
     ) -> ThroughputBatch:
         """Draw one download-rate measurement per ⟨rtt, hour⟩ pair.
 
         Vectorised counterpart of :meth:`sample`: the per-link residual
         capacities and the log-normal noise are each one array op, so a
         whole cell of tests costs the same Python overhead as one.
+        *loads* is passed through to :meth:`bottleneck_mbps_batch`.
         """
-        bottleneck = self.bottleneck_mbps_batch(route, hours, topology)
+        bottleneck = self.bottleneck_mbps_batch(route, hours, topology, loads)
         window = self.window_limit_mbps_batch(rtt_ms)
         base = np.minimum(bottleneck, window)
         noise = np.exp(rng.normal(0.0, self.noise_sigma, size=base.shape))

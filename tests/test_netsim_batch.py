@@ -24,6 +24,7 @@ from repro.netsim import (
     route_between,
 )
 from repro.netsim.throughput import ThroughputModel
+from tests import reference_generation as reference
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +165,92 @@ class TestThroughputBatch:
         batch = model.sample_batch(route, rtts, hours, np.random.default_rng(8))
         assert not batch.latency_limited[0]
         assert batch.latency_limited[1]
+
+
+@pytest.fixture(scope="module")
+def two_region_world():
+    """A ZA-ZA-GB route under distinct regional profiles and shocks."""
+    cities = default_catalog()
+    topo = Topology()
+    cities_by_asn = [
+        (1, "East London"), (2, "Johannesburg"), (3, "London"), (4, "Frankfurt")
+    ]
+    for asn, city in cities_by_asn:
+        topo.add_as(
+            AutonomousSystem(
+                asn=asn,
+                name=f"AS{asn}",
+                kind=AsKind.ACCESS,
+                city=city,
+                router_prefix=Prefix((10 << 24) | (asn << 8), 24),
+            )
+        )
+    topo.add_c2p(1, 2)
+    topo.add_c2p(2, 3)
+    topo.add_p2p(3, 4, congestion_bias=0.1)
+    congestion = CongestionModel(
+        profiles={
+            "ZA": DiurnalProfile(base=0.5, amplitude=0.3, timezone_offset=2.0),
+            "GB": DiurnalProfile(base=0.4, amplitude=0.2, peak_hour=19.0),
+        },
+        noise_std=0.05,
+    )
+    congestion.add_shock(RegionalShock("ZA", 10.0, 20.0, 0.2))
+    congestion.add_shock(RegionalShock("GB", 15.0, 30.0, 0.35))
+    latency = LatencyModel(topo, cities, congestion)
+    latency.load_bias[(1, 2)] = 0.05
+    return latency, route_between(topo, 1, 4)
+
+
+class TestSharedLoadParity:
+    """Per-pool link loads reproduce the per-link utilization paths exactly."""
+
+    def _hours(self):
+        return np.random.default_rng(10).uniform(0.0, 48.0, size=600)
+
+    def test_route_spans_two_regions_under_active_shocks(self, two_region_world):
+        latency, route = two_region_world
+        regions = [latency.link_region(l) for l in latency._links_on(route)]
+        assert regions == ["ZA", "ZA", "GB"]
+        hours = self._hours()
+        for shock in latency.congestion.shocks:
+            assert np.any((hours >= shock.start_hour) & (hours < shock.end_hour))
+
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_rtt_and_throughput_match_per_link_bit_for_bit(
+        self, two_region_world, precomputed
+    ):
+        latency, route = two_region_world
+        model = ThroughputModel(latency)
+        hours = self._hours()
+        loads = latency.link_loads(route, hours) if precomputed else None
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+
+        got = latency.sample_rtt_batch(route, hours, rng, loads=loads)
+        want = reference.sample_rtt_batch(latency, route, hours, ref_rng)
+        assert got.propagation_ms == want.propagation_ms
+        for field in ("queueing_ms", "last_mile_ms", "noise_ms"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+        rtt = got.total_ms
+        got_t = model.sample_batch(route, rtt, hours, rng, loads=loads)
+        want_t = reference.sample_throughput_batch(model, route, rtt, hours, ref_rng)
+        for field in ("download_mbps", "bottleneck_mbps", "window_limit_mbps"):
+            assert getattr(got_t, field).tobytes() == getattr(want_t, field).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_expected_rtt_and_utilization_match_per_link(self, two_region_world):
+        latency, route = two_region_world
+        hours = self._hours()
+        assert (
+            latency.expected_rtt_batch(route, hours).tobytes()
+            == reference.expected_rtt_batch(latency, route, hours).tobytes()
+        )
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        for region, bias in (("ZA", 0.05), ("GB", 0.1), ("KE", 0.0)):
+            got = latency.congestion.utilization_batch(region, hours, rng, bias)
+            want = reference.utilization_batch(
+                latency.congestion, region, hours, ref_rng, bias
+            )
+            assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

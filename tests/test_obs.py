@@ -570,6 +570,9 @@ class TestCliObservability:
         records = load_jsonl(trace_path)
         counts = span_counts(records)
         assert counts["experiment.table1"] == 1
+        assert counts["generate"] == 1
+        assert counts["generate.plan"] == 1
+        assert counts["generate.emit"] == 1
         assert counts["study"] == 1
         assert counts["fits.unit"] >= 1
         metrics_text = metrics_path.read_text()
@@ -577,6 +580,24 @@ class TestCliObservability:
         assert "fit_seconds_count" in metrics_text
         # The table itself is untouched by observability flags.
         assert "RTT Δ (ms)" in capsys.readouterr().out
+
+    def test_serial_and_pooled_table1_traces_match(self, tmp_path, capsys):
+        traces = {}
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            get_tracer().reset()
+            argv = ["table1", "--days", "12", "--donors", "4", "--seed", "0",
+                    "--jobs", jobs, "--trace", str(path)]
+            assert main(argv) == 0
+            traces[jobs] = load_jsonl(path)
+        capsys.readouterr()
+        serial, pooled = traces["1"], traces["2"]
+        assert [r.name for r in serial] == [r.name for r in pooled]
+        (emit,) = [r for r in serial if r.name == "generate.emit"]
+        (plan,) = [r for r in serial if r.name == "generate.plan"]
+        assert 0 < emit.attrs["pools"] <= plan.attrs["cells"]
+        (pooled_emit,) = [r for r in pooled if r.name == "generate.emit"]
+        assert pooled_emit.attrs == emit.attrs
 
     def test_simulate_trace_flag(self, tmp_path):
         trace_path = tmp_path / "sim.jsonl"
@@ -596,6 +617,8 @@ class TestCliObservability:
         assert code == 0
         counts = span_counts(load_jsonl(trace_path))
         assert counts["generate"] == 1
+        assert counts["generate.plan"] == 1
+        assert counts["generate.emit"] == 1
 
     def test_log_level_flag_configures_repro_logger(self, capsys):
         logger = logging.getLogger("repro")
