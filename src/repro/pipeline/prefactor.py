@@ -3,16 +3,17 @@
 Every treated unit in a study screens the same donor pool, so their
 donor matrices usually share one ``(T, J)`` shape.  Instead of letting
 each fit impute, SVD-factor, and leave-one-out-decompose its matrix
-privately — one LAPACK dispatch per unit plus one per placebo core
-batch — this module hoists that work into a **planning pass** in the
-parent:
+privately — one LAPACK dispatch per unit plus a leave-one-out sweep
+per placebo batch — this module hoists that work into a **planning
+pass** in the parent:
 
 - :func:`prefactor_unit_plan` builds each planned unit's donor matrix
   from the donors the plan already chose (``_UnitTask.donors``), groups
-  the matrices by shape, and feeds them through the stacked primitives
-  :func:`~repro.synthcontrol.robust.factor_donor_matrices` and
-  :func:`~repro.synthcontrol.robust.denoise_leave_one_out_many` — one
-  3-D gufunc SVD per shape group instead of one 2-D SVD per unit.  The
+  the matrices by shape, and factors each group with the stacked
+  :func:`~repro.synthcontrol.robust.factor_donor_matrices` — one 3-D
+  gufunc SVD per shape group instead of one 2-D SVD per unit — then
+  runs each unit's leave-one-out sweep
+  (:func:`~repro.synthcontrol.robust.denoise_leave_one_out_many`).  The
   pass records one ``fits.prefactor`` span.
 - The resulting :class:`UnitPrefactor` table, keyed by
   ``(scenario, unit)``, is installed in a per-process registry
@@ -25,7 +26,8 @@ parent:
 
 Bit-identity is the invariant that makes this safe to enable by
 default: the stacked SVD runs the same LAPACK routine on the same
-bytes as the per-unit call, so a fit that reads its prefactor is
+bytes as the per-unit call, and a unit's leave-one-out panels depend
+only on its own factorization, so a fit that reads its prefactor is
 indistinguishable — to the last bit of every
 :class:`~repro.pipeline.study.StudyRow` field — from one that factored
 its own matrix.  A unit with an entirely-missing donor column is left
@@ -99,10 +101,10 @@ def prefactor_unit_plan(
         if not entries:
             return {}
         facts = factor_donor_matrices([matrix for _task, matrix in entries])
-        # Leave-one-out batches group across units too — but only for
-        # tasks that would compute one (>= 2 donors and a placebo cap
-        # above 1), keyed by the (energy, cap) pair so mixed fit
-        # parameters cannot silently share a threshold.
+        # Leave-one-out batches only for tasks that would compute one
+        # (>= 2 donors and a placebo cap above 1), keyed by the
+        # (energy, cap) pair so mixed fit parameters cannot silently
+        # share a threshold.
         loos: list[tuple[tuple[np.ndarray, int], ...] | None] = [None] * len(entries)
         loo_groups: dict[tuple[float, int | None], list[int]] = {}
         for i, (task, matrix) in enumerate(entries):

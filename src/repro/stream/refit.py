@@ -26,14 +26,15 @@ Placebo inference is amortized.  A warm refresh recomputes the unit's
 *effect* (denoise + ridge fit, well under a millisecond) every batch,
 but the placebo RMSE-ratio ensemble — the batch study's own kernel,
 :func:`~repro.synthcontrol.placebo.placebo_ensemble` (one leave-one-out
-SVD sweep plus one stacked ridge solve over every donor), the bulk of
-a refresh — is recomputed only every ``placebo_every`` batches per unit
-(and on every cold refit, where the donor pool may have changed).
-Units stagger their refresh phases so the cost spreads evenly across
-batches instead of spiking.  In between, the live p-value ranks the
-*fresh* treated ratio against the cached ensemble; the placebo
-distribution drifts by at most ``placebo_every`` batches of data.
-``placebo_every=1`` restores full per-batch inference.
+sweep, power iteration for rank-1 cores and an SVD for the rest, plus
+one stacked ridge solve over every donor), which costs a few times the
+rest of a warm refresh — is recomputed only every ``placebo_every``
+batches per unit (and on every cold refit, where the donor pool may
+have changed).  Units stagger their refresh phases so the cost spreads
+evenly across batches instead of spiking.  In between, the live
+p-value ranks the *fresh* treated ratio against the cached ensemble;
+the placebo distribution drifts by at most ``placebo_every`` batches
+of data.  ``placebo_every=1`` restores full per-batch inference.
 
 Live rows are advisory: they show the study evolving while the stream
 runs.  The engine's ``finalize()`` re-runs the batch study's own

@@ -28,7 +28,7 @@ falls back to a cold :func:`~repro.synthcontrol.robust.factor_donor_matrix`.
 :func:`live_placebo_ratios` is the matching inference step.  It is not
 a copy of the batch placebo loop but a call into the same kernel,
 :func:`~repro.synthcontrol.placebo.placebo_ensemble` (one leave-one-out
-SVD sweep, one stacked ridge solve, the same skip screens), without
+sweep, one stacked ridge solve, the same skip screens), without
 the per-column span/metric/fault bookkeeping a study records around
 it.
 """

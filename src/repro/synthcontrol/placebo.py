@@ -8,13 +8,18 @@ observed shift "could arise from model noise alone".
 
 :func:`placebo_ensemble` is the one robust placebo kernel; the batch
 study, a campaign's refits, :func:`placebo_test` and the stream's live
-refresh all call it.  It runs one leave-one-out SVD sweep (or reuses
-the caller's), one stacked ridge solve (``np.linalg.solve`` on the 3-D
-array) and whole-array RMSEs.  Each stacked slice runs the same
-BLAS/LAPACK call on the same bytes as the per-column
-:func:`~repro.synthcontrol.robust.fit_from_denoised`, so ratios are
-bit-identical to it; a column with missing pseudo-treated cells or a
-zero spectrum, or a stack whose solve fails, keeps that per-row form.
+refresh all call it.  It runs one leave-one-out sweep
+(:func:`~repro.synthcontrol.robust.denoise_leave_out`: warm power
+iteration for the columns that provably keep rank 1, LAPACK's SVD for
+the rest) or reuses the caller's, then one stacked ridge solve
+(``np.linalg.solve`` on the 3-D array) and whole-array RMSEs.  Each
+stacked slice runs the same BLAS/LAPACK call on the same bytes as the
+per-column :func:`~repro.synthcontrol.robust.fit_from_denoised`, and
+each leave-one-out panel depends only on its own column, so ratios are
+bit-identical to the per-column loop on the same panels and do not
+depend on how columns are batched — serial and pooled runs agree.  A
+column with missing pseudo-treated cells or a zero spectrum, or a
+stack whose solve fails, keeps that per-row form.
 :func:`record_placebo` adds a study's per-column span, fault point and
 counters, and :func:`placebo_rmse_ratios` fans columns out over an
 executor backend (``n_jobs``) with backend-independent results.
@@ -46,7 +51,7 @@ from repro.synthcontrol.classic import (
 from repro.synthcontrol.result import PlaceboSummary, SyntheticControlFit
 from repro.synthcontrol.robust import (
     DonorFactorization,
-    denoise_leave_out,
+    _denoise_leave_out,
     factor_donor_matrix,
     fit_from_denoised,
     fit_from_factorization,
@@ -212,17 +217,20 @@ def placebo_ensemble(
     others.  Returns ``(ratio, "")`` per surviving placebo and ``(None,
     reason)`` per skipped one.  *loo*, when given, is an
     already-computed ``(denoised, rank)`` batch indexed by column (the
-    prefactor table's), used instead of a fresh SVD sweep.  Records one
-    ``placebo.ensemble`` span.
+    prefactor table's), used instead of a fresh leave-one-out sweep.
+    Records one ``placebo.ensemble`` span, whose ``n_rank1`` and
+    ``n_svd`` count the columns this call's sweep finished on the rank-1
+    path and by SVD (both 0 when *loo* is given).
     """
     cols = [int(c) for c in cols]
     n_times, j = donors.shape
-    with span("placebo.ensemble", n_cols=len(cols)) as sp:
+    with span("placebo.ensemble", n_cols=len(cols), n_rank1=0, n_svd=0) as sp:
         if j < 2:
             sp.set(n_stacked=0, n_per_row=len(cols))
             return [(None, "cannot delete the only donor column")] * len(cols)
         if loo is None:
-            stack, ranks = denoise_leave_out(fact, cols, energy=energy)
+            stack, ranks, n_rank1 = _denoise_leave_out(fact, cols, energy)
+            sp.set(n_rank1=n_rank1, n_svd=len(cols) - n_rank1)
         else:
             stack = np.stack([loo[c][0] for c in cols])
             ranks = np.array([loo[c][1] for c in cols])

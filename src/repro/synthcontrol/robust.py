@@ -17,14 +17,18 @@ M-Lab's irregular user-initiated sampling.
 
 The de-noising is factored so its expensive part — the SVD of the
 filled donor matrix — can be computed once and reused:
-:func:`factor_donor_matrix` captures imputation and spectrum,
-:func:`denoise_from_factorization` thresholds it, and
-:func:`denoise_without_column` produces the leave-one-donor-out
-denoised panel the placebo engine needs by *downdating* the shared
-factorization (an SVD of the small ``k x (J-1)`` core instead of the
-full ``T x (J-1)`` matrix).  :func:`denoise_leave_out` runs that
-downdate for many deleted columns in one stacked SVD, which is what the
-placebo ensemble (:mod:`repro.synthcontrol.placebo`) builds on.
+:func:`factor_donor_matrix` captures imputation and spectrum, and
+:func:`denoise_from_factorization` thresholds it.
+:func:`denoise_leave_out` produces the leave-one-donor-out denoised
+panels the placebo ensemble (:mod:`repro.synthcontrol.placebo`) needs
+by *downdating* the shared factorization: deleting a column leaves a
+small ``k x (J-1)`` core to decompose instead of the full
+``T x (J-1)`` matrix.  A core that keeps rank 1 — nearly all of them
+on real panels — needs only its top singular triplet, which a few
+warm-started power iterations find; any other core falls back to
+LAPACK's SVD.  Kept ranks equal the SVD downdate's exactly, panels
+agree with it to rounding, and each column's result is bit-identical
+however the columns are batched.
 """
 
 from __future__ import annotations
@@ -43,6 +47,17 @@ from repro.synthcontrol.result import SyntheticControlFit
 # so a mathematically exact hit can land a few ulps *below* the target
 # and would otherwise keep one singular value too many.
 _ENERGY_TOL = 1e-12
+
+# The rank-1 leave-one-out path (see _rank1_triplets).  An iterate
+# counts as converged once it is provably within _RANK1_TOL radians of
+# the top singular vector; a core whose bound on (s1/s0)^2 is not below
+# _RANK1_MAX_RATIO, or that has not converged in _RANK1_MAX_ITER
+# passes, goes to the SVD.  _RANK1_MARGIN keeps shares that rounding
+# could place on either side of the energy target off the fast path.
+_RANK1_TOL = 1e-15
+_RANK1_MAX_RATIO = 0.25
+_RANK1_MAX_ITER = 40
+_RANK1_MARGIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -235,32 +250,16 @@ def denoise_without_column(
 ) -> tuple[np.ndarray, int]:
     """De-noise the donor matrix with column *col* deleted, by downdating.
 
-    Deleting a column of ``A = U S Vt`` leaves ``A' = U (S Vt')`` with
-    ``Vt'`` the corresponding column of ``Vt`` removed, so the SVD of
-    ``A'`` follows from the SVD of the small ``k x (J-1)`` core
-    ``S Vt'`` — the shared ``T x J`` SVD is never recomputed.  The
-    placebo loop calls this once per donor instead of running a full
-    de-noise per leave-one-out matrix.
+    :func:`denoise_leave_out` for the single column *col*.  A column's
+    result depends only on its own core, so this is bit-identical to the
+    same column's slice of any leave-out batch.
     """
     _check_energy(energy)
     j = fact.n_donors
     if not 0 <= col < j:
         raise DonorPoolError(f"column {col} out of range for {j} donors")
-    if j < 2:
-        raise DonorPoolError("cannot delete the only donor column")
-    col_means = np.delete(fact.col_means, col)
-    if fact.s.sum() == 0:
-        return np.delete(fact.filled, col, axis=1), 0
-    core = fact.s[:, None] * np.delete(fact.vt, col, axis=1)
-    u_core, s_sub, vt_sub = np.linalg.svd(core, full_matrices=False)
-    if s_sub.sum() == 0:
-        return np.delete(fact.filled, col, axis=1), 0
-    rank = int(_rank_for_energy(s_sub, energy, min_rank))
-    u_sub = fact.u @ u_core[:, :rank]
-    denoised = (u_sub * s_sub[:rank]) @ vt_sub[:rank]
-    observed = int(fact.finite_counts.sum() - fact.finite_counts[col])
-    p_obs = observed / (fact.n_times * (j - 1))
-    return _rescale_denoised(denoised, col_means, p_obs), rank
+    stack, ranks = denoise_leave_out(fact, [col], energy, min_rank)
+    return stack[0], int(ranks[0])
 
 
 def _loo_count(fact: DonorFactorization, limit: int | None) -> int:
@@ -304,9 +303,9 @@ def _loo_stack(
     Returns ``(stack, ranks)``: ``stack[i]`` is the ``T x (J-1)``
     panel with ``cols[i]`` deleted.  Columns sharing a rank rebuild in
     one stacked matmul per factor; each slice runs the same BLAS call
-    on the same bytes as the per-column product, so every panel is
-    bit-identical to :func:`denoise_without_column`.  A core with a
-    zero spectrum keeps the raw filled columns at rank 0.
+    on the same bytes as a batch of one, so a column's panel does not
+    depend on which other columns share the batch.  A core with a zero
+    spectrum keeps the raw filled columns at rank 0.
     """
     j = fact.n_donors
     keep = _keep_columns(cols, j)
@@ -333,33 +332,133 @@ def _loo_stack(
     return stack, ranks
 
 
+def _rank1_triplets(
+    cores: np.ndarray, v0: np.ndarray, energy: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Top singular triplets of the cores that provably keep rank 1.
+
+    Power iteration on ``C^T C`` for each ``(k, m)`` core ``C``, started
+    from the matching row of *v0*.  Each pass computes ``w = C v`` and
+    ``C^T w``; the Rayleigh quotient ``|w|^2`` never exceeds the top
+    squared singular value, so ``(|C|_F^2 - |w|^2) / |w|^2`` bounds the
+    contraction ratio ``(s1 / s0)^2`` from above.  A core converges once
+    that bound is below :data:`_RANK1_MAX_RATIO` and the step it just
+    took proves its new iterate within :data:`_RANK1_TOL` radians of the
+    top right singular vector.  It is accepted when its share
+    ``s0^2 / |C|_F^2`` clears ``energy - _ENERGY_TOL`` by
+    :data:`_RANK1_MARGIN`, so thresholding its SVD would keep exactly
+    one component too.
+
+    Every decision is made per core, and each pass runs the same
+    row-wise BLAS calls and reductions on a core's own bytes, so a
+    core's result never depends on which other cores share the batch.
+    Returns ``(accepted, u, s0, v, total)``: the mask, the top left and
+    right singular vectors, the top singular values and ``|C|_F^2``.
+    """
+    n, k, m = cores.shape
+    total = np.square(cores).reshape(n, k * m).sum(axis=1)
+    v = np.zeros((n, m))
+    norm0 = np.sqrt(np.square(v0).sum(axis=1))
+    active = np.flatnonzero((total > 0) & (norm0 > 0))
+    v[active] = v0[active] / norm0[active, None]
+    converged = np.zeros(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_RANK1_MAX_ITER):
+            if not active.size:
+                break
+            core = cores[active]
+            w = core @ v[active][:, :, None]
+            rayleigh = np.square(w[:, :, 0]).sum(axis=1)
+            g = (core.swapaxes(1, 2) @ w)[:, :, 0]
+            g /= np.sqrt(np.square(g).sum(axis=1))[:, None]
+            step = np.sqrt(np.square(g - v[active]).sum(axis=1))
+            v[active] = g
+            ratio = np.maximum(total[active] - rayleigh, 0.0) / rayleigh
+            done = (ratio < _RANK1_MAX_RATIO) & (
+                2 * ratio * step <= _RANK1_TOL * (1 - 2 * ratio)
+            )
+            converged[active[done]] = True
+            active = active[~done & np.isfinite(step) & (rayleigh > 0)]
+        live = np.flatnonzero(converged)
+        w = (cores[live] @ v[live][:, :, None])[:, :, 0]
+        s0 = np.zeros(n)
+        s0[live] = np.sqrt(np.square(w).sum(axis=1))
+        u = np.zeros((n, k))
+        u[live] = w / s0[live, None]
+        share = s0**2 / total
+    accepted = converged & (share >= energy - _ENERGY_TOL + _RANK1_MARGIN)
+    return accepted, u, s0, v, total
+
+
+def _denoise_leave_out(
+    fact: DonorFactorization,
+    cols: Sequence[int],
+    energy: float = 0.99,
+    min_rank: int = 1,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`denoise_leave_out` plus how many columns took the rank-1 path."""
+    _check_energy(energy)
+    if fact.n_donors < 2:
+        raise DonorPoolError("cannot delete the only donor column")
+    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+    cores = _loo_cores(fact, cols)
+    n, k, m = cores.shape
+    p = min(k, m)
+    u_cores = np.zeros((n, k, p))
+    s_subs = np.zeros((n, p))
+    vt_subs = np.zeros((n, p, m))
+    rank1 = np.zeros(n, dtype=bool)
+    if min_rank <= 1:
+        v0 = fact.vt[0][_keep_columns(cols, fact.n_donors)]
+        rank1, u, s0, v, total = _rank1_triplets(cores, v0, energy)
+        u_cores[rank1, :, 0] = u[rank1]
+        vt_subs[rank1, 0] = v[rank1]
+        s_subs[rank1, 0] = s0[rank1]
+        if p > 1:
+            # The rest of the energy as one value: _rank_for_energy then
+            # sees the share the acceptance test cleared, so it keeps
+            # rank 1 and _loo_stack reads only the first component.
+            rest = np.maximum(total[rank1] - s0[rank1] ** 2, 0.0)
+            s_subs[rank1, 1] = np.sqrt(rest)
+    svd = np.flatnonzero(~rank1)
+    if svd.size:
+        u_cores[svd], s_subs[svd], vt_subs[svd] = np.linalg.svd(
+            cores[svd], full_matrices=False
+        )
+    stack, ranks = _loo_stack(fact, cols, u_cores, s_subs, vt_subs, energy, min_rank)
+    return stack, ranks, n - svd.size
+
+
 def denoise_leave_out(
     fact: DonorFactorization,
     cols: Sequence[int],
     energy: float = 0.99,
     min_rank: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Leave-one-out de-noisings of *cols* from **one** batched SVD.
+    """Leave-one-out de-noisings of *cols*, one small core per column.
 
     The placebo loop needs the denoised panel with column *j* deleted,
-    for every placebo *j*.  Each of those reduces to the SVD of the
-    small ``k x (J-1)`` core ``S Vt'`` (see
-    :func:`denoise_without_column`) — and the cores all share one
-    shape, so they stack into a ``(n, k, J-1)`` array that a single
-    :func:`numpy.linalg.svd` call decomposes in one LAPACK sweep instead
-    of n Python-level calls.  Per-matrix results are bit-identical to
-    the one-at-a-time downdate (the gufunc runs the same routine on the
-    same bytes).
+    for every placebo *j*.  Deleting a column of ``A = U S Vt`` leaves
+    ``A' = U (S Vt')`` with ``Vt'`` the corresponding column of ``Vt``
+    removed, so thresholding ``A'`` needs only the spectrum of the small
+    ``k x (J-1)`` core ``S Vt'`` — the shared ``T x J`` SVD is never
+    recomputed.  Most cores keep rank 1, and for those the kernel needs
+    only the top singular triplet: power iteration warm-started from
+    ``Vt[0]`` (column *j* deleted) finds it in a few matrix-vector
+    products per column.  A column is taken on that path only when its
+    iteration provably converged and its energy share clears the
+    threshold by a safety margin; every other column — rank 2 or more,
+    ``min_rank > 1``, a zero spectrum, a share near the threshold, a
+    repeated top singular value — gets the batched LAPACK SVD of its
+    core.  Ranks equal the SVD downdate's exactly and panels agree with
+    it to rounding.  Each column's result depends only on its own core,
+    so it is bit-identical however *cols* are batched or ordered.
 
     Returns ``(stack, ranks)``: the ``(n, T, J-1)`` denoised panels and
     their kept ranks, in the order of *cols*.
     """
-    _check_energy(energy)
-    if fact.n_donors < 2:
-        raise DonorPoolError("cannot delete the only donor column")
-    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-    u_cores, s_subs, vt_subs = np.linalg.svd(_loo_cores(fact, cols), full_matrices=False)
-    return _loo_stack(fact, cols, u_cores, s_subs, vt_subs, energy, min_rank)
+    stack, ranks, _n_rank1 = _denoise_leave_out(fact, cols, energy, min_rank)
+    return stack, ranks
 
 
 def _as_loo(stack: np.ndarray, ranks: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:
@@ -388,35 +487,14 @@ def denoise_leave_one_out_many(
     min_rank: int = 1,
     limit: int | None = None,
 ) -> list[tuple[tuple[np.ndarray, int], ...]]:
-    """Leave-one-out de-noisings for many units from one SVD per core shape.
+    """:func:`denoise_leave_one_out` for each factorization, in order.
 
-    The cross-unit extension of :func:`denoise_leave_one_out`: units
-    whose cores share a ``(k, J-1)`` shape concatenate into one tall
-    stack for a single gufunc :func:`numpy.linalg.svd` call, and each
-    unit's slice finalizes exactly as the within-unit batch would —
+    Each unit's batch is its own :func:`denoise_leave_out` call, so
     per-unit results are bit-identical to calling
     :func:`denoise_leave_one_out` once per factorization.
     """
     _check_energy(energy)
-    cols = [np.arange(_loo_count(fact, limit)) for fact in facts]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, fact in enumerate(facts):
-        groups.setdefault((len(fact.s), fact.n_donors - 1), []).append(i)
-    results: list[tuple[tuple[np.ndarray, int], ...]] = [()] * len(facts)
-    for members in groups.values():
-        cores = np.concatenate([_loo_cores(facts[i], cols[i]) for i in members])
-        u_cores, s_subs, vt_subs = np.linalg.svd(cores, full_matrices=False)
-        offset = 0
-        for i in members:
-            part = slice(offset, offset + len(cols[i]))
-            results[i] = _as_loo(
-                *_loo_stack(
-                    facts[i], cols[i], u_cores[part], s_subs[part], vt_subs[part],
-                    energy, min_rank,
-                )
-            )
-            offset += len(cols[i])
-    return results
+    return [denoise_leave_one_out(fact, energy, min_rank, limit) for fact in facts]
 
 
 def singular_value_threshold(

@@ -1,12 +1,14 @@
 """Parity suite for the stacked robust placebo kernel.
 
 :func:`placebo_ensemble` must reproduce, bit for bit, the per-column
-loop it replaced: the leave-one-out downdate
+loop it replaced: the leave-one-out de-noising one column at a time
 (:func:`denoise_without_column`), the regression stage
 (:func:`fit_from_denoised`), the :class:`SyntheticControlFit` RMSE
 properties, and the skip screens with their exact reason strings.  The
-oracle below is that loop, written out here so the kernel can never be
-its own reference.
+oracle below is that loop, written out here so the stacked solve and
+screens can never be their own reference.  The leave-one-out panels
+themselves are checked against an independent SVD downdate in
+``tests/test_loo_kernel.py``.
 """
 
 from __future__ import annotations
