@@ -3,8 +3,9 @@
 Three claims, measured on the paper-scale scenario (8 treated units,
 30 donor ASes, 60 days):
 
-1. **Transport**: unit tasks ship a :class:`SharedPanelRef` (a block
-   name), not the panel matrix, so the pool's pickling cost no longer
+1. **Transport**: unit tasks ship the panel block's
+   :class:`~repro.pipeline.shm.SharedArrayRef` (a block name and
+   shape), not the panel matrix, so the pool's pickling cost no longer
    grows with the panel — the bug that once made ``n_jobs=4`` run at
    0.71x of serial.  Parallel must never lose to serial again, on any
    core count.
@@ -150,7 +151,7 @@ def test_parallel_study(benchmark):
         "",
         f"units analysed: {len(serial.rows)}, donors per unit >= {min_donors},",
         "serial and pooled StudyResults identical row-for-row",
-        "(tasks carry a SharedPanelRef; the panel matrix crosses no pickle).",
+        "(tasks carry a SharedArrayRef; the panel matrix crosses no pickle).",
     ]
     write_report(
         "P1_parallel_study",

@@ -5,7 +5,9 @@ campaign on the existing executor/retry/checkpoint/shared-memory stack:
 
 - **Stage A** builds each scenario's world and measurement frame (into
   a per-scenario :class:`~repro.pipeline.shm.SharedFrameArena`, closed
-  as soon as the panel is pivoted out), plans each scenario's units
+  as soon as the panel is pivoted out; a pooled campaign publishes
+  every scenario's panel into one more arena, open until the campaign
+  ends), plans each scenario's units
   with the batch study's own :func:`~repro.pipeline.study.prepare_unit_plan`
   (the plan chooses every unit's donors), and opens one checkpoint
   journal per scenario.  One prefactor table for the whole fleet,
@@ -72,7 +74,7 @@ from repro.pipeline.checkpoint import StudyCheckpoint
 from repro.pipeline.crossing import assign_treatment
 from repro.pipeline.executor import RetryPolicy, resolve_n_jobs
 from repro.pipeline.prefactor import prefactor_unit_plan
-from repro.pipeline.shm import SharedFrameArena, SharedPanelOwner
+from repro.pipeline.shm import SharedFrameArena
 from repro.pipeline.study import (
     StudyResult,
     StudyRow,
@@ -100,7 +102,6 @@ class _ScenarioState:
     truth: dict[str, float]
     assignment: Any
     panel: Panel
-    owner: SharedPanelOwner | None
     plan: list
     checkpoint: StudyCheckpoint | None
     fits: dict[str, UnitFit] = field(default_factory=dict)
@@ -455,6 +456,8 @@ def run_campaign(
 
     metrics = get_metrics()
     workers = resolve_n_jobs(n_jobs)
+    # A pooled campaign keeps every scenario's panel in this one arena.
+    panels = SharedFrameArena(tag="panels") if workers > 1 else None
     states: list[_ScenarioState] = []
     spent = 0
     trace: list[AllocationRound] = []
@@ -487,11 +490,10 @@ def run_campaign(
                         # drop them before closing so the unmap succeeds.
                         frame = None
                         arena.close()
-                    owner = (
-                        SharedPanelOwner.from_panel(panel) if workers > 1 else None
-                    )
-                    if owner is not None:
-                        panel = owner.panel
+                    panel_ref = None
+                    if panels is not None:
+                        panel_ref = panels.publish_panel(panel, label=spec.name)
+                        panel = panel_ref.panel()
                     ckpt = None
                     if ckpt_dir is not None:
                         ckpt = StudyCheckpoint(
@@ -506,7 +508,6 @@ def run_campaign(
                         truth=scenario_truth(scenario),
                         assignment=assignment,
                         panel=panel,
-                        owner=owner,
                         plan=prepare_unit_plan(
                             panel,
                             assignment,
@@ -517,7 +518,7 @@ def run_campaign(
                             fit_kwargs=tuple(
                                 sorted({"energy": energy, "ridge": ridge}.items())
                             ),
-                            task_panel=owner.ref if owner is not None else panel,
+                            task_panel=panel_ref if panel_ref is not None else panel,
                             scenario=spec.name,
                         ),
                         checkpoint=ckpt,
@@ -777,8 +778,8 @@ def run_campaign(
         for state in states:
             if state.checkpoint is not None:
                 state.checkpoint.close()
-            if state.owner is not None:
-                state.owner.close()
+        if panels is not None:
+            panels.close()
     return CampaignResult(
         verdicts=tuple(verdicts),
         studies=studies,

@@ -3,43 +3,43 @@
 The process-pool study used to pickle the full :class:`~repro.synthcontrol.donor.Panel`
 into every per-unit task, so the transport cost grew as
 ``O(tasks x panel_bytes)`` and the parallel study ran *slower* than
-serial at CI scale.  This module moves the panel's numeric storage onto
-:mod:`multiprocessing.shared_memory` so a task ships only a tiny named
-reference:
+serial at CI scale.  This module keeps every float payload a pooled
+stage reads — measurement-frame columns (sealed straight out of
+:meth:`repro.frames.builder.FrameBuilder.build` via its ``alloc=``
+hook, or a CSV import's float columns), the study's panel, and the
+batched fit engine's pre-factored slabs — in named
+:mod:`multiprocessing.shared_memory` blocks, so a task ships only a
+tiny named reference:
 
-- :class:`SharedPanelOwner` — the parent-side lifecycle handle.  It
-  allocates one named block laid out as ``[meta length][pickled times /
-  units / shape][float64 matrix]``, exposes the matrix region as a
-  writable numpy view (so :func:`~repro.synthcontrol.donor.build_panel`
-  can scatter the pivot directly into the block — no seal-time copy),
-  and unlinks the block exactly once however the study exits.
-- :class:`SharedPanelRef` — the picklable worker-side reference: just
-  the block name.  ``load()`` attaches by name and reconstructs a
-  read-only zero-copy :class:`~repro.synthcontrol.donor.Panel` view,
-  memoised per process so a pooled worker running hundreds of unit
-  tasks attaches (and unpickles the metadata) once.
+- :class:`SharedFrameArena` — the parent-side owner of a set of
+  blocks.  :meth:`~SharedFrameArena.allocate` hands out a writable
+  view of a new block for the caller to fill in place (the pivot
+  scatters a panel straight into one — no seal-time copy), and
+  :meth:`~SharedFrameArena.close` unlinks every block exactly once
+  however the stage exits.
+- :class:`SharedArrayRef` — the picklable worker-side reference: the
+  block name and the array shape.  ``load()`` attaches by name and
+  returns a zero-copy array view; ``panel()`` returns the block's
+  :class:`~repro.synthcontrol.donor.Panel`.  Both are memoised per
+  process, so a pooled worker running hundreds of unit tasks attaches
+  (and unpickles the header) once per block.
 
-Lifecycle rules the study pipeline relies on:
+Every block has one layout: an 8-byte little-endian header length, the
+pickled header (empty for a plain array, ``(times, units)`` for a
+panel), then the float64 payload at a 64-byte-aligned offset.
 
-- the block is independent of any process pool, so a
+Lifecycle rules the pipeline relies on:
+
+- a block is independent of any process pool, so a
   ``BrokenProcessPool`` rebuild needs no re-publication — respawned
   workers attach lazily by name;
-- ``unlink`` removes the name immediately while live mappings (the
-  parent's panel view, attached workers) stay valid until they are
-  dropped, so teardown never races the last fits;
-- every created block is tracked in :func:`live_panel_blocks` until it
-  is unlinked, which is what the leak tests assert drains to empty.
-
-:class:`SharedFrameArena` generalizes the same contract from one panel
-matrix to arbitrary named float64 arrays: measurement-frame columns
-(sealed straight out of :meth:`repro.frames.builder.FrameBuilder.build`
-via its ``alloc=`` hook, or a CSV import's float columns) and the
-batched fit engine's pre-factored slabs all live in arena blocks that
-workers attach zero-copy through picklable :class:`SharedArrayRef`\\ s.
-The arena follows the panel block's lifecycle rules exactly: leak
-tracking (:func:`live_arena_blocks`), idempotent ``BufferError``-safe
-close, and attach-by-name that survives ``BrokenProcessPool`` pool
-rebuilds.
+- ``close`` removes the names immediately while live views (the
+  parent's own arrays, attached workers) stay valid until they are
+  dropped, so teardown never races the last fits and a sealed frame
+  outlives its arena;
+- every created block is tracked in :func:`live_arena_blocks` until it
+  is unlinked (panel blocks are also listed by :func:`live_panel_blocks`),
+  which is what the leak tests assert drains to empty.
 """
 
 from __future__ import annotations
@@ -56,289 +56,104 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.synthcontrol.donor import Panel
 
-#: Byte alignment of the matrix region within the block (numpy is happy
-#: with any alignment, but 64 keeps the matrix cache-line aligned).
+#: Byte alignment of the payload within the block (numpy is happy with
+#: any alignment, but 64 keeps the payload cache-line aligned).
 _ALIGN = 64
 
-#: Block-name prefix; also how the leak tests recognise our blocks in
+#: Block-name prefixes; also how the leak tests recognise our blocks in
 #: ``/dev/shm``.  Kept short: POSIX shm names are limited (NAME_MAX).
-NAME_PREFIX = "rpr-panel-"
+ARENA_PREFIX = "rpr-arena-"
+PANEL_PREFIX = "rpr-panel-"
 
 #: Names created by this process and not yet unlinked, with their block
 #: sizes in bytes (``SharedMemory.size``) so the resource sampler can
 #: report live ``/dev/shm`` byte totals without stat-ing the filesystem.
 _LIVE: dict[str, int] = {}
 
-#: Per-process attach cache: block name -> (mapping, reconstructed panel).
-#: Pool workers run many tasks against the same panel; the first task
-#: attaches and unpickles the metadata, the rest hit this dict.
-_ATTACHED: dict[str, tuple[shared_memory.SharedMemory, Panel]] = {}
+#: An attach-cache entry: (mapping, array view, panel or ``None``).
+_Entry = tuple[shared_memory.SharedMemory, np.ndarray, "Panel | None"]
 
-#: Attach-cache capacity.  A single study uses one panel block, but a
-#: campaign interleaves many scenarios' tasks on one pool — evicting
-#: everything-but-current on each miss (the pre-campaign policy) would
-#: re-attach on nearly every task switch.  The cache instead holds the
-#: most recent blocks up to this bound and evicts oldest-attached first.
-_ATTACH_CAPACITY = 16
+#: Per-process attach cache: block name -> entry.  A pooled worker
+#: touches the same blocks on every task; the first load attaches, the
+#: rest hit this dict.  There is no
+#: eviction: a pool never outlives the blocks its tasks read, so a
+#: worker's entries die with it, and the parent's entries are popped
+#: by :meth:`SharedFrameArena.close`.
+_ATTACHED: dict[str, _Entry] = {}
 
 
-def live_panel_blocks() -> tuple[str, ...]:
+def live_arena_blocks() -> tuple[str, ...]:
     """Names of blocks this process created and has not unlinked yet."""
     return tuple(sorted(_LIVE))
 
 
-def _evict_attached(keep: str | None = None) -> None:
-    """Shrink the attach cache below capacity, never dropping *keep*.
-
-    Evicts in insertion (attach) order while the cache is over
-    ``_ATTACH_CAPACITY - 1`` entries, leaving room for the incoming
-    block; with one panel in play this degenerates to the old
-    evict-everything-else behaviour once the bound is hit.  A mapping
-    whose panel view is still referenced elsewhere raises
-    ``BufferError`` on close; it is kept (closing would invalidate live
-    numpy views) and retried on the next eviction.
-    """
-    for name in list(_ATTACHED):
-        if len(_ATTACHED) < _ATTACH_CAPACITY:
-            break
-        if name == keep:
-            continue
-        shm, panel = _ATTACHED.pop(name)
-        del panel  # drop the cache's own view before closing the mapping
-        try:
-            shm.close()
-        except BufferError:  # a view escaped; the mapping must outlive it
-            _ATTACHED[name] = (shm, _panel_from_block(shm))
-
-
-def _pack_meta(times: tuple, units: tuple[str, ...], shape: tuple[int, int]) -> bytes:
-    return pickle.dumps(
-        {"times": times, "units": units, "shape": shape},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def _matrix_offset(meta_len: int) -> int:
-    header = 8 + meta_len
-    return header + (-header) % _ALIGN
-
-
-def _panel_from_block(shm: shared_memory.SharedMemory) -> Panel:
-    """Reconstruct the Panel stored in *shm* as a zero-copy view."""
-    meta_len = int.from_bytes(bytes(shm.buf[:8]), "little")
-    if not 0 < meta_len <= shm.size - 8:
-        raise PipelineError(
-            f"shared panel block {shm.name!r} has a corrupt header "
-            f"(meta_len={meta_len}, size={shm.size})"
-        )
-    meta = pickle.loads(bytes(shm.buf[8 : 8 + meta_len]))
-    shape = tuple(meta["shape"])
-    matrix = np.ndarray(
-        shape, dtype=np.float64, buffer=shm.buf, offset=_matrix_offset(meta_len)
-    )
-    return Panel(times=tuple(meta["times"]), units=tuple(meta["units"]), matrix=matrix)
-
-
-@dataclass(frozen=True)
-class SharedPanelRef:
-    """A picklable, zero-copy reference to a panel in a named shared block.
-
-    This is all a process-pool task carries: attaching by *name* in the
-    worker reconstructs the full panel without copying the matrix.
-    """
-
-    name: str
-
-    def load(self) -> Panel:
-        """Attach (memoised per process) and return the panel view."""
-        hit = _ATTACHED.get(self.name)
-        if hit is not None:
-            return hit[1]
-        _evict_attached(keep=self.name)
-        try:
-            shm = shared_memory.SharedMemory(name=self.name)
-        except FileNotFoundError:
-            raise PipelineError(
-                f"shared panel block {self.name!r} does not exist "
-                "(already unlinked, or never published in this host)"
-            ) from None
-        panel = _panel_from_block(shm)
-        _ATTACHED[self.name] = (shm, panel)
-        return panel
-
-
-def attach_shared_panel(ref: SharedPanelRef) -> None:
-    """Process-pool initializer: map the shared panel before any task.
-
-    Passed as the pool's ``initializer`` so every worker — including the
-    respawned workers of a rebuilt pool after ``BrokenProcessPool`` —
-    pays the attach-and-unpickle cost once, off the task critical path.
-    """
-    ref.load()
-
-
-class SharedPanelOwner:
-    """Parent-side owner of one shared panel block.
-
-    Create with :meth:`allocate` (then fill :attr:`matrix` in place —
-    the pivot scatters straight into the block) or :meth:`from_panel`
-    (copies an existing matrix in).  Call :meth:`close` exactly once
-    per study — it is idempotent — to unlink the name; live views keep
-    working until their owners drop them.
-    """
-
-    def __init__(
-        self, times: tuple, units: tuple[str, ...], shape: tuple[int, int]
-    ) -> None:
-        n_times, n_units = (int(shape[0]), int(shape[1]))
-        if n_times <= 0 or n_units <= 0:
-            raise PipelineError(
-                f"shared panel needs a non-empty matrix, got shape {shape}"
-            )
-        if len(times) != n_times or len(units) != n_units:
-            raise PipelineError(
-                f"panel labels do not match matrix shape {shape}: "
-                f"{len(times)} times, {len(units)} units"
-            )
-        meta = _pack_meta(tuple(times), tuple(units), (n_times, n_units))
-        offset = _matrix_offset(len(meta))
-        nbytes = offset + n_times * n_units * 8
-        name = NAME_PREFIX + secrets.token_hex(8)
-        self._shm: shared_memory.SharedMemory | None = shared_memory.SharedMemory(
-            name=name, create=True, size=nbytes
-        )
-        self._shm.buf[:8] = len(meta).to_bytes(8, "little")
-        self._shm.buf[8 : 8 + len(meta)] = meta
-        self._matrix = np.ndarray(
-            (n_times, n_units), dtype=np.float64, buffer=self._shm.buf, offset=offset
-        )
-        self._panel = Panel(times=tuple(times), units=tuple(units), matrix=self._matrix)
-        _LIVE[name] = self._shm.size
-
-    @classmethod
-    def allocate(
-        cls, shape: tuple[int, int], times: tuple, units: tuple[str, ...]
-    ) -> "SharedPanelOwner":
-        """A block whose (uninitialised) matrix the caller fills in place."""
-        return cls(times=times, units=units, shape=shape)
-
-    @classmethod
-    def from_panel(cls, panel: Panel) -> "SharedPanelOwner":
-        """Publish an existing panel (one matrix copy into the block)."""
-        owner = cls(times=panel.times, units=panel.units, shape=panel.matrix.shape)
-        np.copyto(owner.matrix, panel.matrix)
-        return owner
-
-    @property
-    def name(self) -> str:
-        """The block's name (its cross-process address)."""
-        if self._shm is None:
-            raise PipelineError("shared panel block already closed")
-        return self._shm.name
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Writable float64 view of the matrix region inside the block."""
-        if self._shm is None:
-            raise PipelineError("shared panel block already closed")
-        return self._matrix
-
-    @property
-    def panel(self) -> Panel:
-        """The panel, backed zero-copy by the block (parent-side use)."""
-        if self._shm is None:
-            raise PipelineError("shared panel block already closed")
-        return self._panel
-
-    @property
-    def ref(self) -> SharedPanelRef:
-        """The picklable reference tasks carry instead of the panel."""
-        return SharedPanelRef(name=self.name)
-
-    def close(self) -> None:
-        """Unlink the block (idempotent); live views stay valid.
-
-        The name disappears immediately — a later attach fails — while
-        existing mappings (the parent's panel view, worker caches)
-        survive until dropped, exactly the POSIX ``shm_unlink``
-        contract the study teardown needs.
-        """
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        # Drop our own views first — otherwise the mapping could never
-        # be released even when no caller holds one.
-        self._matrix = None  # type: ignore[assignment]
-        self._panel = None  # type: ignore[assignment]
-        _LIVE.pop(shm.name, None)
-        hit = _ATTACHED.pop(shm.name, None)
-        if hit is not None:
-            cached, cached_panel = hit
-            del cached_panel
-            try:
-                cached.close()
-            except BufferError:
-                # A caller still holds the cached view; keep the mapping
-                # alive so the view stays valid (the name goes away below
-                # regardless, so nothing outlives this process).
-                _ATTACHED[shm.name] = (cached, _panel_from_block(cached))
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - double unlink race
-            pass
-        try:
-            shm.close()
-        except BufferError:
-            # The study's panel view is usually still alive here; the
-            # mapping is released when the last view dies (the name is
-            # already gone, so nothing leaks past this process's exit).
-            self._zombie = shm
-
-    def __enter__(self) -> "SharedPanelOwner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        self.close()
-        return False
-
-
-#: Block-name prefix for arena arrays (distinct from panel blocks so the
-#: leak tests can tell the two populations apart in ``/dev/shm``).
-ARENA_PREFIX = "rpr-arena-"
-
-#: Arena block names created by this process and not yet unlinked, with
-#: their block sizes in bytes (same contract as ``_LIVE`` above).
-_LIVE_ARENA: dict[str, int] = {}
-
-#: Per-process attach cache for arena arrays: name -> (mapping, view).
-#: A pooled worker touches the same slab blocks on every task; the
-#: first load attaches, the rest hit this dict.  Entries die with the
-#: worker process (pools are per-study), so no eviction policy is
-#: needed beyond the owner-side pop in :meth:`SharedFrameArena.close`.
-_ATTACHED_ARRAYS: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-
-
-def live_arena_blocks() -> tuple[str, ...]:
-    """Arena block names this process created and has not unlinked yet."""
-    return tuple(sorted(_LIVE_ARENA))
+def live_panel_blocks() -> tuple[str, ...]:
+    """The live blocks that hold a panel."""
+    return tuple(n for n in live_arena_blocks() if n.startswith(PANEL_PREFIX))
 
 
 def live_shm_bytes() -> int:
-    """Total bytes of live panel + arena blocks this process owns.
+    """Total bytes of the live blocks this process owns.
 
     This is the byte-exact ``/dev/shm`` footprint of the blocks in
-    :func:`live_panel_blocks` / :func:`live_arena_blocks` (each block's
-    ``SharedMemory.size``), which the resource sampler records and the
-    leak tests cross-check against the filesystem.  The dicts are
-    copied before summing: the sampler thread reads while the study
-    thread allocates.
+    :func:`live_arena_blocks` (each block's ``SharedMemory.size``),
+    which the resource sampler records and the leak tests cross-check
+    against the filesystem.  The dict is copied before summing: the
+    sampler thread reads while the study thread allocates.
     """
-    return sum(dict(_LIVE).values()) + sum(dict(_LIVE_ARENA).values())
+    return sum(dict(_LIVE).values())
 
 
 def live_shm_blocks() -> int:
-    """How many live panel + arena blocks this process owns."""
-    return len(_LIVE) + len(_LIVE_ARENA)
+    """How many live blocks this process owns."""
+    return len(_LIVE)
+
+
+def _payload_offset(header_len: int) -> int:
+    head = 8 + header_len
+    return head + (-head) % _ALIGN
+
+
+def _map_block(
+    shm: shared_memory.SharedMemory,
+    shape: tuple[int, ...],
+    offset: int,
+    header: tuple | None,
+) -> _Entry:
+    """The cache entry over *shm*: its payload view and, for a panel, the Panel."""
+    view = np.ndarray(shape, dtype=np.float64, buffer=shm.buf, offset=offset)
+    if header is None:
+        return shm, view, None
+    times, units = header
+    return shm, view, Panel(times=tuple(times), units=tuple(units), matrix=view)
+
+
+def _attach(name: str, shape: tuple[int, ...]) -> _Entry:
+    """Attach block *name* by name and validate its header and size."""
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        raise PipelineError(
+            f"shared block {name!r} does not exist "
+            "(already unlinked, or never published in this host)"
+        ) from None
+    header_len = int.from_bytes(bytes(shm.buf[:8]), "little") if shm.size >= 8 else -1
+    if not 0 <= header_len <= shm.size - 8:
+        _defuse_handle(shm)
+        raise PipelineError(
+            f"shared block {name!r} has a corrupt header "
+            f"(header_len={header_len}, size={shm.size})"
+        )
+    offset = _payload_offset(header_len)
+    nbytes = int(np.prod(shape, dtype=np.int64)) * 8
+    if shm.size < offset + nbytes:
+        _defuse_handle(shm)
+        raise PipelineError(
+            f"shared block {name!r} holds {shm.size} bytes "
+            f"but shape {shape} needs {nbytes} past its header"
+        )
+    header = pickle.loads(bytes(shm.buf[8 : 8 + header_len])) if header_len else None
+    return _map_block(shm, shape, offset, header)
 
 
 def _defuse_handle(shm: shared_memory.SharedMemory) -> None:
@@ -374,56 +189,49 @@ def _defuse_handle(shm: shared_memory.SharedMemory) -> None:
 class SharedArrayRef:
     """A picklable, zero-copy reference to one float64 array in a named block.
 
-    Unlike the panel block there is no in-band header: the shape rides
-    in the (tiny) pickled reference, so the block holds raw float64
-    data only and a worker-side :meth:`load` is a bare attach plus an
-    ``np.ndarray`` view.
+    This is all a process-pool task carries: attaching by *name* in the
+    worker reconstructs the array (and, for a panel block, the full
+    panel) without copying the payload.
     """
 
     name: str
     shape: tuple[int, ...]
 
+    def _attached(self) -> _Entry:
+        hit = _ATTACHED.get(self.name)
+        if hit is None:
+            hit = _ATTACHED[self.name] = _attach(self.name, tuple(self.shape))
+        elif hit[1].shape != tuple(self.shape):
+            raise PipelineError(
+                f"shared block {self.name!r} is attached with shape "
+                f"{hit[1].shape} but was requested as {self.shape}"
+            )
+        return hit
+
     def load(self) -> np.ndarray:
         """Attach (memoised per process) and return the array view."""
-        hit = _ATTACHED_ARRAYS.get(self.name)
-        if hit is not None:
-            if hit[1].shape != tuple(self.shape):
-                raise PipelineError(
-                    f"shared array block {self.name!r} is attached with "
-                    f"shape {hit[1].shape} but was requested as {self.shape}"
-                )
-            return hit[1]
-        try:
-            shm = shared_memory.SharedMemory(name=self.name)
-        except FileNotFoundError:
-            raise PipelineError(
-                f"shared array block {self.name!r} does not exist "
-                "(already unlinked, or never published in this host)"
-            ) from None
-        nbytes = int(np.prod(self.shape, dtype=np.int64)) * 8
-        if shm.size < nbytes:
-            shm.close()
-            raise PipelineError(
-                f"shared array block {self.name!r} holds {shm.size} bytes "
-                f"but shape {self.shape} needs {nbytes}"
-            )
-        view = np.ndarray(self.shape, dtype=np.float64, buffer=shm.buf)
-        _ATTACHED_ARRAYS[self.name] = (shm, view)
-        return view
+        return self._attached()[1]
+
+    def panel(self) -> Panel:
+        """Attach (memoised per process) and return the block's panel view."""
+        panel = self._attached()[2]
+        if panel is None:
+            raise PipelineError(f"shared block {self.name!r} holds no panel")
+        return panel
 
 
 class SharedFrameArena:
     """Parent-side owner of a set of named float64 shared-memory blocks.
 
     One arena per pipeline stage (a generated measurement frame, a CSV
-    import, a study's pre-factored fit slabs): every
-    :meth:`allocate` call creates one named block whose uninitialised
-    array view the caller fills in place — frame columns seal straight
-    into it through :meth:`column_alloc`, the pivot/fit engines write
-    slabs directly.  :meth:`close` unlinks every block exactly once
-    (idempotent); live views — the parent's own arrays, attached
-    workers — stay valid until dropped, the same POSIX ``shm_unlink``
-    contract :class:`SharedPanelOwner` relies on.
+    import, a pooled study's panel, a campaign's panels, a fit stage's
+    pre-factored slabs): every :meth:`allocate` call creates one named
+    block whose uninitialised array view the caller fills in place —
+    frame columns seal straight into it through :meth:`column_alloc`,
+    the pivot scatters the panel, the fit engine writes its slabs.
+    :meth:`close` unlinks every block exactly once (idempotent); live
+    views — the parent's own arrays, attached workers — stay valid
+    until dropped.
     """
 
     def __init__(self, tag: str = "frame") -> None:
@@ -431,31 +239,60 @@ class SharedFrameArena:
         self._blocks: list[tuple[str, shared_memory.SharedMemory, SharedArrayRef]] = []
         self._closed = False
 
-    def allocate(self, label: str, shape: tuple[int, ...]) -> np.ndarray:
+    def allocate(
+        self, label: str, shape: tuple[int, ...], header: tuple | None = None
+    ) -> np.ndarray:
         """A new named block's uninitialised float64 view of *shape*.
 
         *label* is bookkeeping only (diagnostics and :meth:`ref`
-        lookup); the block name is random.  Zero-length arrays are
-        valid (the block is padded to one byte — ``shared_memory``
-        rejects empty blocks).
+        lookup); the block name is random.  A *header* of
+        ``(times, units)`` makes the block a panel block whose
+        :meth:`SharedArrayRef.panel` is the panel over this matrix.
+        Zero-length plain arrays are valid; a panel must be non-empty
+        and its labels must match *shape*.
         """
         if self._closed:
             raise PipelineError(f"arena {self._tag!r} is already closed")
         shape = tuple(int(n) for n in shape)
         if any(n < 0 for n in shape):
             raise PipelineError(f"arena array {label!r} has negative shape {shape}")
+        meta = b""
+        if header is not None:
+            times, units = header
+            if len(shape) != 2 or 0 in shape:
+                raise PipelineError(
+                    f"shared panel needs a non-empty matrix, got shape {shape}"
+                )
+            if len(times) != shape[0] or len(units) != shape[1]:
+                raise PipelineError(
+                    f"panel labels do not match matrix shape {shape}: "
+                    f"{len(times)} times, {len(units)} units"
+                )
+            header = (tuple(times), tuple(units))
+            meta = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
+        offset = _payload_offset(len(meta))
         nbytes = int(np.prod(shape, dtype=np.int64)) * 8
-        name = ARENA_PREFIX + secrets.token_hex(8)
-        shm = shared_memory.SharedMemory(name=name, create=True, size=max(nbytes, 1))
-        _LIVE_ARENA[name] = shm.size
-        ref = SharedArrayRef(name=name, shape=shape)
-        view = np.ndarray(shape, dtype=np.float64, buffer=shm.buf)
+        prefix = ARENA_PREFIX if header is None else PANEL_PREFIX
+        name = prefix + secrets.token_hex(8)
+        shm = shared_memory.SharedMemory(name=name, create=True, size=offset + nbytes)
+        _LIVE[name] = shm.size
+        shm.buf[:8] = len(meta).to_bytes(8, "little")
+        shm.buf[8 : 8 + len(meta)] = meta
         # The parent reads (and fills) through the attach cache too, so
         # a later ref.load() in-process is the same view, not a second
         # mapping of the same block.
-        _ATTACHED_ARRAYS[name] = (shm, view)
-        self._blocks.append((str(label), shm, ref))
-        return view
+        entry = _ATTACHED[name] = _map_block(shm, shape, offset, header)
+        self._blocks.append((str(label), shm, SharedArrayRef(name=name, shape=shape)))
+        return entry[1]
+
+    def publish_panel(self, panel: Panel, label: str = "panel") -> SharedArrayRef:
+        """Copy *panel* into a new panel block and return its reference.
+
+        ``ref.panel()`` in this process is the block-backed panel view.
+        """
+        matrix = self.allocate(label, panel.matrix.shape, (panel.times, panel.units))
+        np.copyto(matrix, panel.matrix)
+        return self._blocks[-1][2]
 
     def column_alloc(self, tag: str) -> "Callable[[str, int], np.ndarray]":
         """An ``alloc(name, length)`` hook for ``FrameBuilder.build``.
@@ -489,33 +326,29 @@ class SharedFrameArena:
     def close(self) -> None:
         """Unlink every block (idempotent); live views stay valid.
 
-        Sealed frame columns and prefactor slabs routinely outlive the
-        arena (a generated frame is *used* after generation finishes),
-        and numpy views do not register buffer exports, so an eager
-        ``SharedMemory.close()`` would silently unmap pages under them.
-        Instead each handle is *defused*: the name is unlinked (the
-        ``/dev/shm`` entry disappears — what the leak tests assert) and
-        the descriptor closed, while the mapping itself stays owned by
-        the views through their ``ndarray.base -> mmap`` chain and is
-        unmapped by the garbage collector when the last view dies.
+        Sealed frame columns, panels and prefactor slabs routinely
+        outlive the arena (a generated frame is *used* after generation
+        finishes), and numpy views do not register buffer exports, so
+        an eager ``SharedMemory.close()`` would silently unmap pages
+        under them.  Instead each handle is *defused*: the name is
+        unlinked (the ``/dev/shm`` entry disappears — what the leak
+        tests assert) and the descriptor closed, while the mapping
+        itself stays owned by the views through their
+        ``ndarray.base -> mmap`` chain and is unmapped by the garbage
+        collector when the last view dies.
         """
         if self._closed:
             return
         self._closed = True
         blocks, self._blocks = self._blocks, []
         for _label, shm, _ref in blocks:
-            _LIVE_ARENA.pop(shm.name, None)
-            hit = _ATTACHED_ARRAYS.pop(shm.name, None)
+            _LIVE.pop(shm.name, None)
+            _ATTACHED.pop(shm.name, None)
             try:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - double unlink race
                 pass
             _defuse_handle(shm)
-            if hit is not None and hit[0] is not shm:
-                # ref.load() re-attached after a cache eviction: a second,
-                # independent mapping of the same block gets the same
-                # treatment so its views stay valid too.
-                _defuse_handle(hit[0])
 
     def __enter__(self) -> "SharedFrameArena":
         return self

@@ -55,12 +55,7 @@ from repro.pipeline.prefactor import (
     publish_prefactors,
     set_active_prefactors,
 )
-from repro.pipeline.shm import (
-    SharedFrameArena,
-    SharedPanelOwner,
-    SharedPanelRef,
-    attach_shared_panel,
-)
+from repro.pipeline.shm import SharedArrayRef, SharedFrameArena
 from repro.synthcontrol.classic import _validate_panel, classic_synthetic_control
 from repro.synthcontrol.donor import Panel, select_donors
 from repro.synthcontrol.placebo import (
@@ -311,11 +306,12 @@ class UnitScreen:
 class _UnitTask:
     """One treated unit's planned fit, picklable for process-pool workers.
 
-    ``panel`` is a :class:`SharedPanelRef` when a process pool runs the
-    task — the pickled payload is then the unit label, its donor names,
-    a few scalars, and a block name, not the panel matrix — and an
-    in-process :class:`Panel` on the serial path.  ``donors`` is the
-    pool the plan's screen chose, so no fit re-runs the screen.
+    ``panel`` is a panel block's :class:`SharedArrayRef` when a process
+    pool runs the task — the pickled payload is then the unit label,
+    its donor names, a few scalars, and a block name, not the panel
+    matrix — and an in-process :class:`Panel` on the serial path.
+    ``donors`` is the pool the plan's screen chose, so no fit re-runs
+    the screen.
     ``scenario`` is ``""`` for the batch study and the scenario's name
     in a campaign; it qualifies fault keys, span attributes, and the
     unit's prefactor key.  ``fit_kwargs`` is a tuple of sorted items
@@ -326,7 +322,7 @@ class _UnitTask:
     unit: str
     pre_periods: int
     post_periods: int
-    panel: Panel | SharedPanelRef
+    panel: Panel | SharedArrayRef
     donors: tuple[str, ...]
     method: str
     max_placebos: int | None
@@ -350,8 +346,8 @@ class UnitFit:
     donors: tuple[str, ...]
 
 
-def _load_panel(panel: Panel | SharedPanelRef) -> Panel:
-    return panel.load() if isinstance(panel, SharedPanelRef) else panel
+def _load_panel(panel: Panel | SharedArrayRef) -> Panel:
+    return panel.panel() if isinstance(panel, SharedArrayRef) else panel
 
 
 def _placebo_context(task: _UnitTask, panel: Panel) -> _PlaceboContext:
@@ -545,7 +541,7 @@ def prepare_unit_plan(
     method: str = "robust",
     max_placebos: int | None = None,
     fit_kwargs: tuple[tuple[str, object], ...] = (),
-    task_panel: Panel | SharedPanelRef | None = None,
+    task_panel: Panel | SharedArrayRef | None = None,
     scenario: str = "",
 ) -> list[tuple[str, str] | _UnitTask]:
     """Screen treated units into an ordered plan of fits and skips.
@@ -554,8 +550,8 @@ def prepare_unit_plan(
     the shape screen, then the donor screen.  A unit either check
     rejects becomes a planned ``(unit, reason)`` skip; every survivor
     becomes a picklable :class:`_UnitTask` carrying its donors and
-    *task_panel* — the in-process panel by default, a
-    :class:`SharedPanelRef` when the fits will fan out.  The batch
+    *task_panel* — the in-process panel by default, a panel block's
+    :class:`SharedArrayRef` when the fits will fan out.  The batch
     study, the streaming engine's finalize, and the campaign all build
     their plans here, which is what keeps their rows bit-identical:
     given equal panels and assignments, the plans (and therefore every
@@ -610,7 +606,7 @@ def journal_planned_skips(
 
 
 def _attach_study_state(
-    panel_ref: SharedPanelRef | None, slabs: PrefactorSlabs | None
+    panel_ref: SharedArrayRef | None, slabs: PrefactorSlabs | None
 ) -> None:
     """Process-pool initializer: map the panel and prefactor slabs.
 
@@ -619,7 +615,7 @@ def _attach_study_state(
     the slab attach stay off the task critical path.
     """
     if panel_ref is not None:
-        attach_shared_panel(panel_ref)
+        panel_ref.panel()
     if slabs is not None:
         set_active_prefactors(slabs.load())
 
@@ -630,7 +626,7 @@ def unit_fit_executor(
     *,
     n_jobs: int | None = 1,
     retry: RetryPolicy | None = None,
-    panel_ref: SharedPanelRef | None = None,
+    panel_ref: SharedArrayRef | None = None,
 ) -> Iterator[Executor]:
     """An executor whose unit fits read *prefactors*.
 
@@ -639,19 +635,20 @@ def unit_fit_executor(
     attaches in its initializer, alongside *panel_ref* when given.  The
     table is uninstalled and the slabs unlinked on exit.
     """
-    initializer = attach_shared_panel if panel_ref is not None else None
-    initargs: tuple = (panel_ref,) if panel_ref is not None else ()
+    slabs: PrefactorSlabs | None = None
     arena: SharedFrameArena | None = None
     try:
         if prefactors:
             if resolve_n_jobs(n_jobs) > 1:
                 arena = SharedFrameArena(tag="prefactor")
-                initializer = _attach_study_state
-                initargs = (panel_ref, publish_prefactors(prefactors, arena))
+                slabs = publish_prefactors(prefactors, arena)
             else:
                 set_active_prefactors(prefactors)
         with get_executor(
-            n_jobs, retry=retry, initializer=initializer, initargs=initargs
+            n_jobs,
+            retry=retry,
+            initializer=_attach_study_state,
+            initargs=(panel_ref, slabs),
         ) as executor:
             yield executor
     finally:
@@ -665,7 +662,7 @@ def execute_unit_plan(
     *,
     n_jobs: int | None = 1,
     retry: RetryPolicy | None = None,
-    owner: SharedPanelOwner | None = None,
+    panel_ref: SharedArrayRef | None = None,
     checkpoint: "StudyCheckpoint | None" = None,
     batch_fits: bool = True,
 ) -> tuple[list[StudyRow], list[tuple[str, str]]]:
@@ -676,7 +673,7 @@ def execute_unit_plan(
     owns its lifecycle): the plan's skips and each fresh outcome are
     journaled, and units already journaled are served from
     ``checkpoint.completed``.  Fan-out follows the batch study's
-    contract — order-stable results, shared-memory attach via *owner* —
+    contract — order-stable results, shared-memory attach via *panel_ref* —
     so serial and pooled runs return identical rows.
 
     With *batch_fits* (the default), a planning pass batch-factors
@@ -708,15 +705,12 @@ def execute_unit_plan(
         journal_planned_skips(plan, checkpoint)
         prefactors: dict[PrefactorKey, UnitPrefactor] = {}
         if batch_fits and tasks:
-            plan_panel = (
-                owner.panel if owner is not None else _load_panel(tasks[0].panel)
-            )
-            prefactors = prefactor_unit_plan(plan_panel, tasks)
+            prefactors = prefactor_unit_plan(_load_panel(tasks[0].panel), tasks)
         with unit_fit_executor(
             prefactors,
             n_jobs=n_jobs,
             retry=retry,
-            panel_ref=owner.ref if owner is not None else None,
+            panel_ref=panel_ref,
         ) as executor:
             outcomes = iter(executor.map(_analyse_unit, tasks, on_result=_journal))
         for step in plan:
@@ -807,17 +801,21 @@ def run_ixp_study(
         assignment = fault_point("study.assignment", key=ixp_name, value=assignment)
         t1 = time.perf_counter()
         # With a process pool ahead, the panel matrix is allocated inside
-        # a named shared-memory block and the pivot scatters straight
-        # into it; tasks then carry a SharedPanelRef instead of the
-        # panel, so the pool pickles O(tasks) bytes, not
-        # O(tasks x panel).  Serial runs keep a plain in-process array.
-        workers = resolve_n_jobs(n_jobs)
-        owner: SharedPanelOwner | None = None
+        # a block of the study's shared-memory arena and the pivot
+        # scatters straight into it; tasks then carry the block's
+        # SharedArrayRef instead of the panel, so the pool pickles
+        # O(tasks) bytes, not O(tasks x panel).  Serial runs keep a
+        # plain in-process array.
+        arena = (
+            SharedFrameArena(tag="study") if resolve_n_jobs(n_jobs) > 1 else None
+        )
+        panel_ref: SharedArrayRef | None = None
 
         def _shared_matrix(shape, times, units):
-            nonlocal owner
-            owner = SharedPanelOwner.allocate(shape, times, units)
-            return owner.matrix
+            nonlocal panel_ref
+            matrix = arena.allocate("panel", shape, (times, units))
+            panel_ref = arena.ref("panel")
+            return matrix
 
         ckpt = None
         rows: list[StudyRow] = []
@@ -827,16 +825,15 @@ def run_ixp_study(
                 measurements,
                 period="day",
                 outcome=outcome,
-                matrix_factory=_shared_matrix if workers > 1 else None,
+                matrix_factory=_shared_matrix if arena is not None else None,
             )
             panel = fault_point("study.panel", key=ixp_name, value=panel)
-            if owner is not None and panel.matrix is not owner.matrix:
+            if panel_ref is not None and panel.matrix is not panel_ref.load():
                 # A chaos fault swapped in a corrupted copy; re-publish it
                 # so pool workers analyse exactly what a serial run would —
                 # fault parity includes the corrupted bytes.
-                owner.close()
-                owner = SharedPanelOwner.from_panel(panel)
-                panel = owner.panel
+                panel_ref = arena.publish_panel(panel)
+                panel = panel_ref.panel()
             t2 = time.perf_counter()
 
             fit_kwargs: dict[str, object] = {}
@@ -853,7 +850,7 @@ def run_ixp_study(
                 method=method,
                 max_placebos=max_placebos,
                 fit_kwargs=tuple(sorted(fit_kwargs.items())),
-                task_panel=owner.ref if owner is not None else panel,
+                task_panel=panel_ref if panel_ref is not None else panel,
             )
 
             # Units already journaled in a resumed checkpoint are served from
@@ -873,15 +870,15 @@ def run_ixp_study(
                 plan,
                 n_jobs=n_jobs,
                 retry=retry,
-                owner=owner,
+                panel_ref=panel_ref,
                 checkpoint=ckpt,
                 batch_fits=batch_fits,
             )
         finally:
             if ckpt is not None:
                 ckpt.close()
-            if owner is not None:
-                owner.close()
+            if arena is not None:
+                arena.close()
         t3 = time.perf_counter()
         study_sp.set(n_rows=len(rows), n_skipped=len(skipped))
 

@@ -35,7 +35,7 @@ from repro.errors import CheckpointError, PipelineError
 from repro.obs import COUNT_BUCKETS, SECONDS_BUCKETS, get_metrics, span
 from repro.pipeline.checkpoint import StudyCheckpoint
 from repro.pipeline.executor import RetryPolicy, resolve_n_jobs
-from repro.pipeline.shm import SharedPanelOwner
+from repro.pipeline.shm import SharedArrayRef, SharedFrameArena
 from repro.pipeline.study import (
     StudyResult,
     StudyRow,
@@ -284,12 +284,14 @@ class StreamStudy:
             n_jobs = self._n_jobs
         assignment = self._assign_acc.assignment()
         panel = self._panel_acc.panel
-        workers = resolve_n_jobs(n_jobs)
-        owner: SharedPanelOwner | None = None
+        arena = (
+            SharedFrameArena(tag="finalize") if resolve_n_jobs(n_jobs) > 1 else None
+        )
+        panel_ref: SharedArrayRef | None = None
         try:
-            if workers > 1:
-                owner = SharedPanelOwner.from_panel(panel)
-                panel = owner.panel
+            if arena is not None:
+                panel_ref = arena.publish_panel(panel)
+                panel = panel_ref.panel()
             fit_kwargs: dict[str, object] = {}
             if self._method == "robust":
                 fit_kwargs = {"energy": self._energy, "ridge": self._ridge}
@@ -303,18 +305,18 @@ class StreamStudy:
                     method=self._method,
                     max_placebos=self._max_placebos,
                     fit_kwargs=tuple(sorted(fit_kwargs.items())),
-                    task_panel=owner.ref if owner is not None else panel,
+                    task_panel=panel_ref if panel_ref is not None else panel,
                 )
                 rows, skipped = execute_unit_plan(
                     plan,
                     n_jobs=n_jobs,
                     retry=self._retry,
-                    owner=owner,
+                    panel_ref=panel_ref,
                     checkpoint=self._ckpt,
                 )
         finally:
-            if owner is not None:
-                owner.close()
+            if arena is not None:
+                arena.close()
             self.close()
         result = StudyResult(
             rows=tuple(rows), assignment=assignment, skipped=tuple(skipped)

@@ -29,7 +29,7 @@ from repro.mplatform.speedtest import measurements_frame
 from repro.pipeline.executor import RetryPolicy
 from repro.pipeline.shm import (
     ARENA_PREFIX,
-    NAME_PREFIX,
+    PANEL_PREFIX,
     SharedFrameArena,
     live_arena_blocks,
     live_panel_blocks,
@@ -48,7 +48,7 @@ def _shm_entries() -> list[str]:
     return [
         p
         for p in os.listdir("/dev/shm")
-        if p.startswith(ARENA_PREFIX) or p.startswith(NAME_PREFIX)
+        if p.startswith(ARENA_PREFIX) or p.startswith(PANEL_PREFIX)
     ]
 
 

@@ -3,7 +3,7 @@
 The acceptance-critical pin lives here: the sampler's shared-memory
 byte accounting must match the leak tracker *and* the actual
 ``/dev/shm`` file sizes at every sample point, and drain to zero when
-the owners close.  The rest covers the sample fields, the gauge-series
+the arena closes.  The rest covers the sample fields, the gauge-series
 plumbing, the executor hooks, checkpoint-size tracking, and the
 thread lifecycle.
 """
@@ -26,7 +26,6 @@ from repro.pipeline.checkpoint import StudyCheckpoint, live_checkpoint_bytes
 from repro.pipeline.executor import ProcessPoolBackend, live_executor_stats
 from repro.pipeline.shm import (
     SharedFrameArena,
-    SharedPanelOwner,
     live_shm_blocks,
     live_shm_bytes,
 )
@@ -76,7 +75,6 @@ class TestShmAccounting:
             units=("a", "b", "c"),
             matrix=np.zeros((2, 3)),
         )
-        owner = None
         try:
             for shape in [(1024,), (256, 8)]:
                 arena.allocate(f"blk{shape}", shape)
@@ -85,15 +83,13 @@ class TestShmAccounting:
                 assert sample.shm_bytes == live_shm_bytes()
                 assert sample.shm_bytes == _shm_file_bytes(names)
                 assert sample.shm_blocks == live_shm_blocks() == len(names)
-            owner = SharedPanelOwner.from_panel(panel)
+            arena.publish_panel(panel)
             sample = sampler.sample_once()
-            names = list(arena.names) + [owner.name]
+            names = list(arena.names)
             assert sample.shm_bytes == live_shm_bytes() == _shm_file_bytes(names)
             assert sample.shm_blocks == 3
         finally:
             arena.close()
-            if owner is not None:
-                owner.close()
         final = sampler.sample_once()
         assert final.shm_bytes == 0 and final.shm_blocks == 0
 

@@ -2,9 +2,11 @@
 
 What these tests pin down:
 
-- a :class:`SharedPanelRef` round-trips the full panel zero-copy and
-  pickles to a few dozen bytes, so a pool task no longer ships the
-  matrix (the bug that made ``n_jobs=4`` run *slower* than serial);
+- a panel published into a :class:`SharedFrameArena` round-trips
+  zero-copy through its :class:`SharedArrayRef`, which pickles to a
+  few dozen bytes, so a pool task no longer ships the matrix (the bug
+  that made ``n_jobs=4`` run *slower* than serial); views of the panel
+  stay readable after the arena closes;
 - the study drains every block it creates — after a normal run, after a
   ``BrokenProcessPool`` rebuild, and after a mid-study exception — so
   repeated studies cannot leak ``/dev/shm`` segments;
@@ -17,17 +19,21 @@ What these tests pin down:
 
 import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.chaos import FaultPlan, FaultSpec, active_plan, clear_events, fault_events
 from repro.errors import InjectedFault, PipelineError
 from repro.pipeline.executor import RetryPolicy
 from repro.pipeline.shm import (
-    NAME_PREFIX,
-    SharedPanelOwner,
-    SharedPanelRef,
+    PANEL_PREFIX,
+    SharedArrayRef,
+    SharedFrameArena,
     live_panel_blocks,
 )
 from repro.pipeline.study import _UnitTask, run_ixp_study
@@ -46,84 +52,96 @@ def _shm_entries() -> list[str]:
     """Our blocks as the OS sees them (Linux tmpfs), if visible at all."""
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-tmpfs host
         return []
-    return [p for p in os.listdir("/dev/shm") if p.startswith(NAME_PREFIX)]
+    return [p for p in os.listdir("/dev/shm") if p.startswith(PANEL_PREFIX)]
+
+
+UNITS = tuple(f"AS{100 + j}/cpt" for j in range(6))
 
 
 def _make_panel() -> Panel:
     rng = np.random.default_rng(0)
     matrix = rng.normal(50.0, 5.0, size=(20, 6))
     matrix[3, 2] = np.nan
-    return Panel(
-        times=tuple(float(t) for t in range(20)),
-        units=tuple(f"AS{100 + j}/cpt" for j in range(6)),
-        matrix=matrix,
-    )
+    return Panel(times=tuple(float(t) for t in range(20)), units=UNITS, matrix=matrix)
 
 
 class TestSharedPanelBlock:
     def test_roundtrip_preserves_the_panel_exactly(self):
         panel = _make_panel()
-        with SharedPanelOwner.from_panel(panel) as owner:
-            loaded = owner.ref.load()
+        with SharedFrameArena(tag="t") as arena:
+            loaded = arena.publish_panel(panel).panel()
             assert loaded.times == panel.times
             assert loaded.units == panel.units
             np.testing.assert_array_equal(loaded.matrix, panel.matrix)
 
     def test_ref_pickles_small_while_the_panel_does_not(self):
         panel = _make_panel()
-        with SharedPanelOwner.from_panel(panel) as owner:
-            ref_bytes = pickle.dumps(owner.ref)
+        with SharedFrameArena(tag="t") as arena:
+            ref = arena.publish_panel(panel)
+            ref_bytes = pickle.dumps(ref)
             panel_bytes = pickle.dumps(panel)
             assert len(ref_bytes) < 200
             assert len(ref_bytes) < len(panel_bytes) / 5
-            assert pickle.loads(ref_bytes) == owner.ref
+            assert pickle.loads(ref_bytes) == ref
 
     def test_load_is_memoised_per_process(self):
-        with SharedPanelOwner.from_panel(_make_panel()) as owner:
-            assert owner.ref.load() is owner.ref.load()
+        with SharedFrameArena(tag="t") as arena:
+            ref = arena.publish_panel(_make_panel())
+            assert ref.panel() is ref.panel()
+            assert ref.panel().matrix is ref.load()
 
     def test_matrix_is_the_blocks_storage_not_a_copy(self):
-        panel = _make_panel()
-        with SharedPanelOwner.from_panel(panel) as owner:
-            owner.matrix[0, 0] = 123.0
-            assert owner.ref.load().matrix[0, 0] == 123.0
+        with SharedFrameArena(tag="t") as arena:
+            matrix = arena.allocate("panel", (20, 6), (tuple(range(20)), UNITS))
+            matrix[:] = 0.0
+            matrix[0, 0] = 123.0
+            assert arena.ref("panel").panel().matrix[0, 0] == 123.0
 
     def test_attach_after_unlink_raises(self):
-        owner = SharedPanelOwner.from_panel(_make_panel())
-        ref = owner.ref
-        owner.close()
+        arena = SharedFrameArena(tag="t")
+        ref = arena.publish_panel(_make_panel())
+        arena.close()
         with pytest.raises(PipelineError, match="does not exist"):
-            ref.load()
+            ref.panel()
 
     def test_close_is_idempotent_and_drains_live_set(self):
-        owner = SharedPanelOwner.from_panel(_make_panel())
-        name = owner.name
+        arena = SharedFrameArena(tag="t")
+        name = arena.publish_panel(_make_panel()).name
+        assert name.startswith(PANEL_PREFIX)
         assert name in live_panel_blocks()
-        owner.close()
-        owner.close()
+        arena.close()
+        arena.close()
         assert name not in live_panel_blocks()
         with pytest.raises(PipelineError, match="closed"):
-            owner.matrix
+            arena.publish_panel(_make_panel())
 
     def test_label_shape_mismatch_rejected(self):
-        with pytest.raises(PipelineError, match="do not match"):
-            SharedPanelOwner.allocate((3, 2), times=(0.0, 1.0), units=("a", "b"))
-        with pytest.raises(PipelineError, match="non-empty"):
-            SharedPanelOwner.allocate((0, 2), times=(), units=("a", "b"))
+        with SharedFrameArena(tag="t") as arena:
+            with pytest.raises(PipelineError, match="do not match"):
+                arena.allocate("p", (3, 2), ((0.0, 1.0), ("a", "b")))
+            with pytest.raises(PipelineError, match="non-empty"):
+                arena.allocate("p", (0, 2), ((), ("a", "b")))
+            assert arena.names == ()
 
     def test_corrupt_header_is_refused(self):
-        panel = _make_panel()
-        with SharedPanelOwner.from_panel(panel) as owner:
-            # Scribble an absurd metadata length over the header.
-            from multiprocessing import shared_memory
+        from multiprocessing import shared_memory
 
-            raw = shared_memory.SharedMemory(name=owner.name)
-            try:
-                raw.buf[:8] = (2**62).to_bytes(8, "little")
-                with pytest.raises(PipelineError, match="corrupt header"):
-                    SharedPanelRef(name=owner.name).load()
-            finally:
-                raw.close()
+        # A fresh attach (what a worker does) reads the header first;
+        # scribble an absurd header length over a raw block.
+        raw = shared_memory.SharedMemory(create=True, size=4096)
+        try:
+            raw.buf[:8] = (2**62).to_bytes(8, "little")
+            with pytest.raises(PipelineError, match="corrupt header"):
+                SharedArrayRef(name=raw.name, shape=(20, 6)).panel()
+        finally:
+            raw.close()
+            raw.unlink()
+
+    def test_plain_array_block_holds_no_panel(self):
+        with SharedFrameArena(tag="t") as arena:
+            arena.allocate("x", (4,))
+            with pytest.raises(PipelineError, match="holds no panel"):
+                arena.ref("x").panel()
 
     def test_object_time_keys_survive_the_meta_pickle(self):
         panel = Panel(
@@ -131,8 +149,45 @@ class TestSharedPanelBlock:
             units=("AS1/x", "AS2/x"),
             matrix=np.arange(6, dtype=float).reshape(3, 2),
         )
-        with SharedPanelOwner.from_panel(panel) as owner:
-            assert owner.ref.load().times == ("mon", "tue", "wed")
+        with SharedFrameArena(tag="t") as arena:
+            assert arena.publish_panel(panel).panel().times == ("mon", "tue", "wed")
+
+    def test_views_survive_close_in_a_fresh_interpreter(self):
+        # Closing the arena while both the in-process panel view and a
+        # ref.panel() view are alive must leave them readable: an eager
+        # unmap would read freed pages and kill the interpreter with
+        # SIGSEGV, so the check runs in a child process.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.pipeline.shm import SharedFrameArena
+            from repro.synthcontrol.donor import Panel
+
+            panel = Panel(
+                times=tuple(float(t) for t in range(2000)),
+                units=tuple(f"u{j}" for j in range(64)),
+                matrix=np.ones((2000, 64)),
+            )
+            arena = SharedFrameArena(tag="t")
+            ref = arena.publish_panel(panel)
+            view = ref.panel()
+            matrix = arena.allocate("raw", (2000, 64), (panel.times, panel.units))
+            matrix[:] = 2.0
+            arena.close()
+            print(float(view.matrix.sum()), float(matrix.sum()))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.split() == [str(2000 * 64.0), str(2000 * 64 * 2.0)]
 
 
 class TestUnitTaskPayload:
@@ -150,15 +205,16 @@ class TestUnitTaskPayload:
 
     def test_task_with_ref_pickles_in_hundreds_of_bytes(self):
         panel = _make_panel()
-        with SharedPanelOwner.from_panel(panel) as owner:
-            slim = len(pickle.dumps(self._task(owner.ref)))
+        with SharedFrameArena(tag="t") as arena:
+            slim = len(pickle.dumps(self._task(arena.publish_panel(panel))))
             fat = len(pickle.dumps(self._task(panel)))
             assert slim < 1024
             assert slim < fat  # and the gap widens with panel size
 
     def test_task_is_hashable_now_fit_kwargs_is_frozen(self):
-        task = self._task(SharedPanelRef(name="rpr-panel-x"))
-        assert hash(task) == hash(self._task(SharedPanelRef(name="rpr-panel-x")))
+        ref = SharedArrayRef(name="rpr-panel-x", shape=(20, 6))
+        task = self._task(ref)
+        assert hash(task) == hash(self._task(SharedArrayRef("rpr-panel-x", (20, 6))))
         assert isinstance(task.fit_kwargs, tuple)
 
 
