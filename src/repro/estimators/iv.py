@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import EstimationError, InsufficientDataError
 from repro.frames.frame import Frame
@@ -157,6 +156,8 @@ def two_stage_least_squares(
     cov = sigma2 * bread
     se = float(np.sqrt(max(cov[1, 1], 0.0)))
     effect = float(beta[1])
+    from scipy import stats
+
     t_crit = float(stats.t.ppf(0.975, dof))
     return EffectEstimate(
         effect=effect,

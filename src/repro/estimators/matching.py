@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.errors import EstimationError, InsufficientDataError
 from repro.frames.frame import Frame
@@ -60,6 +59,8 @@ def matching_estimate(
 
     controls = xz[~t]
     control_y = y[~t]
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(controls)
     dists, idx = tree.query(xz[t], k=n_neighbors)
     dists = np.atleast_2d(dists.reshape(int(t.sum()), n_neighbors))

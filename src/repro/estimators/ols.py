@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import InsufficientDataError
 
@@ -58,6 +57,8 @@ class OlsFit:
 
     def confidence_interval(self, name: str, level: float = 0.95) -> tuple[float, float]:
         """Classical symmetric CI for one coefficient."""
+        from scipy import stats
+
         i = self.names.index(name)
         t_crit = float(stats.t.ppf(0.5 + level / 2, self.dof))
         half = t_crit * float(self.standard_errors[i])
@@ -133,6 +134,8 @@ def fit_ols(
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = np.where(se > 0, beta / se, np.inf * np.sign(beta))
+    from scipy import stats
+
     p_vals = 2 * stats.t.sf(np.abs(t_vals), dof)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(residuals @ residuals) / ss_tot if ss_tot > 0 else 0.0

@@ -147,7 +147,6 @@ class LiveRefitter:
                 ratios, n_skipped = live_placebo_ratios(
                     fact,
                     donor_matrix,
-                    donors,
                     pre_periods,
                     energy=self._energy,
                     ridge=self._ridge,

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.errors import DonorPoolError, EstimationError
 from repro.synthcontrol.result import SyntheticControlFit
@@ -54,6 +53,8 @@ def fit_simplex_weights(
         raise EstimationError("need >= 2 finite pre-period rows to fit weights")
     a = np.vstack([donors_pre[finite], sum_penalty * np.ones((1, j))])
     b = np.concatenate([y_pre[finite], [sum_penalty]])
+    from scipy.optimize import nnls
+
     weights, _ = nnls(a, b)
     total = weights.sum()
     if total <= 0:

@@ -93,7 +93,6 @@ def extend_factorization(
 def live_placebo_ratios(
     fact: DonorFactorization,
     donors: np.ndarray,
-    donor_names: tuple[str, ...],
     pre_periods: int,
     *,
     energy: float = 0.99,
@@ -106,8 +105,7 @@ def live_placebo_ratios(
     :func:`~repro.synthcontrol.placebo.placebo_ensemble` over the first
     *limit* donors (all when ``None``), reduced to ``(ratios,
     n_skipped)`` with ratios in donor order; a pool of fewer than two
-    donors has no placebos.  *donor_names* is kept for callers of the
-    older signature: the kernel needs no labels.
+    donors has no placebos.
     """
     j = donors.shape[1]
     n = j if limit is None else max(0, min(int(limit), j))

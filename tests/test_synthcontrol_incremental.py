@@ -90,7 +90,7 @@ class TestLivePlaceboRatios:
         fact = factor_donor_matrix(donors)
         denoised, _ = denoise_from_factorization(fact, energy=0.99)
         fit = fit_from_denoised(treated, denoised, pre, "t", names)
-        ratios, skipped = live_placebo_ratios(fact, donors, names, pre)
+        ratios, skipped = live_placebo_ratios(fact, donors, pre)
         assert len(ratios) + skipped == len(names)
         assert sorted(ratios) == sorted(summary.placebo_rmse_ratios)
         p = permutation_p_value(
@@ -102,14 +102,13 @@ class TestLivePlaceboRatios:
         rng = np.random.default_rng(7)
         donors = rng.normal(size=(10, 1))
         fact = factor_donor_matrix(donors)
-        ratios, skipped = live_placebo_ratios(fact, donors, ("d0",), 5)
+        ratios, skipped = live_placebo_ratios(fact, donors, 5)
         assert ratios == []
         assert skipped == 0
 
     def test_limit_caps_placebo_count(self):
         rng = np.random.default_rng(8)
         donors = rng.normal(size=(20, 6)).cumsum(axis=0)
-        names = tuple(f"d{j}" for j in range(6))
         fact = factor_donor_matrix(donors)
-        ratios, _ = live_placebo_ratios(fact, donors, names, 12, limit=3)
+        ratios, _ = live_placebo_ratios(fact, donors, 12, limit=3)
         assert len(ratios) <= 3
