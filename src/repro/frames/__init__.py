@@ -5,14 +5,11 @@ Public API:
 - :class:`Column` — a named, typed 1-D array.
 - :class:`Frame` — an ordered collection of equal-length columns with
   relational verbs (filter, sort, select, derive, join, concat).
-- :class:`ColumnBuilder` / :class:`FrameBuilder` — chunked append-only
-  construction (the columnar fast path; one concatenate at seal time).
 - :func:`group_by` / :class:`GroupedFrame` — split-apply-combine.
 - :func:`pivot` — long-to-wide reshaping (used to build RTT panels).
 - :func:`read_csv` / :func:`write_csv` — CSV I/O.
 """
 
-from repro.frames.builder import ColumnBuilder, FrameBuilder
 from repro.frames.column import (
     KIND_BOOL,
     KIND_FLOAT,
@@ -27,9 +24,7 @@ from repro.frames.io import read_csv, read_csv_text, to_csv_text, write_csv
 
 __all__ = [
     "Column",
-    "ColumnBuilder",
     "Frame",
-    "FrameBuilder",
     "GroupedFrame",
     "KIND_BOOL",
     "KIND_FLOAT",

@@ -350,14 +350,14 @@ class Column:
             codes, first_rows = dense_rank(values, nan_equal=self.kind == KIND_FLOAT)
             uniques = list(values[first_rows])
         else:
-            # Hash one value per *run*, not per row: columns built chunk by
-            # chunk (the measurement generator, CSV import) carry long
-            # constant runs.  The boundary scan is one C-level comparison
-            # sweep; where a run repeats one object (the generator fills
-            # each chunk with a single shared string) str comparison
-            # answers from identity without reading the characters.
-            # Worst case (no runs) this is the plain hash pass plus the
-            # sweep.
+            # Hash one value per *run*, not per row: columns built pool by
+            # pool or chunk by chunk (the measurement generator, CSV
+            # import) carry long constant runs.  The boundary scan is one
+            # C-level comparison sweep; where a run repeats one object
+            # (the generator fills each pool's rows with a single shared
+            # string) str comparison answers from identity without
+            # reading the characters.  Worst case (no runs) this is the
+            # plain hash pass plus the sweep.
             boundary = np.empty(n, dtype=bool)
             boundary[0] = True
             boundary[1:] = values[1:] != values[:-1]

@@ -17,7 +17,8 @@ Generation runs in two phases sharing one *plan*:
 2. **Emit** — either the batched columnar path
    (:meth:`SpeedTestGenerator.generate_frame`, the default: one
    vectorised RNG call per ⟨group, routing-state⟩ pool instead of per
-   test, column chunks instead of ``Measurement`` objects) or the
+   test, written into preallocated frame columns instead of
+   ``Measurement`` objects) or the
    scalar path (:meth:`SpeedTestGenerator.generate` / ``mode="scalar"``,
    one :class:`Measurement` per test).
 
@@ -45,12 +46,12 @@ if TYPE_CHECKING:
 
 from repro.errors import PlatformError
 from repro.obs import get_metrics, span
-from repro.frames.builder import FrameBuilder
 from repro.frames.column import (
     KIND_BOOL,
     KIND_FLOAT,
     KIND_INT,
     KIND_OBJECT,
+    Column,
 )
 from repro.frames.frame import Frame
 from repro.netsim.bgp import Route
@@ -68,8 +69,8 @@ from repro.mplatform.records import (
 
 logger = logging.getLogger(__name__)
 
-#: Declared kinds for the columnar fast path (skips per-chunk inference
-#: and keeps an empty frame's schema fully typed).
+#: Declared kinds for the columnar fast path (skips inference and keeps
+#: an empty frame's schema fully typed).
 _FRAME_KINDS: dict[str, str] = {
     "asn": KIND_INT,
     "city": KIND_OBJECT,
@@ -83,6 +84,13 @@ _FRAME_KINDS: dict[str, str] = {
     "trigger": KIND_OBJECT,
     "server_site": KIND_OBJECT,
     "download_mbps": KIND_FLOAT,
+}
+
+_KIND_DTYPES: dict[str, type] = {
+    KIND_INT: np.int64,
+    KIND_FLOAT: np.float64,
+    KIND_BOOL: np.bool_,
+    KIND_OBJECT: object,
 }
 
 
@@ -398,21 +406,22 @@ class SpeedTestGenerator:
 
         ``mode="batch"`` (default) pools every cell of a ⟨group,
         routing-state⟩ pair into single vectorised RTT/throughput/
-        trigger draws and accumulates typed column chunks — no
-        per-test Python work and no intermediate ``Measurement``
-        objects.  Each link's pre-noise load is computed once per pool
-        for both the RTT and the throughput draw.  Constant per-pool
-        strings (city, unit label, AS path, IXP list, server site) are
-        one shared object per chunk, and trigger labels are the three
-        :class:`Trigger` values, so no string is copied per row.
+        trigger draws written straight into the frame's preallocated
+        columns — no per-test Python work and no intermediate
+        ``Measurement`` objects.  Each link's pre-noise load is computed
+        once per pool for both the RTT and the throughput draw.
+        Constant per-pool strings (city, unit label, AS path, IXP list,
+        server site) are one shared object per pool, and trigger labels
+        are the three :class:`Trigger` values, so no string is copied
+        per row.
 
         ``mode="scalar"`` is the escape hatch: the classic object path
         (:meth:`generate`) followed by row-by-row frame export.  Cell
         counts are identical across modes under the same seed; samples
         agree in distribution.
 
-        *arena* (batch mode only) seals the frame's float columns
-        straight into that :class:`~repro.pipeline.shm.SharedFrameArena`'s
+        *arena* (batch mode only) allocates the frame's float columns
+        in that :class:`~repro.pipeline.shm.SharedFrameArena`'s
         named blocks — the downstream study pipeline then reads the
         same pages a process pool would attach, no private copy.
         """
@@ -447,16 +456,29 @@ class SpeedTestGenerator:
     ) -> Frame:
         """Draw every pool's tests with one vectorised call per quantity.
 
-        Each link's pre-noise load is computed once per pool and read by
-        both the RTT draw and the throughput bottleneck.
+        The plan knows every pool's row count, so each column is
+        allocated once at full length (float columns in *arena* when
+        given) and each pool writes into its own row range — no
+        per-pool chunks, no seal-time concatenate.  Each link's
+        pre-noise load is computed once per pool and read by both the
+        RTT draw and the throughput bottleneck.
         """
         scenario = self.scenario
         latency = scenario.latency
         # A custom throughput model may price a different latency model.
         share_loads = self.throughput.latency is latency
         pools = plan.pools()
-        builder = FrameBuilder(MEASUREMENT_COLUMNS, kinds=_FRAME_KINDS)
+        total = int(plan.n_tests.sum())
+        alloc = arena.column_alloc("measurements") if arena is not None else None
+        columns: dict[str, np.ndarray] = {}
+        for name in MEASUREMENT_COLUMNS:
+            kind = _FRAME_KINDS[name]
+            if alloc is not None and kind == KIND_FLOAT:
+                columns[name] = alloc(name, total)
+            else:
+                columns[name] = np.empty(total, dtype=_KIND_DTYPES[kind])
         with span("generate.emit", pools=len(pools)):
+            stop = 0
             for cells in pools:
                 first = cells[0]
                 group = scenario.user_groups[plan.group[first]]
@@ -465,15 +487,21 @@ class SpeedTestGenerator:
                 topo = plan.topologies[sid]
                 counts = plan.n_tests[cells]
                 n = int(counts.sum())
+                rows = slice(stop, stop + n)
+                stop += n
 
+                # time_hour and rtt_ms are computed into the frame's own
+                # rows; the draws below only read those views.
+                time_hour = columns["time_hour"][rows]
                 start_hours = np.repeat(plan.hour[cells].astype(np.float64), counts)
-                time_hour = start_hours + noise_rng.uniform(0.0, 1.0, size=n)
+                np.add(start_hours, noise_rng.uniform(0.0, 1.0, size=n), out=time_hour)
                 loads = latency.link_loads(route, time_hour, topology=topo)
                 sample = latency.sample_rtt_batch(
                     route, time_hour, noise_rng, topology=topo, loads=loads
                 )
                 backhaul = self._backhaul_ms(group.asn, group.city, group.backhaul_city)
-                rtt = sample.total_ms + backhaul
+                rtt = columns["rtt_ms"][rows]
+                np.add(sample.total_ms, backhaul, out=rtt)
                 tput = self.throughput.sample_batch(
                     route,
                     rtt,
@@ -489,24 +517,22 @@ class SpeedTestGenerator:
                 )
 
                 crossings = self._crossings(group.asn, float(plan.hour[first]))
-                builder.append_chunk(
-                    {
-                        "asn": np.full(n, group.asn, dtype=np.int64),
-                        "city": _shared(n, group.city),
-                        "unit": _shared(n, group.unit_label),
-                        "time_hour": time_hour,
-                        "day": (time_hour // 24.0).astype(np.int64),
-                        "rtt_ms": rtt,
-                        "as_path": _shared(n, "-".join(str(a) for a in route.path)),
-                        "crosses_ixp": np.full(n, len(crossings) > 0, dtype=np.bool_),
-                        "ixps": _shared(n, ",".join(crossings)),
-                        "trigger": triggers,
-                        "server_site": _shared(n, "default"),
-                        "download_mbps": tput.download_mbps,
-                    }
-                )
-            alloc = arena.column_alloc("measurements") if arena is not None else None
-            return builder.build(alloc=alloc)
+                columns["asn"][rows] = group.asn
+                columns["city"][rows] = group.city
+                columns["unit"][rows] = group.unit_label
+                columns["day"][rows] = time_hour // 24.0
+                columns["as_path"][rows] = "-".join(str(a) for a in route.path)
+                columns["crosses_ixp"][rows] = len(crossings) > 0
+                columns["ixps"][rows] = ",".join(crossings)
+                columns["trigger"][rows] = triggers
+                columns["server_site"][rows] = "default"
+                columns["download_mbps"][rows] = tput.download_mbps
+        return Frame(
+            [
+                Column(name, columns[name], kind=_FRAME_KINDS[name])
+                for name in MEASUREMENT_COLUMNS
+            ]
+        )
 
     # -- trigger attribution ---------------------------------------------------
 
@@ -591,8 +617,8 @@ def measurements_frame(
 
     The batched columnar path is the default; pass ``mode="scalar"``
     for the classic per-``Measurement`` object path (same cell counts,
-    same distributions, a lot slower).  *arena* seals float columns
-    into shared-memory blocks (see
+    same distributions, a lot slower).  *arena* places float columns
+    in shared-memory blocks (see
     :meth:`SpeedTestGenerator.generate_frame`).
     """
     generator = SpeedTestGenerator(

@@ -4,9 +4,9 @@ The process-pool study used to pickle the full :class:`~repro.synthcontrol.donor
 into every per-unit task, so the transport cost grew as
 ``O(tasks x panel_bytes)`` and the parallel study ran *slower* than
 serial at CI scale.  This module keeps every float payload a pooled
-stage reads — measurement-frame columns (sealed straight out of
-:meth:`repro.frames.builder.FrameBuilder.build` via its ``alloc=``
-hook, or a CSV import's float columns), the study's panel, and the
+stage reads — measurement-frame columns (the generator and the CSV
+reader allocate their float columns here through
+:meth:`SharedFrameArena.column_alloc`), the study's panel, and the
 batched fit engine's pre-factored slabs — in named
 :mod:`multiprocessing.shared_memory` blocks, so a task ships only a
 tiny named reference:
@@ -227,8 +227,8 @@ class SharedFrameArena:
     import, a pooled study's panel, a campaign's panels, a fit stage's
     pre-factored slabs): every :meth:`allocate` call creates one named
     block whose uninitialised array view the caller fills in place —
-    frame columns seal straight into it through :meth:`column_alloc`,
-    the pivot scatters the panel, the fit engine writes its slabs.
+    frame columns are written into it through :meth:`column_alloc`, the
+    pivot scatters the panel, the fit engine writes its slabs.
     :meth:`close` unlinks every block exactly once (idempotent); live
     views — the parent's own arrays, attached workers — stay valid
     until dropped.
@@ -295,11 +295,12 @@ class SharedFrameArena:
         return self._blocks[-1][2]
 
     def column_alloc(self, tag: str) -> "Callable[[str, int], np.ndarray]":
-        """An ``alloc(name, length)`` hook for ``FrameBuilder.build``.
+        """An ``alloc(name, length)`` hook for a frame's float columns.
 
-        Each float column the builder seals lands in its own arena
-        block labelled ``<tag>.<column>`` — the frame's numeric storage
-        then lives in shared memory with no seal-time copy.
+        The generator (``SpeedTestGenerator.generate_frame``) and the
+        CSV reader (``read_csv_text``) call it once per float column and
+        write the values into the returned view, so each column lives in
+        its own arena block labelled ``<tag>.<column>`` with no copy.
         """
 
         def alloc(name: str, length: int) -> np.ndarray:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.frames.builder import FrameBuilder
-from repro.frames.column import KIND_OBJECT
+from repro.frames.column import KIND_OBJECT, Column
 from repro.frames.frame import Frame
 from repro.mplatform.records import MEASUREMENT_COLUMNS, Trigger
 from repro.mplatform.speedtest import _FRAME_KINDS, SpeedTestGenerator
@@ -255,7 +254,7 @@ def reference_frame(
     rate_rng: np.random.Generator,
     noise_rng: np.random.Generator,
 ) -> Frame:
-    """Plan cell by cell, then emit one chunk per ⟨group, state⟩ pool."""
+    """Plan cell by cell, emit one chunk per ⟨group, state⟩ pool, then concatenate."""
     cells, routes, topologies = plan_cells(gen, rate_rng)
     scenario = gen.scenario
 
@@ -263,7 +262,7 @@ def reference_frame(
     for cell in cells:
         pools.setdefault((cell.group_index, cell.state_key), []).append(cell)
 
-    builder = FrameBuilder(MEASUREMENT_COLUMNS, kinds=_FRAME_KINDS)
+    chunks: dict[str, list[np.ndarray]] = {name: [] for name in MEASUREMENT_COLUMNS}
     for (gi, state_key), pool in pools.items():
         group = scenario.user_groups[gi]
         route = routes[(group.asn, state_key)]
@@ -286,23 +285,32 @@ def reference_frame(
         triggers = _classify_triggers(gen, group, ambient, recent, noise_rng)
 
         crossings = gen._crossings(group.asn, pool[0].hour)
-        builder.append_chunk(
-            {
-                "asn": np.full(n, group.asn, dtype=np.int64),
-                "city": np.full(n, group.city, dtype=object),
-                "unit": np.full(n, group.unit_label, dtype=object),
-                "time_hour": time_hour,
-                "day": (time_hour // 24.0).astype(np.int64),
-                "rtt_ms": rtt,
-                "as_path": np.full(n, "-".join(str(a) for a in route.path), dtype=object),
-                "crosses_ixp": np.full(n, len(crossings) > 0, dtype=np.bool_),
-                "ixps": np.full(n, ",".join(crossings), dtype=object),
-                "trigger": triggers,
-                "server_site": np.full(n, "default", dtype=object),
-                "download_mbps": tput.download_mbps,
-            }
-        )
-    return builder.build()
+        chunk = {
+            "asn": np.full(n, group.asn, dtype=np.int64),
+            "city": np.full(n, group.city, dtype=object),
+            "unit": np.full(n, group.unit_label, dtype=object),
+            "time_hour": time_hour,
+            "day": (time_hour // 24.0).astype(np.int64),
+            "rtt_ms": rtt,
+            "as_path": np.full(n, "-".join(str(a) for a in route.path), dtype=object),
+            "crosses_ixp": np.full(n, len(crossings) > 0, dtype=np.bool_),
+            "ixps": np.full(n, ",".join(crossings), dtype=object),
+            "trigger": triggers,
+            "server_site": np.full(n, "default", dtype=object),
+            "download_mbps": tput.download_mbps,
+        }
+        for name in MEASUREMENT_COLUMNS:
+            chunks[name].append(chunk[name])
+    return Frame(
+        [
+            Column(
+                name,
+                np.concatenate(parts) if parts else np.empty(0),
+                kind=_FRAME_KINDS[name],
+            )
+            for name, parts in chunks.items()
+        ]
+    )
 
 
 def assert_frames_identical(actual: Frame, expected: Frame) -> None:

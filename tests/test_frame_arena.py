@@ -24,7 +24,7 @@ import pytest
 
 from repro.chaos import FaultPlan, FaultSpec, active_plan, clear_events, fault_events
 from repro.errors import InjectedFault, PipelineError, PlatformError
-from repro.frames.builder import FrameBuilder
+from repro.frames import KIND_FLOAT, Column, Frame
 from repro.mplatform.speedtest import measurements_frame
 from repro.pipeline.executor import RetryPolicy
 from repro.pipeline.shm import (
@@ -146,15 +146,14 @@ class TestArenaLifecycle:
             assert block.shape == (0,)
             assert arena.ref("empty").load().shape == (0,)
 
-    def test_column_alloc_feeds_a_frame_builder(self):
+    def test_column_alloc_backs_a_frame_column(self):
         with SharedFrameArena(tag="t") as arena:
-            builder = FrameBuilder()
-            builder.append_chunk({"rtt_ms": [1.5, 2.5, 3.5]})
-            frame = builder.build(alloc=arena.column_alloc("unit-test"))
-            assert arena.names  # the float column landed in the arena
-            np.testing.assert_array_equal(
-                frame.numeric("rtt_ms"), [1.5, 2.5, 3.5]
-            )
+            values = arena.column_alloc("unit-test")("rtt_ms", 3)
+            values[:] = [1.5, 2.5, 3.5]
+            frame = Frame([Column("rtt_ms", values, kind=KIND_FLOAT)])
+            block = arena.ref("unit-test.rtt_ms").load()
+            assert np.shares_memory(frame.column("rtt_ms").values, block)
+            np.testing.assert_array_equal(block, [1.5, 2.5, 3.5])
 
 
 class TestArenaBackedFrames:

@@ -126,6 +126,26 @@ class TestLiveResult:
         # rebuilds its ensemble when amortization is off.
         assert refreshes == sum(r.warm_refits + r.cold_refits for r in out.reports)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a warm refit reuses a donor pool screened before later "
+        "units were treated; ROADMAP item 3",
+    )
+    def test_live_donor_pools_exclude_treated_units(self, small_frame, small_scenario):
+        """``UnitScreen.donors`` promises never-treated donors, live too."""
+        study = StreamStudy(small_scenario.ixp_name)
+        for batch in slice_frame(small_frame, batch_hours=6.0):
+            study.ingest(batch)
+        treated = set(study.assignment().treated_units)
+        pools = {
+            unit: set(state.donors)
+            for unit in treated
+            if (state := study._refitter.state(unit)) is not None and state.donors
+        }
+        assert pools
+        leaks = {u: sorted(p & treated) for u, p in pools.items() if p & treated}
+        assert leaks == {}
+
 
 def _batch_units(batch):
     return {str(u) for u in batch.frame.column("unit").factorize()[1]}
