@@ -75,6 +75,47 @@ def infer_kind(values: Sequence[Any] | np.ndarray) -> str:
     return KIND_OBJECT
 
 
+def code_dtype(n_distinct: int) -> np.dtype:
+    """The narrowest unsigned dtype holding codes in ``[0, n_distinct)``.
+
+    Past 32 bits this is ``int64``, not ``uint64``: mixing ``uint64``
+    with the ``int64`` codes it is built from would promote to float.
+    """
+    dtype = np.min_scalar_type(max(n_distinct - 1, 0))
+    return dtype if dtype.itemsize < 8 else np.dtype(np.int64)
+
+
+def narrow_codes(codes: np.ndarray, n_distinct: int) -> np.ndarray:
+    """Dense codes in ``[0, n_distinct)`` cast to :func:`code_dtype`.
+
+    The key to hand a stable argsort: its permutation depends only on
+    the keys' order, which the cast keeps, and numpy's stable sort is a
+    radix sort for keys of 16 bits or fewer (timsort above that) — on
+    run-structured row codes a ``uint16`` key sorts two to three times
+    faster than the ``int64`` codes, and the key itself is a quarter of
+    their size.
+    """
+    return codes.astype(code_dtype(n_distinct))
+
+
+def _sort_key(values: np.ndarray) -> np.ndarray:
+    """An order-keeping unsigned key for an int or bool array.
+
+    Ints are shifted by their minimum into the narrowest unsigned dtype
+    that holds their range, without a wide temporary.  When no narrower
+    dtype holds the range, the values themselves are the key.
+    """
+    if values.dtype.kind == "b":
+        return values.view(np.uint8)
+    lo, hi = int(values.min()), int(values.max())
+    dtype = np.min_scalar_type(hi - lo)
+    if dtype.itemsize >= values.dtype.itemsize:
+        return values
+    key = np.empty(len(values), dtype=dtype)
+    np.subtract(values, lo, out=key, casting="unsafe")
+    return key
+
+
 def dense_rank(
     values: np.ndarray, nan_equal: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -84,19 +125,22 @@ def dense_rank(
     numbered by each distinct value's first appearance, and the row index
     of that first appearance per group (so ``values[first_rows]`` lists
     the distinct values in first-appearance order).  Built on one stable
-    argsort — numpy radix-sorts integer and boolean arrays, which is far
-    cheaper than :func:`numpy.unique`'s comparison sort when the value
-    range is modest.  With *nan_equal* every NaN joins one shared group.
+    argsort.  Int and bool values are sorted through a narrow unsigned
+    key (:func:`_sort_key`): a range of 16 bits or fewer radix-sorts,
+    which is far cheaper than :func:`numpy.unique`'s comparison sort.
+    With *nan_equal* every NaN joins one shared group.
     """
     n = len(values)
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
+    key = values if values.dtype.kind == "f" else _sort_key(values)
+    order = np.argsort(key, kind="stable")
+    sv = key[order]
     boundary = np.empty(n, dtype=bool)
     boundary[0] = True
     neq = sv[1:] != sv[:-1]
     if nan_equal:
         neq &= ~(np.isnan(sv[1:]) & np.isnan(sv[:-1]))
     boundary[1:] = neq
+    del sv, neq
     starts = np.flatnonzero(boundary)
     first_idx = order[starts]  # stable sort: the min original row per group
     appearance = np.argsort(first_idx, kind="stable")
@@ -332,9 +376,10 @@ class Column:
         ``uniques[codes[i]] == values[i]`` and ``uniques`` lists the
         distinct values in first-appearance order — the same order
         :meth:`unique` and the row-wise grouping loop produce.  Numeric
-        columns use one stable argsort (radix sort for ints and bools);
-        object columns hash one value per constant run.  For float columns every
-        NaN shares one code.  The result is memoised on the column — the
+        columns use one stable argsort (:func:`dense_rank`; ints and
+        bools sort a narrow unsigned key, a radix sort when their range
+        fits 16 bits); object columns hash one value per constant run.
+        For float columns every NaN shares one code.  The result is memoised on the column — the
         pipeline factorizes the same key columns repeatedly (treatment
         scan, panel build, joins) and the values array is immutable by
         convention.

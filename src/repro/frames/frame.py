@@ -481,7 +481,7 @@ class Frame:
             col = self._columns[name]
             if col.kind == KIND_OBJECT:
                 continue
-            values = col.astype(KIND_FLOAT).values
+            values = self.numeric(name)
             finite = values[~np.isnan(values)]
             records.append(
                 {
@@ -501,11 +501,20 @@ class Frame:
         )
 
     def numeric(self, name: str) -> np.ndarray:
-        """Return column *name* as float64 (raising if non-numeric)."""
+        """Return column *name* as float64 (raising if non-numeric).
+
+        A float column comes back as a read-only view of its values —
+        no copy, so a caller that wants to write must copy first.  Int
+        and bool columns convert into a fresh array.
+        """
         col = self.column(name)
         if col.kind == KIND_OBJECT:
             raise FrameError(f"column {name!r} is not numeric")
-        return col.astype(KIND_FLOAT).values
+        if col.kind == KIND_FLOAT:
+            view = col.values.view()
+            view.flags.writeable = False
+            return view
+        return col.values.astype(np.float64)
 
 
 def _combine_codes(parts: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, bool]:

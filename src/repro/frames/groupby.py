@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import FrameError
-from repro.frames.column import KIND_OBJECT, Column
+from repro.frames.column import KIND_OBJECT, Column, code_dtype, narrow_codes
 from repro.frames.frame import Frame
 
 _AggSpec = tuple[str, "str | Callable[[np.ndarray], Any]"]
@@ -111,16 +111,19 @@ _FAST_AGGS = frozenset({"count", "sum", "mean", "median", "min", "max"})
 
 
 class _Segments:
-    """Contiguous group slices of one gathered (group-sorted) array."""
+    """Contiguous group slices of the rows in group-code order.
+
+    ``order[starts[g]:ends[g]]`` are group *g*'s rows, ascending.
+    """
 
     __slots__ = ("order", "starts", "ends")
 
     def __init__(self, codes: np.ndarray, n_groups: int) -> None:
-        self.order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[self.order]
-        bounds = np.searchsorted(
-            sorted_codes, np.arange(n_groups + 1, dtype=np.int64), side="left"
-        )
+        # A stable sort of the narrowed codes is the same permutation;
+        # the bounds come from the group sizes.
+        self.order = np.argsort(narrow_codes(codes, n_groups), kind="stable")
+        bounds = np.zeros(n_groups + 1, dtype=np.int64)
+        np.cumsum(np.bincount(codes, minlength=n_groups), out=bounds[1:])
         self.starts = bounds[:-1]
         self.ends = bounds[1:]
 
@@ -144,19 +147,22 @@ def _grouped_fast(
     """One builtin over every group at once; NaN handled once per column.
 
     Returns a float64 array (NaN where the row-wise builtin returned
-    ``None``), except ``count`` which returns int64 group sizes.
+    ``None``), except ``count`` which returns int64 group sizes.  Sums,
+    means and medians gather each group's values from its slice of the
+    order, so no group-sorted copy of the column is made; min and max
+    reduce over one.
     """
-    starts, ends = segments.starts, segments.ends
+    starts, ends, order = segments.starts, segments.ends, segments.order
     if agg == "count":
         return ends - starts
-    gathered = values[segments.order]
-    is_float = gathered.dtype.kind == "f"
+    is_float = values.dtype.kind == "f"
     if agg in ("sum", "mean"):
-        # Summing contiguous slices keeps numpy's pairwise summation —
-        # bit-identical to the historical per-group np.sum/np.mean.
+        # Summing each group's gathered values keeps numpy's pairwise
+        # summation — bit-identical to the historical per-group
+        # np.sum/np.mean.
         out = np.empty(len(starts), dtype=np.float64)
         for g in range(len(starts)):
-            seg = gathered[starts[g] : ends[g]]
+            seg = values[order[starts[g] : ends[g]]]
             if is_float:
                 seg = seg[~np.isnan(seg)]
             if len(seg):
@@ -164,15 +170,16 @@ def _grouped_fast(
             else:
                 out[g] = 0.0 if agg == "sum" else np.nan
         return out
-    # median/min/max: NaN counts come from one reduceat over the gathered
-    # layout; min/max reduce over NaN-neutralised copies (min/max pick an
-    # element, so association cannot change the result), and the median
-    # sorts each slice (NaN last) and picks middles by the valid counts.
-    gf = gathered.astype(np.float64, copy=False)
+    # median/min/max: NaN counts come from one reduceat over the
+    # group-ordered NaN mask (skipped when the column has no NaN);
+    # min/max reduce over NaN-neutralised gathered copies (min/max pick
+    # an element, so association cannot change the result), and the
+    # median sorts each group's values (NaN last) and picks middles by
+    # the valid counts.
     sizes = ends - starts
-    if is_float:
-        nan_mask = np.isnan(gf)
-        valid = sizes - np.add.reduceat(nan_mask.astype(np.int64), starts)
+    nan_mask = np.isnan(values) if is_float else None
+    if nan_mask is not None and nan_mask.any():
+        valid = sizes - np.add.reduceat(nan_mask[order], starts)  # bools add as ints
     else:
         nan_mask = None
         valid = sizes
@@ -180,15 +187,16 @@ def _grouped_fast(
     ok = valid > 0
     if not ok.any():
         return out
-    if agg == "min":
-        filled = np.where(nan_mask, np.inf, gf) if nan_mask is not None else gf
-        out[ok] = np.minimum.reduceat(filled, starts)[ok]
-    elif agg == "max":
-        filled = np.where(nan_mask, -np.inf, gf) if nan_mask is not None else gf
-        out[ok] = np.maximum.reduceat(filled, starts)[ok]
+    if agg in ("min", "max"):
+        gf = values[order].astype(np.float64, copy=False)
+        if nan_mask is not None:
+            gf[nan_mask[order]] = np.inf if agg == "min" else -np.inf
+        reduce = np.minimum if agg == "min" else np.maximum
+        out[ok] = reduce.reduceat(gf, starts)[ok]
     else:  # median
         for g in np.flatnonzero(ok):
-            ss = np.sort(gf[starts[g] : ends[g]])  # NaN sorts last
+            ss = np.asarray(values[order[starts[g] : ends[g]]], dtype=np.float64)
+            ss.sort()  # NaN sorts last
             k = valid[g]
             out[g] = (ss[(k - 1) // 2] + ss[k // 2]) / 2.0
     return out
@@ -327,15 +335,17 @@ def pivot_grid(
     col_codes, col_keys = frame.column(columns).factorize()
     vals = frame.numeric(values)
 
+    n_cols = max(len(col_keys), 1)
+    cell_dtype = code_dtype(len(row_keys) * n_cols)
+    rank = None
     if sort_index and row_keys:
         if frame.column(index).kind == KIND_OBJECT:
             sort_keys = np.array([str(v) for v in row_keys])
         else:
             sort_keys = np.asarray(row_keys)
         order = np.argsort(sort_keys, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order), dtype=np.int64)
-        row_codes = rank[row_codes]
+        rank = np.empty(len(order), dtype=cell_dtype)
+        rank[order] = np.arange(len(order))
         row_keys = [row_keys[i] for i in order]
 
     shape = (len(row_keys), len(col_keys))
@@ -350,33 +360,44 @@ def pivot_grid(
     else:
         grid = np.full(shape, np.nan)
     if frame.num_rows:
-        combined = row_codes * max(len(col_keys), 1) + col_codes
-        # One stable argsort (radix on int64 codes) both orders the rows by
-        # cell and yields the occupied cells in ascending flat order.
-        order = np.argsort(combined, kind="stable")
-        sorted_comb = combined[order]
-        boundary = np.empty(len(sorted_comb), dtype=bool)
+        # One cell-code buffer, as narrow as the grid's cell count
+        # allows: the row remap, the multiply and the add write into it,
+        # and one stable argsort of it (a radix sort up to 16 bits) both
+        # orders the rows by cell and yields the occupied cells in
+        # ascending flat order.
+        cells = np.empty(frame.num_rows, dtype=cell_dtype)
+        if rank is None:
+            np.copyto(cells, row_codes, casting="unsafe")
+        else:
+            np.take(rank, row_codes, out=cells, mode="clip")
+        if len(row_keys) > 1:
+            np.multiply(cells, cell_dtype.type(n_cols), out=cells)
+        np.add(cells, col_codes, out=cells, casting="unsafe")
+        order = np.argsort(cells, kind="stable")
+        sorted_cells = cells[order]
+        del cells
+        boundary = np.empty(len(sorted_cells), dtype=bool)
         boundary[0] = True
-        boundary[1:] = sorted_comb[1:] != sorted_comb[:-1]
+        boundary[1:] = sorted_cells[1:] != sorted_cells[:-1]
         starts = np.flatnonzero(boundary)
-        occupied = sorted_comb[starts]
+        occupied = sorted_cells[starts]
+        del sorted_cells, boundary
         segments = _Segments.from_parts(
-            order, starts, np.append(starts[1:], len(sorted_comb))
+            order, starts, np.append(starts[1:], frame.num_rows)
         )
         if agg in _FAST_AGGS:
-            cells = _grouped_fast(vals, segments, agg).astype(
+            cell_values = _grouped_fast(vals, segments, agg).astype(
                 np.float64, copy=False
             )
         else:
-            gathered = vals[segments.order]
-            cells = np.array(
+            cell_values = np.array(
                 [
-                    _none_to_nan(agg_fn(gathered[s:e]))
+                    _none_to_nan(agg_fn(vals[order[s:e]]))
                     for s, e in zip(segments.starts, segments.ends)
                 ],
                 dtype=np.float64,
             )
-        grid.flat[occupied] = cells
+        grid.flat[occupied] = cell_values
     return row_keys, col_keys, grid
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import FrameError
 from repro.frames.frame import Frame
+from repro.frames.groupby import _Segments
 from repro.obs import span
 
 logger = logging.getLogger(__name__)
@@ -114,40 +115,36 @@ def _assign_treatment(
     window_hours: float,
 ) -> TreatmentAssignment:
     crosses = crossing_mask(frame, ixp_name)
-    unit_col = frame.column("unit")
     hours = frame.numeric("time_hour")
 
-    # Factorize units once, merge codes that share a string label (the
-    # historical scan compared str(u)), and sort every row by
-    # (unit, hour) in one pass — no per-unit O(rows) mask rebuilds.
-    codes, uniques = unit_col.factorize()
-    labels = [str(u) for u in uniques]
-    names = sorted(set(labels))
-    gid_of_name = {name: g for g, name in enumerate(names)}
-    gid_of_code = np.array([gid_of_name[lab] for lab in labels], dtype=np.int64)
-    gids = gid_of_code[codes] if len(codes) else np.empty(0, dtype=np.int64)
+    # Factorize units once and sort every row by unit code in one
+    # stable pass — no per-unit O(rows) mask rebuilds.  The order is the
+    # only row-length index: each unit's rows are its codes' slices of
+    # it, and codes that share a string label (the historical scan
+    # compared str(u)) are merged back into row order.
+    codes, uniques = frame.column("unit").factorize()
+    by_code = _Segments(codes, len(uniques))
+    codes_of: dict[str, list[int]] = {}
+    for code, unit in enumerate(uniques):
+        codes_of.setdefault(str(unit), []).append(code)
 
-    # Radix-sort by unit code (stable argsort on int64), then order each
-    # unit's slice by hour separately — cheaper than one global lexsort,
-    # and the tie order among equal hours is immaterial: the debounce
-    # windows cut on hour *values*, so they always cover whole equal-hour
-    # runs and the share test sees the same counts either way.
-    order = np.argsort(gids, kind="stable")
-    hours_g = hours[order]
-    crosses_g = crosses[order]
-    bounds = np.searchsorted(
-        gids[order], np.arange(len(names) + 1, dtype=np.int64), side="left"
-    )
-
+    # Each unit's slice is then ordered by hour separately — cheaper
+    # than one global lexsort, and the tie order among equal hours is
+    # immaterial: the debounce windows cut on hour *values*, so they
+    # always cover whole equal-hour runs and the share test sees the
+    # same counts either way.
     first: dict[str, float] = {}
     never: list[str] = []
-    for g, unit in enumerate(names):
-        start, end = bounds[g], bounds[g + 1]
-        slice_hours = hours_g[start:end]
+    for unit, unit_codes in sorted(codes_of.items()):
+        runs = [
+            by_code.order[by_code.starts[c] : by_code.ends[c]] for c in unit_codes
+        ]
+        rows = runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs))
+        slice_hours = hours[rows]
         hour_order = np.argsort(slice_hours)
         candidate = _first_sustained_crossing(
             slice_hours[hour_order],
-            crosses_g[start:end][hour_order],
+            crosses[rows][hour_order],
             min_crossing_share,
             window_hours,
         )

@@ -9,10 +9,10 @@ already-generated frame is the only way the streamed union can equal
 the batch frame value-for-value (which the engine's bit-parity
 guarantee rests on).
 
-Slicing is one stable argsort plus ``searchsorted`` boundary lookups,
-so cutting a frame into hundreds of per-hour batches stays
-``O(N log N)`` total, not ``O(N x batches)``.  Rows keep their original
-relative order inside each batch.
+Slicing is one stable argsort of the per-row slice ids plus a count of
+each slice's rows, so cutting a frame into hundreds of per-hour batches
+stays ``O(N log N)`` total, not ``O(N x batches)``.  Rows keep their
+original relative order inside each batch.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import FrameError
 from repro.frames.frame import Frame
+from repro.frames.groupby import _Segments
 
 
 @dataclass(frozen=True)
@@ -146,15 +147,12 @@ def _gather_batches(
     frame: Frame, hours: np.ndarray, ids: np.ndarray, n: int
 ) -> list[MeasurementBatch]:
     """Materialize slice frames from per-row slice ids in one sorted pass."""
-    order = np.argsort(ids, kind="stable")  # stable: original order kept per slice
-    sorted_ids = ids[order]
-    bounds = np.searchsorted(sorted_ids, np.arange(n + 1, dtype=np.int64))
+    slices = _Segments(ids, n)  # stable: original order kept per slice
     batches: list[MeasurementBatch] = []
-    for b in range(n):
-        start, end = bounds[b], bounds[b + 1]
+    for start, end in zip(slices.starts, slices.ends):
         if start == end:
             continue
-        rows = order[start:end]
+        rows = slices.order[start:end]
         slice_hours = hours[rows]
         batches.append(
             MeasurementBatch(

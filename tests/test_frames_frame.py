@@ -68,6 +68,27 @@ class TestAccess:
         with pytest.raises(FrameError):
             frame.numeric("city")
 
+    def test_numeric_float_column_is_a_read_only_view(self, frame):
+        values = frame.numeric("rtt")
+        assert values.dtype == np.float64
+        assert np.shares_memory(values, frame.column("rtt").values)
+        with pytest.raises(ValueError):
+            values[0] = 99.0
+        assert frame["rtt"][0] == 10.0
+        # The column itself stays writable until something factorizes it.
+        assert frame.column("rtt").values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values", [np.array([3, 1, 2], dtype=np.int64), np.array([True, False, True])]
+    )
+    def test_numeric_int_and_bool_columns_convert_to_a_fresh_array(self, values):
+        frame = Frame([Column("x", values)])
+        out = frame.numeric("x")
+        assert out.dtype == np.float64
+        assert out.flags.writeable
+        assert not np.shares_memory(out, frame.column("x").values)
+        np.testing.assert_array_equal(out, values.astype(np.float64))
+
 
 class TestColumnTransforms:
     def test_select_order(self, frame):
