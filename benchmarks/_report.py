@@ -3,7 +3,10 @@
 Each benchmark regenerates one of the paper's artefacts (Table 1, a
 boxed example, or an ablation) and records the produced table under
 ``benchmarks/results/`` so the numbers survive the pytest run.  The
-report is also echoed to stdout (visible with ``pytest -s``).
+report is also echoed to stdout (visible with ``pytest -s``).  Smoke
+runs (``ANALYSIS_BENCH_SMOKE=1``) write to ``benchmarks/results/smoke/``
+instead, which is not tracked, so a smoke-scale number never replaces
+a full-scale record.
 
 Performance benchmarks additionally pass ``data`` — machine-readable
 numbers written alongside the table as ``results/<name>.json`` with the
@@ -22,11 +25,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from pathlib import Path
 from typing import Any
 
 RESULTS_DIR = Path(__file__).parent / "results"
+SMOKE_RESULTS_DIR = RESULTS_DIR / "smoke"
 
 #: Keys every benchmark data record must provide.  ``speedup`` is NOT
 #: required: benchmarks whose headline number is something else (e.g.
@@ -55,10 +60,13 @@ def write_report(
     ``name`` plus a ``timestamp`` (unix seconds) are filled in here, the
     record landing at ``results/<name>.json``.  Any further keys (e.g.
     ``n_cores``/``n_jobs``, which make a scaling regression attributable
-    to the machine it ran on) pass through verbatim.
+    to the machine it ran on) pass through verbatim.  Under
+    ``ANALYSIS_BENCH_SMOKE=1`` both files go to ``results/smoke/``.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+    smoke = os.environ.get("ANALYSIS_BENCH_SMOKE") == "1"
+    out_dir = SMOKE_RESULTS_DIR if smoke else RESULTS_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{name}.txt"
     text = f"{title}\n{'=' * len(title)}\n\n{body}\n"
     path.write_text(text)
     if data is not None:
@@ -82,7 +90,7 @@ def write_report(
             record["batch_p50_s"] = _percentile(batch_seconds, 50)
             record["batch_p99_s"] = _percentile(batch_seconds, 99)
         record["timestamp"] = time.time()
-        json_path = RESULTS_DIR / f"{name}.json"
+        json_path = out_dir / f"{name}.json"
         json_path.write_text(json.dumps(record, indent=2) + "\n")
     print()
     print(text)

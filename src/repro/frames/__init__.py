@@ -2,7 +2,8 @@
 
 Public API:
 
-- :class:`Column` — a named, typed 1-D array.
+- :class:`Column` — a named, typed 1-D array; an object column may be
+  dictionary-encoded (:meth:`Column.from_codes`).
 - :class:`Frame` — an ordered collection of equal-length columns with
   relational verbs (filter, sort, select, derive, join, concat).
 - :func:`group_by` / :class:`GroupedFrame` — split-apply-combine.

@@ -7,6 +7,16 @@ a numpy object array of Python values (with ``None`` as the missing
 marker).  The class is intentionally small: it exists so that
 :class:`~repro.frames.frame.Frame` can reason about dtypes and missing
 values uniformly without pulling in pandas.
+
+An object column may instead be *dictionary-encoded*
+(:meth:`Column.from_codes`): one narrow unsigned code per row, in
+:func:`code_dtype` of the category count, plus a small table of the
+distinct values.  Its kind is still ``object``.  Row selection,
+concatenation, missing masks, equality, pickling and :meth:`Column.factorize`
+work on the codes; :attr:`Column.values` decodes the object array on first
+access and keeps it, so a reader of ``values`` sees exactly what a plain
+object column would hold.  Label columns with a few dozen distinct values
+then cost one byte per row instead of an 8-byte pointer.
 """
 
 from __future__ import annotations
@@ -93,9 +103,10 @@ def narrow_codes(codes: np.ndarray, n_distinct: int) -> np.ndarray:
     radix sort for keys of 16 bits or fewer (timsort above that) — on
     run-structured row codes a ``uint16`` key sorts two to three times
     faster than the ``int64`` codes, and the key itself is a quarter of
-    their size.
+    their size.  Codes already in that dtype (every :meth:`Column.factorize`
+    result) come back as they are, without a copy.
     """
-    return codes.astype(code_dtype(n_distinct))
+    return codes.astype(code_dtype(n_distinct), copy=False)
 
 
 def _sort_key(values: np.ndarray) -> np.ndarray:
@@ -121,8 +132,9 @@ def dense_rank(
 ) -> tuple[np.ndarray, np.ndarray]:
     """First-appearance dense codes for a non-empty numeric array.
 
-    Returns ``(codes, first_rows)``: int64 codes in ``[0, n_groups)``
-    numbered by each distinct value's first appearance, and the row index
+    Returns ``(codes, first_rows)``: codes in ``[0, n_groups)``, in
+    :func:`code_dtype` of ``n_groups``, numbered by each distinct
+    value's first appearance, and the row index
     of that first appearance per group (so ``values[first_rows]`` lists
     the distinct values in first-appearance order).  Built on one stable
     argsort.  Int and bool values are sorted through a narrow unsigned
@@ -145,10 +157,11 @@ def dense_rank(
     first_idx = order[starts]  # stable sort: the min original row per group
     appearance = np.argsort(first_idx, kind="stable")
     n_groups = len(starts)
-    rank = np.empty(n_groups, dtype=np.int64)
-    rank[appearance] = np.arange(n_groups, dtype=np.int64)
+    dtype = code_dtype(n_groups)
+    rank = np.empty(n_groups, dtype=dtype)
+    rank[appearance] = np.arange(n_groups)
     sorted_codes = rank[np.cumsum(boundary) - 1]
-    codes = np.empty(n, dtype=np.int64)
+    codes = np.empty(n, dtype=dtype)
     codes[order] = sorted_codes
     return codes, first_idx[appearance]
 
@@ -176,10 +189,45 @@ def _coerce(values: Sequence[Any] | np.ndarray, kind: str) -> np.ndarray:
         return np.asarray(values, dtype=np.bool_)
     if isinstance(values, np.ndarray) and values.dtype == object:
         return values
-    arr = np.empty(len(values), dtype=object)
+    return _object_array(values)
+
+
+def _object_array(values: Sequence[Any]) -> np.ndarray:
+    """A 1-D object array of *values* (tuples stay elements, not rows)."""
+    out = np.empty(len(values), dtype=object)
     for i, v in enumerate(values):
-        arr[i] = v
-    return arr
+        out[i] = v
+    return out
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """The row where each constant run of a non-empty array starts.
+
+    One C-level comparison sweep; over object values a run that repeats
+    one object compares by identity, without reading the characters.
+    """
+    boundary = np.empty(len(values), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = values[1:] != values[:-1]
+    return np.flatnonzero(boundary)
+
+
+def _in_first_appearance_order(codes: np.ndarray, n_categories: int) -> bool:
+    """Whether *codes* use every category, numbered by first appearance.
+
+    Raises when a code is out of range.  Only the first code of each
+    constant run can appear first, so one running maximum over those
+    decides: the codes are in first-appearance order exactly when it
+    starts at 0, never steps by more than one, and ends at the last
+    category.
+    """
+    if not len(codes):
+        return n_categories == 0
+    seen = np.maximum.accumulate(codes[_run_starts(codes)])
+    top = int(seen[-1])
+    if top >= n_categories:
+        raise FrameError(f"code {top} out of range for {n_categories} categories")
+    return codes[0] == 0 and top == n_categories - 1 and not (np.diff(seen) > 1).any()
 
 
 class Column:
@@ -194,9 +242,11 @@ class Column:
     kind:
         One of ``float``, ``int``, ``bool``, ``object``.  Inferred from the
         values when omitted.
+
+    :meth:`from_codes` builds a dictionary-encoded object column instead.
     """
 
-    __slots__ = ("name", "kind", "values", "_factorized")
+    __slots__ = ("name", "kind", "_values", "_codes", "_categories", "_factorized")
 
     def __init__(
         self,
@@ -212,19 +262,102 @@ class Column:
             raise FrameError(f"unknown column kind {kind!r}")
         self.name = name
         self.kind = kind
-        self.values = _coerce(values, kind)
+        self._values: np.ndarray | None = _coerce(values, kind)
+        self._codes: np.ndarray | None = None
+        self._categories: np.ndarray | None = None
         self._factorized: tuple[np.ndarray, list[Any]] | None = None
-        if self.values.ndim != 1:
-            raise FrameError(f"column {name!r} must be 1-D, got shape {self.values.shape}")
+        if self._values.ndim != 1:
+            raise FrameError(
+                f"column {name!r} must be 1-D, got shape {self._values.shape}"
+            )
+
+    @classmethod
+    def from_codes(
+        cls, name: str, codes: np.ndarray, categories: Sequence[Any]
+    ) -> "Column":
+        """A dictionary-encoded object column: row *i* holds ``categories[codes[i]]``.
+
+        *codes* must be in :func:`code_dtype` of ``len(categories)`` and
+        the categories distinct (as dict keys).  When the categories are
+        listed in first-appearance order and all used — the way a
+        writer that registers each label as it first emits it builds
+        them — :meth:`factorize` returns *codes* as they are.
+        """
+        if not isinstance(name, str) or not name:
+            raise FrameError(f"column name must be a non-empty string, got {name!r}")
+        cats = _object_array(categories)
+        codes = np.asarray(codes)
+        if codes.ndim != 1 or codes.dtype != code_dtype(len(cats)):
+            raise FrameError(
+                f"column {name!r} needs 1-D {code_dtype(len(cats))} codes for "
+                f"{len(cats)} categories, got {codes.dtype} of shape {codes.shape}"
+            )
+        if len(set(cats.tolist())) != len(cats):
+            raise FrameError(f"column {name!r} categories are not distinct")
+        return cls._encoded(
+            name, codes, cats, _in_first_appearance_order(codes, len(cats))
+        )
+
+    @classmethod
+    def _encoded(
+        cls, name: str, codes: np.ndarray, categories: np.ndarray, canonical: bool
+    ) -> "Column":
+        """Wrap validated codes; *canonical* codes are their own factorization."""
+        col = cls.__new__(cls)
+        col.name = name
+        col.kind = KIND_OBJECT
+        col._values = None
+        col._codes = codes
+        col._categories = categories
+        col._factorized = None
+        if canonical:
+            col._memoize(codes, categories.tolist())
+        return col
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # An encoded column pickles its codes, never a decoded copy.
+        if self._codes is not None:
+            return (
+                Column._encoded,
+                (self.name, self._codes, self._categories, self._factorized is not None),
+            )
+        return (Column, (self.name, self._values, self.kind))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The row values as a numpy array (an encoded column decodes once)."""
+        if self._values is None:
+            self._values = self._decode()
+        return self._values
+
+    def _decode(self) -> np.ndarray:
+        out = self._categories[self._codes]
+        out.flags.writeable = False  # the codes stay the source of truth
+        return out
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of storage held: values, codes, categories and memo codes.
+
+        An encoded column counts its codes and category table, plus the
+        object array once something has decoded it.
+        """
+        held = [self._values, self._codes, self._categories]
+        if self._factorized is not None:
+            held.append(self._factorized[0])
+        arrays = {id(a): a for a in held if a is not None}
+        return sum(a.nbytes for a in arrays.values())
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._codes if self._codes is not None else self._values)
 
     def __iter__(self) -> Iterable[Any]:
         return iter(self.values)
 
     def __getitem__(self, idx: Any) -> Any:
-        return self.values[idx]
+        if self._codes is not None:
+            return self._categories[self._codes[idx]]
+        return self._values[idx]
 
     def __repr__(self) -> str:
         return f"Column({self.name!r}, kind={self.kind}, n={len(self)})"
@@ -240,6 +373,14 @@ class Column:
             return bool(
                 np.array_equal(self.values, other.values, equal_nan=True)
             )
+        if self._codes is not None and other._codes is not None:
+            # Compare the small category tables once, then look the
+            # row pairs up in that table.
+            same = np.array(
+                [[bool(a == b) for b in other._categories] for a in self._categories],
+                dtype=bool,
+            ).reshape(len(self._categories), len(other._categories))
+            return bool(same[self._codes, other._codes].all())
         return bool(np.array_equal(self.values, other.values))
 
     def __hash__(self) -> int:  # columns are not hashable (mutable array)
@@ -249,10 +390,13 @@ class Column:
 
     def is_missing(self) -> np.ndarray:
         """Return a boolean mask that is True where the value is missing."""
+        if self._codes is not None:
+            missing = np.array([c is None for c in self._categories], dtype=bool)
+            return missing[self._codes]
         if self.kind == KIND_FLOAT:
-            return np.isnan(self.values)
+            return np.isnan(self._values)
         if self.kind == KIND_OBJECT:
-            return _IS_NONE(self.values).astype(bool, copy=False)
+            return _IS_NONE(self._values).astype(bool, copy=False)
         return np.zeros(len(self), dtype=bool)
 
     def count_missing(self) -> int:
@@ -263,7 +407,11 @@ class Column:
 
     def take(self, indices: np.ndarray) -> "Column":
         """Return a new column with rows reordered/selected by *indices*."""
-        return Column(self.name, self.values[indices], kind=self.kind)
+        if self._codes is not None:
+            return Column._encoded(
+                self.name, self._codes[indices], self._categories, canonical=False
+            )
+        return Column(self.name, self._values[indices], kind=self.kind)
 
     def mask(self, keep: np.ndarray) -> "Column":
         """Return a new column keeping rows where *keep* is True."""
@@ -272,11 +420,17 @@ class Column:
             raise ColumnMismatchError(
                 f"mask length {len(keep)} != column length {len(self)}"
             )
-        return Column(self.name, self.values[keep], kind=self.kind)
+        return self.take(keep)
 
     def rename(self, name: str) -> "Column":
         """Return the same data under a different name."""
-        return Column(name, self.values, kind=self.kind)
+        if self._codes is not None:
+            col = Column._encoded(
+                name, self._codes, self._categories, self._factorized is not None
+            )
+            col._values = self._values
+            return col
+        return Column(name, self._values, kind=self.kind)
 
     def astype(self, kind: str) -> "Column":
         """Return a copy converted to another kind.
@@ -285,7 +439,14 @@ class Column:
         for columns of numeric strings as well as numbers.
         """
         if kind == self.kind:
-            return Column(self.name, self.values.copy(), kind=kind)
+            if self._codes is not None:
+                return Column._encoded(
+                    self.name,
+                    self._codes.copy(),
+                    self._categories,
+                    self._factorized is not None,
+                )
+            return Column(self.name, self._values.copy(), kind=kind)
         if kind == KIND_FLOAT:
             vals = [None if m else float(v) for v, m in zip(self.values, self.is_missing())]
             return Column(self.name, vals, kind=KIND_FLOAT)
@@ -312,12 +473,18 @@ class Column:
         incrementally: only *other* is factorized and its distinct values
         are remapped through the existing code table, so a streaming
         append re-keys one batch instead of re-scanning the whole
-        history.  Falls back to a plain :meth:`concat` (memo rebuilt on
-        demand) when the kinds differ and must unify.
+        history.  Two encoded columns concatenate their codes, which are
+        already the memo.  Falls back to a plain :meth:`concat` (memo
+        rebuilt on demand) when the kinds differ and must unify.
         """
         merged = self.concat(other)
         memo = self._factorized
-        if memo is None or merged.kind != self.kind or other.kind != self.kind:
+        if (
+            memo is None
+            or merged._codes is not None
+            or merged.kind != self.kind
+            or other.kind != self.kind
+        ):
             return merged
         codes, uniques = memo
         if not len(other):
@@ -334,15 +501,21 @@ class Column:
 
         table = {_key(v): i for i, v in enumerate(uniques)}
         grown = list(uniques)
-        remap = np.empty(len(new_uniques), dtype=np.int64)
-        for i, v in enumerate(new_uniques):
+        remap_list = []
+        for v in new_uniques:
             key = _key(v)
             code = table.get(key)
             if code is None:
                 code = table[key] = len(grown)
                 grown.append(v)
-            remap[i] = code
-        merged._memoize(np.concatenate([codes, remap[new_codes]]), grown)
+            remap_list.append(code)
+        # The grown table may outgrow the memo's dtype: widen both parts.
+        dtype = code_dtype(len(grown))
+        remap = np.array(remap_list, dtype=dtype)
+        out = np.empty(len(codes) + len(new_codes), dtype=dtype)
+        out[: len(codes)] = codes
+        out[len(codes) :] = remap[new_codes]
+        merged._memoize(out, grown)
         return merged
 
     def concat(self, other: "Column") -> "Column":
@@ -351,6 +524,10 @@ class Column:
             raise ColumnMismatchError(
                 f"cannot concat column {other.name!r} onto {self.name!r}"
             )
+        if self._codes is not None and other._codes is not None:
+            merged = self._concat_codes(other)
+            if merged is not None:
+                return merged
         if self.kind == other.kind:
             return Column(
                 self.name, np.concatenate([self.values, other.values]), kind=self.kind
@@ -365,6 +542,36 @@ class Column:
         b = other.astype(KIND_OBJECT)
         return Column(self.name, np.concatenate([a.values, b.values]), kind=KIND_OBJECT)
 
+    def _concat_codes(self, other: "Column") -> "Column | None":
+        """Two encoded columns joined on one merged category table.
+
+        Returns ``None`` when a category of *other* is dict-equal to one
+        of this column but of another type (``1`` and ``True``): one
+        shared entry would change a decoded value.
+        """
+        table = {c: i for i, c in enumerate(self._categories)}
+        categories = list(self._categories)
+        remap_list = []
+        for c in other._categories:
+            code = table.get(c)
+            if code is None:
+                code = table[c] = len(categories)
+                categories.append(c)
+            elif type(categories[code]) is not type(c):
+                return None
+            remap_list.append(code)
+        dtype = code_dtype(len(categories))
+        n = len(self)
+        codes = np.empty(n + len(other), dtype=dtype)
+        codes[:n] = self._codes
+        codes[n:] = np.array(remap_list, dtype=dtype)[other._codes]
+        # New categories are appended in other's table order, so two
+        # canonical tables merge into a canonical one.
+        canonical = self._factorized is not None and other._factorized is not None
+        return Column._encoded(
+            self.name, codes, _object_array(categories), canonical
+        )
+
     def to_list(self) -> list[Any]:
         """Return the values as a plain Python list (NaN/None preserved)."""
         return list(self.values)
@@ -372,49 +579,64 @@ class Column:
     def factorize(self) -> tuple[np.ndarray, list[Any]]:
         """Map values to dense integer codes plus their distinct values.
 
-        Returns ``(codes, uniques)`` where ``codes`` is an int64 array with
-        ``uniques[codes[i]] == values[i]`` and ``uniques`` lists the
-        distinct values in first-appearance order — the same order
-        :meth:`unique` and the row-wise grouping loop produce.  Numeric
-        columns use one stable argsort (:func:`dense_rank`; ints and
-        bools sort a narrow unsigned key, a radix sort when their range
-        fits 16 bits); object columns hash one value per constant run.
-        For float columns every NaN shares one code.  The result is memoised on the column — the
-        pipeline factorizes the same key columns repeatedly (treatment
-        scan, panel build, joins) and the values array is immutable by
-        convention.
+        Returns ``(codes, uniques)`` with ``uniques[codes[i]] == values[i]``
+        and ``uniques`` listing the distinct values in first-appearance
+        order — the same order :meth:`unique` and the row-wise grouping
+        loop produce.  The codes are in :func:`code_dtype` of
+        ``len(uniques)``: ``uint8`` up to 256 distinct values, ``uint16``
+        up to 65536, and so on.  An arithmetic caller must widen them
+        first (``uint8 * 300`` wraps).
+
+        An encoded column returns its stored codes — no hashing, no
+        memo.  After a :meth:`take` or :meth:`mask` has reordered its
+        rows it first renumbers them with one :func:`dense_rank` of the
+        narrow codes (a radix sort, over one code per constant run) and
+        keeps the result as its storage.  Numeric columns use one stable
+        argsort (:func:`dense_rank`; ints and bools sort a narrow
+        unsigned key, a radix sort when their range fits 16 bits);
+        plain object columns hash one value per constant run.  For float columns every NaN shares one code.  The
+        result is memoised on the column — the pipeline factorizes the
+        same key columns repeatedly (treatment scan, panel build, joins)
+        and the values array is immutable by convention.
         """
         if self._factorized is not None:
             codes, uniques = self._factorized
             return codes, list(uniques)
-        values = self.values
-        n = len(values)
+        n = len(self)
         if n == 0:
-            return np.empty(0, dtype=np.int64), []
+            return np.empty(0, dtype=code_dtype(0)), []
         if self.kind != KIND_OBJECT:
+            values = self._values
             codes, first_rows = dense_rank(values, nan_equal=self.kind == KIND_FLOAT)
             uniques = list(values[first_rows])
+            self._memoize(codes, uniques)
+            return codes, list(uniques)
+        # Code one value per *run*, not per row: generated frames (one
+        # label per pool), their time slices and CSV imports carry long
+        # constant runs.  Worst case (no runs) this is the per-row pass
+        # plus the boundary sweep.
+        encoded = self._codes is not None
+        stored = self._codes if encoded else self._values
+        starts = _run_starts(stored)
+        heads = stored[starts]
+        if encoded:
+            # Renumber by first appearance: one radix dense_rank of the
+            # runs' narrow codes, and the renumbered codes become the
+            # column's storage.
+            run_codes, first_runs = dense_rank(heads)
+            self._categories = self._categories[heads[first_runs]]
+            uniques = self._categories.tolist()
         else:
-            # Hash one value per *run*, not per row: columns built pool by
-            # pool or chunk by chunk (the measurement generator, CSV
-            # import) carry long constant runs.  The boundary scan is one
-            # C-level comparison sweep; where a run repeats one object
-            # (the generator fills each pool's rows with a single shared
-            # string) str comparison answers from identity without
-            # reading the characters.  Worst case (no runs) this is the
-            # plain hash pass plus the sweep.
-            boundary = np.empty(n, dtype=bool)
-            boundary[0] = True
-            boundary[1:] = values[1:] != values[:-1]
-            starts = np.flatnonzero(boundary)
             table: dict[Any, int] = {}
             run_codes = np.fromiter(
-                (table.setdefault(v, len(table)) for v in values[starts]),
+                (table.setdefault(v, len(table)) for v in heads),
                 dtype=np.int64,
                 count=len(starts),
-            )
-            codes = np.repeat(run_codes, np.diff(np.append(starts, n)))
+            ).astype(code_dtype(len(table)))
             uniques = list(table)
+        codes = np.repeat(run_codes, np.diff(np.append(starts, n)))
+        if encoded:
+            self._codes = codes
         self._memoize(codes, uniques)
         return codes, list(uniques)
 
@@ -428,10 +650,13 @@ class Column:
         memo instead).
         """
         self._factorized = (codes, uniques)
-        try:
-            self.values.flags.writeable = False
-        except ValueError:
-            pass  # e.g. a read-only or foreign-buffer view; already safe
+        for held in (self._values, self._codes):
+            if held is None:
+                continue
+            try:
+                held.flags.writeable = False
+            except ValueError:
+                pass  # e.g. a read-only or foreign-buffer view; already safe
 
     def unique(self) -> list[Any]:
         """Distinct values in first-appearance order (missing included once)."""

@@ -21,6 +21,7 @@ from repro.frames.column import (
     KIND_INT,
     KIND_OBJECT,
     Column,
+    code_dtype,
     dense_rank,
 )
 
@@ -126,7 +127,7 @@ class Frame:
             index += n
         if not 0 <= index < n:
             raise FrameError(f"row index {index} out of range for {n} rows")
-        return {name: self._columns[name].values[index] for name in self._order}
+        return {name: self._columns[name][index] for name in self._order}
 
     def iter_rows(self) -> Iterable[dict[str, Any]]:
         """Yield each row as a dict.  Convenient, not fast."""
@@ -169,7 +170,7 @@ class Frame:
                 return "" if np.isnan(v) else float_fmt.format(float(v))
             return str(v)
 
-        cells = [[fmt(self._columns[n].values[i]) for n in names] for i in range(shown)]
+        cells = [[fmt(self._columns[n][i]) for n in names] for i in range(shown)]
         widths = [
             max(len(n), *(len(r[j]) for r in cells)) if cells else len(n)
             for j, n in enumerate(names)
@@ -407,11 +408,14 @@ class Frame:
     ) -> tuple[np.ndarray, list[tuple[Any, ...]]]:
         """Factorize one or more key columns into dense group codes.
 
-        Returns ``(codes, keys)``: an int64 array assigning every row a
-        group id in ``[0, len(keys))``, and the distinct key tuples in
-        first-appearance order (``keys[codes[i]]`` is row *i*'s key).
-        This is the primitive under :meth:`group_indices`, ``group_by``,
-        ``pivot``, and the panel builder.
+        Returns ``(codes, keys)``: an array assigning every row a group
+        id in ``[0, len(keys))``, in :func:`~repro.frames.column.code_dtype`
+        of ``len(keys)`` (widen before doing arithmetic on it), and the
+        distinct key tuples in first-appearance order (``keys[codes[i]]``
+        is row *i*'s key).  The tuples are read at each group's first row
+        through the columns' codes, so an encoded column is never
+        decoded.  This is the primitive under :meth:`group_indices`,
+        ``group_by``, ``pivot``, and the panel builder.
         """
         if isinstance(names, str):
             names = [names]
@@ -419,10 +423,10 @@ class Frame:
         n = self.num_rows
         if not cols:
             if n == 0:
-                return np.empty(0, dtype=np.int64), []
-            return np.zeros(n, dtype=np.int64), [()]
+                return np.empty(0, dtype=code_dtype(0)), []
+            return np.zeros(n, dtype=code_dtype(1)), [()]
         if n == 0:
-            return np.empty(0, dtype=np.int64), []
+            return np.empty(0, dtype=code_dtype(0)), []
 
         if len(cols) == 1:
             codes, uniques = cols[0].factorize()
@@ -449,8 +453,7 @@ class Frame:
             return out, keys
 
         codes, first_rows = dense_rank(combined)
-        arrays = [c.values for c in cols]
-        keys = list(zip(*(a[first_rows] for a in arrays)))
+        keys = list(zip(*(c[first_rows] for c in cols)))
         return codes, keys
 
     def group_indices(self, names: Sequence[str] | str) -> dict[tuple[Any, ...], np.ndarray]:
@@ -523,16 +526,20 @@ def _combine_codes(parts: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray,
     *parts* is ``[(codes, cardinality), ...]``.  Returns the mixed-radix
     combination plus an overflow flag: when the key-space product would
     not fit in int64 the combination is meaningless and callers must
-    fall back to tuple hashing.
+    fall back to tuple hashing.  The per-column codes are narrow, so the
+    combination is built in :func:`code_dtype` of the key-space product
+    — a ``uint8`` code times a cardinality past 255 would wrap — with
+    each step computed in int64 and stored back narrow.
     """
     space = 1
     for _, card in parts:
         space *= card
     if space >= 2**62:
         return parts[0][0], True
-    combined = parts[0][0]
+    combined = parts[0][0].astype(code_dtype(space))
     for codes, card in parts[1:]:
-        combined = combined * card + codes
+        np.multiply(combined, card, out=combined, dtype=np.int64, casting="unsafe")
+        np.add(combined, codes, out=combined, dtype=np.int64, casting="unsafe")
     return combined, False
 
 
@@ -585,7 +592,7 @@ def _gather_with_missing(col: Column, indices: np.ndarray, missing: np.ndarray) 
         out[missing] = None
         return Column(col.name, out, kind=KIND_OBJECT)
     if len(col):
-        out = col.values[safe]
+        out = col[safe]
         if any_missing:
             out = out.copy()
             out[missing] = None

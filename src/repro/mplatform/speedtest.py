@@ -52,6 +52,7 @@ from repro.frames.column import (
     KIND_INT,
     KIND_OBJECT,
     Column,
+    code_dtype,
 )
 from repro.frames.frame import Frame
 from repro.netsim.bgp import Route
@@ -90,8 +91,15 @@ _KIND_DTYPES: dict[str, type] = {
     KIND_INT: np.int64,
     KIND_FLOAT: np.float64,
     KIND_BOOL: np.bool_,
-    KIND_OBJECT: object,
+    KIND_OBJECT: np.uint8,  # label codes, widened past 256 labels
 }
+
+#: Trigger values in the order of the codes the batch classifier draws.
+_TRIGGER_VALUES = (
+    Trigger.BASELINE.value,
+    Trigger.PERFORMANCE.value,
+    Trigger.ROUTE_CHANGE.value,
+)
 
 
 def _split_rng(
@@ -168,13 +176,6 @@ class _GenerationPlan:
         pool_start = first[inverse]  # each cell's pool, named by its first cell
         order = np.argsort(pool_start, kind="stable")
         return np.split(order, np.flatnonzero(np.diff(pool_start[order])) + 1)
-
-
-def _shared(n: int, value: object) -> np.ndarray:
-    """An object column of *n* references to one *value* (no per-row copy)."""
-    out = np.empty(n, dtype=object)
-    out.fill(value)
-    return out
 
 
 class SpeedTestGenerator:
@@ -409,11 +410,11 @@ class SpeedTestGenerator:
         trigger draws written straight into the frame's preallocated
         columns — no per-test Python work and no intermediate
         ``Measurement`` objects.  Each link's pre-noise load is computed
-        once per pool for both the RTT and the throughput draw.
-        Constant per-pool strings (city, unit label, AS path, IXP list,
-        server site) are one shared object per pool, and trigger labels
-        are the three :class:`Trigger` values, so no string is copied
-        per row.
+        once per pool for both the RTT and the throughput draw.  The
+        label columns (city, unit label, AS path, IXP list, trigger,
+        server site) are dictionary-encoded
+        (:meth:`~repro.frames.Column.from_codes`): one narrow code per
+        row, no string or pointer per row.
 
         ``mode="scalar"`` is the escape hatch: the classic object path
         (:meth:`generate`) followed by row-by-row frame export.  Cell
@@ -462,6 +463,15 @@ class SpeedTestGenerator:
         per-pool chunks, no seal-time concatenate.  Each link's
         pre-noise load is computed once per pool and read by both the
         RTT draw and the throughput bottleneck.
+
+        Label columns are written as codes.  Each one keeps a table of
+        its labels, and a pool registers its label when it writes its
+        rows; pools are never empty and come in row order, so the
+        tables list the labels in first-appearance order.  Trigger
+        labels are registered in the order they first occur.  Codes
+        start as ``uint8`` and a column is widened when its table
+        outgrows its dtype, so every column ends in the code dtype of
+        its table's size.
         """
         scenario = self.scenario
         latency = scenario.latency
@@ -470,6 +480,9 @@ class SpeedTestGenerator:
         pools = plan.pools()
         total = int(plan.n_tests.sum())
         alloc = arena.column_alloc("measurements") if arena is not None else None
+        labels: dict[str, dict[str, int]] = {
+            name: {} for name, kind in _FRAME_KINDS.items() if kind == KIND_OBJECT
+        }
         columns: dict[str, np.ndarray] = {}
         for name in MEASUREMENT_COLUMNS:
             kind = _FRAME_KINDS[name]
@@ -477,6 +490,25 @@ class SpeedTestGenerator:
                 columns[name] = alloc(name, total)
             else:
                 columns[name] = np.empty(total, dtype=_KIND_DTYPES[kind])
+
+        def put(name: str, rows: slice, label: str) -> None:
+            table = labels[name]
+            code = table.setdefault(label, len(table))
+            if code > np.iinfo(columns[name].dtype).max:
+                columns[name] = columns[name].astype(code_dtype(code + 1))
+            columns[name][rows] = code
+
+        # The classifier's trigger index -> the trigger column's code.
+        trigger_code = np.zeros(len(_TRIGGER_VALUES), dtype=np.uint8)
+
+        def register_triggers(drawn: np.ndarray) -> None:
+            table = labels["trigger"]
+            if len(table) < len(_TRIGGER_VALUES):
+                # This pool's triggers in the order they first occur.
+                drawn_kinds, first_at = np.unique(drawn, return_index=True)
+                for t in drawn_kinds[np.argsort(first_at)]:
+                    trigger_code[t] = table.setdefault(_TRIGGER_VALUES[t], len(table))
+
         with span("generate.emit", pools=len(pools)):
             stop = 0
             for cells in pools:
@@ -516,20 +548,23 @@ class SpeedTestGenerator:
                     group, ambient, recent, noise_rng
                 )
 
+                register_triggers(triggers)
                 crossings = self._crossings(group.asn, float(plan.hour[first]))
                 columns["asn"][rows] = group.asn
-                columns["city"][rows] = group.city
-                columns["unit"][rows] = group.unit_label
+                put("city", rows, group.city)
+                put("unit", rows, group.unit_label)
                 columns["day"][rows] = time_hour // 24.0
-                columns["as_path"][rows] = "-".join(str(a) for a in route.path)
+                put("as_path", rows, "-".join(str(a) for a in route.path))
                 columns["crosses_ixp"][rows] = len(crossings) > 0
-                columns["ixps"][rows] = ",".join(crossings)
-                columns["trigger"][rows] = triggers
-                columns["server_site"][rows] = "default"
+                put("ixps", rows, ",".join(crossings))
+                np.take(trigger_code, triggers, out=columns["trigger"][rows])
+                put("server_site", rows, "default")
                 columns["download_mbps"][rows] = tput.download_mbps
         return Frame(
             [
-                Column(name, columns[name], kind=_FRAME_KINDS[name])
+                Column.from_codes(name, columns[name], list(labels[name]))
+                if name in labels
+                else Column(name, columns[name], kind=_FRAME_KINDS[name])
                 for name in MEASUREMENT_COLUMNS
             ]
         )
@@ -574,11 +609,12 @@ class SpeedTestGenerator:
     ) -> np.ndarray:
         """Vectorised trigger attribution: one draw per test, whole cell at once.
 
-        Returns an object array of trigger *values* (the frame encoding),
-        classified by the same thresholds as :meth:`_classify_trigger`.
+        Returns each test's index into :data:`_TRIGGER_VALUES` as
+        ``uint8``, classified by the same thresholds as
+        :meth:`_classify_trigger`.
         """
         n = len(ambient_rtt)
-        out = _shared(n, Trigger.BASELINE.value)
+        out = np.zeros(n, dtype=np.uint8)  # baseline
         if not self.config.endogenous:
             return out
         perf_mult = (
@@ -589,8 +625,8 @@ class SpeedTestGenerator:
         )
         change_mult = 1.0 + group.change_sensitivity * recently_changed
         draw = rng.uniform(0.0, 1.0, size=n) * (perf_mult * change_mult)
-        out[draw >= 1.0] = Trigger.PERFORMANCE.value
-        out[draw >= perf_mult] = Trigger.ROUTE_CHANGE.value
+        out[draw >= 1.0] = 1  # performance
+        out[draw >= perf_mult] = 2  # route change
         return out
 
 

@@ -62,7 +62,9 @@ def crossing_mask(frame: Frame, ixp_name: str) -> np.ndarray:
     The ``ixps`` column holds comma-joined exchange names (possibly
     empty); exact token matching avoids substring false positives.  The
     column carries few distinct strings, so the rows are factorized once
-    and the split/match runs per distinct value, not per row.
+    and the split/match runs per distinct value, not per row.  A
+    generated frame stores the column as codes, which are its
+    factorization: no per-row memo is built.
     """
     if "ixps" not in frame:
         raise FrameError("frame has no 'ixps' column; is this a measurement frame?")

@@ -34,6 +34,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.frames.column import code_dtype
 from repro.frames.frame import Frame
 from repro.frames.groupby import _Segments
 from repro.pipeline.crossing import (
@@ -211,7 +212,7 @@ class AssignmentAccumulator:
         labels = [str(u) for u in uniques]
         gid_of: dict[str, int] = {}
         names: list[str] = []
-        gid_map = np.empty(len(labels), dtype=np.int64)
+        gid_map = np.empty(len(labels), dtype=code_dtype(len(labels)))
         for i, label in enumerate(labels):
             gid = gid_of.get(label)
             if gid is None:

@@ -165,6 +165,9 @@ def pivot_grid(
     """``(row_keys, col_keys, grid)`` from an int64 cell code per row."""
     row_codes, row_keys = frame.column(index).factorize()
     col_codes, col_keys = frame.column(columns).factorize()
+    # factorize returns narrow codes; this reference works in int64.
+    row_codes = row_codes.astype(np.int64)
+    col_codes = col_codes.astype(np.int64)
     vals = frame.column(values).values.astype(np.float64)
 
     if sort_index and row_keys:
