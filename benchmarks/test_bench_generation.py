@@ -1,11 +1,12 @@
 """Experiment P2 — the columnar fast path for measurement generation.
 
 Generates the 10x-paper-scale speed-test stream (30 donor ASes, 60
-days, user populations scaled 10x, >1M tests) through both emission
-modes and asserts the batched columnar path is at least 5x faster
-end-to-end than the scalar object path.
+days, user populations scaled 10x, >1M tests) through the batched
+columnar generator and through the scalar object emitter it replaced
+(``reference_measurements`` in ``tests/reference_generation.py``), and
+asserts the batched path is at least 5x faster end-to-end.
 
-Both modes share one plan phase (the Poisson cell counts come off a
+Both share one plan phase (the Poisson cell counts come off a
 dedicated rate-RNG stream), so the row counts agree *exactly* — the
 speedup is measured on identically sized outputs, and the equality is
 asserted alongside the wall-times.
@@ -30,10 +31,14 @@ import numpy as np
 
 from _report import write_report
 
-from repro.mplatform import SpeedTestGenerator
+from repro.mplatform import SpeedTestGenerator, measurements_to_frame
 from repro.mplatform.speedtest import _split_rng
 from repro.netsim import build_table1_scenario
-from tests.reference_generation import assert_frames_identical, reference_frame
+from tests.reference_generation import (
+    assert_frames_identical,
+    reference_frame,
+    reference_measurements,
+)
 
 MIN_SPEEDUP = 5.0
 SMOKE = os.environ.get("ANALYSIS_BENCH_SMOKE") == "1"
@@ -55,7 +60,9 @@ def test_generation_fast_path(benchmark):
         )
 
     t0 = time.perf_counter()
-    scalar = SpeedTestGenerator(scenario).generate_frame(rng=3, mode="scalar")
+    scalar = measurements_to_frame(
+        reference_measurements(SpeedTestGenerator(scenario), rng=3)
+    )
     scalar_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

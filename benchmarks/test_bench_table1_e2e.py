@@ -2,13 +2,14 @@
 
 Times the **whole** Table-1 reproduction at 10x-paper scale (30 donor
 ASes, 60 days, user populations scaled 10x, >1M speed tests): generate
-the measurement stream into a shared-memory Frame arena, assign
-treatment, build the panel, and fit every treated unit through the
-cross-unit batched SVD engine.  The baseline is the seed's end-to-end
-path, staged the way the repo originally ran it — scalar per-object
-generation, row-wise assignment and panel pivot, and one full
-de-noising SVD per donor per unit with no reuse — and the fast path
-must beat it by at least 10x wall-clock.
+the measurement stream, assign treatment, build the panel, and fit
+every treated unit through the cross-unit batched SVD engine.  The
+baseline is the seed's end-to-end path, staged the way the repo
+originally ran it — scalar per-object generation
+(``reference_measurements`` in ``tests/reference_generation.py``),
+row-wise assignment and panel pivot, and one full de-noising SVD per
+donor per unit with no reuse — and the fast path must beat it by at
+least 10x wall-clock.
 
 The timing claim rests on a parity claim, asserted first: the batched
 engine's table is row-for-row identical to the unbatched fits, serial
@@ -18,8 +19,8 @@ generation halves are compared by wall-clock only — their fit-layer
 parity is covered where the inputs are bit-identical.)
 
 Smoke mode (``ANALYSIS_BENCH_SMOKE=1``, used by CI's scaling job) runs
-a reduced scenario and checks the parity assertions and the arena
-drain, not the wall-clock ratio.
+a reduced scenario and checks the parity assertions and that the
+pooled study drains its shared memory, not the wall-clock ratio.
 """
 
 import os
@@ -35,14 +36,19 @@ import numpy as np
 
 from _report import write_report
 
-from repro.mplatform import SpeedTestGenerator, measurements_frame
+from repro.mplatform import (
+    SpeedTestGenerator,
+    measurements_frame,
+    measurements_to_frame,
+)
 from repro.netsim import build_table1_scenario
 from repro.pipeline import run_ixp_study
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import assign_treatment
-from repro.pipeline.shm import SharedFrameArena, live_arena_blocks
+from repro.pipeline.shm import live_arena_blocks
 from repro.synthcontrol import robust_synthetic_control, select_donors
 from tests import rowwise_pipeline as rowwise
+from tests.reference_generation import reference_measurements
 
 MIN_SPEEDUP = 10.0
 SMOKE = os.environ.get("ANALYSIS_BENCH_SMOKE") == "1"
@@ -82,20 +88,15 @@ def _seed_style_fits(panel, result):
 def test_table1_end_to_end(benchmark):
     scenario = _scenario()
 
-    # --- fast path: arena generation + batched fits, one timed pass -------
+    # --- fast path: columnar generation + batched fits, one timed pass ----
     def fast_e2e():
-        arena = SharedFrameArena(tag="bench-p8")
-        try:
-            frame = measurements_frame(scenario, rng=3, arena=arena)
-            result = run_ixp_study(frame, scenario.ixp_name)
-        finally:
-            arena.close()
-        return frame, result
+        frame = measurements_frame(scenario, rng=3)
+        return frame, run_ixp_study(frame, scenario.ixp_name)
 
     t0 = time.perf_counter()
     frame, fast = benchmark.pedantic(fast_e2e, rounds=1, iterations=1)
     fast_s = time.perf_counter() - t0
-    assert live_arena_blocks() == (), "the arena must drain /dev/shm"
+    assert live_arena_blocks() == (), "a serial run must leave /dev/shm empty"
 
     # --- parity before any timing claim -----------------------------------
     assert len(fast.rows) >= 4, "need a multi-unit table"
@@ -109,7 +110,9 @@ def test_table1_end_to_end(benchmark):
 
     # --- seed-style baseline, staged --------------------------------------
     t0 = time.perf_counter()
-    scalar_frame = SpeedTestGenerator(scenario).generate_frame(rng=3, mode="scalar")
+    scalar_frame = measurements_to_frame(
+        reference_measurements(SpeedTestGenerator(scenario), rng=3)
+    )
     scalar_gen_s = time.perf_counter() - t0
     assert scalar_frame.num_rows == frame.num_rows, "modes plan identical cells"
 
@@ -141,7 +144,7 @@ def test_table1_end_to_end(benchmark):
         f"scale:                           {'smoke' if SMOKE else 'bench'}",
         f"rows generated and analysed:     {frame.num_rows:,}",
         f"fast path end-to-end:            {fast_s:.2f} s",
-        f"  (arena generation + assignment + panel + batched fits)",
+        f"  (generation + assignment + panel + batched fits)",
         f"seed-style baseline, staged:",
         f"  scalar generation:             {scalar_gen_s:.2f} s",
         f"  row-wise assignment + panel:   {rowwise_s:.2f} s",

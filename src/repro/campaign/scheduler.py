@@ -3,11 +3,11 @@
 Runs a fleet of :class:`~repro.campaign.spec.ScenarioSpec`s as one
 campaign on the existing executor/retry/checkpoint/shared-memory stack:
 
-- **Stage A** builds each scenario's world and measurement frame (into
-  a per-scenario :class:`~repro.pipeline.shm.SharedFrameArena`, closed
-  as soon as the panel is pivoted out; a pooled campaign publishes
-  every scenario's panel into one more arena, open until the campaign
-  ends), plans each scenario's units
+- **Stage A** builds each scenario's world and measurement frame (in
+  private memory, freed as soon as the panel is pivoted out; a pooled
+  campaign publishes every scenario's panel into one
+  :class:`~repro.pipeline.shm.SharedFrameArena`, open until the
+  campaign ends), plans each scenario's units
   with the batch study's own :func:`~repro.pipeline.study.prepare_unit_plan`
   (the plan chooses every unit's donors), and opens one checkpoint
   journal per scenario.  One prefactor table for the whole fleet,
@@ -470,26 +470,19 @@ def run_campaign(
             n_jobs=workers,
         ):
             # ------------------------------------------------- stage A
-            for i, spec in enumerate(specs):
+            for spec in specs:
                 with span("campaign.scenario", scenario=spec.name, kind=spec.kind):
                     scenario = build_scenario(spec)
-                    arena = SharedFrameArena(tag=f"c{i}")
-                    try:
-                        frame = measurements_frame(
-                            scenario, rng=spec.measurement_seed, arena=arena
+                    frame = measurements_frame(scenario, rng=spec.measurement_seed)
+                    if spec.ingest_batches > 1:
+                        assignment, panel = _ingest_scenario(
+                            frame, scenario.ixp_name, spec, retry
                         )
-                        if spec.ingest_batches > 1:
-                            assignment, panel = _ingest_scenario(
-                                frame, scenario.ixp_name, spec, retry
-                            )
-                        else:
-                            assignment = assign_treatment(frame, scenario.ixp_name)
-                            panel = rtt_panel(frame, period="day", outcome="rtt_ms")
-                    finally:
-                        # The frame's columns are views into arena blocks;
-                        # drop them before closing so the unmap succeeds.
-                        frame = None
-                        arena.close()
+                    else:
+                        assignment = assign_treatment(frame, scenario.ixp_name)
+                        panel = rtt_panel(frame, period="day", outcome="rtt_ms")
+                    # Free this frame before the next scenario generates.
+                    del frame
                     panel_ref = None
                     if panels is not None:
                         panel_ref = panels.publish_panel(panel, label=spec.name)

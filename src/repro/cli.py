@@ -114,7 +114,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             retry=_retry_policy(args),
             checkpoint=args.checkpoint,
             resume=args.resume,
-            share_frames=args.shared_frames,
         )
     print(output.format_report())
     _maybe_print_timings(args, output.result)
@@ -182,28 +181,19 @@ def _cmd_import(args: argparse.Namespace) -> int:
         prefixes = {args.ixp: [Prefix.parse(p) for p in args.prefix]}
     import time
 
-    arena = None
-    if args.shared_frames:
-        from repro.pipeline.shm import SharedFrameArena
-
-        arena = SharedFrameArena(tag="import")
-    try:
-        t0 = time.perf_counter()
-        frame = import_csv(args.csv, prefixes, arena=arena)
-        import_seconds = time.perf_counter() - t0
-        print(f"imported {frame.num_rows} measurements from {args.csv}")
-        result = run_ixp_study(
-            frame,
-            args.ixp,
-            n_jobs=args.jobs,
-            generation_seconds=import_seconds,
-            retry=_retry_policy(args),
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-        )
-    finally:
-        if arena is not None:
-            arena.close()
+    t0 = time.perf_counter()
+    frame = import_csv(args.csv, prefixes)
+    import_seconds = time.perf_counter() - t0
+    print(f"imported {frame.num_rows} measurements from {args.csv}")
+    result = run_ixp_study(
+        frame,
+        args.ixp,
+        n_jobs=args.jobs,
+        generation_seconds=import_seconds,
+        retry=_retry_policy(args),
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+    )
     print(result.format_table())
     if result.skipped:
         print()
@@ -232,22 +222,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             join_day=args.days // 2,
             seed=args.seed,
         )
-    arena = None
-    if args.shared_frames:
-        from repro.pipeline.shm import SharedFrameArena
-
-        arena = SharedFrameArena(tag="simulate")
-    try:
-        frame = measurements_frame(
-            scenario, rng=args.measurement_seed, mode=args.mode, arena=arena
-        )
-        write_csv(frame, args.out)
-    finally:
-        if arena is not None:
-            arena.close()
+    frame = measurements_frame(scenario, rng=args.measurement_seed)
+    write_csv(frame, args.out)
     print(
         f"wrote {frame.num_rows} measurements "
-        f"({args.scenario}, {args.days} days, mode={args.mode}) to {args.out}"
+        f"({args.scenario}, {args.days} days) to {args.out}"
     )
     _write_obs_outputs(args)
     return 0
@@ -580,15 +559,6 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shared_frames_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shared-frames",
-        action="store_true",
-        help="seal generated/imported float columns into shared-memory "
-        "blocks (zero-copy hand-off to pooled fits)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -609,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table1.add_argument("--donors", type=int, default=25, help="donor ASes")
     p_table1.add_argument("--seed", type=int, default=2, help="world seed")
     _add_jobs_argument(p_table1)
-    _add_shared_frames_argument(p_table1)
     _add_resilience_arguments(p_table1)
     _add_timings_argument(p_table1)
     _add_obs_arguments(p_table1)
@@ -628,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="peering-LAN prefix (repeatable) for hop-IP matching",
     )
     _add_jobs_argument(p_import)
-    _add_shared_frames_argument(p_import)
     _add_resilience_arguments(p_import)
     _add_timings_argument(p_import)
     _add_obs_arguments(p_import)
@@ -649,14 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--measurement-seed", type=int, default=1, help="speed-test RNG seed"
     )
-    p_sim.add_argument(
-        "--mode",
-        choices=("batch", "scalar"),
-        default="batch",
-        help="generation path (batch = columnar fast path)",
-    )
     p_sim.add_argument("--out", required=True, help="output CSV path")
-    _add_shared_frames_argument(p_sim)
     _add_obs_arguments(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

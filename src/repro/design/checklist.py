@@ -96,9 +96,15 @@ def selection_bias_checklist(measurements: Frame) -> list[CheckItem]:
             )
         )
         return items
-    triggers = [str(v) for v in measurements.column("trigger").values]
-    n = len(triggers)
-    reactive = sum(1 for t in triggers if t in ("performance", "route_change"))
+    # Count rows per distinct tag; each tag is classified once.
+    codes, tags = measurements.column("trigger").factorize()
+    n = len(codes)
+    per_tag = np.bincount(codes, minlength=len(tags))
+    reactive = sum(
+        int(count)
+        for tag, count in zip(tags, per_tag)
+        if str(tag) in ("performance", "route_change")
+    )
     share = reactive / n if n else 0.0
     items.append(
         CheckItem(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
@@ -54,20 +53,13 @@ def _parse_cell(text: str | None) -> Any:
     return text
 
 
-def _parse_column(
-    name: str,
-    raw: list[str | None],
-    alloc: Callable[[str, int], np.ndarray] | None = None,
-) -> Column:
+def _parse_column(name: str, raw: list[str | None]) -> Column:
     """Bulk-parse one column of raw CSV cells.
 
     Missing cells are ``None``/``""``.  Homogeneous numeric and bool
     columns are converted with one numpy cast; anything mixed falls back
     to the per-cell parser (object kind, inferred like the historical
-    row-wise reader).  *alloc* — the
-    :meth:`~repro.pipeline.shm.SharedFrameArena.column_alloc` hook —
-    provides the float column's destination buffer, so an imported
-    frame's numeric storage can land directly in shared memory.
+    row-wise reader).
     """
     n = len(raw)
     missing = np.array([c is None or c == "" for c in raw], dtype=bool)
@@ -89,8 +81,7 @@ def _parse_column(
         except ValueError:
             parsed = None
         if parsed is not None:
-            values = alloc(name, n) if alloc is not None else np.empty(n)
-            values.fill(np.nan)
+            values = np.full(n, np.nan)
             values[~missing] = parsed
             return Column(name, values, kind=KIND_FLOAT)
     lowered = [c.lower() for c in present]
@@ -105,26 +96,18 @@ def _parse_column(
     return Column(name, [_parse_cell(c) for c in raw])
 
 
-def read_csv(
-    path: str | Path,
-    alloc: Callable[[str, int], np.ndarray] | None = None,
-) -> Frame:
+def read_csv(path: str | Path) -> Frame:
     """Read a CSV file with a header row into a frame."""
     with open(path, newline="") as f:
-        return read_csv_text(f.read(), alloc=alloc)
+        return read_csv_text(f.read())
 
 
-def read_csv_text(
-    text: str,
-    alloc: Callable[[str, int], np.ndarray] | None = None,
-) -> Frame:
+def read_csv_text(text: str) -> Frame:
     """Parse CSV content (header row required) into a frame.
 
     Rows with fewer cells than the header are padded with missing
     values; rows with *more* cells raise :class:`FrameError` (the
-    surplus cells have no column to land in).  *alloc* routes float
-    columns into caller-provided buffers (shared-memory arenas); see
-    :func:`_parse_column`.
+    surplus cells have no column to land in).
     """
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
@@ -144,11 +127,9 @@ def read_csv_text(
         if len(row) < width:
             row = row + [None] * (width - len(row))
         raw.append(row)
-    cols = [
-        _parse_column(name, [r[j] for r in raw], alloc=alloc)
-        for j, name in enumerate(header)
-    ]
-    return Frame(cols)
+    return Frame(
+        [_parse_column(name, [r[j] for r in raw]) for j, name in enumerate(header)]
+    )
 
 
 def _format_cell(value: Any) -> str:

@@ -31,7 +31,6 @@ from repro.mplatform.speedtest import (
     SpeedTestConfig,
     SpeedTestGenerator,
     measurements_frame,
-    run_speed_tests,
 )
 from repro.mplatform.triggers import SIGNALS, BurstPlan, ConditionalTrigger
 
@@ -54,6 +53,5 @@ __all__ = [
     "generate_tests",
     "measurements_frame",
     "measurements_to_frame",
-    "run_speed_tests",
     "site_contrast",
 ]

@@ -14,18 +14,15 @@ Generation runs in two phases sharing one *plan*:
    draw every cell's Poisson test count in one call on a dedicated
    *rate* RNG stream.  The plan is a set of columns, one entry per
    cell with at least one test.
-2. **Emit** — either the batched columnar path
-   (:meth:`SpeedTestGenerator.generate_frame`, the default: one
-   vectorised RNG call per ⟨group, routing-state⟩ pool instead of per
-   test, written into preallocated frame columns instead of
-   ``Measurement`` objects) or the
-   scalar path (:meth:`SpeedTestGenerator.generate` / ``mode="scalar"``,
-   one :class:`Measurement` per test).
+2. **Emit** — :meth:`SpeedTestGenerator.generate_frame` draws each
+   ⟨group, routing-state⟩ pool's tests with one vectorised RNG call
+   per quantity and writes them into preallocated frame columns.
 
-Because the Poisson draws live on their own stream, the two emission
-modes produce *exactly* the same cell counts under the same seed, and
-their per-test samples are draws from the same distributions — the
-property the batched-vs-scalar equivalence tests pin down.
+Because the Poisson draws live on their own stream, the cell counts do
+not depend on how the tests are emitted.  ``tests/reference_generation.py``
+keeps the per-``Measurement`` scalar emitter this path replaced: under
+the same seed it plans exactly the same cells, and its per-test samples
+are draws from the same distributions.
 
 Set ``endogenous=False`` to generate the counterfactual platform whose
 sampling is condition-independent; the contrast between the two is
@@ -37,12 +34,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from repro.pipeline.shm import SharedFrameArena
 
 from repro.errors import PlatformError
 from repro.obs import get_metrics, span
@@ -61,12 +54,7 @@ from repro.netsim.scenario import Scenario
 from repro.netsim.throughput import ThroughputModel
 from repro.netsim.topology import Topology
 from repro.netsim.traceroute import detect_ixp_crossings, synthesize_traceroute
-from repro.mplatform.records import (
-    MEASUREMENT_COLUMNS,
-    Measurement,
-    Trigger,
-    measurements_to_frame,
-)
+from repro.mplatform.records import MEASUREMENT_COLUMNS, Trigger
 
 logger = logging.getLogger(__name__)
 
@@ -105,11 +93,12 @@ _TRIGGER_VALUES = (
 def _split_rng(
     rng: np.random.Generator | int | None,
 ) -> tuple[np.random.Generator, np.random.Generator]:
-    """Derive the (rate, noise) stream pair shared by both emission modes.
+    """Derive the (rate, noise) stream pair of one generation run.
 
-    Cell counts draw from the *rate* stream only, so the batched and
-    scalar paths see identical Poisson sequences; per-test samples draw
-    from the *noise* stream in whatever order their mode prefers.
+    Cell counts draw from the *rate* stream only, so any emitter (the
+    columnar one here, the scalar reference in the tests) sees the
+    same Poisson sequence; per-test samples draw from the *noise*
+    stream in whatever order the emitter prefers.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -223,7 +212,7 @@ class SpeedTestGenerator:
     # -- planning -------------------------------------------------------------
 
     def _plan(self, rate_rng: np.random.Generator) -> _GenerationPlan:
-        """Fix every cell's test count and rate context (both modes share it)."""
+        """Fix every cell's test count and rate context."""
         with span("generate.plan") as sp:
             plan = self._plan_cells(rate_rng)
             sp.set(cells=len(plan))
@@ -332,134 +321,38 @@ class SpeedTestGenerator:
             routes=routes_by_state,
         )
 
-    # -- scalar emission (the escape hatch) -----------------------------------
+    # -- emission -------------------------------------------------------------
 
-    def generate(self, rng: np.random.Generator | int | None = 0) -> list[Measurement]:
-        """Run the whole window and return every measurement taken.
+    def generate_frame(self, rng: np.random.Generator | int | None = 0) -> Frame:
+        """Run the whole window and return its measurement frame.
 
-        This is the scalar path: one :class:`Measurement` object per
-        test, sampled one RNG call at a time.  The recorded
-        ``time_hour`` is the *same* hour the congestion-dependent RTT
-        was sampled at (historically a second, independent uniform was
-        recorded, decorrelating timestamps from the diurnal state that
-        produced the RTT).
-        """
-        with span("generate", mode="scalar") as sp:
-            out = self._generate_scalar(rng)
-            sp.set(rows=len(out))
-        get_metrics().counter(
-            "measurements_generated_total", "speed tests emitted by the simulator"
-        ).inc(len(out))
-        logger.info("generated %d measurements (scalar path)", len(out))
-        return out
-
-    def _generate_scalar(self, rng: np.random.Generator | int | None) -> list[Measurement]:
-        rate_rng, noise_rng = _split_rng(rng)
-        plan = self._plan(rate_rng)
-        scenario = self.scenario
-        out: list[Measurement] = []
-        with span("generate.emit", pools=len(plan.pools())):
-            for i in range(len(plan)):
-                group = scenario.user_groups[plan.group[i]]
-                sid = plan.state[i]
-                route = plan.routes[sid][group.asn]
-                topo = plan.topologies[sid]
-                hour = float(plan.hour[i])
-                ambient = float(plan.ambient[i])
-                recently_changed = bool(plan.recent[i])
-                crossings = self._crossings(group.asn, hour)
-                backhaul = self._backhaul_ms(group.asn, group.city, group.backhaul_city)
-                for _ in range(int(plan.n_tests[i])):
-                    test_hour = hour + float(noise_rng.uniform(0, 1))
-                    sample = scenario.latency.sample_rtt(
-                        route, test_hour, noise_rng, topology=topo
-                    )
-                    rtt = sample.total_ms + backhaul
-                    tput = self.throughput.sample(
-                        route, rtt, test_hour, noise_rng, topology=topo
-                    )
-                    trigger = self._classify_trigger(
-                        group, ambient, recently_changed, noise_rng
-                    )
-                    out.append(
-                        Measurement(
-                            asn=group.asn,
-                            city=group.city,
-                            time_hour=test_hour,
-                            rtt_ms=rtt,
-                            as_path=route.path,
-                            ixps_crossed=crossings,
-                            trigger=trigger,
-                            download_mbps=tput.download_mbps,
-                        )
-                    )
-        return out
-
-    # -- batched emission (the columnar fast path) ----------------------------
-
-    def generate_frame(
-        self,
-        rng: np.random.Generator | int | None = 0,
-        mode: str = "batch",
-        arena: "SharedFrameArena | None" = None,
-    ) -> Frame:
-        """Run the whole window and return the measurement frame directly.
-
-        ``mode="batch"`` (default) pools every cell of a ⟨group,
-        routing-state⟩ pair into single vectorised RTT/throughput/
-        trigger draws written straight into the frame's preallocated
-        columns — no per-test Python work and no intermediate
-        ``Measurement`` objects.  Each link's pre-noise load is computed
-        once per pool for both the RTT and the throughput draw.  The
-        label columns (city, unit label, AS path, IXP list, trigger,
-        server site) are dictionary-encoded
+        Every cell of a ⟨group, routing-state⟩ pair is pooled into
+        single vectorised RTT/throughput/trigger draws written straight
+        into the frame's preallocated columns — no per-test Python work
+        and no intermediate ``Measurement`` objects.  Each link's
+        pre-noise load is computed once per pool for both the RTT and
+        the throughput draw.  The label columns (city, unit label, AS
+        path, IXP list, trigger, server site) are dictionary-encoded
         (:meth:`~repro.frames.Column.from_codes`): one narrow code per
         row, no string or pointer per row.
-
-        ``mode="scalar"`` is the escape hatch: the classic object path
-        (:meth:`generate`) followed by row-by-row frame export.  Cell
-        counts are identical across modes under the same seed; samples
-        agree in distribution.
-
-        *arena* (batch mode only) allocates the frame's float columns
-        in that :class:`~repro.pipeline.shm.SharedFrameArena`'s
-        named blocks — the downstream study pipeline then reads the
-        same pages a process pool would attach, no private copy.
         """
-        if mode == "scalar":
-            if arena is not None:
-                raise PlatformError("arena-backed columns need mode='batch'")
-            return measurements_to_frame(self.generate(rng))
-        if mode != "batch":
-            raise PlatformError(f"unknown generation mode {mode!r}")
-        with span("generate", mode="batch") as sp:
-            frame = self._generate_batch(rng, arena=arena)
+        with span("generate") as sp:
+            rate_rng, noise_rng = _split_rng(rng)
+            frame = self._emit_frame(self._plan(rate_rng), noise_rng)
             sp.set(rows=frame.num_rows)
         get_metrics().counter(
             "measurements_generated_total", "speed tests emitted by the simulator"
         ).inc(frame.num_rows)
-        logger.info("generated %d measurements (batched path)", frame.num_rows)
+        logger.info("generated %d measurements", frame.num_rows)
         return frame
 
-    def _generate_batch(
-        self,
-        rng: np.random.Generator | int | None,
-        arena: "SharedFrameArena | None" = None,
-    ) -> Frame:
-        rate_rng, noise_rng = _split_rng(rng)
-        return self._emit_frame(self._plan(rate_rng), noise_rng, arena)
-
     def _emit_frame(
-        self,
-        plan: _GenerationPlan,
-        noise_rng: np.random.Generator,
-        arena: "SharedFrameArena | None" = None,
+        self, plan: _GenerationPlan, noise_rng: np.random.Generator
     ) -> Frame:
         """Draw every pool's tests with one vectorised call per quantity.
 
         The plan knows every pool's row count, so each column is
-        allocated once at full length (float columns in *arena* when
-        given) and each pool writes into its own row range — no
+        allocated once at full length and each pool writes into its own row range — no
         per-pool chunks, no seal-time concatenate.  Each link's
         pre-noise load is computed once per pool and read by both the
         RTT draw and the throughput bottleneck.
@@ -479,17 +372,13 @@ class SpeedTestGenerator:
         share_loads = self.throughput.latency is latency
         pools = plan.pools()
         total = int(plan.n_tests.sum())
-        alloc = arena.column_alloc("measurements") if arena is not None else None
         labels: dict[str, dict[str, int]] = {
             name: {} for name, kind in _FRAME_KINDS.items() if kind == KIND_OBJECT
         }
-        columns: dict[str, np.ndarray] = {}
-        for name in MEASUREMENT_COLUMNS:
-            kind = _FRAME_KINDS[name]
-            if alloc is not None and kind == KIND_FLOAT:
-                columns[name] = alloc(name, total)
-            else:
-                columns[name] = np.empty(total, dtype=_KIND_DTYPES[kind])
+        columns = {
+            name: np.empty(total, dtype=_KIND_DTYPES[_FRAME_KINDS[name]])
+            for name in MEASUREMENT_COLUMNS
+        }
 
         def put(name: str, rows: slice, label: str) -> None:
             table = labels[name]
@@ -571,35 +460,6 @@ class SpeedTestGenerator:
 
     # -- trigger attribution ---------------------------------------------------
 
-    def _classify_trigger(
-        self,
-        group,
-        ambient_rtt: float,
-        recently_changed: bool,
-        rng: np.random.Generator,
-    ) -> Trigger:
-        """Attribute one test to its (probabilistic) cause for tagging.
-
-        The attribution shares the rate model's structure: the excess
-        rate over baseline is split between the performance and
-        route-change channels proportionally to their multipliers.
-        """
-        if not self.config.endogenous:
-            return Trigger.BASELINE
-        perf_mult = 1.0
-        if ambient_rtt > group.rtt_reference_ms:
-            perf_mult += group.perf_sensitivity * (
-                ambient_rtt - group.rtt_reference_ms
-            ) / 100.0
-        change_mult = 1.0 + (group.change_sensitivity if recently_changed else 0.0)
-        total = perf_mult * change_mult
-        draw = rng.uniform(0, total)
-        if draw < 1.0:
-            return Trigger.BASELINE
-        if draw < perf_mult:
-            return Trigger.PERFORMANCE
-        return Trigger.ROUTE_CHANGE
-
     def _classify_triggers_batch(
         self,
         group,
@@ -610,8 +470,9 @@ class SpeedTestGenerator:
         """Vectorised trigger attribution: one draw per test, whole cell at once.
 
         Returns each test's index into :data:`_TRIGGER_VALUES` as
-        ``uint8``, classified by the same thresholds as
-        :meth:`_classify_trigger`.
+        ``uint8``.  The excess rate over baseline is split between the
+        performance and route-change channels proportionally to their
+        multipliers, as in the rate model.
         """
         n = len(ambient_rtt)
         out = np.zeros(n, dtype=np.uint8)  # baseline
@@ -630,34 +491,13 @@ class SpeedTestGenerator:
         return out
 
 
-def run_speed_tests(
-    scenario: Scenario,
-    rng: np.random.Generator | int | None = 0,
-    endogenous: bool = True,
-) -> list[Measurement]:
-    """Convenience wrapper: generate all speed tests for a scenario."""
-    generator = SpeedTestGenerator(
-        scenario, SpeedTestConfig(endogenous=endogenous)
-    )
-    return generator.generate(rng)
-
-
 def measurements_frame(
     scenario: Scenario,
     rng: np.random.Generator | int | None = 0,
     endogenous: bool = True,
-    mode: str = "batch",
-    arena: "SharedFrameArena | None" = None,
 ) -> Frame:
-    """Convenience wrapper: generate a scenario's measurement frame.
-
-    The batched columnar path is the default; pass ``mode="scalar"``
-    for the classic per-``Measurement`` object path (same cell counts,
-    same distributions, a lot slower).  *arena* places float columns
-    in shared-memory blocks (see
-    :meth:`SpeedTestGenerator.generate_frame`).
-    """
+    """Convenience wrapper: generate a scenario's measurement frame."""
     generator = SpeedTestGenerator(
         scenario, SpeedTestConfig(endogenous=endogenous)
     )
-    return generator.generate_frame(rng, mode=mode, arena=arena)
+    return generator.generate_frame(rng)

@@ -21,10 +21,6 @@ from __future__ import annotations
 import logging
 from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.pipeline.shm import SharedFrameArena
 
 from repro.chaos.runtime import fault_point
 from repro.errors import FrameError
@@ -112,9 +108,7 @@ def normalise_measurements(
     return out
 
 
-def read_measurement_csv(
-    path: str | Path, arena: "SharedFrameArena | None" = None
-) -> Frame:
+def read_measurement_csv(path: str | Path) -> Frame:
     """Read a measurement CSV, surviving a truncated final line.
 
     A crashed or killed writer leaves its last row half-written (no
@@ -123,8 +117,6 @@ def read_measurement_csv(
     unterminated final line is dropped with a warning rather than
     trusted.  The raw text also passes through the ``"import.read"``
     fault point, where a chaos plan may truncate or garble it.
-    *arena* seals the parsed float columns straight into shared-memory
-    blocks (zero-copy hand-off to a pooled study).
     """
     with open(path, newline="") as f:
         text = f.read()
@@ -140,25 +132,16 @@ def read_measurement_csv(
             "truncated trailing CSV lines dropped on import",
         ).inc()
         text = head + "\n" if head else ""
-    alloc = arena.column_alloc("import") if arena is not None else None
-    return read_csv_text(text, alloc=alloc)
+    return read_csv_text(text)
 
 
 def import_csv(
     path: str | Path,
     ixp_prefixes: dict[str, list[Prefix]] | None = None,
-    arena: "SharedFrameArena | None" = None,
 ) -> Frame:
-    """Read and normalise a measurement CSV in one call.
-
-    *arena* passes through to :func:`read_measurement_csv`: the raw
-    frame's float columns are sealed into shared-memory blocks as they
-    parse.
-    """
+    """Read and normalise a measurement CSV in one call."""
     with span("import.csv", path=str(path)) as sp:
-        frame = normalise_measurements(
-            read_measurement_csv(path, arena=arena), ixp_prefixes
-        )
+        frame = normalise_measurements(read_measurement_csv(path), ixp_prefixes)
         sp.set(rows=frame.num_rows)
     get_metrics().counter(
         "measurements_imported_total", "measurement rows imported from CSV"

@@ -4,12 +4,12 @@ The process-pool study used to pickle the full :class:`~repro.synthcontrol.donor
 into every per-unit task, so the transport cost grew as
 ``O(tasks x panel_bytes)`` and the parallel study ran *slower* than
 serial at CI scale.  This module keeps every float payload a pooled
-stage reads — measurement-frame columns (the generator and the CSV
-reader allocate their float columns here through
-:meth:`SharedFrameArena.column_alloc`), the study's panel, and the
-batched fit engine's pre-factored slabs — in named
-:mod:`multiprocessing.shared_memory` blocks, so a task ships only a
-tiny named reference:
+worker reads — the study's panel and the batched fit engine's
+pre-factored slabs — in named :mod:`multiprocessing.shared_memory`
+blocks, so a task ships only a tiny named reference.  Measurement
+frames stay in the private memory of the process that built them: no
+worker reads a frame column, and only a pooled stage opens an arena,
+so a serial run creates no block at all.
 
 - :class:`SharedFrameArena` — the parent-side owner of a set of
   blocks.  :meth:`~SharedFrameArena.allocate` hands out a writable
@@ -35,8 +35,8 @@ Lifecycle rules the pipeline relies on:
   workers attach lazily by name;
 - ``close`` removes the names immediately while live views (the
   parent's own arrays, attached workers) stay valid until they are
-  dropped, so teardown never races the last fits and a sealed frame
-  outlives its arena;
+  dropped, so teardown never races the last fits and a block-backed
+  panel outlives its arena;
 - every created block is tracked in :func:`live_arena_blocks` until it
   is unlinked (panel blocks are also listed by :func:`live_panel_blocks`),
   which is what the leak tests assert drains to empty.
@@ -47,7 +47,6 @@ from __future__ import annotations
 import os
 import pickle
 import secrets
-from collections.abc import Callable
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -223,12 +222,11 @@ class SharedArrayRef:
 class SharedFrameArena:
     """Parent-side owner of a set of named float64 shared-memory blocks.
 
-    One arena per pipeline stage (a generated measurement frame, a CSV
-    import, a pooled study's panel, a campaign's panels, a fit stage's
-    pre-factored slabs): every :meth:`allocate` call creates one named
-    block whose uninitialised array view the caller fills in place —
-    frame columns are written into it through :meth:`column_alloc`, the
-    pivot scatters the panel, the fit engine writes its slabs.
+    One arena per pooled stage (a study's panel, a campaign's panels, a
+    fit stage's pre-factored slabs): every :meth:`allocate` call creates
+    one named block whose uninitialised array view the caller fills in
+    place — the pivot scatters the panel, the fit engine writes its
+    slabs.
     :meth:`close` unlinks every block exactly once (idempotent); live
     views — the parent's own arrays, attached workers — stay valid
     until dropped.
@@ -294,30 +292,12 @@ class SharedFrameArena:
         np.copyto(matrix, panel.matrix)
         return self._blocks[-1][2]
 
-    def column_alloc(self, tag: str) -> "Callable[[str, int], np.ndarray]":
-        """An ``alloc(name, length)`` hook for a frame's float columns.
-
-        The generator (``SpeedTestGenerator.generate_frame``) and the
-        CSV reader (``read_csv_text``) call it once per float column and
-        write the values into the returned view, so each column lives in
-        its own arena block labelled ``<tag>.<column>`` with no copy.
-        """
-
-        def alloc(name: str, length: int) -> np.ndarray:
-            return self.allocate(f"{tag}.{name}", (length,))
-
-        return alloc
-
     def ref(self, label: str) -> SharedArrayRef:
         """The picklable reference of the first block labelled *label*."""
         for block_label, _shm, ref in self._blocks:
             if block_label == label:
                 return ref
         raise PipelineError(f"arena {self._tag!r} has no array labelled {label!r}")
-
-    def refs(self) -> tuple[tuple[str, SharedArrayRef], ...]:
-        """Every block's ``(label, ref)``, in allocation order."""
-        return tuple((label, ref) for label, _shm, ref in self._blocks)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -327,9 +307,9 @@ class SharedFrameArena:
     def close(self) -> None:
         """Unlink every block (idempotent); live views stay valid.
 
-        Sealed frame columns, panels and prefactor slabs routinely
-        outlive the arena (a generated frame is *used* after generation
-        finishes), and numpy views do not register buffer exports, so
+        Panels and prefactor slabs routinely outlive the arena (a
+        block-backed panel is still read after the study that published
+        it closes), and numpy views do not register buffer exports, so
         an eager ``SharedMemory.close()`` would silently unmap pages
         under them.  Instead each handle is *defused*: the name is
         unlinked (the ``/dev/shm`` entry disappears — what the leak

@@ -128,18 +128,15 @@ def replay_scenario(
     n_batches: int | None = None,
     batch_hours: float | None = None,
     endogenous: bool = True,
-    arena=None,
 ) -> tuple[Frame, list[MeasurementBatch]]:
     """Generate a scenario's measurements once and replay them as a feed.
 
     Returns ``(frame, batches)``: the full measurement frame (the batch
     path's input, kept for parity checks) and its time-ordered slices.
-    *arena* (a :class:`~repro.pipeline.shm.SharedFrameArena`) backs the
-    generated frame's float columns with shared-memory blocks.
     """
     from repro.mplatform import measurements_frame
 
-    frame = measurements_frame(scenario, rng=rng, endogenous=endogenous, arena=arena)
+    frame = measurements_frame(scenario, rng=rng, endogenous=endogenous)
     return frame, slice_frame(frame, n_batches=n_batches, batch_hours=batch_hours)
 
 

@@ -147,7 +147,12 @@ def tag_based_correction(measurements: Frame, ixp_name: str) -> dict[str, float]
 
     crosses = crossing_mask(measurements, ixp_name)
     rtt = measurements.numeric("rtt_ms")
-    triggers = np.array([str(v) for v in measurements.column("trigger").values])
+    # Classify each distinct tag once; rows index the result by code.
+    codes, tags = measurements.column("trigger").factorize()
+    tags = np.array([str(t) for t in tags], dtype=object)
+
+    def tagged(*names: str) -> np.ndarray:
+        return np.isin(tags, names)[codes]
 
     def contrast(mask: np.ndarray) -> float:
         c = crosses[mask]
@@ -158,8 +163,6 @@ def tag_based_correction(measurements: Frame, ixp_name: str) -> dict[str, float]
 
     return {
         "pooled": contrast(np.ones(len(rtt), dtype=bool)),
-        "baseline_only": contrast(triggers == "baseline"),
-        "reactive_only": contrast(
-            (triggers == "performance") | (triggers == "route_change")
-        ),
+        "baseline_only": contrast(tagged("baseline")),
+        "reactive_only": contrast(tagged("performance", "route_change")),
     }

@@ -100,7 +100,6 @@ def run_table1_experiment(
     retry: RetryPolicy | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
-    share_frames: bool = False,
 ) -> IxpStudyOutput:
     """Run the full case study at the given scale.
 
@@ -110,42 +109,28 @@ def run_table1_experiment(
     number in the table; *retry*, *checkpoint*, and *resume* pass
     through to :func:`run_ixp_study` (the world and measurements are
     regenerated on resume — only the per-unit fits are journaled).
-    *share_frames* generates the measurement frame straight into
-    a shared-memory :class:`~repro.pipeline.shm.SharedFrameArena` —
-    numbers are bit-identical either way.
     """
-    from repro.pipeline.shm import SharedFrameArena
-
-    arena = SharedFrameArena(tag="table1") if share_frames else None
-    try:
-        with span(
-            "experiment.table1", donors=n_donor_ases, days=duration_days, seed=seed
-        ):
-            t0 = time.perf_counter()
-            scenario = build_table1_scenario(
-                n_donor_ases=n_donor_ases,
-                duration_days=duration_days,
-                join_day=join_day,
-                seed=seed,
-            )
-            measurements = measurements_frame(
-                scenario, rng=measurement_seed, arena=arena
-            )
-            generation_seconds = time.perf_counter() - t0
-            result = run_ixp_study(
-                measurements,
-                scenario.ixp_name,
-                method=method,
-                n_jobs=n_jobs,
-                generation_seconds=generation_seconds,
-                retry=retry,
-                checkpoint=checkpoint,
-                resume=resume,
-            )
-            truth = scenario_truth(scenario)
-    finally:
-        if arena is not None:
-            arena.close()
+    with span("experiment.table1", donors=n_donor_ases, days=duration_days, seed=seed):
+        t0 = time.perf_counter()
+        scenario = build_table1_scenario(
+            n_donor_ases=n_donor_ases,
+            duration_days=duration_days,
+            join_day=join_day,
+            seed=seed,
+        )
+        measurements = measurements_frame(scenario, rng=measurement_seed)
+        generation_seconds = time.perf_counter() - t0
+        result = run_ixp_study(
+            measurements,
+            scenario.ixp_name,
+            method=method,
+            n_jobs=n_jobs,
+            generation_seconds=generation_seconds,
+            retry=retry,
+            checkpoint=checkpoint,
+            resume=resume,
+        )
+        truth = scenario_truth(scenario)
     return IxpStudyOutput(
         result=result,
         truth=truth,

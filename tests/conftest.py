@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.frames import Frame
-from repro.mplatform import measurements_frame, run_speed_tests
+from repro.mplatform import measurements_frame
 from repro.netsim import build_table1_scenario
 
 
@@ -22,17 +22,6 @@ def small_scenario():
 
 
 @pytest.fixture(scope="session")
-def small_measurements(small_scenario) -> list:
-    """Speed tests generated over the small scenario (scalar path)."""
-    return run_speed_tests(small_scenario, rng=3)
-
-
-@pytest.fixture(scope="session")
 def small_frame(small_scenario) -> Frame:
-    """The small scenario's measurement frame (batched columnar path).
-
-    Built with the same seed as ``small_measurements``: the two paths
-    share their cell plan, so row counts match exactly and the frame
-    doubles as an integration check on the batched generator.
-    """
+    """The small scenario's measurement frame."""
     return measurements_frame(small_scenario, rng=3)

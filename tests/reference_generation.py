@@ -9,6 +9,13 @@ throughput bottleneck.  ``tests/test_generation_oracle.py`` asserts the
 generator's frame is byte-identical to :func:`reference_frame` and that
 both leave the RNG streams in the same state; the netsim helpers are
 the per-link paths the shared link loads must match bit for bit.
+
+:func:`reference_measurements` is the scalar emitter the columnar path
+replaced in turn: one :class:`Measurement` per test, one RNG call per
+sample.  It shares the generator's plan, so it emits exactly the same
+cells; its samples come from the same distributions in another draw
+order.  The distribution and cell-count tests and the generation
+benchmarks compare against it.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ import numpy as np
 
 from repro.frames.column import KIND_OBJECT, Column
 from repro.frames.frame import Frame
-from repro.mplatform.records import MEASUREMENT_COLUMNS, Trigger
-from repro.mplatform.speedtest import _FRAME_KINDS, SpeedTestGenerator
+from repro.mplatform.records import MEASUREMENT_COLUMNS, Measurement, Trigger
+from repro.mplatform.speedtest import _FRAME_KINDS, SpeedTestGenerator, _split_rng
 from repro.netsim.bgp import Route
 from repro.netsim.congestion import MAX_UTILIZATION, CongestionModel
 from repro.netsim.latency import LatencyBatch, LatencyModel
@@ -311,6 +318,88 @@ def reference_frame(
             for name, parts in chunks.items()
         ]
     )
+
+
+# -- the scalar emitter -------------------------------------------------------
+
+
+def reference_measurements(
+    gen: SpeedTestGenerator, rng: np.random.Generator | int | None = 0
+) -> list[Measurement]:
+    """Emit the generator's plan one :class:`Measurement` per test.
+
+    The recorded ``time_hour`` is the *same* hour the
+    congestion-dependent RTT was sampled at.
+    """
+    rate_rng, noise_rng = _split_rng(rng)
+    plan = gen._plan(rate_rng)
+    scenario = gen.scenario
+    out: list[Measurement] = []
+    for i in range(len(plan)):
+        group = scenario.user_groups[plan.group[i]]
+        sid = plan.state[i]
+        route = plan.routes[sid][group.asn]
+        topo = plan.topologies[sid]
+        hour = float(plan.hour[i])
+        ambient = float(plan.ambient[i])
+        recently_changed = bool(plan.recent[i])
+        crossings = gen._crossings(group.asn, hour)
+        backhaul = gen._backhaul_ms(group.asn, group.city, group.backhaul_city)
+        for _ in range(int(plan.n_tests[i])):
+            test_hour = hour + float(noise_rng.uniform(0, 1))
+            sample = scenario.latency.sample_rtt(
+                route, test_hour, noise_rng, topology=topo
+            )
+            rtt = sample.total_ms + backhaul
+            tput = gen.throughput.sample(
+                route, rtt, test_hour, noise_rng, topology=topo
+            )
+            trigger = _classify_trigger(
+                gen, group, ambient, recently_changed, noise_rng
+            )
+            out.append(
+                Measurement(
+                    asn=group.asn,
+                    city=group.city,
+                    time_hour=test_hour,
+                    rtt_ms=rtt,
+                    as_path=route.path,
+                    ixps_crossed=crossings,
+                    trigger=trigger,
+                    download_mbps=tput.download_mbps,
+                )
+            )
+    return out
+
+
+def _classify_trigger(
+    gen: SpeedTestGenerator,
+    group,
+    ambient_rtt: float,
+    recently_changed: bool,
+    rng: np.random.Generator,
+) -> Trigger:
+    """Attribute one test to its (probabilistic) cause for tagging.
+
+    The attribution shares the rate model's structure: the excess
+    rate over baseline is split between the performance and
+    route-change channels proportionally to their multipliers.
+    """
+    if not gen.config.endogenous:
+        return Trigger.BASELINE
+    perf_mult = 1.0
+    if ambient_rtt > group.rtt_reference_ms:
+        perf_mult += group.perf_sensitivity * (
+            ambient_rtt - group.rtt_reference_ms
+        ) / 100.0
+    change_mult = 1.0 + (group.change_sensitivity if recently_changed else 0.0)
+    total = perf_mult * change_mult
+    draw = rng.uniform(0, total)
+    if draw < 1.0:
+        return Trigger.BASELINE
+    if draw < perf_mult:
+        return Trigger.PERFORMANCE
+    return Trigger.ROUTE_CHANGE
 
 
 def assert_frames_identical(actual: Frame, expected: Frame) -> None:

@@ -32,7 +32,6 @@ class TestParser:
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate", "--out", "x.csv"])
         assert args.scenario == "table1"
-        assert args.mode == "batch"
         assert args.days == 20
 
     def test_simulate_rejects_unknown_scenario(self):
@@ -126,30 +125,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert f"imported {n_written} measurements" in out
-
-    def test_simulate_scalar_mode_matches_batch_rows(self, tmp_path, capsys):
-        for mode in ("batch", "scalar"):
-            assert (
-                main(
-                    [
-                        "simulate",
-                        "--scenario",
-                        "trombone",
-                        "--days",
-                        "4",
-                        "--mode",
-                        mode,
-                        "--out",
-                        str(tmp_path / f"{mode}.csv"),
-                    ]
-                )
-                == 0
-            )
-        lines = {
-            mode: len((tmp_path / f"{mode}.csv").read_text().splitlines())
-            for mode in ("batch", "scalar")
-        }
-        assert lines["batch"] == lines["scalar"]
 
 
 class TestPowerCommand:

@@ -1,4 +1,4 @@
-"""The shared-memory Frame arena (PR 8's tentpole, data-plane half).
+"""The shared-memory arena that backs pooled panels and prefactor slabs.
 
 What these tests pin down:
 
@@ -6,14 +6,14 @@ What these tests pin down:
   drain from ``/dev/shm`` on close, close is idempotent, views handed
   out stay valid after close, allocation after close and attaching to
   an unlinked ref both fail loudly;
-- arena-backed frame production is bit-identical to the private-memory
-  path, for the generator (``measurements_frame``), the CSV importer,
-  and the streaming replay driver;
 - the batched study drains **everything** it allocates — panel block
   plus the prefactor arena — after a normal parallel run, after a
   ``BrokenProcessPool`` rebuild, and after a mid-study exception;
 - chaos fault logs are identical serial vs pooled on the batched/arena
-  path, so the fast path cannot hide or reorder injected faults.
+  path, so the fast path cannot hide or reorder injected faults;
+- runs without a process pool — a ``--jobs 1`` campaign, the Table-1
+  experiment, the CLI ``simulate`` → ``import`` round trip — open no
+  arena at all: measurement frames live in private memory.
 """
 
 import os
@@ -23,9 +23,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import FaultPlan, FaultSpec, active_plan, clear_events, fault_events
-from repro.errors import InjectedFault, PipelineError, PlatformError
-from repro.frames import KIND_FLOAT, Column, Frame
-from repro.mplatform.speedtest import measurements_frame
+from repro.errors import InjectedFault, PipelineError
 from repro.pipeline.executor import RetryPolicy
 from repro.pipeline.shm import (
     ARENA_PREFIX,
@@ -35,7 +33,6 @@ from repro.pipeline.shm import (
     live_panel_blocks,
 )
 from repro.pipeline.study import run_ixp_study
-from repro.stream.batches import replay_scenario
 
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
 RETRY = RetryPolicy(max_attempts=3, base_delay=0.0)
@@ -50,16 +47,6 @@ def _shm_entries() -> list[str]:
         for p in os.listdir("/dev/shm")
         if p.startswith(ARENA_PREFIX) or p.startswith(PANEL_PREFIX)
     ]
-
-
-def _float_columns(frame) -> dict[str, np.ndarray]:
-    from repro.frames.frame import KIND_OBJECT
-
-    return {
-        name: frame.numeric(name)
-        for name in frame.column_names
-        if frame.column(name).kind != KIND_OBJECT
-    }
 
 
 @pytest.fixture(autouse=True)
@@ -146,77 +133,6 @@ class TestArenaLifecycle:
             assert block.shape == (0,)
             assert arena.ref("empty").load().shape == (0,)
 
-    def test_column_alloc_backs_a_frame_column(self):
-        with SharedFrameArena(tag="t") as arena:
-            values = arena.column_alloc("unit-test")("rtt_ms", 3)
-            values[:] = [1.5, 2.5, 3.5]
-            frame = Frame([Column("rtt_ms", values, kind=KIND_FLOAT)])
-            block = arena.ref("unit-test.rtt_ms").load()
-            assert np.shares_memory(frame.column("rtt_ms").values, block)
-            np.testing.assert_array_equal(block, [1.5, 2.5, 3.5])
-
-
-class TestArenaBackedFrames:
-    def test_generator_output_is_bit_identical(self, small_scenario):
-        plain = measurements_frame(small_scenario, rng=3)
-        with SharedFrameArena(tag="gen") as arena:
-            shared = measurements_frame(small_scenario, rng=3, arena=arena)
-            assert arena.names  # float columns really landed in blocks
-            assert shared.column_names == plain.column_names
-            assert shared.num_rows == plain.num_rows
-            for name, values in _float_columns(plain).items():
-                np.testing.assert_array_equal(
-                    shared.numeric(name), values, err_msg=name
-                )
-        assert live_arena_blocks() == ()
-
-    def test_scalar_mode_refuses_an_arena(self, small_scenario):
-        with SharedFrameArena(tag="gen") as arena:
-            with pytest.raises(PlatformError, match="mode='batch'"):
-                measurements_frame(
-                    small_scenario, rng=3, mode="scalar", arena=arena
-                )
-
-    def test_replay_scenario_threads_the_arena(self, small_scenario):
-        plain_frame, plain_batches = replay_scenario(small_scenario, rng=3, n_batches=4)
-        with SharedFrameArena(tag="stream") as arena:
-            frame, batches = replay_scenario(
-                small_scenario, rng=3, n_batches=4, arena=arena
-            )
-            assert arena.names
-            assert len(batches) == len(plain_batches)
-            for name, values in _float_columns(plain_frame).items():
-                np.testing.assert_array_equal(frame.numeric(name), values)
-
-    def test_csv_import_is_bit_identical(self, tmp_path):
-        from repro.pipeline.importer import import_csv
-
-        csv = tmp_path / "m.csv"
-        csv.write_text(
-            "asn,city,time_hour,rtt_ms\n"
-            "100,cpt,0.0,42.5\n"
-            "100,cpt,1.0,\n"
-            "101,jnb,2.0,37.25\n"
-        )
-        plain = import_csv(csv)
-        with SharedFrameArena(tag="import") as arena:
-            shared = import_csv(csv, arena=arena)
-            assert arena.names
-            for name, values in _float_columns(plain).items():
-                np.testing.assert_array_equal(shared.numeric(name), values)
-
-    def test_study_on_an_arena_backed_frame_matches(
-        self, small_frame, small_scenario
-    ):
-        reference = run_ixp_study(small_frame, small_scenario.ixp_name)
-        with SharedFrameArena(tag="gen") as arena:
-            shared = measurements_frame(small_scenario, rng=3, arena=arena)
-            result = run_ixp_study(shared, small_scenario.ixp_name)
-        assert result.rows == reference.rows
-        assert result.skipped == reference.skipped
-        assert live_arena_blocks() == ()
-
-
 class TestStudyDrainsItsArena:
     def test_normal_batched_parallel_study_drains_shm(
         self, small_frame, small_scenario
@@ -296,20 +212,53 @@ class TestChaosParityOnTheFastPath:
         assert batched.rows == plain.rows
         assert batched_log == plain_log
 
-    def test_arena_backed_generation_keeps_fault_parity(self, small_scenario):
-        plan = FaultPlan(
-            SEED,
-            (FaultSpec(site="study.panel", kind="corrupt", corruption="nan_cell"),),
-        )
-        with active_plan(plan):
-            with SharedFrameArena(tag="gen") as arena:
-                shared = measurements_frame(small_scenario, rng=3, arena=arena)
-                pooled = run_ixp_study(shared, small_scenario.ixp_name, n_jobs=2)
-            pooled_log = fault_events()
-            clear_events()
-            plain = measurements_frame(small_scenario, rng=3)
-            serial = run_ixp_study(plain, small_scenario.ixp_name, n_jobs=1)
-            serial_log = fault_events()
-        assert pooled.rows == serial.rows
-        assert pooled_log == serial_log
+
+@pytest.fixture
+def arenas_opened(monkeypatch) -> list[str]:
+    """The tag of every :class:`SharedFrameArena` built during the test."""
+    tags: list[str] = []
+    init = SharedFrameArena.__init__
+
+    def counting_init(self, tag: str = "frame") -> None:
+        tags.append(tag)
+        init(self, tag)
+
+    monkeypatch.setattr(SharedFrameArena, "__init__", counting_init)
+    return tags
+
+
+class TestSerialRunsCreateNoSharedMemory:
+    def test_a_pooled_study_is_counted(
+        self, arenas_opened, small_frame, small_scenario
+    ):
+        # The counter sees the arenas a pool really needs.
+        run_ixp_study(small_frame, small_scenario.ixp_name, n_jobs=2)
+        assert "study" in arenas_opened
+        assert live_arena_blocks() == ()
+
+    def test_serial_campaign(self, arenas_opened):
+        from repro.campaign import default_fleet, run_campaign
+
+        fleet = default_fleet(2, seed=0, duration_days=10, n_donor_ases=8)
+        result = run_campaign(fleet, budget=8, n_jobs=1)
+        assert len(result.verdicts) == 2
+        assert arenas_opened == []
+        assert live_arena_blocks() == ()
+
+    def test_table1_experiment(self, arenas_opened):
+        from repro.studies import run_table1_experiment
+
+        output = run_table1_experiment(n_donor_ases=8, duration_days=16, join_day=8)
+        assert output.result.rows
+        assert arenas_opened == []
+        assert live_arena_blocks() == ()
+
+    def test_cli_simulate_then_import(self, arenas_opened, tmp_path, capsys):
+        from repro.cli import main
+
+        csv = tmp_path / "sim.csv"
+        assert main(["simulate", "--days", "16", "--out", str(csv)]) == 0
+        assert main(["import", str(csv), "--ixp", "NAPAfrica-JNB"]) == 0
+        assert "imported" in capsys.readouterr().out
+        assert arenas_opened == []
         assert live_arena_blocks() == ()

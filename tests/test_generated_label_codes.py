@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 
 import repro.frames.column as column_module
+from repro.design.checklist import selection_bias_checklist
 from repro.frames import Column
+from repro.frames.io import read_csv_text, to_csv_text
 from repro.mplatform import SpeedTestGenerator, measurements_frame
 from repro.mplatform.records import Trigger
 from repro.pipeline import run_ixp_study
 from repro.stream import StreamStudy, slice_frame
+from repro.studies.collider_speedtest import tag_based_correction
 
 LABELS = ("city", "unit", "as_path", "ixps", "trigger", "server_site")
 TRIGGERS = [Trigger.BASELINE.value, Trigger.PERFORMANCE.value, Trigger.ROUTE_CHANGE.value]
@@ -96,6 +99,29 @@ def test_study_and_stream_never_decode_a_label_column(
     for batch in batches:
         for name in LABELS:
             assert batch.frame.column(name)._values is None
+
+
+def test_trigger_helpers_read_codes_not_labels(
+    small_scenario, fresh_frame, monkeypatch
+):
+    """The §4.2 tag helpers classify each distinct tag once, by code.
+
+    On a generated frame they must not decode the trigger column, and
+    they must return what they return on the same rows read from CSV,
+    where the column is a plain object array.
+    """
+    ixp = small_scenario.ixp_name
+    plain = read_csv_text(to_csv_text(measurements_frame(small_scenario, rng=3)))
+    assert plain.column("trigger")._codes is None
+    expected = tag_based_correction(plain, ixp)
+    expected_checks = selection_bias_checklist(plain)
+
+    forbid(monkeypatch, Column, "_decode")
+    got = tag_based_correction(fresh_frame, ixp)
+    assert list(got) == list(expected)
+    np.testing.assert_array_equal(list(got.values()), list(expected.values()))
+    assert selection_bias_checklist(fresh_frame) == expected_checks
+    assert fresh_frame.column("trigger")._values is None
 
 
 def test_a_label_table_past_256_entries_widens_its_codes(small_scenario, monkeypatch):

@@ -101,12 +101,12 @@ class TestEstimatorHonesty:
 
     def test_trombone_world_shows_large_effect(self):
         """In the world where the folk belief is true, the method finds it."""
-        from repro.mplatform import measurements_to_frame, run_speed_tests
+        from repro.mplatform import measurements_frame
         from repro.netsim import build_trombone_scenario
         from repro.pipeline import run_ixp_study
 
         sc = build_trombone_scenario(n_access=8, duration_days=20, join_day=10)
-        frame = measurements_to_frame(run_speed_tests(sc, rng=2))
+        frame = measurements_frame(sc, rng=2)
         result = run_ixp_study(frame, sc.ixp_name)
         assert result.rows, "expected treated units to be analysed"
         for row in result.rows:

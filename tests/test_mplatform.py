@@ -14,11 +14,13 @@ from repro.mplatform import (
     RouteToggle,
     Trigger,
     default_world,
+    SpeedTestGenerator,
     generate_tests,
-    measurements_to_frame,
-    run_speed_tests,
+    measurements_frame,
     site_contrast,
 )
+from repro.mplatform.speedtest import _split_rng
+from tests.reference_generation import assert_frames_identical
 
 
 class TestRecords:
@@ -53,56 +55,69 @@ class TestRecords:
         }
         assert set(small_frame.column_names) == expected
 
-    def test_frame_row_count(self, small_measurements, small_frame):
-        assert small_frame.num_rows == len(small_measurements)
+    def test_frame_row_count(self, small_scenario, small_frame):
+        # One row per planned test: the plan's cell counts sum to the frame.
+        plan = SpeedTestGenerator(small_scenario)._plan(_split_rng(3)[0])
+        assert small_frame.num_rows == int(plan.n_tests.sum())
+
+
+def _crosses(frame: Frame, ixp: str) -> np.ndarray:
+    """Per-row "crosses *ixp*" mask, read off the ``ixps`` codes."""
+    codes, uniques = frame.column("ixps").factorize()
+    return np.array([ixp in u.split(",") for u in uniques], dtype=bool)[codes]
+
+
+def _triggers(frame: Frame) -> set[str]:
+    return set(frame.column("trigger").factorize()[1])
 
 
 class TestSpeedTests:
-    def test_measurements_generated(self, small_measurements):
-        assert len(small_measurements) > 1000
+    def test_measurements_generated(self, small_frame):
+        assert small_frame.num_rows > 1000
 
     def test_deterministic_by_seed(self, small_scenario):
-        a = run_speed_tests(small_scenario, rng=42)
-        b = run_speed_tests(small_scenario, rng=42)
-        assert len(a) == len(b)
-        assert a[0].rtt_ms == b[0].rtt_ms
+        a = measurements_frame(small_scenario, rng=42)
+        b = measurements_frame(small_scenario, rng=42)
+        assert_frames_identical(a, b)
 
-    def test_crossings_appear_only_after_join(self, small_scenario, small_measurements):
+    def test_crossings_appear_only_after_join(self, small_scenario, small_frame):
         sc = small_scenario
-        for m in small_measurements:
-            if m.crosses(sc.ixp_name):
-                assert m.time_hour >= sc.join_hours[m.asn] - 1.0
+        crosses = _crosses(small_frame, sc.ixp_name)
+        assert crosses.any()
+        join = np.array([sc.join_hours[a] for a in small_frame["asn"][crosses]])
+        assert (small_frame["time_hour"][crosses] >= join - 1.0).all()
 
-    def test_treated_units_eventually_cross(self, small_scenario, small_measurements):
+    def test_treated_units_eventually_cross(self, small_scenario, small_frame):
         sc = small_scenario
+        crosses = _crosses(small_frame, sc.ixp_name)
+        city_codes, cities = small_frame.column("city").factorize()
         crossed_units = {
-            (m.asn, m.city) for m in small_measurements if m.crosses(sc.ixp_name)
+            (int(asn), cities[code])
+            for asn, code in zip(small_frame["asn"][crosses], city_codes[crosses])
         }
         assert set(sc.treated_units) <= crossed_units
 
-    def test_donors_never_cross(self, small_scenario, small_measurements):
+    def test_donors_never_cross(self, small_scenario, small_frame):
         sc = small_scenario
-        treated_asns = set(sc.join_hours)
-        for m in small_measurements:
-            if m.asn not in treated_asns:
-                assert not m.crosses(sc.ixp_name)
+        donors = ~np.isin(small_frame["asn"], list(sc.join_hours))
+        assert donors.any()
+        assert not _crosses(small_frame, sc.ixp_name)[donors].any()
 
-    def test_intent_tags_present(self, small_measurements):
-        tags = {m.trigger for m in small_measurements}
-        assert Trigger.BASELINE in tags
-        assert Trigger.PERFORMANCE in tags or Trigger.ROUTE_CHANGE in tags
+    def test_intent_tags_present(self, small_frame):
+        tags = _triggers(small_frame)
+        assert Trigger.BASELINE.value in tags
+        assert Trigger.PERFORMANCE.value in tags or Trigger.ROUTE_CHANGE.value in tags
 
     def test_exogenous_mode_only_baseline(self, small_scenario):
-        ms = run_speed_tests(small_scenario, rng=3, endogenous=False)
-        assert {m.trigger for m in ms} == {Trigger.BASELINE}
+        frame = measurements_frame(small_scenario, rng=3, endogenous=False)
+        assert _triggers(frame) == {Trigger.BASELINE.value}
 
-    def test_endogenous_volume_higher(self, small_scenario):
-        endo = run_speed_tests(small_scenario, rng=3, endogenous=True)
-        exo = run_speed_tests(small_scenario, rng=3, endogenous=False)
-        assert len(endo) > len(exo)
+    def test_endogenous_volume_higher(self, small_scenario, small_frame):
+        exo = measurements_frame(small_scenario, rng=3, endogenous=False)
+        assert small_frame.num_rows > exo.num_rows
 
-    def test_rtt_positive(self, small_measurements):
-        assert all(m.rtt_ms > 0 for m in small_measurements)
+    def test_rtt_positive(self, small_frame):
+        assert (small_frame["rtt_ms"] > 0).all()
 
 
 class TestProbes:

@@ -1,10 +1,11 @@
-"""The batched columnar generator against the scalar escape hatch.
+"""The batched columnar generator against the scalar reference emitter.
 
-Both emission modes share one plan phase (same rate-RNG stream, same
-Poisson draw order), so under the same seed their ⟨group, hour⟩ cell
-counts must match *exactly*; per-test samples come off the noise stream
-in different orders, so RTT and throughput are compared per unit with
-two-sample Kolmogorov-Smirnov tests.
+:func:`tests.reference_generation.reference_measurements` shares the
+generator's plan phase (same rate-RNG stream, same Poisson draw order),
+so under the same seed their ⟨group, hour⟩ cell counts must match
+*exactly*; per-test samples come off the noise stream in different
+orders, so RTT and throughput are compared per unit with two-sample
+Kolmogorov-Smirnov tests.
 """
 
 import collections
@@ -13,16 +14,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from repro.errors import PlatformError
 from repro.mplatform import (
     MEASUREMENT_COLUMNS,
     SpeedTestConfig,
     SpeedTestGenerator,
     measurements_frame,
     measurements_to_frame,
-    run_speed_tests,
 )
 from repro.netsim import build_trombone_scenario
+from tests.reference_generation import reference_measurements
 
 SEED = 1
 
@@ -34,7 +34,9 @@ def world():
 
 @pytest.fixture(scope="module")
 def scalar_frame(world):
-    return measurements_to_frame(SpeedTestGenerator(world).generate(rng=SEED))
+    return measurements_to_frame(
+        reference_measurements(SpeedTestGenerator(world), rng=SEED)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -110,15 +112,17 @@ class TestTimeHourRecordsSamplingTime:
         """Regression: the recorded timestamp must be the hour the RTT was
         sampled at, not a second independent uniform draw."""
         sampled_hours = []
-        original = world.latency.sample_rtt
+        original = world.latency.sample_rtt_batch
 
-        def spy(route, hour, rng, topology=None):
-            sampled_hours.append(hour)
-            return original(route, hour, rng, topology=topology)
+        def spy(route, hours, rng, **kwargs):
+            sampled_hours.append(np.array(hours))
+            return original(route, hours, rng, **kwargs)
 
-        monkeypatch.setattr(world.latency, "sample_rtt", spy)
-        measurements = run_speed_tests(world, rng=7)
-        assert [m.time_hour for m in measurements] == sampled_hours
+        monkeypatch.setattr(world.latency, "sample_rtt_batch", spy)
+        frame = measurements_frame(world, rng=7)
+        np.testing.assert_array_equal(
+            frame["time_hour"], np.concatenate(sampled_hours)
+        )
 
     def test_batch_day_consistent_with_time_hour(self, batch_frame):
         expected = (batch_frame["time_hour"] // 24.0).astype(np.int64)
@@ -126,17 +130,6 @@ class TestTimeHourRecordsSamplingTime:
 
 
 class TestModes:
-    def test_scalar_mode_matches_measurements_export(self, world):
-        frame = SpeedTestGenerator(world).generate_frame(rng=3, mode="scalar")
-        expected = measurements_to_frame(SpeedTestGenerator(world).generate(rng=3))
-        assert frame.num_rows == expected.num_rows
-        np.testing.assert_allclose(frame["rtt_ms"], expected["rtt_ms"])
-        assert list(frame["trigger"]) == list(expected["trigger"])
-
-    def test_unknown_mode_rejected(self, world):
-        with pytest.raises(PlatformError):
-            SpeedTestGenerator(world).generate_frame(rng=0, mode="chunky")
-
     def test_convenience_wrapper(self, world):
         frame = measurements_frame(world, rng=SEED)
         assert frame.num_rows > 0

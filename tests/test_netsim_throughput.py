@@ -67,27 +67,21 @@ class TestSampling:
 
 
 class TestEndToEnd:
-    def test_measurements_carry_download(self, small_measurements):
-        rates = [m.download_mbps for m in small_measurements[:200]]
-        assert all(np.isfinite(r) and r > 0 for r in rates)
+    def test_measurements_carry_download(self, small_frame):
+        rates = small_frame["download_mbps"]
+        assert (np.isfinite(rates) & (rates > 0)).all()
 
     def test_trombone_paths_are_slower(self):
         """Intercontinental RTT caps single-flow throughput."""
-        from repro.mplatform import run_speed_tests
+        from repro.mplatform import measurements_frame
 
         sc = build_trombone_scenario(n_access=4, duration_days=4, join_day=2)
-        ms = run_speed_tests(sc, rng=0)
+        frame = measurements_frame(sc, rng=0)
         joined_asn = min(sc.join_hours)
         join = sc.join_hours[joined_asn]
-        pre = [
-            m.download_mbps
-            for m in ms
-            if m.asn == joined_asn and m.time_hour < join
-        ]
-        post = [
-            m.download_mbps
-            for m in ms
-            if m.asn == joined_asn and m.time_hour >= join + 1
-        ]
+        joined = frame["asn"] == joined_asn
+        hours = frame["time_hour"]
+        pre = frame["download_mbps"][joined & (hours < join)]
+        post = frame["download_mbps"][joined & (hours >= join + 1)]
         # Post-join rate is access-capacity-capped; pre-join is RTT-capped.
         assert np.median(post) > 1.5 * np.median(pre)
