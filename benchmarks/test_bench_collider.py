@@ -11,15 +11,12 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-# The checkout root, for the scalar reference emitter under tests/.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from _report import write_report
 
-from repro.mplatform import SpeedTestGenerator, measurements_to_frame
+from repro.mplatform import measurements_frame
 from repro.netsim import build_table1_scenario
 from repro.studies import run_collider_experiment, tag_based_correction
-from tests.reference_generation import reference_measurements
 
 
 def _run():
@@ -27,9 +24,7 @@ def _run():
     scenario = build_table1_scenario(
         n_donor_ases=15, duration_days=24, join_day=12, seed=0
     )
-    frame = measurements_to_frame(
-        reference_measurements(SpeedTestGenerator(scenario), rng=1)
-    )
+    frame = measurements_frame(scenario, rng=1)
     contrasts = tag_based_correction(frame, scenario.ixp_name)
     return scm_out, contrasts
 

@@ -21,20 +21,13 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
-# The checkout root, for the scalar reference emitter under tests/.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from _report import write_report
 
 from repro.estimators import event_study, fixed_effects_estimate
-from repro.mplatform import (
-    SpeedTestConfig,
-    SpeedTestGenerator,
-    measurements_to_frame,
-)
+from repro.mplatform import measurements_frame
 from repro.netsim import build_table1_scenario
 from repro.pipeline import daily_median_rtt, run_ixp_study
-from tests.reference_generation import reference_measurements
 
 
 def _world(churn: float):
@@ -45,8 +38,7 @@ def _world(churn: float):
         seed=2,
         churn_probability=churn,
     )
-    gen = SpeedTestGenerator(scenario, SpeedTestConfig(endogenous=False))
-    frame = measurements_to_frame(reference_measurements(gen, rng=1))
+    frame = measurements_frame(scenario, rng=1, endogenous=False)
     daily = daily_median_rtt(frame)
     join_day_by_unit = {
         f"AS{asn}/{city}": scenario.join_hours[asn] / 24.0

@@ -31,19 +31,16 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-# The checkout root, for the scalar reference emitter under tests/.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 import numpy as np
 
 from _report import write_report
 
-from repro.mplatform import SpeedTestGenerator, measurements_to_frame
+from repro.mplatform import measurements_frame
 from repro.netsim import build_table1_scenario
 from repro.pipeline import run_ixp_study
 from repro.synthcontrol import robust_synthetic_control
 from repro.synthcontrol.placebo import placebo_rmse_ratios
-from tests.reference_generation import reference_measurements
 
 SMOKE = os.environ.get("ANALYSIS_BENCH_SMOKE") == "1"
 N_JOBS = 4
@@ -79,9 +76,7 @@ def _naive_placebo_ratios(donors, pre_periods, donor_names):
 
 def test_parallel_study(benchmark):
     scenario = _scenario()
-    frame = measurements_to_frame(
-        reference_measurements(SpeedTestGenerator(scenario), rng=3)
-    )
+    frame = measurements_frame(scenario, rng=3)
 
     # Best-of-2 on both backends: the floor assertion below compares two
     # wall-times, so one scheduler hiccup must not fail the build.

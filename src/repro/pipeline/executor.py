@@ -1,9 +1,11 @@
 """Execution backends for the study pipeline.
 
-The Table-1 study is embarrassingly parallel at two grains: treated
-units are independent of each other, and within one unit every placebo
-refit is independent of the rest.  This module gives both loops a
-single, order-stable fan-out primitive:
+The Table-1 study is embarrassingly parallel across treated units:
+each unit's fit and placebo refits form one independent task.  A
+unit's placebo refits run inside its task as one batched kernel call,
+so they do not fan out again; only a campaign, which spends its budget
+one placebo refit at a time, also maps single refits.  This module
+gives those loops a single, order-stable fan-out primitive:
 
 - :class:`SerialExecutor` — a plain in-process loop (the default, and
   the reference semantics every other backend must reproduce);

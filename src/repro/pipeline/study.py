@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 
 from repro.chaos.runtime import fault_point
 from repro.errors import DonorPoolError, EstimationError, PipelineError
-from repro.estimators.bootstrap import permutation_p_value
 from repro.frames.frame import Frame
 from repro.obs import child_seconds, get_metrics, span
 from repro.obs.metrics import COUNT_BUCKETS
@@ -56,16 +55,19 @@ from repro.pipeline.prefactor import (
     set_active_prefactors,
 )
 from repro.pipeline.shm import SharedArrayRef, SharedFrameArena
-from repro.synthcontrol.classic import _validate_panel, classic_synthetic_control
 from repro.synthcontrol.donor import Panel, select_donors
 from repro.synthcontrol.placebo import (
-    _fitter,
+    Refit,
+    _check_method,
     _PlaceboContext,
     placebo_context,
     placebo_outcomes,
+    placebo_p_value,
+    placebo_refits,
     record_placebo,
+    treated_fit,
 )
-from repro.synthcontrol.robust import factor_donor_matrix, fit_from_factorization
+from repro.synthcontrol.robust import factor_donor_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -258,11 +260,14 @@ class UnitScreen:
     Shared by :func:`prepare_unit_plan` and the stream's live refits
     (:class:`~repro.stream.refit.LiveRefitter`), so a unit is screened
     with the same checks and the same skip-reason strings wherever it
-    is fitted.  :meth:`periods` raises :class:`PipelineError` for a
-    malformed label and :class:`EstimationError` with the skip reason
-    when either side of the first crossing is too short;
-    :meth:`donors` is the study's only call into
-    :func:`~repro.synthcontrol.donor.select_donors`.
+    is fitted.  Past the screen, both fit it with
+    :func:`~repro.synthcontrol.placebo.treated_fit` and rank it with
+    :func:`~repro.synthcontrol.placebo.placebo_p_value`, so the fit
+    stage's skip reasons match too.  :meth:`periods` raises
+    :class:`PipelineError` for a malformed label and
+    :class:`EstimationError` with the skip reason when either side of
+    the first crossing is too short; :meth:`donors` is the study's only
+    call into :func:`~repro.synthcontrol.donor.select_donors`.
     """
 
     min_pre_periods: int = 7
@@ -357,7 +362,7 @@ def _placebo_context(task: _UnitTask, panel: Panel) -> _PlaceboContext:
     the active prefactor table when the planning pass produced one —
     bit-identical to factoring here, which is the fallback.
     """
-    _fitter(task.method)  # reject unknown methods before any work
+    _check_method(task.method)  # reject unknown methods before any work
     matrix = np.column_stack([panel.series(d) for d in task.donors])
     fact = loo = None
     if task.method == "robust":
@@ -374,24 +379,9 @@ def _base_fit(task: _UnitTask) -> tuple[UnitFit, _PlaceboContext]:
     panel = _load_panel(task.panel)
     t_fit = time.perf_counter()
     with span("fit", treated=task.unit, method=task.method):
-        ctx = _placebo_context(task, panel)
-        treated, donors = _validate_panel(
-            panel.series(task.unit), ctx.donors, task.pre_periods
+        fit, ctx = treated_fit(
+            _placebo_context(task, panel), panel.series(task.unit), task.unit
         )
-        if ctx.fact is not None:
-            fit = fit_from_factorization(
-                treated, ctx.fact, task.pre_periods, task.unit, task.donors,
-                energy=ctx.energy, ridge=ctx.ridge,
-            )
-        else:
-            fit = classic_synthetic_control(
-                treated,
-                donors,
-                task.pre_periods,
-                treated_name=task.unit,
-                donor_names=task.donors,
-                **ctx.fit_kwargs,
-            )
     get_metrics().histogram(
         "fit_seconds", help="wall-clock seconds per treated-unit fit"
     ).observe(time.perf_counter() - t_fit)
@@ -408,52 +398,22 @@ def _base_fit(task: _UnitTask) -> tuple[UnitFit, _PlaceboContext]:
     )
 
 
-def _placebo_refits(
-    task: _UnitTask, ctx: _PlaceboContext
-) -> list[tuple[str, float | None, str]]:
-    """Every placebo refit the study runs for *task*, in donor order.
-
-    One :func:`~repro.synthcontrol.placebo.placebo_ensemble` call (on
-    the prefactor's leave-one-out batch when the plan made one), then
-    one ``placebo`` record per column.
-    """
-    j = len(task.donors)
-    limit = j if task.max_placebos is None else min(task.max_placebos, j)
-    outcomes = placebo_outcomes(ctx, range(limit))
-    return [record_placebo(ctx, col, outcome) for col, outcome in enumerate(outcomes)]
-
-
-def unit_row(
-    fit: UnitFit,
-    refits: Sequence[tuple[str, float | None, str]],
-    exhausted: bool,
-) -> StudyRow:
+def unit_row(fit: UnitFit, refits: Sequence[Refit], exhausted: bool) -> StudyRow:
     """The Table-1 row for *fit* given the placebo refits run for it.
 
-    Surviving ratios enter the add-one ``greater`` placebo p-value in
-    the order given.  When no refit survived, an *exhausted* refit
-    queue raises :class:`DonorPoolError` (the unit is skipped); a queue
-    the caller stopped early gives ``p = 1``: no evidence, never
-    significance.
+    Surviving ratios enter :func:`~repro.synthcontrol.placebo.placebo_p_value`
+    in the order given; it raises :class:`DonorPoolError` (the unit is
+    skipped) when an *exhausted* queue left no survivor.
     """
     values = [ratio for _name, ratio, _reason in refits if ratio is not None]
     n_failed = len(refits) - len(values)
-    if values:
-        p = permutation_p_value(
-            fit.rmse_ratio, np.asarray(values, dtype=float), alternative="greater"
-        )
-    elif exhausted:
-        raise DonorPoolError(
-            f"no placebo fits succeeded for {fit.unit!r} "
-            f"({n_failed} skipped); donor pool too small"
-        )
-    else:
-        p = 1.0
     return StudyRow(
         unit=fit.unit,
         rtt_delta_ms=fit.effect,
         rmse_ratio=fit.rmse_ratio,
-        p_value=float(p),
+        p_value=placebo_p_value(
+            fit.unit, fit.rmse_ratio, values, n_failed, exhausted
+        ),
         pre_periods=fit.pre_periods,
         post_periods=fit.post_periods,
         n_donors=len(fit.donors),
@@ -480,7 +440,9 @@ def _run_unit(
             fit, ctx = _base_fit(task)
             result: StudyRow | UnitFit = fit
             if with_placebos:
-                result = unit_row(fit, _placebo_refits(task, ctx), exhausted=True)
+                result = unit_row(
+                    fit, placebo_refits(ctx, task.max_placebos), exhausted=True
+                )
                 attrs = {"n_placebos": result.n_placebos}
         except (DonorPoolError, EstimationError) as exc:
             logger.warning("skipping unit %s: %s", task.unit, exc)
@@ -509,7 +471,7 @@ def fit_unit(task: _UnitTask) -> UnitFit | tuple[str, str]:
     return _run_unit(task, with_placebos=False)  # type: ignore[return-value]
 
 
-def refit_unit(item: tuple[_UnitTask, int]) -> tuple[str, float | None, str]:
+def refit_unit(item: tuple[_UnitTask, int]) -> Refit:
     """One placebo refit ``(task, col)``: ``(donor, ratio | None, reason)``.
 
     A campaign's stage C spends its budget one refit at a time; each

@@ -22,10 +22,18 @@ path: a fresh donor screen and a full SVD of the sealed rows.  Either
 route feeds the same downstream math, and on exact inputs both routes
 agree.
 
+The fit and the p-value are the batch study's own code: a refresh
+builds a placebo context on its warm factorization, fits with
+:func:`~repro.synthcontrol.placebo.treated_fit` and turns the fit and
+its cached placebo refits into a :class:`~repro.pipeline.study.StudyRow`
+with :func:`~repro.pipeline.study.unit_row`, so a live unit is skipped
+for the same reasons as in the finalized table.  What stays here is the
+donor-pool cache, the warm/cold bookkeeping and the amortization.
+
 Placebo inference is amortized.  A warm refresh recomputes the unit's
 *effect* (denoise + ridge fit, well under a millisecond) every batch,
-but the placebo RMSE-ratio ensemble — the batch study's own kernel,
-:func:`~repro.synthcontrol.placebo.placebo_ensemble` (one leave-one-out
+but the placebo RMSE-ratio ensemble — the study's kernel through
+:func:`~repro.synthcontrol.placebo.placebo_outcomes` (one leave-one-out
 sweep, power iteration for rank-1 cores and an SVD for the rest, plus
 one stacked ridge solve over every donor), which costs a few times the
 rest of a warm refresh — is recomputed only every ``placebo_every``
@@ -50,16 +58,18 @@ from typing import Any
 import numpy as np
 
 from repro.errors import DonorPoolError, EstimationError, PipelineError
-from repro.estimators.bootstrap import permutation_p_value
 from repro.pipeline.crossing import TreatmentAssignment
-from repro.pipeline.study import StudyRow, UnitScreen
+from repro.pipeline.study import StudyRow, UnitFit, UnitScreen, unit_row
 from repro.synthcontrol.donor import Panel
-from repro.synthcontrol.incremental import extend_factorization, live_placebo_ratios
-from repro.synthcontrol.robust import (
-    DonorFactorization,
-    factor_donor_matrix,
-    fit_from_factorization,
+from repro.synthcontrol.incremental import extend_factorization
+from repro.synthcontrol.placebo import (
+    Refit,
+    placebo_columns,
+    placebo_context,
+    placebo_outcomes,
+    treated_fit,
 )
+from repro.synthcontrol.robust import DonorFactorization, factor_donor_matrix
 
 
 @dataclass
@@ -74,8 +84,7 @@ class UnitFitState:
     epoch: int = -1  # engine epoch the factorization was built under
     row: StudyRow | None = None
     skip_reason: str | None = None
-    ratios: tuple[float, ...] | None = None  # cached placebo ensemble
-    n_placebos_skipped: int = 0
+    refits: tuple[Refit, ...] | None = None  # cached placebo ensemble
     since_placebo: int = 0  # warm refreshes since the ensemble was rebuilt
     stagger: int = 0  # phase offset so units' rebuilds interleave
 
@@ -96,8 +105,7 @@ class LiveRefitter:
     ) -> None:
         if placebo_every < 1:
             raise PipelineError(f"placebo_every must be >= 1, got {placebo_every}")
-        self._energy = energy
-        self._ridge = ridge
+        self._fit_kwargs = {"energy": energy, "ridge": ridge}
         self._max_placebos = max_placebos
         self._screen = UnitScreen(
             min_pre_periods, min_post_periods, max_donor_missing
@@ -129,31 +137,26 @@ class LiveRefitter:
             donors, donor_matrix, sealed, fact, warm = self._donor_pool(
                 state, panel, assignment, unit, epoch, pre_periods
             )
-            fit = fit_from_factorization(
-                panel.series(unit),
-                fact,
-                pre_periods,
-                unit,
-                donors,
-                energy=self._energy,
-                ridge=self._ridge,
+            ctx = placebo_context(
+                donor_matrix, donors, pre_periods, "robust", self._fit_kwargs,
+                fact=fact,
             )
+            fit, _ = treated_fit(ctx, panel.series(unit), unit)
             rebuild = (
                 not warm
-                or state.ratios is None
+                or state.refits is None
                 or state.since_placebo + 1 >= self._placebo_every
             )
             if rebuild:
-                ratios, n_skipped = live_placebo_ratios(
-                    fact,
-                    donor_matrix,
-                    pre_periods,
-                    energy=self._energy,
-                    ridge=self._ridge,
-                    limit=self._max_placebos,
+                # The study's kernel without its per-column bookkeeping:
+                # live rows are advisory and refresh hundreds of times.
+                outcomes = placebo_outcomes(
+                    ctx, placebo_columns(ctx, self._max_placebos)
                 )
-                state.ratios = tuple(ratios)
-                state.n_placebos_skipped = n_skipped
+                state.refits = tuple(
+                    (donor, ratio, reason)
+                    for donor, (ratio, reason) in zip(donors, outcomes)
+                )
                 # A cold rebuild seeds the unit's phase offset so the
                 # treated units' ensemble rebuilds interleave instead of
                 # all landing on the same future batch.
@@ -161,16 +164,17 @@ class LiveRefitter:
                 self.placebo_refreshes += 1
             else:
                 state.since_placebo += 1
-            p_value = permutation_p_value(
-                fit.rmse_ratio, np.asarray(state.ratios), alternative="greater"
+            unit_fit = UnitFit(
+                unit, fit.effect, fit.rmse_ratio, pre_periods, post_periods, donors
             )
+            row = unit_row(unit_fit, state.refits, exhausted=True)
         except (DonorPoolError, EstimationError, PipelineError) as exc:
             state.fact = None
             state.full = None
             state.donors = ()
             state.times = ()
             state.row = None
-            state.ratios = None
+            state.refits = None
             state.since_placebo = 0
             state.skip_reason = str(exc)
             return state
@@ -180,17 +184,7 @@ class LiveRefitter:
         state.full = fact
         state.epoch = epoch
         state.skip_reason = None
-        state.row = StudyRow(
-            unit=unit,
-            rtt_delta_ms=fit.effect,
-            rmse_ratio=fit.rmse_ratio,
-            p_value=p_value,
-            pre_periods=pre_periods,
-            post_periods=post_periods,
-            n_donors=len(donors),
-            n_placebos=len(state.ratios),
-            n_placebos_skipped=state.n_placebos_skipped,
-        )
+        state.row = row
         return state
 
     def _donor_pool(

@@ -13,7 +13,7 @@
 from repro.synthcontrol.classic import classic_synthetic_control, fit_simplex_weights
 from repro.synthcontrol.diagnostics import FitDiagnostics, check_assumptions, diagnose
 from repro.synthcontrol.donor import Panel, PanelUpdate, build_panel, select_donors
-from repro.synthcontrol.incremental import extend_factorization, live_placebo_ratios
+from repro.synthcontrol.incremental import extend_factorization
 from repro.synthcontrol.placebo import (
     PlaceboRatios,
     placebo_rmse_ratios,
@@ -58,7 +58,6 @@ __all__ = [
     "fit_simplex_weights",
     "in_time_placebo",
     "leave_one_donor_out",
-    "live_placebo_ratios",
     "placebo_rmse_ratios",
     "placebo_test",
     "ridge_weights",

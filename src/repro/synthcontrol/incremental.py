@@ -25,12 +25,12 @@ previously imputed cells).  :func:`extend_factorization` raises
 :class:`~repro.errors.EstimationError` in those cases and the caller
 falls back to a cold :func:`~repro.synthcontrol.robust.factor_donor_matrix`.
 
-:func:`live_placebo_ratios` is the matching inference step.  It is not
-a copy of the batch placebo loop but a call into the same kernel,
-:func:`~repro.synthcontrol.placebo.placebo_ensemble` (one leave-one-out
-sweep, one stacked ridge solve, the same skip screens), without
-the per-column span/metric/fault bookkeeping a study records around
-it.
+Inference needs no streaming counterpart: a live refresh fits and ranks
+its unit with the study's own
+:func:`~repro.synthcontrol.placebo.treated_fit`,
+:func:`~repro.synthcontrol.placebo.placebo_outcomes` and
+:func:`~repro.synthcontrol.placebo.placebo_p_value`, on the factorization
+this module keeps warm.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DonorPoolError, EstimationError
-from repro.synthcontrol.placebo import placebo_ensemble
 from repro.synthcontrol.robust import DonorFactorization
 
 
@@ -88,37 +87,3 @@ def extend_factorization(
         s=s,
         vt=vt,
     )
-
-
-def live_placebo_ratios(
-    fact: DonorFactorization,
-    donors: np.ndarray,
-    pre_periods: int,
-    *,
-    energy: float = 0.99,
-    ridge: float = 1e-2,
-    min_pre_rmse: float = 1e-9,
-    limit: int | None = None,
-) -> tuple[list[float], int]:
-    """Placebo RMSE ratios for a live (mid-stream) refresh.
-
-    :func:`~repro.synthcontrol.placebo.placebo_ensemble` over the first
-    *limit* donors (all when ``None``), reduced to ``(ratios,
-    n_skipped)`` with ratios in donor order; a pool of fewer than two
-    donors has no placebos.
-    """
-    j = donors.shape[1]
-    n = j if limit is None else max(0, min(int(limit), j))
-    if n == 0 or j < 2:
-        return [], 0
-    outcomes = placebo_ensemble(
-        fact,
-        donors,
-        pre_periods,
-        range(n),
-        energy=energy,
-        ridge=ridge,
-        min_pre_rmse=min_pre_rmse,
-    )
-    ratios = [ratio for ratio, _reason in outcomes if ratio is not None]
-    return ratios, n - len(ratios)

@@ -21,21 +21,22 @@ depend on how columns are batched — serial and pooled runs agree.  A
 column with missing pseudo-treated cells or a zero spectrum, or a
 stack whose solve fails, keeps that per-row form.
 :func:`record_placebo` adds a study's per-column span, fault point and
-counters, and :func:`placebo_rmse_ratios` fans columns out over an
-executor backend (``n_jobs``) with backend-independent results.
+counters.
+
+The unit fit around the kernel lives here too, once:
+:func:`treated_fit` is the only code that fits a treated unit and
+:func:`placebo_p_value` the only code that turns placebo refits into a
+p-value.  The batch study, a campaign, :func:`placebo_test` and the
+stream's live refresh all call them, so a unit gets the same numbers
+and the same skip reasons wherever it is fitted.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import time
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.pipeline.executor import RetryPolicy
 
 import numpy as np
 
@@ -55,7 +56,6 @@ from repro.synthcontrol.robust import (
     factor_donor_matrix,
     fit_from_denoised,
     fit_from_factorization,
-    robust_synthetic_control,
 )
 
 logger = logging.getLogger(__name__)
@@ -63,12 +63,9 @@ logger = logging.getLogger(__name__)
 FitFunction = Callable[..., SyntheticControlFit]
 
 
-def _fitter(method: str) -> FitFunction:
-    if method == "robust":
-        return robust_synthetic_control
-    if method == "classic":
-        return classic_synthetic_control
-    raise DonorPoolError(f"unknown synthetic-control method {method!r}")
+def _check_method(method: str) -> None:
+    if method not in ("robust", "classic"):
+        raise DonorPoolError(f"unknown synthetic-control method {method!r}")
 
 
 def _robust_params(**fit_kwargs: object) -> tuple[float, float]:
@@ -101,6 +98,14 @@ class PlaceboRatios(Sequence):
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
         return iter(self.ratios)
+
+    @classmethod
+    def from_refits(cls, refits: Sequence[Refit]) -> PlaceboRatios:
+        """Split ``(donor, ratio | None, reason)`` refits into ratios and skips."""
+        return cls(
+            ratios=tuple((name, r) for name, r, _ in refits if r is not None),
+            skipped=tuple((name, why) for name, r, why in refits if r is None),
+        )
 
     @property
     def n_skipped(self) -> int:
@@ -154,6 +159,9 @@ def placebo_context(
 
 #: A placebo column's outcome: its RMSE ratio, or ``None`` and the reason.
 Outcome = tuple[float | None, str]
+
+#: A recorded placebo refit: ``(donor_name, ratio | None, reason)``.
+Refit = tuple[str, float | None, str]
 
 
 def _screen(pre_rmse: float, post_rmse: float, min_pre_rmse: float) -> Outcome:
@@ -296,7 +304,7 @@ def record_placebo(
     site: str = "placebo.refit",
     key: str | None = None,
     **attrs: object,
-) -> tuple[str, float | None, str]:
+) -> Refit:
     """Book-keep donor *col*'s refit: ``(name, ratio | None, reason)``.
 
     Records one ``placebo`` span (``ok`` attribute marks survivors;
@@ -320,55 +328,85 @@ def record_placebo(
     return donor, ratio, reason
 
 
-def _placebo_task(ctx: _PlaceboContext, col: int) -> tuple[str, float | None, str]:
-    """One fanned-out column: its refit, then its bookkeeping."""
-    return record_placebo(ctx, col, placebo_outcomes(ctx, [col])[0])
+def placebo_columns(ctx: _PlaceboContext, max_placebos: int | None) -> range:
+    """The donor columns refit as placebos: the first *max_placebos*.
+
+    Donors are correlation-ranked by
+    :func:`~repro.synthcontrol.donor.select_donors`, so a cap keeps the
+    closest ones; ``None`` refits every donor.
+    """
+    j = len(ctx.donor_names)
+    return range(j if max_placebos is None else min(max_placebos, j))
 
 
-def _run_placebos(
-    donors: np.ndarray,
-    pre_periods: int,
-    donor_names: Sequence[str],
-    method: str,
-    max_placebos: int | None,
-    min_pre_rmse: float,
-    n_jobs: int | None,
-    retry: "RetryPolicy | None",
-    fit_kwargs: dict,
-    fact: DonorFactorization | None = None,
-) -> PlaceboRatios:
-    """The first *max_placebos* placebos, serial or one column per task."""
-    from repro.pipeline.executor import get_executor, resolve_n_jobs
+def placebo_refits(ctx: _PlaceboContext, max_placebos: int | None) -> list[Refit]:
+    """One :func:`placebo_outcomes` call, then one record per column."""
+    outcomes = placebo_outcomes(ctx, placebo_columns(ctx, max_placebos))
+    return [record_placebo(ctx, col, outcome) for col, outcome in enumerate(outcomes)]
 
-    donors = np.asarray(donors, dtype=float)
-    if donors.ndim != 2:
-        raise DonorPoolError(
-            f"donor matrix must be 2-D (T x J), got shape {donors.shape}"
+
+def treated_fit(
+    ctx: _PlaceboContext, treated: np.ndarray, name: str
+) -> tuple[SyntheticControlFit, _PlaceboContext]:
+    """Fit the treated unit *name* against *ctx*'s donors.
+
+    The one treated-unit fit: the batch study, a campaign's base fits,
+    :func:`placebo_test` and the stream's live refresh all call it.
+    Validates the panel, then dispatches on ``ctx.method``: the robust
+    method fits on ``ctx.fact`` (factoring the donor matrix first when
+    no factorization is set), the classic method runs
+    :func:`classic_synthetic_control`.  Returns the fit and *ctx* with
+    the factorization it used, which the placebo refits share.
+    """
+    treated, donors = _validate_panel(treated, ctx.donors, ctx.pre_periods)
+    if ctx.method != "robust":
+        fit = classic_synthetic_control(
+            treated,
+            donors,
+            ctx.pre_periods,
+            treated_name=name,
+            donor_names=ctx.donor_names,
+            **ctx.fit_kwargs,
         )
-    j = donors.shape[1]
-    limit = j if max_placebos is None else min(max_placebos, j)
-    ctx = placebo_context(
-        donors, donor_names, pre_periods, method, fit_kwargs,
-        min_pre_rmse=min_pre_rmse, fact=fact,
-    )
-    if method == "robust" and fact is None and limit > 0:
+        return fit, ctx
+    if ctx.fact is None:
         ctx = replace(ctx, fact=factor_donor_matrix(donors))
-    if resolve_n_jobs(n_jobs) == 1:
-        # One kernel call for every column; the executor then records
-        # (and, under a retry policy, re-records) each outcome.
-        outcomes = placebo_outcomes(ctx, range(limit))
-
-        def task(col: int) -> tuple[str, float | None, str]:
-            return record_placebo(ctx, col, outcomes[col])
-
-    else:
-        task = functools.partial(_placebo_task, ctx)
-    with get_executor(n_jobs, retry=retry) as executor:
-        results = executor.map(task, range(limit))
-    return PlaceboRatios(
-        ratios=tuple((name, ratio) for name, ratio, _ in results if ratio is not None),
-        skipped=tuple((name, why) for name, ratio, why in results if ratio is None),
+    fit = fit_from_factorization(
+        treated, ctx.fact, ctx.pre_periods, name,
+        _donor_names(ctx.donor_names, donors.shape[1]),
+        energy=ctx.energy, ridge=ctx.ridge,
     )
+    return fit, ctx
+
+
+def placebo_p_value(
+    name: str,
+    rmse_ratio: float,
+    ratios: Sequence[float],
+    n_skipped: int,
+    exhausted: bool = True,
+) -> float:
+    """The placebo p-value of *name*'s *rmse_ratio* against *ratios*.
+
+    The add-one share of surviving placebo ratios greater than or equal
+    to the treated unit's (``alternative="greater"``): small p means few
+    untreated paths diverged as sharply.  When no refit survived, an
+    *exhausted* refit queue raises :class:`DonorPoolError` (the unit is
+    skipped); a queue the caller stopped early gives ``p = 1``: no
+    evidence, never significance.
+    """
+    if len(ratios):
+        return float(
+            permutation_p_value(
+                rmse_ratio, np.asarray(ratios, dtype=float), alternative="greater"
+            )
+        )
+    if exhausted:
+        raise DonorPoolError(
+            f"no placebo fits succeeded for {name!r} "
+            f"({n_skipped} skipped); donor pool too small"
+        )
+    return 1.0
 
 
 def placebo_rmse_ratios(
@@ -378,8 +416,6 @@ def placebo_rmse_ratios(
     method: str = "robust",
     max_placebos: int | None = None,
     min_pre_rmse: float = 1e-9,
-    n_jobs: int | None = 1,
-    retry: "RetryPolicy | None" = None,
     **fit_kwargs: object,
 ) -> PlaceboRatios:
     """RMSE ratios from treating each donor as a pseudo-treated unit.
@@ -390,15 +426,20 @@ def placebo_rmse_ratios(
     failures are skipped — unexpected exceptions propagate.
     *max_placebos* caps the count (taking the first k donors, which are
     correlation-ranked by :func:`~repro.synthcontrol.donor.select_donors`).
-    *n_jobs* fans refits out over a process pool, one column per task
-    (results are identical to the serial run, in donor order).  For the
-    robust method the donor matrix is imputed and factored once.
+    For the robust method the donor matrix is imputed and factored once.
     """
-    _fitter(method)  # reject unknown methods before any work
-    return _run_placebos(
-        donors, pre_periods, donor_names, method, max_placebos, min_pre_rmse,
-        n_jobs, retry, fit_kwargs,
+    _check_method(method)
+    donors = np.asarray(donors, dtype=float)
+    if donors.ndim != 2:
+        raise DonorPoolError(
+            f"donor matrix must be 2-D (T x J), got shape {donors.shape}"
+        )
+    ctx = placebo_context(
+        donors, donor_names, pre_periods, method, fit_kwargs,
+        min_pre_rmse=min_pre_rmse,
+        fact=factor_donor_matrix(donors) if method == "robust" else None,
     )
+    return PlaceboRatios.from_refits(placebo_refits(ctx, max_placebos))
 
 
 def placebo_test(
@@ -410,60 +451,34 @@ def placebo_test(
     method: str = "robust",
     max_placebos: int | None = None,
     min_pre_rmse: float = 1e-9,
-    n_jobs: int | None = 1,
-    retry: "RetryPolicy | None" = None,
     **fit_kwargs: object,
 ) -> PlaceboSummary:
     """Fit the treated unit and compute its placebo-based p-value.
 
-    The p-value is the add-one share of placebo RMSE ratios greater than
-    or equal to the treated unit's ratio (``alternative="greater"``):
-    small p means few untreated paths diverged as sharply.  *n_jobs*
-    parallelises the placebo refits.  For the robust method the donor
-    matrix is factored once, for the treated fit and every placebo.
+    :func:`treated_fit`, then the placebo refits of
+    :func:`placebo_rmse_ratios`, then :func:`placebo_p_value`.  For the
+    robust method the donor matrix is factored once, for the treated fit
+    and every placebo.
     """
     if donor_names is None:
         donor_names = [f"donor_{i}" for i in range(donors.shape[1])]
-    fitter = _fitter(method)
+    _check_method(method)
+    ctx = placebo_context(
+        np.asarray(donors, dtype=float), donor_names, pre_periods, method,
+        fit_kwargs, min_pre_rmse=min_pre_rmse,
+    )
     t_fit = time.perf_counter()
-    fact = None
     with span("fit", treated=treated_name, method=method):
-        if method == "robust":
-            energy, ridge = _robust_params(**fit_kwargs)
-            treated, donors = _validate_panel(treated, donors, pre_periods)
-            names = _donor_names(donor_names, donors.shape[1])
-            fact = factor_donor_matrix(donors)
-            fit = fit_from_factorization(
-                treated, fact, pre_periods, treated_name, names,
-                energy=energy, ridge=ridge,
-            )
-        else:
-            fit = fitter(
-                treated,
-                donors,
-                pre_periods,
-                treated_name=treated_name,
-                donor_names=donor_names,
-                **fit_kwargs,
-            )
+        fit, ctx = treated_fit(ctx, treated, treated_name)
     get_metrics().histogram(
         "fit_seconds", help="wall-clock seconds per treated-unit fit"
     ).observe(time.perf_counter() - t_fit)
-    ratios = _run_placebos(
-        donors, pre_periods, donor_names, method, max_placebos, min_pre_rmse,
-        n_jobs, retry, fit_kwargs, fact,
-    )
-    if not ratios:
-        raise DonorPoolError(
-            f"no placebo fits succeeded for {treated_name!r} "
-            f"({ratios.n_skipped} skipped); donor pool too small"
-        )
-    p = permutation_p_value(
-        fit.rmse_ratio, np.asarray(ratios.values), alternative="greater"
-    )
+    ratios = PlaceboRatios.from_refits(placebo_refits(ctx, max_placebos))
     return PlaceboSummary(
         fit=fit,
         placebo_rmse_ratios=ratios.values,
-        p_value=float(p),
+        p_value=placebo_p_value(
+            treated_name, fit.rmse_ratio, ratios.values, ratios.n_skipped
+        ),
         skipped_placebos=ratios.skipped,
     )

@@ -102,14 +102,3 @@ class TestParallelStudy:
         assert pooled.rows, "expected the pooled study to analyse units"
         for row in pooled.rows:
             assert np.isfinite(row.p_value)
-
-    def test_placebo_fanout_matches_serial(self):
-        rng = np.random.default_rng(7)
-        donors = rng.normal(50, 2, (40, 12))
-        names = [f"d{i}" for i in range(12)]
-        from repro.synthcontrol import placebo_rmse_ratios
-
-        serial = placebo_rmse_ratios(donors, 25, names, n_jobs=1)
-        pooled = placebo_rmse_ratios(donors, 25, names, n_jobs=2)
-        assert serial.ratios == pooled.ratios
-        assert serial.skipped == pooled.skipped

@@ -7,6 +7,7 @@ from repro.errors import DonorPoolError
 from repro.frames import Frame
 from repro.synthcontrol import (
     Panel,
+    PlaceboRatios,
     build_panel,
     check_assumptions,
     diagnose,
@@ -213,6 +214,25 @@ class TestPlaceboSkipAccounting:
         with pytest.raises(TypeError):
             placebo_rmse_ratios(
                 panel.matrix, 25, list(panel.units), energgy=0.9
+            )
+
+    def test_zero_placebos_is_empty(self):
+        panel = synthetic_panel(j=6, seed=13)
+        for method in ("robust", "classic"):
+            ratios = placebo_rmse_ratios(
+                panel.matrix, 25, list(panel.units), method=method, max_placebos=0
+            )
+            assert ratios == PlaceboRatios(ratios=(), skipped=())
+
+    def test_zero_placebos_fails_placebo_test(self):
+        panel = synthetic_panel(j=6, seed=13)
+        with pytest.raises(DonorPoolError, match="0 skipped"):
+            placebo_test(
+                panel.matrix[:, 0],
+                panel.matrix[:, 1:],
+                25,
+                donor_names=list(panel.units[1:]),
+                max_placebos=0,
             )
 
     def test_single_donor_pool_skips_with_reason(self):

@@ -1,15 +1,17 @@
-"""Unit tests for repro.synthcontrol.incremental (warm-started SVDs)."""
+"""Unit tests for repro.synthcontrol.incremental (warm-started SVDs) and
+the live refresh's inference on top of it."""
 
 import numpy as np
 import pytest
 
 from repro.errors import DonorPoolError, EstimationError
-from repro.estimators.bootstrap import permutation_p_value
+from repro.pipeline.crossing import TreatmentAssignment
+from repro.pipeline.study import execute_unit_plan, prepare_unit_plan
+from repro.stream.refit import LiveRefitter
 from repro.synthcontrol import (
+    Panel,
     extend_factorization,
     factor_donor_matrix,
-    fit_from_denoised,
-    live_placebo_ratios,
     placebo_test,
 )
 from repro.synthcontrol.robust import denoise_from_factorization
@@ -75,40 +77,55 @@ class TestExtendFactorization:
         np.testing.assert_allclose(dw, dc, atol=1e-9)
 
 
-class TestLivePlaceboRatios:
-    def test_matches_placebo_test_p_value(self):
-        # The live path's ratios must reproduce placebo_test's p-value
-        # when fed the same donor matrix.
-        rng = np.random.default_rng(6)
-        donors = rng.normal(size=(30, 8)).cumsum(axis=0)
-        treated = donors[:, 0] * 0.5 + donors[:, 3] * 0.5 + rng.normal(size=30) * 0.1
-        names = tuple(f"d{j}" for j in range(8))
-        pre = 20
-        summary = placebo_test(
-            treated, donors, pre, treated_name="t", donor_names=names, method="robust"
-        )
-        fact = factor_donor_matrix(donors)
-        denoised, _ = denoise_from_factorization(fact, energy=0.99)
-        fit = fit_from_denoised(treated, denoised, pre, "t", names)
-        ratios, skipped = live_placebo_ratios(fact, donors, pre)
-        assert len(ratios) + skipped == len(names)
-        assert sorted(ratios) == sorted(summary.placebo_rmse_ratios)
-        p = permutation_p_value(
-            fit.rmse_ratio, np.asarray(ratios), alternative="greater"
-        )
-        assert p == summary.p_value
+def _live_world(n_donors: int, seed: int, n_times: int = 30, pre: int = 20):
+    """A one-treated-unit panel and its assignment, crossing on day *pre*."""
+    rng = np.random.default_rng(seed)
+    donors = rng.normal(size=(n_times, n_donors)).cumsum(axis=0)
+    treated = donors[:, : min(n_donors, 2)].mean(axis=1) + rng.normal(size=n_times) * 0.1
+    names = tuple(f"AS{100 + j}/D{j}" for j in range(n_donors))
+    panel = Panel(
+        times=tuple(float(t) for t in range(n_times)),
+        units=("AS1/T",) + names,
+        matrix=np.column_stack([treated, donors]),
+    )
+    assignment = TreatmentAssignment(
+        ixp_name="X", first_crossing_hour={"AS1/T": pre * 24.0}, never_crossed=names
+    )
+    return panel, assignment
 
-    def test_too_few_donors_returns_empty(self):
-        rng = np.random.default_rng(7)
-        donors = rng.normal(size=(10, 1))
-        fact = factor_donor_matrix(donors)
-        ratios, skipped = live_placebo_ratios(fact, donors, 5)
-        assert ratios == []
-        assert skipped == 0
+
+class TestLivePlaceboRatios:
+    """The live refresh ranks its unit with the study's placebo code."""
+
+    def test_matches_placebo_test_p_value(self):
+        # A cold live refresh must reproduce placebo_test's p-value when
+        # fed the same donor matrix.
+        panel, assignment = _live_world(8, seed=6)
+        refitter = LiveRefitter()
+        state = refitter.refresh(panel, assignment, "AS1/T", epoch=0)
+        assert refitter.cold_refits == 1
+        matrix = np.column_stack([panel.series(d) for d in state.donors])
+        summary = placebo_test(
+            panel.series("AS1/T"), matrix, 20, treated_name="AS1/T",
+            donor_names=state.donors,
+        )
+        row = state.row
+        assert row.n_placebos + row.n_placebos_skipped == len(state.donors)
+        assert row.n_placebos == len(summary.placebo_rmse_ratios)
+        assert row.p_value == summary.p_value
+        assert row.rtt_delta_ms == pytest.approx(summary.fit.effect, abs=1e-9)
+
+    def test_one_donor_unit_skipped_with_study_reason(self):
+        panel, assignment = _live_world(1, seed=7)
+        state = LiveRefitter().refresh(panel, assignment, "AS1/T", epoch=0)
+        _rows, skipped = execute_unit_plan(prepare_unit_plan(panel, assignment))
+        assert state.row is None
+        assert skipped == [("AS1/T", state.skip_reason)]
+        assert "donor pool too small" in state.skip_reason
 
     def test_limit_caps_placebo_count(self):
-        rng = np.random.default_rng(8)
-        donors = rng.normal(size=(20, 6)).cumsum(axis=0)
-        fact = factor_donor_matrix(donors)
-        ratios, _ = live_placebo_ratios(fact, donors, 12, limit=3)
-        assert len(ratios) <= 3
+        panel, assignment = _live_world(6, seed=8)
+        state = LiveRefitter(max_placebos=3).refresh(
+            panel, assignment, "AS1/T", epoch=0
+        )
+        assert state.row.n_placebos + state.row.n_placebos_skipped == 3
