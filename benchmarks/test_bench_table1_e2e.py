@@ -12,15 +12,15 @@ donor per unit with no reuse — and the fast path must beat it by at
 least 10x wall-clock.
 
 The timing claim rests on a parity claim, asserted first: the batched
-engine's table is row-for-row identical to the unbatched fits, serial
-and ``n_jobs=4``, on the identical frame.  (Scalar and columnar
+engine's table is row-for-row identical to the unbatched fits on the
+identical frame.  (Scalar and columnar
 *generation* consume noise streams in different orders, so the
 generation halves are compared by wall-clock only — their fit-layer
 parity is covered where the inputs are bit-identical.)
 
 Smoke mode (``ANALYSIS_BENCH_SMOKE=1``, used by CI's scaling job) runs
-a reduced scenario and checks the parity assertions and that the
-pooled study drains its shared memory, not the wall-clock ratio.
+a reduced scenario and checks the parity assertions, not the wall-clock
+ratio.
 """
 
 import os
@@ -45,14 +45,12 @@ from repro.netsim import build_table1_scenario
 from repro.pipeline import run_ixp_study
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import assign_treatment
-from repro.pipeline.shm import live_arena_blocks
 from repro.synthcontrol import robust_synthetic_control, select_donors
 from tests import rowwise_pipeline as rowwise
 from tests.reference_generation import reference_measurements
 
 MIN_SPEEDUP = 10.0
 SMOKE = os.environ.get("ANALYSIS_BENCH_SMOKE") == "1"
-N_JOBS = 4
 
 
 def _scenario():
@@ -96,17 +94,12 @@ def test_table1_end_to_end(benchmark):
     t0 = time.perf_counter()
     frame, fast = benchmark.pedantic(fast_e2e, rounds=1, iterations=1)
     fast_s = time.perf_counter() - t0
-    assert live_arena_blocks() == (), "a serial run must leave /dev/shm empty"
 
     # --- parity before any timing claim -----------------------------------
     assert len(fast.rows) >= 4, "need a multi-unit table"
     unbatched = run_ixp_study(frame, scenario.ixp_name, batch_fits=False)
     assert fast.rows == unbatched.rows
     assert fast.skipped == unbatched.skipped
-    pooled = run_ixp_study(frame, scenario.ixp_name, n_jobs=N_JOBS)
-    assert fast.rows == pooled.rows
-    assert fast.skipped == pooled.skipped
-    assert live_arena_blocks() == ()
 
     # --- seed-style baseline, staged --------------------------------------
     t0 = time.perf_counter()
@@ -152,8 +145,7 @@ def test_table1_end_to_end(benchmark):
         f"  total:                         {baseline_s:.2f} s  ({speedup:.1f}x)",
         "",
         f"units analysed: {len(fast.rows)};",
-        "batched == unbatched == n_jobs=4 rows, bit-for-bit;",
-        "/dev/shm drained after every run;",
+        "batched == unbatched rows, bit-for-bit;",
         f"threshold: >= {MIN_SPEEDUP:.0f}x end-to-end"
         + (" (smoke mode: parity only)." if SMOKE else "."),
     ]
@@ -166,7 +158,6 @@ def test_table1_end_to_end(benchmark):
             "speedup": speedup,
             "rows": frame.num_rows,
             "n_cores": cores,
-            "n_jobs": N_JOBS,
             "baseline_seconds": baseline_s,
             "scalar_generation_seconds": scalar_gen_s,
             "rowwise_analysis_seconds": rowwise_s,

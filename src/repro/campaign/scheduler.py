@@ -1,31 +1,34 @@
 """The campaign scheduler: many scenarios, one pool, adaptive budget.
 
 Runs a fleet of :class:`~repro.campaign.spec.ScenarioSpec`s as one
-campaign on the existing executor/retry/checkpoint/shared-memory stack:
+campaign on the existing executor/retry/checkpoint stack.  Its seconds
+are in generating scenarios, not in fitting units, so the process pool
+works at the scenario grain — distributed probing, central analysis:
 
-- **Stage A** builds each scenario's world and measurement frame (in
-  private memory, freed as soon as the panel is pivoted out; a pooled
-  campaign publishes every scenario's panel into one
-  :class:`~repro.pipeline.shm.SharedFrameArena`, open until the
-  campaign ends), plans each scenario's units
-  with the batch study's own :func:`~repro.pipeline.study.prepare_unit_plan`
-  (the plan chooses every unit's donors), and opens one checkpoint
+- **Stage A** is the pool's only job.  One task per scenario builds its
+  world, generates its measurement frame, assigns treatment, and pivots
+  the panel (:func:`_scenario_inputs`); the frame never leaves the
+  worker, and the result — truth, assignment, and panel, a few KB —
+  comes back through the executor's normal pickling.  The executor's
+  retry policy covers the whole task, streamed-ingest fault points
+  included.  The parent then plans each scenario's units with the
+  batch study's own :func:`~repro.pipeline.study.prepare_unit_plan`
+  (the plan chooses every unit's donors) and opens one checkpoint
   journal per scenario.  One prefactor table for the whole fleet,
   keyed by ``(scenario, unit)``, then batch-factors every planned
   unit's donor matrix.
-- **Stage B** interleaves every scenario's base unit fits round-robin
-  onto one shared executor — scenario B's fits don't wait for scenario
-  A's, and a single process pool serves the whole campaign.  Each fit
-  is the study's own :func:`~repro.pipeline.study.fit_unit`.
+- **Stage B** runs every scenario's base unit fits in the parent,
+  interleaved round-robin so scenario B's fits don't wait behind
+  scenario A's.  Each fit is the study's own
+  :func:`~repro.pipeline.study.fit_unit`.
 - **Stage C** spends the placebo-refit budget in rounds: the
   :mod:`~repro.campaign.allocator` hands each round's refits to
   scenarios in proportion to their current placebo-ratio CI width
   (Zeph-style), freezing converged scenarios, and each round's grants
-  are interleaved onto the same pool as single-column
+  run interleaved as single-column
   :func:`~repro.pipeline.study.refit_unit` calls.  Fits and refits read
-  their unit's factorization from the prefactor table: installed
-  in-process on a serial run, attached as shared-memory slabs by every
-  pooled worker.
+  their unit's factorization from the prefactor table, which the
+  scheduler hands them.
 - The **verdict table** generalizes Table 1 across scenarios; each
   scenario's rows are built by the batch study's own
   :func:`~repro.pipeline.study.unit_row`, so a campaign given enough
@@ -33,7 +36,8 @@ campaign on the existing executor/retry/checkpoint/shared-memory stack:
   rows bit-for-bit.
 
 Determinism contract: the verdict table is a pure function of the spec
-fleet and the campaign parameters — identical across ``--jobs`` values,
+fleet and the campaign parameters — identical across ``--jobs`` values
+(each scenario draws only its own seeds),
 scenario-order permutations, and kill/resume boundaries.  Everything
 order-dependent (allocation, refit queues, tie-breaks) is derived from
 sorted scenario names and seeded hashes, never from completion order.
@@ -46,6 +50,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -59,22 +64,21 @@ from repro.campaign.allocator import (
     uniform_round,
 )
 from repro.campaign.spec import ScenarioSpec, build_scenario
-from repro.chaos.runtime import current_attempt, fault_point, task_attempt
-from repro.errors import (
-    CheckpointError,
-    DonorPoolError,
-    PipelineError,
-    TransientError,
-)
+from repro.chaos.runtime import fault_point
+from repro.errors import CheckpointError, DonorPoolError, PipelineError
 from repro.mplatform.speedtest import measurements_frame
 from repro.obs import span
 from repro.obs.metrics import get_metrics
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.checkpoint import StudyCheckpoint
 from repro.pipeline.crossing import assign_treatment
-from repro.pipeline.executor import RetryPolicy, resolve_n_jobs
+from repro.pipeline.executor import (
+    RetryPolicy,
+    SerialExecutor,
+    get_executor,
+    resolve_n_jobs,
+)
 from repro.pipeline.prefactor import prefactor_unit_plan
-from repro.pipeline.shm import SharedFrameArena
 from repro.pipeline.study import (
     StudyResult,
     StudyRow,
@@ -84,7 +88,6 @@ from repro.pipeline.study import (
     journal_planned_skips,
     prepare_unit_plan,
     refit_unit,
-    unit_fit_executor,
     unit_row,
 )
 from repro.stream.state import ingest_frame
@@ -303,39 +306,32 @@ class CampaignResult:
 # The scheduler
 # ---------------------------------------------------------------------------
 
-def _ingest_scenario(
-    frame: Any,
-    ixp_name: str,
-    spec: ScenarioSpec,
-    retry: RetryPolicy | None,
-) -> tuple[Any, Panel]:
-    """Stream one scenario's frame through the accumulators, with retry.
+def _scenario_inputs(spec: ScenarioSpec) -> tuple[dict[str, float], Any, Panel]:
+    """Stage A's pool task: one scenario's ``(truth, assignment, panel)``.
 
-    The per-batch ``stream.batch`` fault point fires in the *parent*
-    process (stage A is not fanned out), so the executor's retry loop
-    can't cover it — this replicates the same attempt semantics: a
-    transient fault restarts the ingest at the next attempt number,
-    where ``fire_attempts=1`` faults stand down.
+    Builds the world, generates the measurements, and reduces them to
+    the assignment and the daily panel — streamed through the
+    accumulators when the spec asks for ingest batches, with one
+    ``stream.batch`` fault point per batch keyed
+    ``"<scenario>/<batch>"``.  The frame is freed when the task
+    returns, so it never crosses a process boundary.
     """
-    max_attempts = retry.max_attempts if retry is not None else 1
-    base_attempt = current_attempt()
-
-    def on_batch(batch: Any) -> None:
-        fault_point("stream.batch", key=f"{spec.name}/{batch.index}")
-
-    for attempt in range(max_attempts):
-        with task_attempt(base_attempt + attempt):
-            try:
-                return ingest_frame(
-                    frame,
-                    ixp_name,
-                    n_batches=spec.ingest_batches,
-                    on_batch=on_batch,
-                )
-            except TransientError:
-                if attempt + 1 >= max_attempts:
-                    raise
-    raise AssertionError("unreachable")  # pragma: no cover
+    with span("campaign.scenario", scenario=spec.name, kind=spec.kind):
+        scenario = build_scenario(spec)
+        frame = measurements_frame(scenario, rng=spec.measurement_seed)
+        if spec.ingest_batches > 1:
+            assignment, panel = ingest_frame(
+                frame,
+                scenario.ixp_name,
+                n_batches=spec.ingest_batches,
+                on_batch=lambda batch: fault_point(
+                    "stream.batch", key=f"{spec.name}/{batch.index}"
+                ),
+            )
+        else:
+            assignment = assign_treatment(frame, scenario.ixp_name)
+            panel = rtt_panel(frame, period="day", outcome="rtt_ms")
+        return scenario_truth(scenario), assignment, panel
 
 
 def _campaign_manifest(
@@ -404,11 +400,12 @@ def run_campaign(
     alloc_seed:
         Seed for the allocator's deterministic tie-breaks.
     n_jobs:
-        Worker processes shared by *all* scenarios' fits and refits
-        (one pool for the campaign, not one per scenario).
+        Worker processes for stage A, one scenario per task (``1``
+        serial, ``-1`` all cores).  Fits and refits run in this process.
     retry:
-        Executor retry policy; also covers stage A's parent-side
-        streamed-ingest fault points.
+        Retry policy for stage A's scenario tasks (dead workers,
+        injected faults such as the streamed-ingest ones, blown
+        deadlines) and for the fits and refits.
     checkpoint_dir, resume:
         Directory holding one JSONL journal per scenario plus a
         ``campaign.json`` manifest; with *resume*, journaled base fits
@@ -456,8 +453,6 @@ def run_campaign(
 
     metrics = get_metrics()
     workers = resolve_n_jobs(n_jobs)
-    # A pooled campaign keeps every scenario's panel in this one arena.
-    panels = SharedFrameArena(tag="panels") if workers > 1 else None
     states: list[_ScenarioState] = []
     spent = 0
     trace: list[AllocationRound] = []
@@ -470,35 +465,22 @@ def run_campaign(
             n_jobs=workers,
         ):
             # ------------------------------------------------- stage A
-            for spec in specs:
-                with span("campaign.scenario", scenario=spec.name, kind=spec.kind):
-                    scenario = build_scenario(spec)
-                    frame = measurements_frame(scenario, rng=spec.measurement_seed)
-                    if spec.ingest_batches > 1:
-                        assignment, panel = _ingest_scenario(
-                            frame, scenario.ixp_name, spec, retry
-                        )
-                    else:
-                        assignment = assign_treatment(frame, scenario.ixp_name)
-                        panel = rtt_panel(frame, period="day", outcome="rtt_ms")
-                    # Free this frame before the next scenario generates.
-                    del frame
-                    panel_ref = None
-                    if panels is not None:
-                        panel_ref = panels.publish_panel(panel, label=spec.name)
-                        panel = panel_ref.panel()
-                    ckpt = None
-                    if ckpt_dir is not None:
-                        ckpt = StudyCheckpoint(
-                            ckpt_dir / f"{spec.name}.jsonl",
-                            ixp_name=f"campaign:{spec.name}",
-                            method="robust",
-                            outcome="rtt_ms",
-                            resume=resume,
-                        )
-                    state = _ScenarioState(
+            with get_executor(workers, retry=retry) as pool:
+                inputs = pool.map(_scenario_inputs, specs)
+            for spec, (truth, assignment, panel) in zip(specs, inputs):
+                ckpt = None
+                if ckpt_dir is not None:
+                    ckpt = StudyCheckpoint(
+                        ckpt_dir / f"{spec.name}.jsonl",
+                        ixp_name=f"campaign:{spec.name}",
+                        method="robust",
+                        outcome="rtt_ms",
+                        resume=resume,
+                    )
+                states.append(
+                    _ScenarioState(
                         spec=spec,
-                        truth=scenario_truth(scenario),
+                        truth=truth,
                         assignment=assignment,
                         panel=panel,
                         plan=prepare_unit_plan(
@@ -511,217 +493,218 @@ def run_campaign(
                             fit_kwargs=tuple(
                                 sorted({"energy": energy, "ridge": ridge}.items())
                             ),
-                            task_panel=panel_ref if panel_ref is not None else panel,
                             scenario=spec.name,
                         ),
                         checkpoint=ckpt,
                     )
-                    states.append(state)
+                )
 
             # One prefactor table for the whole fleet, keyed by
             # (scenario, unit): the base fits and every budgeted refit
-            # read their unit's factorization from it.
+            # read their unit's factorization from it, in this process.
             prefactors = {}
             for state in states:
                 prefactors.update(
                     prefactor_unit_plan(state.panel, list(state.tasks().values()))
                 )
-            with unit_fit_executor(
-                prefactors, n_jobs=n_jobs, retry=retry
-            ) as executor:
+            fits = SerialExecutor(retry=retry)
 
-                # ------------------------------------------------- stage B
-                per_scenario_tasks: list[list[_UnitTask]] = []
+            # ------------------------------------------------- stage B
+            per_scenario_tasks: list[list[_UnitTask]] = []
+            for state in states:
+                journal_planned_skips(state.plan, state.checkpoint)
+                tasks = []
+                for step in state.tasks().values():
+                    cached = (
+                        state.checkpoint.completed_fits.get(step.unit)
+                        if state.checkpoint is not None
+                        else None
+                    )
+                    if cached is not None:
+                        state.fits[step.unit] = UnitFit(
+                            **{**cached, "donors": tuple(cached["donors"])}
+                        )
+                        continue
+                    skip = (
+                        state.checkpoint.completed.get(step.unit)
+                        if state.checkpoint is not None
+                        else None
+                    )
+                    if isinstance(skip, tuple):
+                        state.fit_skips[skip[0]] = skip[1]
+                        continue
+                    tasks.append(step)
+                per_scenario_tasks.append(tasks)
+            fit_tasks = _interleave(per_scenario_tasks)
+            by_name = {state.name: state for state in states}
+
+            def _journal_fit(index: int, result: Any) -> None:
+                task = fit_tasks[index]
+                state = by_name[task.scenario]
+                if state.checkpoint is None:
+                    return
+                if isinstance(result, UnitFit):
+                    state.checkpoint.append_unit_fit(
+                        result.unit,
+                        result.effect,
+                        result.rmse_ratio,
+                        result.pre_periods,
+                        result.post_periods,
+                        list(result.donors),
+                    )
+                else:
+                    state.checkpoint.append_result(result)
+
+            with span("campaign.fits", n_tasks=len(fit_tasks)):
+                outcomes = fits.map(
+                    partial(fit_unit, prefactors=prefactors),
+                    fit_tasks,
+                    on_result=_journal_fit,
+                )
+            for task, outcome in zip(fit_tasks, outcomes):
+                state = by_name[task.scenario]
+                if isinstance(outcome, UnitFit):
+                    state.fits[outcome.unit] = outcome
+                else:
+                    state.fit_skips[outcome[0]] = outcome[1]
+            for state in states:
+                state.queue = _build_refit_queue(state)
+                if state.checkpoint is not None:
+                    state.done.update(state.checkpoint.completed_refits)
+
+            # ------------------------------------------------- stage C
+            round_index = 0
+            while spent < budget:
+                stats = [
+                    ScenarioStat(
+                        name=state.name,
+                        ci_width=placebo_ci_width(state.ratio_values()),
+                        remaining=state.remaining,
+                        converged=state.frozen,
+                        n_ratios=len(state.ratio_values()),
+                    )
+                    for state in states
+                ]
+                k = min(round_refits, budget - spent)
+                if allocation == "adaptive":
+                    grants = allocate_round(
+                        stats, k, floor=floor, seed=alloc_seed
+                    )
+                else:
+                    grants = uniform_round(stats, k)
+                granted = sum(grants.values())
+                if granted == 0:
+                    break
+
+                per_scenario_refits: list[list[tuple[_UnitTask, int]]] = []
                 for state in states:
-                    journal_planned_skips(state.plan, state.checkpoint)
-                    tasks = []
-                    for step in state.tasks().values():
-                        cached = (
-                            state.checkpoint.completed_fits.get(step.unit)
-                            if state.checkpoint is not None
-                            else None
-                        )
-                        if cached is not None:
-                            state.fits[step.unit] = UnitFit(
-                                **{**cached, "donors": tuple(cached["donors"])}
-                            )
-                            continue
-                        skip = (
-                            state.checkpoint.completed.get(step.unit)
-                            if state.checkpoint is not None
-                            else None
-                        )
-                        if isinstance(skip, tuple):
-                            state.fit_skips[skip[0]] = skip[1]
-                            continue
-                        tasks.append(step)
-                    per_scenario_tasks.append(tasks)
-                fit_tasks = _interleave(per_scenario_tasks)
-                by_name = {state.name: state for state in states}
+                    give = grants.get(state.name, 0)
+                    plan_tasks = state.tasks()
+                    per_scenario_refits.append(
+                        [
+                            (plan_tasks[unit], col)
+                            for unit, col in state.queue[
+                                state.next_index : state.next_index + give
+                            ]
+                        ]
+                    )
+                    state.next_index += give
+                fresh = [
+                    (task, col)
+                    for task, col in _interleave(per_scenario_refits)
+                    if (task.unit, col) not in by_name[task.scenario].done
+                ]
 
-                def _journal_fit(index: int, result: Any) -> None:
-                    task = fit_tasks[index]
+                def _journal_refit(index: int, result: Any) -> None:
+                    task, col = fresh[index]
                     state = by_name[task.scenario]
                     if state.checkpoint is None:
                         return
-                    if isinstance(result, UnitFit):
-                        state.checkpoint.append_unit_fit(
-                            result.unit,
-                            result.effect,
-                            result.rmse_ratio,
-                            result.pre_periods,
-                            result.post_periods,
-                            list(result.donors),
-                        )
-                    else:
-                        state.checkpoint.append_result(result)
-
-                with span("campaign.fits", n_tasks=len(fit_tasks)):
-                    outcomes = executor.map(
-                        fit_unit, fit_tasks, on_result=_journal_fit
+                    name, ratio, reason = result
+                    state.checkpoint.append_placebo(
+                        task.unit, col, name, ratio, reason
                     )
-                for task, outcome in zip(fit_tasks, outcomes):
-                    state = by_name[task.scenario]
-                    if isinstance(outcome, UnitFit):
-                        state.fits[outcome.unit] = outcome
-                    else:
-                        state.fit_skips[outcome[0]] = outcome[1]
+
+                with span(
+                    "campaign.round",
+                    index=round_index,
+                    granted=granted,
+                    n_fresh=len(fresh),
+                    allocations=json.dumps(
+                        dict(sorted(grants.items())), sort_keys=True
+                    ),
+                ):
+                    results = fits.map(
+                        partial(refit_unit, prefactors=prefactors),
+                        fresh,
+                        on_result=_journal_refit,
+                    )
+                for (task, col), result in zip(fresh, results):
+                    by_name[task.scenario].done[(task.unit, col)] = result
+                spent += granted
+                metrics.counter(
+                    "campaign_refits_total",
+                    "placebo refits granted by the campaign allocator",
+                ).inc(granted)
+
+                widths_after: dict[str, float] = {}
+                converged_after: dict[str, bool] = {}
                 for state in states:
-                    state.queue = _build_refit_queue(state)
-                    if state.checkpoint is not None:
-                        state.done.update(state.checkpoint.completed_refits)
-
-                # ------------------------------------------------- stage C
-                round_index = 0
-                while spent < budget:
-                    stats = [
-                        ScenarioStat(
-                            name=state.name,
-                            ci_width=placebo_ci_width(state.ratio_values()),
-                            remaining=state.remaining,
-                            converged=state.frozen,
-                            n_ratios=len(state.ratio_values()),
-                        )
-                        for state in states
-                    ]
-                    k = min(round_refits, budget - spent)
-                    if allocation == "adaptive":
-                        grants = allocate_round(
-                            stats, k, floor=floor, seed=alloc_seed
-                        )
-                    else:
-                        grants = uniform_round(stats, k)
-                    granted = sum(grants.values())
-                    if granted == 0:
-                        break
-
-                    per_scenario_refits: list[list[tuple[_UnitTask, int]]] = []
-                    for state in states:
-                        give = grants.get(state.name, 0)
-                        plan_tasks = state.tasks()
-                        per_scenario_refits.append(
-                            [
-                                (plan_tasks[unit], col)
-                                for unit, col in state.queue[
-                                    state.next_index : state.next_index + give
-                                ]
-                            ]
-                        )
-                        state.next_index += give
-                    fresh = [
-                        (task, col)
-                        for task, col in _interleave(per_scenario_refits)
-                        if (task.unit, col) not in by_name[task.scenario].done
-                    ]
-
-                    def _journal_refit(index: int, result: Any) -> None:
-                        task, col = fresh[index]
-                        state = by_name[task.scenario]
-                        if state.checkpoint is None:
-                            return
-                        name, ratio, reason = result
-                        state.checkpoint.append_placebo(
-                            task.unit, col, name, ratio, reason
-                        )
-
-                    with span(
-                        "campaign.round",
-                        index=round_index,
-                        granted=granted,
-                        n_fresh=len(fresh),
-                        allocations=json.dumps(
-                            dict(sorted(grants.items())), sort_keys=True
-                        ),
+                    width = placebo_ci_width(state.ratio_values())
+                    widths_after[state.name] = width
+                    if (
+                        not state.frozen
+                        and len(state.ratio_values()) >= min_ratios
+                        and math.isfinite(width)
+                        and width <= tol
                     ):
-                        results = executor.map(
-                            refit_unit, fresh, on_result=_journal_refit
-                        )
-                    for (task, col), result in zip(fresh, results):
-                        by_name[task.scenario].done[(task.unit, col)] = result
-                    spent += granted
-                    metrics.counter(
-                        "campaign_refits_total",
-                        "placebo refits granted by the campaign allocator",
-                    ).inc(granted)
-
-                    widths_after: dict[str, float] = {}
-                    converged_after: dict[str, bool] = {}
-                    for state in states:
-                        width = placebo_ci_width(state.ratio_values())
-                        widths_after[state.name] = width
-                        if (
-                            not state.frozen
-                            and len(state.ratio_values()) >= min_ratios
+                        if allocation == "adaptive":
+                            state.frozen = True
+                            metrics.counter(
+                                "campaign_scenarios_frozen_total",
+                                "scenarios frozen by the adaptive allocator",
+                            ).inc()
+                    # The trace's convergence flag is evaluated for both
+                    # allocation modes (uniform never *acts* on it) so
+                    # adaptive-vs-uniform comparisons read one field.
+                    converged_after[state.name] = (
+                        state.remaining == 0
+                        or (
+                            len(state.ratio_values()) >= min_ratios
                             and math.isfinite(width)
                             and width <= tol
-                        ):
-                            if allocation == "adaptive":
-                                state.frozen = True
-                                metrics.counter(
-                                    "campaign_scenarios_frozen_total",
-                                    "scenarios frozen by the adaptive allocator",
-                                ).inc()
-                        # The trace's convergence flag is evaluated for both
-                        # allocation modes (uniform never *acts* on it) so
-                        # adaptive-vs-uniform comparisons read one field.
-                        converged_after[state.name] = (
-                            state.remaining == 0
-                            or (
-                                len(state.ratio_values()) >= min_ratios
-                                and math.isfinite(width)
-                                and width <= tol
-                            )
-                        )
-                    trace.append(
-                        AllocationRound(
-                            index=round_index,
-                            allocations={n: grants.get(n, 0) for n in names},
-                            widths={s.name: s.ci_width for s in stats},
-                            converged={s.name: s.converged for s in stats},
-                            spent_before=spent - granted,
-                            granted=granted,
-                            widths_after=widths_after,
-                            converged_after=converged_after,
                         )
                     )
-                    if telemetry is not None:
-                        for state in states:
-                            telemetry.publisher(state.name).publish_batch(
-                                CampaignRoundReport(
-                                    round_index=round_index,
-                                    scenario=state.name,
-                                    granted=grants.get(state.name, 0),
-                                    executed=state.executed,
-                                    remaining=state.remaining,
-                                    ci_width=(
-                                        None
-                                        if math.isinf(widths_after[state.name])
-                                        else widths_after[state.name]
-                                    ),
-                                    converged=converged_after[state.name],
-                                )
+                trace.append(
+                    AllocationRound(
+                        index=round_index,
+                        allocations={n: grants.get(n, 0) for n in names},
+                        widths={s.name: s.ci_width for s in stats},
+                        converged={s.name: s.converged for s in stats},
+                        spent_before=spent - granted,
+                        granted=granted,
+                        widths_after=widths_after,
+                        converged_after=converged_after,
+                    )
+                )
+                if telemetry is not None:
+                    for state in states:
+                        telemetry.publisher(state.name).publish_batch(
+                            CampaignRoundReport(
+                                round_index=round_index,
+                                scenario=state.name,
+                                granted=grants.get(state.name, 0),
+                                executed=state.executed,
+                                remaining=state.remaining,
+                                ci_width=(
+                                    None
+                                    if math.isinf(widths_after[state.name])
+                                    else widths_after[state.name]
+                                ),
+                                converged=converged_after[state.name],
                             )
-                    round_index += 1
+                        )
+                round_index += 1
 
             # ------------------------------------------------- verdicts
             verdicts: list[ScenarioVerdict] = []
@@ -771,8 +754,6 @@ def run_campaign(
         for state in states:
             if state.checkpoint is not None:
                 state.checkpoint.close()
-        if panels is not None:
-            panels.close()
     return CampaignResult(
         verdicts=tuple(verdicts),
         studies=studies,

@@ -35,8 +35,9 @@ Commands
 ``campaign``
     Run a multi-scenario measurement campaign: a fleet of seeded
     scenario perturbations (``--scenarios N`` for a default fleet, or a
-    campaign file path for a declarative one) interleaved on one shared
-    worker pool, with the placebo-refit budget allocated adaptively
+    campaign file path for a declarative one), generated one scenario
+    per task on ``--jobs`` worker processes and analysed together, with
+    the placebo-refit budget allocated adaptively
     toward the scenarios whose effect estimates are still uncertain
     (``--allocation uniform`` disables this — the Sisyphus baseline).
     Prints the cross-scenario verdict table; ``--export-csv`` /
@@ -50,10 +51,10 @@ Observability
 ``table1``, ``import``, ``simulate``, and ``stream`` accept
 ``--trace FILE.jsonl``
 (hierarchical span trace of the run) and ``--metrics FILE.prom``
-(Prometheus-style metrics dump); ``table1`` and ``stream`` add
-``--sample-resources SECONDS`` (a background sampler recording RSS,
-live shared-memory bytes, checkpoint size, executor queue depth, and
-GC pressure into the metrics output).  ``stream`` additionally accepts
+(Prometheus-style metrics dump); ``table1``, ``stream`` and
+``campaign`` add ``--sample-resources SECONDS`` (a background sampler
+recording RSS, checkpoint size, executor queue depth, and GC pressure
+into the metrics output).  ``stream`` additionally accepts
 ``--serve-telemetry PORT``: a live loopback HTTP endpoint serving
 ``/metrics``, ``/health``, and ``/live`` for the duration of the run
 (``--telemetry-linger`` keeps it up after the final table for scrapes).
@@ -62,11 +63,13 @@ for all of ``repro``.
 
 Fault tolerance
 ---------------
-``table1``, ``import``, and ``stream`` accept ``--retries N`` and
-``--task-timeout S`` (retry transiently failed or overrunning fit
-tasks with exponential backoff), and ``--checkpoint FILE.jsonl`` /
-``--resume`` (journal finished units so a killed run picks up where it
-stopped, producing byte-identical output).
+``table1``, ``import``, and ``stream`` accept ``--retries N`` (retry
+transiently failed fit tasks with exponential backoff) and
+``--checkpoint FILE.jsonl`` / ``--resume`` (journal finished units so a
+killed run picks up where it stopped, producing byte-identical output).
+Their fits run in one process; only ``campaign`` takes ``--jobs`` (and
+``--task-timeout``), fanning whole scenarios out over worker
+processes.
 """
 
 from __future__ import annotations
@@ -110,7 +113,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             duration_days=args.days,
             join_day=args.days // 2,
             seed=args.seed,
-            n_jobs=args.jobs,
             retry=_retry_policy(args),
             checkpoint=args.checkpoint,
             resume=args.resume,
@@ -188,7 +190,6 @@ def _cmd_import(args: argparse.Namespace) -> int:
     result = run_ixp_study(
         frame,
         args.ixp,
-        n_jobs=args.jobs,
         generation_seconds=import_seconds,
         retry=_retry_policy(args),
         checkpoint=args.checkpoint,
@@ -271,7 +272,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
     study = StreamStudy(
         scenario.ixp_name,
-        n_jobs=args.jobs,
         retry=_retry_policy(args),
         checkpoint=args.checkpoint,
         resume=args.resume,
@@ -305,7 +305,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if args.parity_check:
         from repro.pipeline import run_ixp_study
 
-        reference = run_ixp_study(frame, scenario.ixp_name, n_jobs=args.jobs)
+        reference = run_ixp_study(frame, scenario.ixp_name)
         if to_csv_text(result.to_frame()) == to_csv_text(
             reference.to_frame()
         ) and result.skipped == reference.skipped:
@@ -510,9 +510,9 @@ def _add_sampler_argument(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="sample RSS, live shared-memory bytes, checkpoint size, "
-        "executor queue depth, and GC stats on this interval into the "
-        "metrics output (observation only; rows are unchanged)",
+        help="sample RSS, checkpoint size, executor queue depth, and GC "
+        "stats on this interval into the metrics output (observation "
+        "only; rows are unchanged)",
     )
 
 
@@ -523,15 +523,7 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="attempts per fit task (1 = no retries); transient failures "
-        "(dead workers, injected faults, timeouts) re-run with backoff",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task deadline; an overrunning fit is treated as "
-        "transiently failed and resubmitted (process pool only)",
+        "(injected faults) re-run with backoff",
     )
     parser.add_argument(
         "--checkpoint",
@@ -545,17 +537,6 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="with --checkpoint: load finished units from the file and fit "
         "only the rest (output is byte-identical to an uninterrupted run)",
-    )
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=1,
-        help="worker processes for per-unit fits (1 serial, -1 all cores); "
-        "results are identical across backends",
     )
 
 
@@ -578,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table1.add_argument("--days", type=int, default=40, help="window length")
     p_table1.add_argument("--donors", type=int, default=25, help="donor ASes")
     p_table1.add_argument("--seed", type=int, default=2, help="world seed")
-    _add_jobs_argument(p_table1)
     _add_resilience_arguments(p_table1)
     _add_timings_argument(p_table1)
     _add_obs_arguments(p_table1)
@@ -596,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="peering-LAN prefix (repeatable) for hop-IP matching",
     )
-    _add_jobs_argument(p_import)
     _add_resilience_arguments(p_import)
     _add_timings_argument(p_import)
     _add_obs_arguments(p_import)
@@ -670,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --serve-telemetry: keep the endpoint up this long "
         "after the final table (lets scrapers catch the end state)",
     )
-    _add_jobs_argument(p_stream)
     _add_resilience_arguments(p_stream)
     _add_obs_arguments(p_stream)
     _add_sampler_argument(p_stream)
@@ -739,14 +717,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="attempts per fit task (1 = no retries)",
+        help="attempts per scenario, fit, or refit task (1 = no retries)",
     )
     p_campaign.add_argument(
         "--task-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-task deadline (process pool only)",
+        help="per-scenario deadline (with --jobs above 1)",
     )
     p_campaign.add_argument(
         "--checkpoint",
@@ -790,7 +768,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the verdicts + allocation trace as JSON",
     )
-    _add_jobs_argument(p_campaign)
+    p_campaign.add_argument(
+        "--jobs",
+        "-j",
+        type=int,
+        default=1,
+        help="worker processes that generate scenarios, one scenario per "
+        "task (1 serial, -1 all cores); fits run in this process and the "
+        "verdict table is identical for every value",
+    )
     _add_obs_arguments(p_campaign)
     _add_sampler_argument(p_campaign)
     p_campaign.set_defaults(func=_cmd_campaign)

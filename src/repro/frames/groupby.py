@@ -304,7 +304,6 @@ def pivot_grid(
     values: str,
     agg: str = "mean",
     sort_index: bool = False,
-    grid_factory: "Callable[[tuple[int, int], list[Any], list[Any]], np.ndarray] | None" = None,
 ) -> tuple[list[Any], list[Any], np.ndarray]:
     """The core of :func:`pivot`: ``(row_keys, col_keys, grid)``.
 
@@ -319,14 +318,6 @@ def pivot_grid(
     keys by ``str``, matching :meth:`Frame.sort_by`): the row codes are
     remapped through the sort permutation *before* the scatter, so the
     grid lands already ordered — there is no post-hoc row-gather copy.
-
-    *grid_factory*, when given, allocates the grid:
-    ``factory(shape, row_keys, col_keys)`` must return a float64 array
-    of ``shape`` (its contents need not be initialised — the NaN fill
-    happens here).  This is how the panel build seals its matrix
-    directly into a shared-memory block instead of a fresh allocation
-    that would need a final copy.  The factory is only consulted for a
-    non-empty grid; a degenerate pivot falls back to a normal array.
     """
     agg_fn = _BUILTINS.get(agg)
     if agg_fn is None:
@@ -348,17 +339,7 @@ def pivot_grid(
         rank[order] = np.arange(len(order))
         row_keys = [row_keys[i] for i in order]
 
-    shape = (len(row_keys), len(col_keys))
-    if grid_factory is not None and min(shape) > 0:
-        grid = grid_factory(shape, row_keys, col_keys)
-        if grid.shape != shape or grid.dtype != np.float64:
-            raise FrameError(
-                f"grid_factory returned {grid.dtype} array of shape "
-                f"{grid.shape}; expected float64 of {shape}"
-            )
-        grid.fill(np.nan)
-    else:
-        grid = np.full(shape, np.nan)
+    grid = np.full((len(row_keys), len(col_keys)), np.nan)
     if frame.num_rows:
         # One cell-code buffer, as narrow as the grid's cell count
         # allows: the row remap, the multiply and the add write into it,

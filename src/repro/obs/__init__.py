@@ -18,8 +18,8 @@ the reproduction's own pipeline:
 - :mod:`repro.obs.profile` — self-time, hotspot, critical-path, and
   folded-stack (flame graph) analysis over recorded traces;
 - :mod:`repro.obs.resources` — a background sampler recording RSS,
-  live shared-memory bytes, checkpoint size, executor queue depth, and
-  GC pressure into timestamped gauge series;
+  checkpoint size, executor queue depth, and GC pressure into
+  timestamped gauge series;
 - :mod:`repro.obs.serve` — the live telemetry endpoint
   (``/metrics``, ``/health``, ``/live``) over a stream's publisher;
 - :mod:`repro.obs.logs` — stdlib-logging wiring (`NullHandler` at the

@@ -9,14 +9,11 @@ the checkpoint journal had grown into the gigabytes.  The
 periodically snapshots
 
 - process RSS (``/proc/self/statm``, with a ``getrusage`` fallback),
-- ``/dev/shm`` bytes and block counts held by this process's live
-  shared-memory blocks (the :func:`~repro.pipeline.shm.live_shm_bytes`
-  leak-tracker view — byte-exact, no filesystem scan),
 - checkpoint-journal bytes
-  (:func:`~repro.pipeline.shm.live_shm_bytes`'s sibling,
-  :func:`~repro.pipeline.checkpoint.live_checkpoint_bytes`),
+  (:func:`~repro.pipeline.checkpoint.live_checkpoint_bytes`),
 - executor queue depth and worker liveness
-  (:func:`~repro.pipeline.executor.live_executor_stats`), and
+  (:func:`~repro.pipeline.executor.live_executor_stats`; non-zero only
+  while a campaign's stage A runs on a process pool), and
 - GC pressure (generation counters, cumulative collections)
 
 into timestamped :class:`~repro.obs.metrics.GaugeSeries` in the active
@@ -68,8 +65,6 @@ class ResourceSample:
 
     unix_time: float
     rss_bytes: int
-    shm_bytes: int
-    shm_blocks: int
     checkpoint_bytes: int
     queue_depth: int
     workers_alive: int
@@ -81,8 +76,6 @@ class ResourceSample:
 #: series the sampler maintains.
 SERIES: tuple[tuple[str, str, str], ...] = (
     ("process_rss_bytes", "resident set size of the study process", "rss_bytes"),
-    ("shm_live_bytes", "bytes of live shared-memory blocks owned here", "shm_bytes"),
-    ("shm_live_blocks", "count of live shared-memory blocks owned here", "shm_blocks"),
     (
         "checkpoint_journal_bytes",
         "on-disk bytes of open checkpoint journals",
@@ -107,14 +100,11 @@ def take_resource_sample(unix_time: float | None = None) -> ResourceSample:
     """
     from repro.pipeline.checkpoint import live_checkpoint_bytes
     from repro.pipeline.executor import live_executor_stats
-    from repro.pipeline.shm import live_shm_blocks, live_shm_bytes
 
     executor = live_executor_stats()
     return ResourceSample(
         unix_time=time.time() if unix_time is None else float(unix_time),
         rss_bytes=read_rss_bytes(),
-        shm_bytes=live_shm_bytes(),
-        shm_blocks=live_shm_blocks(),
         checkpoint_bytes=live_checkpoint_bytes(),
         queue_depth=executor["queue_depth"],
         workers_alive=executor["workers_alive"],
@@ -137,8 +127,7 @@ class ResourceSampler:
 
     ``stop()`` takes one final sample before joining, so even a
     sampler stopped before its first interval elapses documents the
-    run's end state (the leak tests read that final sample's
-    ``shm_bytes == 0``).
+    run's end state.
     """
 
     def __init__(

@@ -8,7 +8,8 @@
 - :func:`run_ixp_study` — the end-to-end Table-1 runner with donor
   screening, robust synthetic control, and placebo inference;
 - :func:`get_executor` / :func:`parallel_map` — serial and
-  process-pool execution backends behind ``n_jobs``, with
+  process-pool execution backends behind ``n_jobs`` (the pool builds
+  a campaign's scenarios; fits run serially), with
   :class:`RetryPolicy` fault tolerance (transient-error retries,
   per-task deadlines, broken-pool recovery);
 - :class:`StudyCheckpoint` / :func:`read_jsonl_tolerant` — the

@@ -39,15 +39,11 @@ def rtt_panel(
     frame: Frame,
     period: str = "day",
     outcome: str = "rtt_ms",
-    matrix_factory=None,
 ) -> Panel:
     """Pivot a measurement frame into a (periods x units) median-outcome panel.
 
     *outcome* defaults to RTT; pass ``"download_mbps"`` for the
-    throughput variant of the analysis.  *matrix_factory* is forwarded
-    to :func:`repro.synthcontrol.donor.build_panel` — the parallel
-    study uses it to seal the panel matrix directly into a
-    shared-memory block.
+    throughput variant of the analysis.
     """
     if period not in ("day", "time_hour"):
         raise FrameError(f"unknown period column {period!r}")
@@ -60,7 +56,6 @@ def rtt_panel(
             time=period,
             outcome=outcome,
             agg="median",
-            matrix_factory=matrix_factory,
         )
         sp.set(times=panel.n_times, units=panel.n_units)
     logger.debug(

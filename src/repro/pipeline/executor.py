@@ -1,19 +1,22 @@
 """Execution backends for the study pipeline.
 
-The Table-1 study is embarrassingly parallel across treated units:
-each unit's fit and placebo refits form one independent task.  A
-unit's placebo refits run inside its task as one batched kernel call,
-so they do not fan out again; only a campaign, which spends its budget
-one placebo refit at a time, also maps single refits.  This module
-gives those loops a single, order-stable fan-out primitive:
+A campaign's seconds are in generating scenarios: building a world,
+drawing its measurements, and pivoting them into a panel.  Unit fits
+are a small share of any run.  So the pool works at the scenario grain
+— campaign stage A maps one task per scenario
+(:func:`~repro.campaign.scheduler.run_campaign`) — and every unit fit
+runs in the process that planned it.  This module gives both loops a
+single, order-stable primitive:
 
-- :class:`SerialExecutor` — a plain in-process loop (the default, and
-  the reference semantics every other backend must reproduce);
+- :class:`SerialExecutor` — a plain in-process loop (the default, the
+  backend every fit stage runs on, and the reference semantics the
+  pool must reproduce);
 - :class:`ProcessPoolBackend` — a ``concurrent.futures`` process pool
-  for CPU-bound fits (SVDs and NNLS release no GIL worth sharing).
+  for CPU-bound scenario generation (campaign stage A is its only
+  caller in the pipeline).
 
 Both backends expose ``map(fn, items)`` returning results **in input
-order**, so a study computed with ``n_jobs=8`` is numerically identical
+order**, so a campaign run with ``n_jobs=8`` is numerically identical
 to the serial run — the work is the same pure function applied to the
 same arguments; only the scheduling changes.
 
@@ -270,8 +273,6 @@ class ProcessPoolBackend:
         n_jobs: int,
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
     ) -> None:
         if n_jobs < 2:
             raise ExecutionError(
@@ -280,8 +281,6 @@ class ProcessPoolBackend:
         self.n_jobs = n_jobs
         self.retry = retry
         self._sleep = sleep
-        self._initializer = initializer
-        self._initargs = initargs
         self._pool = self._make_pool()
         #: Tasks submitted to this backend and not yet settled (updated
         #: by the in-flight ``_MapState``; read by the resource sampler).
@@ -299,11 +298,7 @@ class ProcessPoolBackend:
         return sum(1 for p in list(processes.values()) if p.is_alive())
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.n_jobs,
-            initializer=self._initializer,
-            initargs=self._initargs,
-        )
+        return ProcessPoolExecutor(max_workers=self.n_jobs)
 
     def map(
         self,
@@ -336,8 +331,6 @@ class ProcessPoolBackend:
         ).inc()
         logger.warning("process pool broke (worker died); rebuilding")
         self._pool.shutdown(wait=False, cancel_futures=True)
-        # The replacement pool keeps the initializer, so respawned
-        # workers re-attach any shared-memory panel before taking work.
         self._pool = self._make_pool()
 
     def close(self) -> None:
@@ -553,23 +546,13 @@ Executor = SerialExecutor | ProcessPoolBackend
 
 
 def get_executor(
-    n_jobs: int | None = 1,
-    retry: RetryPolicy | None = None,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
+    n_jobs: int | None = 1, retry: RetryPolicy | None = None
 ) -> Executor:
-    """The backend for an ``n_jobs`` request (use as a context manager).
-
-    *initializer*/*initargs* run once per worker process (and again in
-    every worker of a rebuilt pool); the serial backend ignores them —
-    serial callers already share the parent's address space.
-    """
+    """The backend for an ``n_jobs`` request (use as a context manager)."""
     resolved = resolve_n_jobs(n_jobs)
     if resolved == 1:
         return SerialExecutor(retry=retry)
-    return ProcessPoolBackend(
-        resolved, retry=retry, initializer=initializer, initargs=initargs
-    )
+    return ProcessPoolBackend(resolved, retry=retry)
 
 
 def parallel_map(

@@ -4,8 +4,8 @@ Every treated unit in a study screens the same donor pool, so their
 donor matrices usually share one ``(T, J)`` shape.  Instead of letting
 each fit impute, SVD-factor, and leave-one-out-decompose its matrix
 privately — one LAPACK dispatch per unit plus a leave-one-out sweep
-per placebo batch — this module hoists that work into a **planning
-pass** in the parent:
+per placebo batch — this module hoists that work into one **planning
+pass** before the fits:
 
 - :func:`prefactor_unit_plan` builds each planned unit's donor matrix
   from the donors the plan already chose (``_UnitTask.donors``), groups
@@ -16,10 +16,9 @@ pass** in the parent:
   (:func:`~repro.synthcontrol.robust.denoise_leave_one_out_many`).  The
   pass records one ``fits.prefactor`` span.
 - The resulting :class:`UnitPrefactor` table, keyed by
-  ``(scenario, unit)``, is installed in a per-process registry
-  (:func:`set_active_prefactors`) for serial runs, or packed into
-  shared-memory slabs (:func:`publish_prefactors`) that pooled workers
-  attach zero-copy through a picklable :class:`PrefactorSlabs`.  The
+  ``(scenario, unit)``, is handed by its caller to every fit that reads
+  it (:func:`~repro.pipeline.study.fit_unit` and its siblings); the
+  fits run in the same process, so the table is never copied.  The
   batch study's scenario is ``""``; a campaign keys each scenario's
   units by its name, so scenarios that share unit labels never share a
   factorization.
@@ -43,7 +42,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.obs import span
-from repro.pipeline.shm import SharedArrayRef, SharedFrameArena
 from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.robust import (
     DonorFactorization,
@@ -54,7 +52,7 @@ from repro.synthcontrol.robust import (
 if TYPE_CHECKING:
     from repro.pipeline.study import _UnitTask
 
-#: A prefactor's registry key: ``(scenario, unit)``.
+#: A prefactor table's key: ``(scenario, unit)``.
 PrefactorKey = tuple[str, str]
 
 
@@ -125,164 +123,4 @@ def prefactor_unit_plan(
         }
 
 
-# --------------------------------------------------------------------------
-# Per-process registry: how a unit fit finds its unit's prefactor.
-# The serial path installs the parent's table directly; pooled workers
-# install a table rebuilt from shared-memory slabs in their initializer.
-
-_ACTIVE: dict[PrefactorKey, UnitPrefactor] = {}
-
-
-def set_active_prefactors(table: dict[PrefactorKey, UnitPrefactor]) -> None:
-    """Install *table* as this process's active prefactor registry."""
-    _ACTIVE.clear()
-    _ACTIVE.update(table)
-
-
-def clear_active_prefactors() -> None:
-    """Empty the registry (idempotent); fits fall back to private SVDs."""
-    _ACTIVE.clear()
-
-
-def get_prefactor(key: PrefactorKey) -> UnitPrefactor | None:
-    """The active prefactor for ``(scenario, unit)``, if the planning pass made one."""
-    return _ACTIVE.get(key)
-
-
-# --------------------------------------------------------------------------
-# Shared-memory transport: the parent packs the table into a few big
-# arena blocks (one set per shape group), workers attach them zero-copy.
-
-
-@dataclass(frozen=True)
-class _SlabGroup:
-    """One shape group's stacked arrays plus per-unit metadata.
-
-    The float payload lives in arena blocks (:class:`SharedArrayRef`
-    fields); only names, shapes, unit keys, and integer sidecars ride
-    in the pickle — a few hundred bytes per group however large the
-    panel is.
-    """
-
-    units: tuple[PrefactorKey, ...]
-    finite_counts: tuple[tuple[int, ...], ...]
-    loo_ranks: tuple[tuple[int, ...], ...] | None
-    filled: SharedArrayRef
-    col_means: SharedArrayRef
-    u: SharedArrayRef
-    s: SharedArrayRef
-    vt: SharedArrayRef
-    loo: SharedArrayRef | None
-
-
-@dataclass(frozen=True)
-class PrefactorSlabs:
-    """A picklable shared-memory image of a prefactor table."""
-
-    groups: tuple[_SlabGroup, ...]
-
-    def load(self) -> dict[PrefactorKey, UnitPrefactor]:
-        """Attach every group's blocks and rebuild the per-unit table.
-
-        Views are zero-copy slices of the slabs (memoised per process
-        by the attach cache), so a worker's table costs one attach per
-        block, not one array copy per unit.
-        """
-        table: dict[PrefactorKey, UnitPrefactor] = {}
-        for group in self.groups:
-            filled = group.filled.load()
-            col_means = group.col_means.load()
-            u = group.u.load()
-            s = group.s.load()
-            vt = group.vt.load()
-            loo_slab = group.loo.load() if group.loo is not None else None
-            for i, unit in enumerate(group.units):
-                fact = DonorFactorization(
-                    filled=filled[i],
-                    col_means=col_means[i],
-                    finite_counts=np.array(group.finite_counts[i], dtype=np.int64),
-                    u=u[i],
-                    s=s[i],
-                    vt=vt[i],
-                )
-                loo: tuple[tuple[np.ndarray, int], ...] | None = None
-                if loo_slab is not None and group.loo_ranks is not None:
-                    loo = tuple(
-                        (loo_slab[i, col], rank)
-                        for col, rank in enumerate(group.loo_ranks[i])
-                    )
-                table[unit] = UnitPrefactor(fact=fact, loo=loo)
-        return table
-
-
-def publish_prefactors(
-    table: dict[PrefactorKey, UnitPrefactor], arena: SharedFrameArena
-) -> PrefactorSlabs:
-    """Pack *table* into arena blocks for zero-copy worker attach.
-
-    Units are regrouped by concrete array shapes — the donor-matrix
-    shape and the leave-one-out batch length — and each group's
-    factorizations stack into one block per field.  Integer sidecars
-    (finite counts, kept ranks) travel in the pickle so the float
-    blocks round-trip bit-exact without dtype games.
-    """
-    groups: dict[tuple[tuple[int, int], int], list[PrefactorKey]] = {}
-    for unit, pf in table.items():
-        shape = (pf.fact.n_times, pf.fact.n_donors)
-        n_loo = len(pf.loo) if pf.loo is not None else 0
-        groups.setdefault((shape, n_loo), []).append(unit)
-    packed: list[_SlabGroup] = []
-    for gi, (((n_times, n_donors), n_loo), units) in enumerate(groups.items()):
-        g = len(units)
-        k = len(table[units[0]].fact.s)
-        filled = arena.allocate(f"prefactor.{gi}.filled", (g, n_times, n_donors))
-        col_means = arena.allocate(f"prefactor.{gi}.col_means", (g, n_donors))
-        u = arena.allocate(f"prefactor.{gi}.u", (g, n_times, k))
-        s = arena.allocate(f"prefactor.{gi}.s", (g, k))
-        vt = arena.allocate(f"prefactor.{gi}.vt", (g, k, n_donors))
-        loo = (
-            arena.allocate(
-                f"prefactor.{gi}.loo", (g, n_loo, n_times, n_donors - 1)
-            )
-            if n_loo
-            else None
-        )
-        finite_counts: list[tuple[int, ...]] = []
-        loo_ranks: list[tuple[int, ...]] = []
-        for i, unit in enumerate(units):
-            pf = table[unit]
-            filled[i] = pf.fact.filled
-            col_means[i] = pf.fact.col_means
-            u[i] = pf.fact.u
-            s[i] = pf.fact.s
-            vt[i] = pf.fact.vt
-            finite_counts.append(tuple(int(c) for c in pf.fact.finite_counts))
-            if n_loo and pf.loo is not None:
-                for col, (denoised, _rank) in enumerate(pf.loo):
-                    loo[i, col] = denoised  # type: ignore[index]
-                loo_ranks.append(tuple(int(rank) for _d, rank in pf.loo))
-        packed.append(
-            _SlabGroup(
-                units=tuple(units),
-                finite_counts=tuple(finite_counts),
-                loo_ranks=tuple(loo_ranks) if n_loo else None,
-                filled=arena.ref(f"prefactor.{gi}.filled"),
-                col_means=arena.ref(f"prefactor.{gi}.col_means"),
-                u=arena.ref(f"prefactor.{gi}.u"),
-                s=arena.ref(f"prefactor.{gi}.s"),
-                vt=arena.ref(f"prefactor.{gi}.vt"),
-                loo=arena.ref(f"prefactor.{gi}.loo") if n_loo else None,
-            )
-        )
-    return PrefactorSlabs(groups=tuple(packed))
-
-
-__all__ = [
-    "UnitPrefactor",
-    "PrefactorSlabs",
-    "prefactor_unit_plan",
-    "publish_prefactors",
-    "set_active_prefactors",
-    "clear_active_prefactors",
-    "get_prefactor",
-]
+__all__ = ["PrefactorKey", "UnitPrefactor", "prefactor_unit_plan"]

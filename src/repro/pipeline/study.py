@@ -7,22 +7,25 @@ treated unit against a never-crossing donor pool, and report the
 estimated RTT change with RMSE-ratio and placebo-p diagnostics.
 
 The plan (:func:`prepare_unit_plan`) screens every treated unit once —
-shape checks, then the donor pool — into picklable tasks.  Each task's
-fit work (the robust fit and every placebo refit) is independent, so it
-fans out over the executor backends in :mod:`repro.pipeline.executor`;
-``n_jobs=1`` is the serial reference and any other worker count
-produces a numerically identical :class:`StudyResult`.  The same fit
-engine runs a campaign's budgeted fits: :func:`fit_unit` for the base
-fit, :func:`refit_unit` for one placebo refit at a time.
+shape checks, then the donor pool — into tasks, and one planning pass
+batch-factors their donor matrices (:mod:`repro.pipeline.prefactor`).
+The fits then run in this process, on a
+:class:`~repro.pipeline.executor.SerialExecutor` that keeps the retry
+policy and the per-unit checkpoint journal.  They are a small share of
+a study's time next to generating and pivoting the measurements, so no
+study fans its fits out; the campaign's process pool builds whole
+scenarios instead (:func:`~repro.campaign.scheduler.run_campaign`).
+The same fit engine runs a campaign's budgeted fits: :func:`fit_unit`
+for the base fit, :func:`refit_unit` for one placebo refit at a time.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -32,29 +35,14 @@ if TYPE_CHECKING:
     from repro.pipeline.checkpoint import StudyCheckpoint
 
 from repro.chaos.runtime import fault_point
-from repro.errors import DonorPoolError, EstimationError, PipelineError
+from repro.errors import DonorPoolError, EstimationError, ExecutionError, PipelineError
 from repro.frames.frame import Frame
 from repro.obs import child_seconds, get_metrics, span
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import TreatmentAssignment, assign_treatment
-from repro.pipeline.executor import (
-    Executor,
-    RetryPolicy,
-    get_executor,
-    resolve_n_jobs,
-)
-from repro.pipeline.prefactor import (
-    PrefactorKey,
-    PrefactorSlabs,
-    UnitPrefactor,
-    clear_active_prefactors,
-    get_prefactor,
-    prefactor_unit_plan,
-    publish_prefactors,
-    set_active_prefactors,
-)
-from repro.pipeline.shm import SharedArrayRef, SharedFrameArena
+from repro.pipeline.executor import RetryPolicy, SerialExecutor
+from repro.pipeline.prefactor import PrefactorKey, UnitPrefactor, prefactor_unit_plan
 from repro.synthcontrol.donor import Panel, select_donors
 from repro.synthcontrol.placebo import (
     Refit,
@@ -309,25 +297,23 @@ class UnitScreen:
 
 @dataclass(frozen=True)
 class _UnitTask:
-    """One treated unit's planned fit, picklable for process-pool workers.
+    """One treated unit's planned fit.
 
-    ``panel`` is a panel block's :class:`SharedArrayRef` when a process
-    pool runs the task — the pickled payload is then the unit label,
-    its donor names, a few scalars, and a block name, not the panel
-    matrix — and an in-process :class:`Panel` on the serial path.
-    ``donors`` is the pool the plan's screen chose, so no fit re-runs
-    the screen.
+    ``panel`` is the study's panel, shared by every task of a plan; it
+    takes no part in equality or hashing, so a task is identified by
+    its unit, donors, and fit parameters.  ``donors`` is the pool the
+    plan's screen chose, so no fit re-runs the screen.
     ``scenario`` is ``""`` for the batch study and the scenario's name
     in a campaign; it qualifies fault keys, span attributes, and the
     unit's prefactor key.  ``fit_kwargs`` is a tuple of sorted items
-    (not a dict) so this frozen dataclass is actually hashable and
-    workers cannot mutate shared fit parameters.
+    (not a dict) so this frozen dataclass is actually hashable and no
+    fit can mutate shared fit parameters.
     """
 
     unit: str
     pre_periods: int
     post_periods: int
-    panel: Panel | SharedArrayRef
+    panel: Panel = field(compare=False, repr=False)
     donors: tuple[str, ...]
     method: str
     max_placebos: int | None
@@ -351,22 +337,22 @@ class UnitFit:
     donors: tuple[str, ...]
 
 
-def _load_panel(panel: Panel | SharedArrayRef) -> Panel:
-    return panel.panel() if isinstance(panel, SharedArrayRef) else panel
+#: The prefactor table a fit reads, keyed by ``(scenario, unit)``.
+Prefactors = Mapping[PrefactorKey, UnitPrefactor]
 
 
-def _placebo_context(task: _UnitTask, panel: Panel) -> _PlaceboContext:
+def _placebo_context(task: _UnitTask, prefactors: Prefactors) -> _PlaceboContext:
     """The donor matrix and factorization every fit of *task* shares.
 
     A robust unit's factorization (and leave-one-out batch) comes from
-    the active prefactor table when the planning pass produced one —
+    *prefactors* when the planning pass produced one for it —
     bit-identical to factoring here, which is the fallback.
     """
     _check_method(task.method)  # reject unknown methods before any work
-    matrix = np.column_stack([panel.series(d) for d in task.donors])
+    matrix = np.column_stack([task.panel.series(d) for d in task.donors])
     fact = loo = None
     if task.method == "robust":
-        pf = get_prefactor((task.scenario, task.unit))
+        pf = prefactors.get((task.scenario, task.unit))
         fact, loo = (pf.fact, pf.loo) if pf else (factor_donor_matrix(matrix), None)
     return placebo_context(
         matrix, task.donors, task.pre_periods, task.method, dict(task.fit_kwargs),
@@ -374,13 +360,16 @@ def _placebo_context(task: _UnitTask, panel: Panel) -> _PlaceboContext:
     )
 
 
-def _base_fit(task: _UnitTask) -> tuple[UnitFit, _PlaceboContext]:
+def _base_fit(
+    task: _UnitTask, prefactors: Prefactors
+) -> tuple[UnitFit, _PlaceboContext]:
     """Fit the treated unit's synthetic control (no placebos)."""
-    panel = _load_panel(task.panel)
     t_fit = time.perf_counter()
     with span("fit", treated=task.unit, method=task.method):
         fit, ctx = treated_fit(
-            _placebo_context(task, panel), panel.series(task.unit), task.unit
+            _placebo_context(task, prefactors),
+            task.panel.series(task.unit),
+            task.unit,
         )
     get_metrics().histogram(
         "fit_seconds", help="wall-clock seconds per treated-unit fit"
@@ -423,7 +412,7 @@ def unit_row(fit: UnitFit, refits: Sequence[Refit], exhausted: bool) -> StudyRow
 
 
 def _run_unit(
-    task: _UnitTask, with_placebos: bool
+    task: _UnitTask, prefactors: Prefactors, with_placebos: bool
 ) -> StudyRow | UnitFit | tuple[str, str]:
     """One ``fits.unit`` span: the base fit, then its placebo refits.
 
@@ -437,7 +426,7 @@ def _run_unit(
     with span("fits.unit", unit=task.unit, **scenario) as sp:
         fault_point("fits.unit", key=key)
         try:
-            fit, ctx = _base_fit(task)
+            fit, ctx = _base_fit(task, prefactors)
             result: StudyRow | UnitFit = fit
             if with_placebos:
                 result = unit_row(
@@ -461,17 +450,19 @@ def _run_unit(
         return result
 
 
-def _analyse_unit(task: _UnitTask) -> StudyRow | tuple[str, str]:
+def _analyse_unit(
+    task: _UnitTask, prefactors: Prefactors
+) -> StudyRow | tuple[str, str]:
     """Fit one treated unit: a :class:`StudyRow`, or ``(unit, reason)``."""
-    return _run_unit(task, with_placebos=True)  # type: ignore[return-value]
+    return _run_unit(task, prefactors, with_placebos=True)  # type: ignore[return-value]
 
 
-def fit_unit(task: _UnitTask) -> UnitFit | tuple[str, str]:
+def fit_unit(task: _UnitTask, prefactors: Prefactors) -> UnitFit | tuple[str, str]:
     """Base-fit one planned unit without placebos (a campaign's stage B)."""
-    return _run_unit(task, with_placebos=False)  # type: ignore[return-value]
+    return _run_unit(task, prefactors, with_placebos=False)  # type: ignore[return-value]
 
 
-def refit_unit(item: tuple[_UnitTask, int]) -> Refit:
+def refit_unit(item: tuple[_UnitTask, int], prefactors: Prefactors) -> Refit:
     """One placebo refit ``(task, col)``: ``(donor, ratio | None, reason)``.
 
     A campaign's stage C spends its budget one refit at a time; each
@@ -481,7 +472,7 @@ def refit_unit(item: tuple[_UnitTask, int]) -> Refit:
     ``"<scenario>/<unit>/<donor>"``.
     """
     task, col = item
-    ctx = _placebo_context(task, _load_panel(task.panel))
+    ctx = _placebo_context(task, prefactors)
     return record_placebo(
         ctx,
         col,
@@ -503,7 +494,6 @@ def prepare_unit_plan(
     method: str = "robust",
     max_placebos: int | None = None,
     fit_kwargs: tuple[tuple[str, object], ...] = (),
-    task_panel: Panel | SharedArrayRef | None = None,
     scenario: str = "",
 ) -> list[tuple[str, str] | _UnitTask]:
     """Screen treated units into an ordered plan of fits and skips.
@@ -511,16 +501,12 @@ def prepare_unit_plan(
     Every treated unit goes through :class:`UnitScreen` once, here:
     the shape screen, then the donor screen.  A unit either check
     rejects becomes a planned ``(unit, reason)`` skip; every survivor
-    becomes a picklable :class:`_UnitTask` carrying its donors and
-    *task_panel* — the in-process panel by default, a panel block's
-    :class:`SharedArrayRef` when the fits will fan out.  The batch
+    becomes a :class:`_UnitTask` carrying its donors and *panel*.  The batch
     study, the streaming engine's finalize, and the campaign all build
     their plans here, which is what keeps their rows bit-identical:
     given equal panels and assignments, the plans (and therefore every
     downstream fit) are equal.
     """
-    if task_panel is None:
-        task_panel = panel
     screen = UnitScreen(min_pre_periods, min_post_periods, max_donor_missing)
     plan: list[tuple[str, str] | _UnitTask] = []
     for unit in assignment.treated_units:
@@ -540,7 +526,7 @@ def prepare_unit_plan(
                 unit=unit,
                 pre_periods=pre_periods,
                 post_periods=post_periods,
-                panel=task_panel,
+                panel=panel,
                 donors=donors,
                 method=method,
                 max_placebos=max_placebos,
@@ -567,64 +553,24 @@ def journal_planned_skips(
             checkpoint.append_result(step)
 
 
-def _attach_study_state(
-    panel_ref: SharedArrayRef | None, slabs: PrefactorSlabs | None
-) -> None:
-    """Process-pool initializer: map the panel and prefactor slabs.
+def check_serial_fits(n_jobs: int | None, owner: str) -> None:
+    """Reject a worker count for fits that always run in-process.
 
-    Runs once per worker — including the respawned workers of a pool
-    rebuilt after ``BrokenProcessPool`` — so both the panel attach and
-    the slab attach stay off the task critical path.
+    *owner* names the caller for the message.  Only a campaign fans
+    work out over processes, one scenario per task.
     """
-    if panel_ref is not None:
-        panel_ref.panel()
-    if slabs is not None:
-        set_active_prefactors(slabs.load())
-
-
-@contextmanager
-def unit_fit_executor(
-    prefactors: dict[PrefactorKey, UnitPrefactor],
-    *,
-    n_jobs: int | None = 1,
-    retry: RetryPolicy | None = None,
-    panel_ref: SharedArrayRef | None = None,
-) -> Iterator[Executor]:
-    """An executor whose unit fits read *prefactors*.
-
-    A serial run installs the table in-process; a pooled run publishes
-    it as shared-memory slabs that every worker (respawned ones too)
-    attaches in its initializer, alongside *panel_ref* when given.  The
-    table is uninstalled and the slabs unlinked on exit.
-    """
-    slabs: PrefactorSlabs | None = None
-    arena: SharedFrameArena | None = None
-    try:
-        if prefactors:
-            if resolve_n_jobs(n_jobs) > 1:
-                arena = SharedFrameArena(tag="prefactor")
-                slabs = publish_prefactors(prefactors, arena)
-            else:
-                set_active_prefactors(prefactors)
-        with get_executor(
-            n_jobs,
-            retry=retry,
-            initializer=_attach_study_state,
-            initargs=(panel_ref, slabs),
-        ) as executor:
-            yield executor
-    finally:
-        clear_active_prefactors()
-        if arena is not None:
-            arena.close()
+    if n_jobs not in (None, 1):
+        raise ExecutionError(
+            f"{owner} fits its units in this process (n_jobs must be 1, got "
+            f"{n_jobs}); run_campaign(n_jobs=...) builds whole scenarios in "
+            "worker processes"
+        )
 
 
 def execute_unit_plan(
     plan: list[tuple[str, str] | _UnitTask],
     *,
-    n_jobs: int | None = 1,
     retry: RetryPolicy | None = None,
-    panel_ref: SharedArrayRef | None = None,
     checkpoint: "StudyCheckpoint | None" = None,
     batch_fits: bool = True,
 ) -> tuple[list[StudyRow], list[tuple[str, str]]]:
@@ -634,17 +580,16 @@ def execute_unit_plan(
     :class:`~repro.pipeline.checkpoint.StudyCheckpoint` (the caller
     owns its lifecycle): the plan's skips and each fresh outcome are
     journaled, and units already journaled are served from
-    ``checkpoint.completed``.  Fan-out follows the batch study's
-    contract — order-stable results, shared-memory attach via *panel_ref* —
-    so serial and pooled runs return identical rows.
+    ``checkpoint.completed``.  The fits run in this process under
+    *retry*.
 
     With *batch_fits* (the default), a planning pass batch-factors
     every robust unit's donor matrix across units first — one stacked
     SVD per matrix shape (:func:`~repro.pipeline.prefactor.prefactor_unit_plan`,
     recorded as one ``fits.prefactor`` span) — and the fits read those
-    factorizations (:func:`unit_fit_executor`).  Rows are bit-identical
-    with the flag on or off: ``batch_fits=False`` is the reference path
-    on which every fit factors its own donor matrix.
+    factorizations.  Rows are bit-identical with the flag on or off:
+    ``batch_fits=False`` is the reference path on which every fit
+    factors its own donor matrix.
     """
     fit_units = [step for step in plan if isinstance(step, _UnitTask)]
     completed: dict[str, StudyRow | tuple[str, str]] = (
@@ -661,20 +606,17 @@ def execute_unit_plan(
     with span(
         "fits",
         n_tasks=len(tasks),
-        n_jobs=n_jobs,
         n_resumed=len(fit_units) - len(tasks),
     ):
         journal_planned_skips(plan, checkpoint)
         prefactors: dict[PrefactorKey, UnitPrefactor] = {}
         if batch_fits and tasks:
-            prefactors = prefactor_unit_plan(_load_panel(tasks[0].panel), tasks)
-        with unit_fit_executor(
-            prefactors,
-            n_jobs=n_jobs,
-            retry=retry,
-            panel_ref=panel_ref,
-        ) as executor:
-            outcomes = iter(executor.map(_analyse_unit, tasks, on_result=_journal))
+            prefactors = prefactor_unit_plan(tasks[0].panel, tasks)
+        outcomes = iter(
+            SerialExecutor(retry=retry).map(
+                partial(_analyse_unit, prefactors=prefactors), tasks, on_result=_journal
+            )
+        )
         for step in plan:
             if isinstance(step, _UnitTask):
                 result = completed.get(step.unit)
@@ -725,17 +667,17 @@ def run_ixp_study(
         Measurement column to analyse (default RTT; the paper's Table 1).
         ``"download_mbps"`` runs the throughput variant.
     n_jobs:
-        Worker processes for the per-unit fits (``1`` serial, ``-1``
-        all cores).  Results are identical across backends: rows stay
-        in treatment order and every fit is a pure function of its
-        unit's panel slice.
+        Must be ``1`` (or ``None``): the fits run in this process, and
+        any other value raises :class:`~repro.errors.ExecutionError`
+        pointing at :func:`~repro.campaign.scheduler.run_campaign`,
+        which fans whole scenarios out over worker processes.
     generation_seconds:
         Wall-clock spent producing *measurements* upstream (simulator or
         CSV import); recorded verbatim in the result's timings.
     retry:
-        Retry transiently failed per-unit fits (dead workers, injected
-        faults, blown deadlines) under this policy; results are
-        unchanged whether or how often retries fire.
+        Retry transiently failed per-unit fits (injected faults) under
+        this policy; results are unchanged whether or how often retries
+        fire.
     checkpoint:
         JSONL path journaling each finished unit as it completes, so a
         killed run can be resumed.
@@ -750,52 +692,22 @@ def run_ixp_study(
         every fit factors its own donor matrix, and the rows are
         bit-identical.
     """
+    check_serial_fits(n_jobs, "run_ixp_study")
     logger.info(
-        "running IXP study on %d measurements (ixp=%s, method=%s, n_jobs=%s)",
+        "running IXP study on %d measurements (ixp=%s, method=%s)",
         measurements.num_rows,
         ixp_name,
         method,
-        n_jobs,
     )
     with span("study", ixp=ixp_name, method=method) as study_sp:
         t0 = time.perf_counter()
         assignment = assign_treatment(measurements, ixp_name)
         assignment = fault_point("study.assignment", key=ixp_name, value=assignment)
         t1 = time.perf_counter()
-        # With a process pool ahead, the panel matrix is allocated inside
-        # a block of the study's shared-memory arena and the pivot
-        # scatters straight into it; tasks then carry the block's
-        # SharedArrayRef instead of the panel, so the pool pickles
-        # O(tasks) bytes, not O(tasks x panel).  Serial runs keep a
-        # plain in-process array.
-        arena = (
-            SharedFrameArena(tag="study") if resolve_n_jobs(n_jobs) > 1 else None
-        )
-        panel_ref: SharedArrayRef | None = None
-
-        def _shared_matrix(shape, times, units):
-            nonlocal panel_ref
-            matrix = arena.allocate("panel", shape, (times, units))
-            panel_ref = arena.ref("panel")
-            return matrix
-
         ckpt = None
-        rows: list[StudyRow] = []
-        skipped: list[tuple[str, str]] = []
         try:
-            panel = rtt_panel(
-                measurements,
-                period="day",
-                outcome=outcome,
-                matrix_factory=_shared_matrix if arena is not None else None,
-            )
+            panel = rtt_panel(measurements, period="day", outcome=outcome)
             panel = fault_point("study.panel", key=ixp_name, value=panel)
-            if panel_ref is not None and panel.matrix is not panel_ref.load():
-                # A chaos fault swapped in a corrupted copy; re-publish it
-                # so pool workers analyse exactly what a serial run would —
-                # fault parity includes the corrupted bytes.
-                panel_ref = arena.publish_panel(panel)
-                panel = panel_ref.panel()
             t2 = time.perf_counter()
 
             fit_kwargs: dict[str, object] = {}
@@ -812,7 +724,6 @@ def run_ixp_study(
                 method=method,
                 max_placebos=max_placebos,
                 fit_kwargs=tuple(sorted(fit_kwargs.items())),
-                task_panel=panel_ref if panel_ref is not None else panel,
             )
 
             # Units already journaled in a resumed checkpoint are served from
@@ -829,18 +740,11 @@ def run_ixp_study(
                     resume=resume,
                 )
             rows, skipped = execute_unit_plan(
-                plan,
-                n_jobs=n_jobs,
-                retry=retry,
-                panel_ref=panel_ref,
-                checkpoint=ckpt,
-                batch_fits=batch_fits,
+                plan, retry=retry, checkpoint=ckpt, batch_fits=batch_fits
             )
         finally:
             if ckpt is not None:
                 ckpt.close()
-            if arena is not None:
-                arena.close()
         t3 = time.perf_counter()
         study_sp.set(n_rows=len(rows), n_skipped=len(skipped))
 

@@ -18,10 +18,10 @@ existing service stack:
 - :meth:`~StreamStudy.finalize` hands the accumulated panel and
   assignment to the **batch study's own**
   :func:`~repro.pipeline.study.prepare_unit_plan` /
-  :func:`~repro.pipeline.study.execute_unit_plan`, fanning out over the
-  executor/retry stack (shared-memory panel included) exactly like
-  ``run_ixp_study`` — which is why the final rows are bit-identical to
-  the batch path's, for any batch split, serial or parallel.
+  :func:`~repro.pipeline.study.execute_unit_plan`, with the same retry
+  policy and checkpoint journal as ``run_ixp_study`` — which is why the
+  final rows are bit-identical to the batch path's, for any batch
+  split.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from repro.chaos.runtime import fault_point
 from repro.errors import CheckpointError, PipelineError
 from repro.obs import COUNT_BUCKETS, SECONDS_BUCKETS, get_metrics, span
 from repro.pipeline.checkpoint import StudyCheckpoint
-from repro.pipeline.executor import RetryPolicy, resolve_n_jobs
-from repro.pipeline.shm import SharedArrayRef, SharedFrameArena
+from repro.pipeline.executor import RetryPolicy
 from repro.pipeline.study import (
     StudyResult,
     StudyRow,
+    check_serial_fits,
     execute_unit_plan,
     prepare_unit_plan,
 )
@@ -92,7 +92,8 @@ class StreamStudy:
     table are unaffected) for feeds where only the final table matters.
     ``live_placebo_every`` sets the live layer's placebo-amortization
     period (see :mod:`repro.stream.refit`); ``1`` means full placebo
-    inference on every refit.
+    inference on every refit.  ``n_jobs`` must be ``1``: every fit runs
+    in this process, as in ``run_ixp_study``.
     """
 
     def __init__(
@@ -115,6 +116,7 @@ class StreamStudy:
         live_placebo_every: int = 4,
         telemetry: object | None = None,
     ) -> None:
+        check_serial_fits(n_jobs, "StreamStudy")
         self.ixp_name = ixp_name
         self._method = method
         self._min_pre = min_pre_periods
@@ -124,7 +126,6 @@ class StreamStudy:
         self._energy = energy
         self._ridge = ridge
         self._outcome = outcome
-        self._n_jobs = n_jobs
         self._retry = retry
         self._live = live_refits and method == "robust"
         self._epoch = 0
@@ -269,35 +270,25 @@ class StreamStudy:
             rows=tuple(rows), assignment=assignment, skipped=tuple(skipped)
         )
 
-    def finalize(self, *, n_jobs: int | None = None) -> StudyResult:
+    def finalize(self) -> StudyResult:
         """Run the batch study's fit stage over the accumulated state.
 
         This is the exact code path ``run_ixp_study`` uses after its
         panel/assignment stages — including per-unit checkpoint journal
-        and resume, retries, and the shared-memory fan-out — so the
-        returned rows are bit-identical to the batch study's on the
-        same measurements, independent of how they were batched.
+        and resume, and retries — so the returned rows are bit-identical
+        to the batch study's on the same measurements, independent of
+        how they were batched.
         """
         if self._panel_acc.n_rows == 0:
             raise PipelineError("cannot finalize a stream with no ingested batches")
-        if n_jobs is None:
-            n_jobs = self._n_jobs
         assignment = self._assign_acc.assignment()
-        panel = self._panel_acc.panel
-        arena = (
-            SharedFrameArena(tag="finalize") if resolve_n_jobs(n_jobs) > 1 else None
-        )
-        panel_ref: SharedArrayRef | None = None
+        fit_kwargs: dict[str, object] = {}
+        if self._method == "robust":
+            fit_kwargs = {"energy": self._energy, "ridge": self._ridge}
         try:
-            if arena is not None:
-                panel_ref = arena.publish_panel(panel)
-                panel = panel_ref.panel()
-            fit_kwargs: dict[str, object] = {}
-            if self._method == "robust":
-                fit_kwargs = {"energy": self._energy, "ridge": self._ridge}
-            with span("finalize", ixp=self.ixp_name, n_jobs=n_jobs):
+            with span("finalize", ixp=self.ixp_name):
                 plan = prepare_unit_plan(
-                    panel,
+                    self._panel_acc.panel,
                     assignment,
                     min_pre_periods=self._min_pre,
                     min_post_periods=self._min_post,
@@ -305,18 +296,11 @@ class StreamStudy:
                     method=self._method,
                     max_placebos=self._max_placebos,
                     fit_kwargs=tuple(sorted(fit_kwargs.items())),
-                    task_panel=panel_ref if panel_ref is not None else panel,
                 )
                 rows, skipped = execute_unit_plan(
-                    plan,
-                    n_jobs=n_jobs,
-                    retry=self._retry,
-                    panel_ref=panel_ref,
-                    checkpoint=self._ckpt,
+                    plan, retry=self._retry, checkpoint=self._ckpt
                 )
         finally:
-            if arena is not None:
-                arena.close()
             self.close()
         result = StudyResult(
             rows=tuple(rows), assignment=assignment, skipped=tuple(skipped)

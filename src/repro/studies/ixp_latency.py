@@ -96,7 +96,6 @@ def run_table1_experiment(
     seed: int = 2,
     measurement_seed: int = 1,
     method: str = "robust",
-    n_jobs: int | None = 1,
     retry: RetryPolicy | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
@@ -104,11 +103,10 @@ def run_table1_experiment(
     """Run the full case study at the given scale.
 
     The defaults reproduce the Table-1 *shape* in a few seconds; the
-    benchmark runs the paper-scale 60-day window.  *n_jobs* fans the
-    per-unit fits out over worker processes without changing any
-    number in the table; *retry*, *checkpoint*, and *resume* pass
-    through to :func:`run_ixp_study` (the world and measurements are
-    regenerated on resume — only the per-unit fits are journaled).
+    benchmark runs the paper-scale 60-day window.  *retry*,
+    *checkpoint*, and *resume* pass through to :func:`run_ixp_study`
+    (the world and measurements are regenerated on resume — only the
+    per-unit fits are journaled).
     """
     with span("experiment.table1", donors=n_donor_ases, days=duration_days, seed=seed):
         t0 = time.perf_counter()
@@ -124,7 +122,6 @@ def run_table1_experiment(
             measurements,
             scenario.ixp_name,
             method=method,
-            n_jobs=n_jobs,
             generation_seconds=generation_seconds,
             retry=retry,
             checkpoint=checkpoint,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from typing import Any
 
@@ -162,7 +162,6 @@ def build_panel(
     time: str,
     outcome: str,
     agg: str = "median",
-    matrix_factory: "Callable[[tuple[int, int], tuple[Any, ...], tuple[str, ...]], np.ndarray] | None" = None,
 ) -> Panel:
     """Pivot long-format rows into a times x units panel.
 
@@ -171,21 +170,7 @@ def build_panel(
     grouped-median grid from :func:`repro.frames.groupby.pivot_grid` is
     used directly, with the time sort folded into the scatter
     (``sort_index=True``) so there is no final row-gather copy.
-
-    *matrix_factory*, when given, allocates the panel matrix:
-    ``factory(shape, times, units)`` receives the final sorted time
-    keys and stringified unit labels and must return a float64 array of
-    ``shape`` for the pivot to scatter into.  The study pipeline passes
-    a shared-memory allocator here so the panel seals directly into the
-    block process-pool workers attach to.
     """
-    units: tuple[str, ...] = ()
-
-    def _grid_factory(shape, row_keys, col_keys):
-        nonlocal units
-        units = tuple(str(k) for k in col_keys)
-        return matrix_factory(shape, tuple(row_keys), units)
-
     time_keys, unit_keys, grid = pivot_grid(
         data,
         index=time,
@@ -193,11 +178,10 @@ def build_panel(
         values=outcome,
         agg=agg,
         sort_index=True,
-        grid_factory=_grid_factory if matrix_factory is not None else None,
     )
-    if not units:
-        units = tuple(str(k) for k in unit_keys)
-    return Panel(times=tuple(time_keys), units=units, matrix=grid)
+    return Panel(
+        times=tuple(time_keys), units=tuple(str(k) for k in unit_keys), matrix=grid
+    )
 
 
 def select_donors(

@@ -11,23 +11,15 @@ What these tests pin down:
   bit-for-bit, including degenerate spectra (``s.sum() == 0``) and
   mixed donor-pool shapes;
 - the prefactor planning pass produces factorizations the per-unit
-  path would, survives the shared-memory slab round-trip exactly, and
-  leaves the study's Table-1 rows bit-identical between the batched
-  and unbatched engines, serial and ``--jobs 4``.
+  path would, and a fit handed that table leaves the study's Table-1
+  rows bit-identical to the unbatched engine's.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import DonorPoolError
-from repro.pipeline.prefactor import (
-    clear_active_prefactors,
-    get_prefactor,
-    prefactor_unit_plan,
-    publish_prefactors,
-    set_active_prefactors,
-)
-from repro.pipeline.shm import SharedFrameArena
+from repro.pipeline.prefactor import prefactor_unit_plan
 from repro.pipeline.study import run_ixp_study
 from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.placebo import placebo_test
@@ -232,31 +224,6 @@ class TestPrefactorEngine:
                 assert r_pf == r_one
                 np.testing.assert_array_equal(d_pf, d_one)
 
-    def test_slab_roundtrip_is_exact(self):
-        panel = self._panel()
-        treated = [panel.units[0], panel.units[1], panel.units[2]]
-        table = prefactor_unit_plan(panel, self._tasks(panel, treated))
-        with SharedFrameArena(tag="test-prefactor") as arena:
-            slabs = publish_prefactors(table, arena)
-            loaded = slabs.load()
-            assert set(loaded) == set(table)
-            for unit, pf in table.items():
-                got = loaded[unit]
-                np.testing.assert_array_equal(got.fact.filled, pf.fact.filled)
-                np.testing.assert_array_equal(got.fact.col_means, pf.fact.col_means)
-                np.testing.assert_array_equal(
-                    got.fact.finite_counts, pf.fact.finite_counts
-                )
-                assert got.fact.finite_counts.dtype == pf.fact.finite_counts.dtype
-                np.testing.assert_array_equal(got.fact.u, pf.fact.u)
-                np.testing.assert_array_equal(got.fact.s, pf.fact.s)
-                np.testing.assert_array_equal(got.fact.vt, pf.fact.vt)
-                assert (pf.loo is None) == (got.loo is None)
-                if pf.loo is not None:
-                    for (d_got, r_got), (d_pf, r_pf) in zip(got.loo, pf.loo):
-                        assert r_got == r_pf
-                        np.testing.assert_array_equal(d_got, d_pf)
-
     def test_placebo_cap_bounds_the_loo_batch(self):
         panel = self._panel()
         treated = [panel.units[0]]
@@ -279,19 +246,6 @@ class TestPrefactorEngine:
         ]
         assert prefactor_unit_plan(panel, classic) == {}
 
-    def test_registry_set_get_clear(self):
-        panel = self._panel()
-        table = prefactor_unit_plan(panel, self._tasks(panel, [panel.units[0]]))
-        try:
-            set_active_prefactors(table)
-            key = ("", panel.units[0])
-            assert get_prefactor(key) is table[key]
-            assert get_prefactor(("", "AS999/nowhere")) is None
-            assert get_prefactor(("other", panel.units[0])) is None
-        finally:
-            clear_active_prefactors()
-        assert get_prefactor(("", panel.units[0])) is None
-
     def test_seeded_placebo_test_matches_private_fit(self):
         from repro.pipeline.study import _analyse_unit
 
@@ -309,35 +263,30 @@ class TestPrefactorEngine:
             energy=0.99,
             ridge=1e-2,
         )
-        try:
-            set_active_prefactors(table)
-            seeded = _analyse_unit(task)
-        finally:
-            clear_active_prefactors()
-        assert seeded == _analyse_unit(task)  # the unseeded fit
+        seeded = _analyse_unit(task, table)
+        assert seeded == _analyse_unit(task, {})  # the unseeded fit
         assert seeded.p_value == private.p_value
         assert seeded.rtt_delta_ms == private.fit.effect
         assert seeded.rmse_ratio == private.fit.rmse_ratio
         assert seeded.n_placebos == len(private.placebo_rmse_ratios)
 
+    def test_task_is_hashable_now_fit_kwargs_is_frozen(self):
+        panel = self._panel()
+        (task,) = self._tasks(panel, [panel.units[0]])
+        (twin,) = self._tasks(panel, [panel.units[0]])
+        assert hash(task) == hash(twin)
+        assert isinstance(task.fit_kwargs, tuple)
+
 
 class TestStudyLevelBitIdentity:
-    def test_batched_equals_unbatched_serial_and_jobs4(
-        self, small_frame, small_scenario
-    ):
+    def test_batched_equals_unbatched(self, small_frame, small_scenario):
         reference = run_ixp_study(
             small_frame, small_scenario.ixp_name, batch_fits=False
         )
         assert reference.rows  # the comparison must not be vacuous
-        for n_jobs, batch_fits in [(1, True), (4, True), (4, False)]:
-            result = run_ixp_study(
-                small_frame,
-                small_scenario.ixp_name,
-                n_jobs=n_jobs,
-                batch_fits=batch_fits,
-            )
-            assert result.rows == reference.rows, (n_jobs, batch_fits)
-            assert result.skipped == reference.skipped
+        result = run_ixp_study(small_frame, small_scenario.ixp_name)
+        assert result.rows == reference.rows
+        assert result.skipped == reference.skipped
 
     def test_batched_equals_unbatched_with_placebo_cap(
         self, small_frame, small_scenario
@@ -377,7 +326,7 @@ class TestDonorsChosenOnce:
                     monkeypatch.setattr(module, attr, counting)
         return calls
 
-    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("n_jobs", [1])
     @pytest.mark.parametrize("batch_fits", [True, False])
     def test_one_selection_per_planned_unit(
         self, selections, small_frame, small_scenario, n_jobs, batch_fits

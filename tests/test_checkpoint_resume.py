@@ -197,7 +197,9 @@ class TestResumedStudyIsByteIdentical:
         analyse = study_mod._analyse_unit
         monkeypatch.setattr(
             study_mod, "_analyse_unit",
-            lambda task: (refits.append(task.unit), analyse(task))[1],
+            lambda task, prefactors: (
+                refits.append(task.unit), analyse(task, prefactors)
+            )[1],
         )
         for k in range(n_records + 1):
             path = tmp_path / f"cut{k}.jsonl"

@@ -20,10 +20,18 @@ class TestParser:
             build_parser().parse_args(["import", "x.csv"])
 
     def test_jobs_flag(self):
-        assert build_parser().parse_args(["table1"]).jobs == 1
-        assert build_parser().parse_args(["table1", "--jobs", "4"]).jobs == 4
-        args = build_parser().parse_args(["import", "x.csv", "--ixp", "N", "-j", "-1"])
-        assert args.jobs == -1
+        # Only the campaign fans work out (one scenario per task).
+        assert build_parser().parse_args(["campaign"]).jobs == 1
+        assert build_parser().parse_args(["campaign", "--jobs", "4"]).jobs == 4
+        assert build_parser().parse_args(["campaign", "-j", "-1"]).jobs == -1
+        for argv in (
+            ["table1", "--jobs", "2"],
+            ["stream", "--jobs", "2"],
+            ["import", "x.csv", "--ixp", "N", "-j", "2"],
+            ["table1", "--task-timeout", "5"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_simulate_requires_out(self):
         with pytest.raises(SystemExit):

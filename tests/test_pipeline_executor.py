@@ -1,13 +1,11 @@
-"""Tests for the execution backends and the parallel study path.
+"""Tests for the execution backends.
 
 The contract under test: every backend is a drop-in replacement for the
 serial loop — same results, same order — so ``n_jobs`` is purely a
-wall-clock knob.  The small-study test here doubles as the tier-1 guard
-that the process-pool backend keeps working (it runs in the default
-pytest sweep, not just in benchmarks).
+wall-clock knob.  Campaign stage A is the pool's only caller; a study
+refuses a worker count.
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
@@ -91,14 +89,10 @@ class TestParallelMap:
         )
 
 
-class TestParallelStudy:
-    """Serial and process-pool studies must be numerically identical."""
+class TestSerialStudy:
+    """A study fits in-process; only a campaign fans scenarios out."""
 
-    def test_small_study_under_process_pool(self, small_scenario, small_frame):
-        serial = run_ixp_study(small_frame, small_scenario.ixp_name, n_jobs=1)
-        pooled = run_ixp_study(small_frame, small_scenario.ixp_name, n_jobs=2)
-        assert serial.rows == pooled.rows  # StudyRow is a frozen float dataclass
-        assert serial.skipped == pooled.skipped
-        assert pooled.rows, "expected the pooled study to analyse units"
-        for row in pooled.rows:
-            assert np.isfinite(row.p_value)
+    @pytest.mark.parametrize("n_jobs", [2, -1])
+    def test_worker_count_is_refused(self, small_scenario, small_frame, n_jobs):
+        with pytest.raises(ExecutionError, match="run_campaign"):
+            run_ixp_study(small_frame, small_scenario.ixp_name, n_jobs=n_jobs)

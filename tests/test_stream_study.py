@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.chaos import FaultPlan, FaultSpec, active_plan
-from repro.errors import CheckpointError, InjectedFault, PipelineError
+from repro.errors import CheckpointError, ExecutionError, InjectedFault, PipelineError
 from repro.frames.io import to_csv_text
 from repro.pipeline import run_ixp_study
 from repro.stream import MeasurementBatch, StreamStudy, random_batches, slice_frame
@@ -69,12 +69,10 @@ class TestStreamingEquivalence:
         out = study.run(random_batches(small_frame, n_batches=6, seed=seed))
         _assert_parity(out.result, reference, reference_csv)
 
-    def test_parallel_finalize(
-        self, small_frame, small_scenario, reference, reference_csv
-    ):
-        study = StreamStudy(small_scenario.ixp_name, n_jobs=4, live_refits=False)
-        out = study.run(slice_frame(small_frame, n_batches=5))
-        _assert_parity(out.result, reference, reference_csv)
+    def test_worker_count_is_refused(self, small_scenario):
+        assert StreamStudy(small_scenario.ixp_name, n_jobs=1).reports == []
+        with pytest.raises(ExecutionError, match="run_campaign"):
+            StreamStudy(small_scenario.ixp_name, n_jobs=4)
 
     def test_finalize_without_batches_rejected(self, small_scenario):
         with pytest.raises(PipelineError, match="no ingested batches"):
