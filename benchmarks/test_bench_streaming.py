@@ -83,10 +83,8 @@ def test_streaming_study(benchmark):
 
     # The comparator: recompute the whole study over each prefix, as a
     # naive always-current service would.  The prefix is accumulated
-    # with plain concat — NOT append_frame — so the comparator gets a
-    # fresh, unmemoized frame each round, like any true from-scratch
-    # recompute (append_frame would smuggle this PR's factorize-memo
-    # extension into the baseline it is being measured against).
+    # with plain concat, so the comparator gets a fresh, unmemoized
+    # frame each round, like any true from-scratch recompute.
     full_seconds = []
     prefix = None
     reference = None

@@ -12,15 +12,19 @@ on every route — a full streamed Table-1 study at 10x-paper scale
 costs at most 5% more wall-clock than the same study with telemetry
 off, and produces bit-identical rows.
 
-Both arms run best-of-3 end-to-end (fresh ``StreamStudy`` per
-repetition, day-sized batches, serial fits).  A parity check
-(telemetry on/off) runs at smoke scale in every mode.
+The arms run in interleaved pairs (fresh ``StreamStudy`` per run,
+day-sized batches, serial fits), and the pairs alternate which arm
+runs first, so drift in the machine's speed lands on both arms alike;
+the gate compares the two arms' median wall-clock.  The sampler and
+the endpoint poller run only during the telemetry arm's runs.  A
+parity check (telemetry on/off) runs at smoke scale in every mode.
 
 Smoke mode (``ANALYSIS_BENCH_SMOKE=1``, used by CI) runs a reduced
 scale and skips the wall-clock ratio assertion.
 """
 
 import os
+import statistics
 import sys
 import threading
 import time
@@ -41,6 +45,7 @@ from repro.stream import StreamStudy, slice_frame
 MAX_OVERHEAD = 0.05  # telemetry may cost at most 5% over the bare stream
 ABS_EPSILON_S = 0.05  # absolute slack for sub-second runs on fast machines
 SMOKE = os.environ.get("ANALYSIS_BENCH_SMOKE") == "1"
+PAIRS = 3 if SMOKE else 10  # interleaved (bare, telemetry) pairs
 
 ROUTES = ("/metrics", "/health", "/live")
 
@@ -108,38 +113,47 @@ def _run_stream(frame, ixp_name, *, telemetry=None):
         study.close()
 
 
-def _best_of(n, fn):
-    best = float("inf")
-    result = None
-    for _ in range(n):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def _timed(fn):
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
 
 
 def test_telemetry_overhead():
     scenario, frame = _scenario_frame()
+    bare_times: list[float] = []
+    full_times: list[float] = []
+    n_samples = polls = 0
 
-    # --- bare arm: the stream with no telemetry at all -------------------
-    bare_s, (bare_result, n_batches) = _best_of(
-        3, lambda: _run_stream(frame, scenario.ixp_name)
-    )
+    def bare_arm():
+        seconds, result = _timed(lambda: _run_stream(frame, scenario.ixp_name))
+        bare_times.append(seconds)
+        return result
 
-    # --- full arm: sampler + bridge + endpoint, all polled live ----------
-    sampler = ResourceSampler(interval_s=0.05)
-    publisher = TelemetryPublisher()
-    with TelemetryServer(publisher) as server:
-        with _EndpointPoller(server) as poller:
-            with sampler:
-                full_s, (full_result, _) = _best_of(
-                    3,
-                    lambda: _run_stream(
-                        frame, scenario.ixp_name, telemetry=publisher
-                    ),
+    def full_arm():
+        # Sampler, span->histogram bridge and a live-polled endpoint.
+        nonlocal n_samples, polls
+        publisher = TelemetryPublisher()  # fresh, like one study's endpoint
+        sampler = ResourceSampler(interval_s=0.05)
+        with TelemetryServer(publisher) as server:
+            with _EndpointPoller(server) as poller, sampler:
+                seconds, result = _timed(
+                    lambda: _run_stream(frame, scenario.ixp_name, telemetry=publisher)
                 )
-        polls = poller.polls
-    n_samples = len(sampler.samples)
+        full_times.append(seconds)
+        n_samples += len(sampler.samples)
+        polls += poller.polls
+        return result
+
+    for pair in range(PAIRS):
+        if pair % 2:
+            full_result, _ = full_arm()
+            bare_result, n_batches = bare_arm()
+        else:
+            bare_result, n_batches = bare_arm()
+            full_result, _ = full_arm()
+    bare_s = statistics.median(bare_times)
+    full_s = statistics.median(full_times)
 
     # Telemetry is observability, not computation: identical rows.
     assert to_csv_text(full_result.to_frame()) == to_csv_text(
@@ -171,8 +185,11 @@ def test_telemetry_overhead():
     lines = [
         f"rows streamed:              {frame.num_rows:,}",
         f"batches (day-sized):        {n_batches}",
-        f"telemetry off:              {bare_s:.3f} s (best of 3)",
-        f"telemetry on:               {full_s:.3f} s (best of 3)",
+        f"telemetry off:              {bare_s:.3f} s (median of {PAIRS})",
+        f"telemetry on:               {full_s:.3f} s (median of {PAIRS})",
+        f"pairs:                      {PAIRS}, interleaved, alternating first arm",
+        "  off, per pair:            " + " ".join(f"{t:.3f}" for t in bare_times),
+        "  on, per pair:             " + " ".join(f"{t:.3f}" for t in full_times),
         f"overhead:                   {overhead * 100:+.1f}%"
         f"  (threshold {MAX_OVERHEAD * 100:.0f}%"
         + (", smoke mode: not asserted)" if SMOKE else ")"),

@@ -13,27 +13,32 @@ works at the scenario grain — distributed probing, central analysis:
   retry policy covers the whole task, streamed-ingest fault points
   included.  The parent then plans each scenario's units with the
   batch study's own :func:`~repro.pipeline.study.prepare_unit_plan`
-  (the plan chooses every unit's donors) and opens one checkpoint
-  journal per scenario.  One prefactor table for the whole fleet,
-  keyed by ``(scenario, unit)``, then batch-factors every planned
-  unit's donor matrix.
+  (the plan chooses every unit's donors) and keeps one
+  :class:`~repro.pipeline.study.UnitLedger` per scenario, journaling
+  to that scenario's checkpoint.  One prefactor table for the whole
+  fleet, keyed by ``(scenario, unit)``, then batch-factors every
+  planned unit's donor matrix.
 - **Stage B** runs every scenario's base unit fits in the parent,
   interleaved round-robin so scenario B's fits don't wait behind
-  scenario A's.  Each fit is the study's own
-  :func:`~repro.pipeline.study.fit_unit`.
+  scenario A's.  Each is the study's own task,
+  :func:`~repro.pipeline.study.run_unit_task`, with no placebo
+  columns; fits the journal already holds are not rerun.
 - **Stage C** spends the placebo-refit budget in rounds: the
   :mod:`~repro.campaign.allocator` hands each round's refits to
   scenarios in proportion to their current placebo-ratio CI width
-  (Zeph-style), freezing converged scenarios, and each round's grants
-  run interleaved as single-column
-  :func:`~repro.pipeline.study.refit_unit` calls.  Fits and refits read
-  their unit's factorization from the prefactor table, which the
-  scheduler hands them.
+  (Zeph-style), freezing converged scenarios.  Each scenario's grant
+  is the next slice of its ledger's breadth-first refit queue, and it
+  runs as one task per granted unit — one donor matrix and one placebo
+  ensemble over that unit's columns — interleaved across scenarios.
+  Fits and refits read their unit's factorization from the prefactor
+  table, which the scheduler hands them.  A scenario's convergence is
+  one predicate (:meth:`_ScenarioState.settled`) on its pooled ratios,
+  measured once per round.
 - The **verdict table** generalizes Table 1 across scenarios; each
-  scenario's rows are built by the batch study's own
-  :func:`~repro.pipeline.study.unit_row`, so a campaign given enough
-  budget to exhaust every placebo queue reproduces ``run_ixp_study``'s
-  rows bit-for-bit.
+  scenario's rows come from its ledger
+  (:meth:`~repro.pipeline.study.UnitLedger.rows`), as the batch
+  study's do, so a campaign given enough budget to exhaust every
+  placebo queue reproduces ``run_ixp_study``'s rows bit-for-bit.
 
 Determinism contract: the verdict table is a pure function of the spec
 fleet and the campaign parameters — identical across ``--jobs`` values
@@ -50,7 +55,6 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -65,7 +69,7 @@ from repro.campaign.allocator import (
 )
 from repro.campaign.spec import ScenarioSpec, build_scenario
 from repro.chaos.runtime import fault_point
-from repro.errors import CheckpointError, DonorPoolError, PipelineError
+from repro.errors import CheckpointError, PipelineError
 from repro.mplatform.speedtest import measurements_frame
 from repro.obs import span
 from repro.obs.metrics import get_metrics
@@ -81,14 +85,10 @@ from repro.pipeline.executor import (
 from repro.pipeline.prefactor import prefactor_unit_plan
 from repro.pipeline.study import (
     StudyResult,
-    StudyRow,
-    UnitFit,
-    _UnitTask,
-    fit_unit,
-    journal_planned_skips,
+    UnitLedger,
+    interleave,
     prepare_unit_plan,
-    refit_unit,
-    unit_row,
+    run_unit_work,
 )
 from repro.stream.state import ingest_frame
 from repro.studies.ixp_latency import scenario_truth
@@ -104,21 +104,17 @@ class _ScenarioState:
     spec: ScenarioSpec
     truth: dict[str, float]
     assignment: Any
-    panel: Panel
-    plan: list
-    checkpoint: StudyCheckpoint | None
-    fits: dict[str, UnitFit] = field(default_factory=dict)
-    fit_skips: dict[str, str] = field(default_factory=dict)
-    #: Every possible refit, in deterministic queue order; the budget
-    #: walks this list front to back, so "which refits ran" is a pure
-    #: function of how much budget this scenario received.
+    ledger: UnitLedger
+    #: The ledger's refit queue; the budget walks it front to back, so
+    #: "which refits ran" is a pure function of how much budget this
+    #: scenario received.
     queue: list[tuple[str, int]] = field(default_factory=list)
-    #: Refit ledger: (unit, col) -> (donor, ratio | None, reason).
-    done: dict[tuple[str, int], tuple[str, float | None, str]] = field(
-        default_factory=dict
-    )
     next_index: int = 0
     frozen: bool = False
+    #: Surviving ratios in the granted queue prefix and their CI width,
+    #: as of the last :meth:`measure`.
+    n_ratios: int = 0
+    width: float = math.inf
 
     @property
     def name(self) -> str:
@@ -132,8 +128,8 @@ class _ScenarioState:
     def executed(self) -> int:
         return self.next_index
 
-    def ratio_values(self) -> list[float]:
-        """Surviving ratios from the *granted* queue prefix, pooled.
+    def measure(self) -> None:
+        """Pool the surviving ratios of the *granted* queue prefix.
 
         Deliberately bounded by ``next_index`` rather than the whole
         ledger: on resume the journal already holds refits from rounds
@@ -143,45 +139,19 @@ class _ScenarioState:
         """
         vals: list[float] = []
         for key in self.queue[: self.next_index]:
-            rec = self.done.get(key)
+            rec = self.ledger.refits.get(key)
             if rec is not None and rec[1] is not None and math.isfinite(rec[1]):
                 vals.append(rec[1])
-        return vals
+        self.n_ratios = len(vals)
+        self.width = placebo_ci_width(vals)
 
-    def tasks(self) -> dict[str, _UnitTask]:
-        """The plan's fit tasks by unit, in plan order."""
-        return {
-            step.unit: step for step in self.plan if isinstance(step, _UnitTask)
-        }
-
-
-def _build_refit_queue(state: _ScenarioState) -> list[tuple[str, int]]:
-    """The scenario's refit queue: round-robin over units, then columns.
-
-    Breadth-first across units (column 0 of every unit before column 1
-    of any) so a small budget still samples every unit's null
-    distribution instead of exhausting the first unit's donors.
-    """
-    units = [unit for unit in state.tasks() if unit in state.fits]
-    max_cols = max(
-        (len(state.fits[u].donors) for u in units), default=0
-    )
-    queue: list[tuple[str, int]] = []
-    for col in range(max_cols):
-        for unit in units:
-            if col < len(state.fits[unit].donors):
-                queue.append((unit, col))
-    return queue
-
-
-def _interleave(per_scenario: list[list[Any]]) -> list[Any]:
-    """Round-robin merge: element 0 of each list, then element 1, ..."""
-    merged: list[Any] = []
-    for i in range(max((len(lst) for lst in per_scenario), default=0)):
-        for lst in per_scenario:
-            if i < len(lst):
-                merged.append(lst[i])
-    return merged
+    def settled(self, min_ratios: int, tol: float) -> bool:
+        """At least *min_ratios* ratios with a finite CI width at most *tol*."""
+        return (
+            self.n_ratios >= min_ratios
+            and math.isfinite(self.width)
+            and self.width <= tol
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +438,18 @@ def run_campaign(
             with get_executor(workers, retry=retry) as pool:
                 inputs = pool.map(_scenario_inputs, specs)
             for spec, (truth, assignment, panel) in zip(specs, inputs):
+                plan = prepare_unit_plan(
+                    panel,
+                    assignment,
+                    min_pre_periods=min_pre_periods,
+                    min_post_periods=min_post_periods,
+                    max_donor_missing=max_donor_missing,
+                    method="robust",
+                    fit_kwargs=tuple(
+                        sorted({"energy": energy, "ridge": ridge}.items())
+                    ),
+                    scenario=spec.name,
+                )
                 ckpt = None
                 if ckpt_dir is not None:
                     ckpt = StudyCheckpoint(
@@ -478,25 +460,7 @@ def run_campaign(
                         resume=resume,
                     )
                 states.append(
-                    _ScenarioState(
-                        spec=spec,
-                        truth=truth,
-                        assignment=assignment,
-                        panel=panel,
-                        plan=prepare_unit_plan(
-                            panel,
-                            assignment,
-                            min_pre_periods=min_pre_periods,
-                            min_post_periods=min_post_periods,
-                            max_donor_missing=max_donor_missing,
-                            method="robust",
-                            fit_kwargs=tuple(
-                                sorted({"energy": energy, "ridge": ridge}.items())
-                            ),
-                            scenario=spec.name,
-                        ),
-                        checkpoint=ckpt,
-                    )
+                    _ScenarioState(spec, truth, assignment, UnitLedger(plan, ckpt))
                 )
 
             # One prefactor table for the whole fleet, keyed by
@@ -504,73 +468,19 @@ def run_campaign(
             # read their unit's factorization from it, in this process.
             prefactors = {}
             for state in states:
-                prefactors.update(
-                    prefactor_unit_plan(state.panel, list(state.tasks().values()))
-                )
+                tasks = list(state.ledger.tasks.values())
+                if tasks:
+                    prefactors.update(prefactor_unit_plan(tasks[0].panel, tasks))
             fits = SerialExecutor(retry=retry)
+            ledgers = {state.name: state.ledger for state in states}
 
             # ------------------------------------------------- stage B
-            per_scenario_tasks: list[list[_UnitTask]] = []
+            work = interleave([state.ledger.work() for state in states])
+            with span("campaign.fits", n_tasks=len(work)):
+                run_unit_work(fits, ledgers, work, prefactors)
             for state in states:
-                journal_planned_skips(state.plan, state.checkpoint)
-                tasks = []
-                for step in state.tasks().values():
-                    cached = (
-                        state.checkpoint.completed_fits.get(step.unit)
-                        if state.checkpoint is not None
-                        else None
-                    )
-                    if cached is not None:
-                        state.fits[step.unit] = UnitFit(
-                            **{**cached, "donors": tuple(cached["donors"])}
-                        )
-                        continue
-                    skip = (
-                        state.checkpoint.completed.get(step.unit)
-                        if state.checkpoint is not None
-                        else None
-                    )
-                    if isinstance(skip, tuple):
-                        state.fit_skips[skip[0]] = skip[1]
-                        continue
-                    tasks.append(step)
-                per_scenario_tasks.append(tasks)
-            fit_tasks = _interleave(per_scenario_tasks)
-            by_name = {state.name: state for state in states}
-
-            def _journal_fit(index: int, result: Any) -> None:
-                task = fit_tasks[index]
-                state = by_name[task.scenario]
-                if state.checkpoint is None:
-                    return
-                if isinstance(result, UnitFit):
-                    state.checkpoint.append_unit_fit(
-                        result.unit,
-                        result.effect,
-                        result.rmse_ratio,
-                        result.pre_periods,
-                        result.post_periods,
-                        list(result.donors),
-                    )
-                else:
-                    state.checkpoint.append_result(result)
-
-            with span("campaign.fits", n_tasks=len(fit_tasks)):
-                outcomes = fits.map(
-                    partial(fit_unit, prefactors=prefactors),
-                    fit_tasks,
-                    on_result=_journal_fit,
-                )
-            for task, outcome in zip(fit_tasks, outcomes):
-                state = by_name[task.scenario]
-                if isinstance(outcome, UnitFit):
-                    state.fits[outcome.unit] = outcome
-                else:
-                    state.fit_skips[outcome[0]] = outcome[1]
-            for state in states:
-                state.queue = _build_refit_queue(state)
-                if state.checkpoint is not None:
-                    state.done.update(state.checkpoint.completed_refits)
+                state.queue = state.ledger.queue()
+                state.measure()
 
             # ------------------------------------------------- stage C
             round_index = 0
@@ -578,10 +488,10 @@ def run_campaign(
                 stats = [
                     ScenarioStat(
                         name=state.name,
-                        ci_width=placebo_ci_width(state.ratio_values()),
+                        ci_width=state.width,
                         remaining=state.remaining,
                         converged=state.frozen,
-                        n_ratios=len(state.ratio_values()),
+                        n_ratios=state.n_ratios,
                     )
                     for state in states
                 ]
@@ -596,85 +506,44 @@ def run_campaign(
                 if granted == 0:
                     break
 
-                per_scenario_refits: list[list[tuple[_UnitTask, int]]] = []
+                per_scenario: list[list] = []
                 for state in states:
-                    give = grants.get(state.name, 0)
-                    plan_tasks = state.tasks()
-                    per_scenario_refits.append(
-                        [
-                            (plan_tasks[unit], col)
-                            for unit, col in state.queue[
-                                state.next_index : state.next_index + give
-                            ]
-                        ]
+                    start = state.next_index
+                    state.next_index += grants.get(state.name, 0)
+                    per_scenario.append(
+                        state.ledger.work(state.queue[start : state.next_index])
                     )
-                    state.next_index += give
-                fresh = [
-                    (task, col)
-                    for task, col in _interleave(per_scenario_refits)
-                    if (task.unit, col) not in by_name[task.scenario].done
-                ]
-
-                def _journal_refit(index: int, result: Any) -> None:
-                    task, col = fresh[index]
-                    state = by_name[task.scenario]
-                    if state.checkpoint is None:
-                        return
-                    name, ratio, reason = result
-                    state.checkpoint.append_placebo(
-                        task.unit, col, name, ratio, reason
-                    )
-
+                work = interleave(per_scenario)
                 with span(
                     "campaign.round",
                     index=round_index,
                     granted=granted,
-                    n_fresh=len(fresh),
+                    n_fresh=sum(len(cols) for _task, _fit, cols in work),
                     allocations=json.dumps(
                         dict(sorted(grants.items())), sort_keys=True
                     ),
                 ):
-                    results = fits.map(
-                        partial(refit_unit, prefactors=prefactors),
-                        fresh,
-                        on_result=_journal_refit,
-                    )
-                for (task, col), result in zip(fresh, results):
-                    by_name[task.scenario].done[(task.unit, col)] = result
+                    run_unit_work(fits, ledgers, work, prefactors)
                 spent += granted
                 metrics.counter(
                     "campaign_refits_total",
                     "placebo refits granted by the campaign allocator",
                 ).inc(granted)
 
-                widths_after: dict[str, float] = {}
                 converged_after: dict[str, bool] = {}
                 for state in states:
-                    width = placebo_ci_width(state.ratio_values())
-                    widths_after[state.name] = width
-                    if (
-                        not state.frozen
-                        and len(state.ratio_values()) >= min_ratios
-                        and math.isfinite(width)
-                        and width <= tol
-                    ):
-                        if allocation == "adaptive":
-                            state.frozen = True
-                            metrics.counter(
-                                "campaign_scenarios_frozen_total",
-                                "scenarios frozen by the adaptive allocator",
-                            ).inc()
+                    state.measure()
+                    settled = state.settled(min_ratios, tol)
+                    if settled and not state.frozen and allocation == "adaptive":
+                        state.frozen = True
+                        metrics.counter(
+                            "campaign_scenarios_frozen_total",
+                            "scenarios frozen by the adaptive allocator",
+                        ).inc()
                     # The trace's convergence flag is evaluated for both
                     # allocation modes (uniform never *acts* on it) so
                     # adaptive-vs-uniform comparisons read one field.
-                    converged_after[state.name] = (
-                        state.remaining == 0
-                        or (
-                            len(state.ratio_values()) >= min_ratios
-                            and math.isfinite(width)
-                            and width <= tol
-                        )
-                    )
+                    converged_after[state.name] = state.remaining == 0 or settled
                 trace.append(
                     AllocationRound(
                         index=round_index,
@@ -683,7 +552,7 @@ def run_campaign(
                         converged={s.name: s.converged for s in stats},
                         spent_before=spent - granted,
                         granted=granted,
-                        widths_after=widths_after,
+                        widths_after={state.name: state.width for state in states},
                         converged_after=converged_after,
                     )
                 )
@@ -697,9 +566,7 @@ def run_campaign(
                                 executed=state.executed,
                                 remaining=state.remaining,
                                 ci_width=(
-                                    None
-                                    if math.isinf(widths_after[state.name])
-                                    else widths_after[state.name]
+                                    None if math.isinf(state.width) else state.width
                                 ),
                                 converged=converged_after[state.name],
                             )
@@ -710,9 +577,13 @@ def run_campaign(
             verdicts: list[ScenarioVerdict] = []
             studies: dict[str, StudyResult] = {}
             for state in states:
-                study = _scenario_study(state)
+                rows, skipped = state.ledger.rows()
+                study = StudyResult(
+                    rows=tuple(rows),
+                    assignment=state.assignment,
+                    skipped=tuple(skipped),
+                )
                 studies[state.name] = study
-                width = placebo_ci_width(state.ratio_values())
                 deltas = [r.rtt_delta_ms for r in study.rows]
                 trues = [
                     state.truth[r.unit]
@@ -737,14 +608,10 @@ def run_campaign(
                         ),
                         consistent_effect=study.consistent_effect,
                         placebo_refits=state.executed,
-                        ci_width=width,
+                        ci_width=state.width,
                         converged=(
                             state.remaining == 0
-                            or (
-                                len(state.ratio_values()) >= min_ratios
-                                and math.isfinite(width)
-                                and width <= tol
-                            )
+                            or state.settled(min_ratios, tol)
                         ),
                     )
                 )
@@ -752,8 +619,8 @@ def run_campaign(
                     telemetry.publisher(state.name).publish_final(study)
     finally:
         for state in states:
-            if state.checkpoint is not None:
-                state.checkpoint.close()
+            if state.ledger.checkpoint is not None:
+                state.ledger.checkpoint.close()
     return CampaignResult(
         verdicts=tuple(verdicts),
         studies=studies,
@@ -775,45 +642,3 @@ class CampaignRoundReport:
     remaining: int
     ci_width: float | None
     converged: bool
-
-
-def _scenario_study(state: _ScenarioState) -> StudyResult:
-    """Assemble one scenario's StudyResult from its fit/refit ledgers.
-
-    Follows the plan order and builds each row with the batch study's
-    own :func:`~repro.pipeline.study.unit_row`: surviving ratios enter
-    the p-value in donor-column order, and a unit whose entire queue
-    was spent without one surviving placebo becomes a skip with the
-    study's reason string.
-    """
-    rows: list[StudyRow] = []
-    skipped: list[tuple[str, str]] = []
-    for step in state.plan:
-        if not isinstance(step, _UnitTask):
-            skipped.append(step)
-            continue
-        reason = state.fit_skips.get(step.unit)
-        if reason is not None:
-            skipped.append((step.unit, reason))
-            continue
-        fit = state.fits[step.unit]
-        refits = [
-            state.done[(step.unit, col)]
-            for col in range(len(fit.donors))
-            if (step.unit, col) in state.done
-        ]
-        try:
-            # A budget-starved unit (refits cut short by the budget or
-            # its scenario's freeze) gets p = 1: a state the unbudgeted
-            # study can't reach.
-            rows.append(
-                unit_row(fit, refits, exhausted=len(refits) == len(fit.donors))
-            )
-        except DonorPoolError as exc:
-            skipped.append((step.unit, str(exc)))
-    return StudyResult(
-        rows=tuple(rows),
-        assignment=state.assignment,
-        skipped=tuple(skipped),
-        timings=None,
-    )

@@ -65,8 +65,9 @@ Fault tolerance
 ---------------
 ``table1``, ``import``, and ``stream`` accept ``--retries N`` (retry
 transiently failed fit tasks with exponential backoff) and
-``--checkpoint FILE.jsonl`` / ``--resume`` (journal finished units so a
-killed run picks up where it stopped, producing byte-identical output).
+``--checkpoint FILE.jsonl`` / ``--resume`` (journal each fit and placebo
+refit so a killed run picks up where it stopped, producing
+byte-identical output).
 Their fits run in one process; only ``campaign`` takes ``--jobs`` (and
 ``--task-timeout``), fanning whole scenarios out over worker
 processes.
@@ -529,14 +530,15 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "--checkpoint",
         metavar="FILE.jsonl",
         default=None,
-        help="journal each finished unit to this JSONL file so a killed "
-        "run can be resumed",
+        help="journal each fit and placebo refit to this JSONL file so a "
+        "killed run can be resumed",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="with --checkpoint: load finished units from the file and fit "
-        "only the rest (output is byte-identical to an uninterrupted run)",
+        help="with --checkpoint: load journaled fits and refits from the "
+        "file and run only the rest (output is byte-identical to an "
+        "uninterrupted run)",
     )
 
 

@@ -36,10 +36,6 @@ KIND_OBJECT = "object"
 
 _VALID_KINDS = (KIND_FLOAT, KIND_INT, KIND_BOOL, KIND_OBJECT)
 
-#: Stand-in dict key for NaN when remapping float uniques (NaN != NaN, but
-#: factorize gives every NaN one shared code, so the table needs one key).
-_NAN_KEY = object()
-
 #: Elementwise ``v is None`` over object arrays without a Python-level loop
 #: in the caller (frompyfunc runs the lambda in C's iteration machinery).
 _IS_NONE = np.frompyfunc(lambda v: v is None, 1, 1)
@@ -466,58 +462,6 @@ class Column:
             return Column(self.name, list(self.values), kind=KIND_OBJECT)
         raise FrameError(f"unknown column kind {kind!r}")
 
-    def append(self, other: "Column") -> "Column":
-        """Concatenate like :meth:`concat`, extending the factorize memo.
-
-        When this column has been factorized, the result's memo is built
-        incrementally: only *other* is factorized and its distinct values
-        are remapped through the existing code table, so a streaming
-        append re-keys one batch instead of re-scanning the whole
-        history.  Two encoded columns concatenate their codes, which are
-        already the memo.  Falls back to a plain :meth:`concat` (memo
-        rebuilt on demand) when the kinds differ and must unify.
-        """
-        merged = self.concat(other)
-        memo = self._factorized
-        if (
-            memo is None
-            or merged._codes is not None
-            or merged.kind != self.kind
-            or other.kind != self.kind
-        ):
-            return merged
-        codes, uniques = memo
-        if not len(other):
-            merged._memoize(codes, list(uniques))
-            return merged
-        new_codes, new_uniques = other.factorize()
-
-        nan_key = self.kind == KIND_FLOAT
-
-        def _key(v: Any) -> Any:
-            if nan_key and isinstance(v, (float, np.floating)) and np.isnan(v):
-                return _NAN_KEY
-            return v
-
-        table = {_key(v): i for i, v in enumerate(uniques)}
-        grown = list(uniques)
-        remap_list = []
-        for v in new_uniques:
-            key = _key(v)
-            code = table.get(key)
-            if code is None:
-                code = table[key] = len(grown)
-                grown.append(v)
-            remap_list.append(code)
-        # The grown table may outgrow the memo's dtype: widen both parts.
-        dtype = code_dtype(len(grown))
-        remap = np.array(remap_list, dtype=dtype)
-        out = np.empty(len(codes) + len(new_codes), dtype=dtype)
-        out[: len(codes)] = codes
-        out[len(codes) :] = remap[new_codes]
-        merged._memoize(out, grown)
-        return merged
-
     def concat(self, other: "Column") -> "Column":
         """Concatenate two columns of the same name, unifying kinds."""
         if other.name != self.name:
@@ -646,8 +590,7 @@ class Column:
         A later in-place mutation of ``values`` would silently
         desynchronise the cached codes, so once codes exist the array
         must refuse writes — callers that need to mutate must build a
-        new column (or go through :meth:`append`, which extends the
-        memo instead).
+        new column.
         """
         self._factorized = (codes, uniques)
         for held in (self._values, self._codes):

@@ -314,26 +314,6 @@ class Frame:
             [self._columns[n].concat(other._columns[n]) for n in self._order]
         )
 
-    def append_frame(self, other: "Frame") -> "Frame":
-        """Append *other*'s rows, extending each column's factorize memo.
-
-        Semantically identical to :meth:`concat`; the difference is
-        incremental cost.  Every column already factorized here keeps
-        its codes and only re-keys *other*'s rows
-        (:meth:`Column.append`), which is what lets the streaming
-        ingestion path accumulate a measurement history in time
-        proportional to the batch, not the history.
-        """
-        if not self._order:
-            return other
-        if set(self._order) != set(other._order):
-            raise ColumnMismatchError(
-                f"cannot append frames with columns {self._order} and {other._order}"
-            )
-        return Frame(
-            [self._columns[n].append(other._columns[n]) for n in self._order]
-        )
-
     # -- joins -------------------------------------------------------------------
 
     def join(

@@ -7,11 +7,10 @@
   median-RTT panels;
 - :func:`run_ixp_study` — the end-to-end Table-1 runner with donor
   screening, robust synthetic control, and placebo inference;
-- :func:`get_executor` / :func:`parallel_map` — serial and
-  process-pool execution backends behind ``n_jobs`` (the pool builds
-  a campaign's scenarios; fits run serially), with
-  :class:`RetryPolicy` fault tolerance (transient-error retries,
-  per-task deadlines, broken-pool recovery);
+- :func:`get_executor` — serial and process-pool execution backends
+  behind ``n_jobs`` (the pool builds a campaign's scenarios; fits run
+  serially), with :class:`RetryPolicy` fault tolerance (transient-error
+  retries, per-task deadlines, broken-pool recovery);
 - :class:`StudyCheckpoint` / :func:`read_jsonl_tolerant` — the
   checkpoint/resume journal behind ``--checkpoint``/``--resume``.
 """
@@ -40,7 +39,6 @@ from repro.pipeline.executor import (
     RetryPolicy,
     SerialExecutor,
     get_executor,
-    parallel_map,
     resolve_n_jobs,
 )
 from repro.pipeline.study import (
@@ -70,7 +68,6 @@ __all__ = [
     "load_ixp_prefixes",
     "measurement_volume",
     "normalise_measurements",
-    "parallel_map",
     "parse_unit_label",
     "read_jsonl_tolerant",
     "read_measurement_csv",

@@ -1,36 +1,44 @@
 """Checkpoint/resume for the study pipeline.
 
-``run_ixp_study`` appends every completed per-unit outcome — a fitted
-:class:`~repro.pipeline.study.StudyRow` or a fit-stage skip — to a
-JSONL checkpoint the moment it lands.  A run killed at any point (power
-loss, OOM, ``kill -9``) resumes with ``resume=True``: finished units
-load from the file and only the unfinished ones are fitted again, and
-because each row round-trips its floats exactly (JSON uses shortest
-round-trip ``repr``) the resumed study's table is **byte-identical** to
-an uninterrupted run's.
+The fit stage's :class:`~repro.pipeline.study.UnitLedger` appends every
+outcome — a unit's base fit, each placebo refit, a skip — to a JSONL
+checkpoint the moment it lands.  A run killed at any point (power loss,
+OOM, ``kill -9``) resumes with ``resume=True``: journaled fits and
+refits load from the file and only the missing ones run again, and
+because every float round-trips exactly (JSON uses shortest round-trip
+``repr``) the resumed study's table is **byte-identical** to an
+uninterrupted run's.
 
 The file format is one JSON object per line::
 
     {"kind": "header", "ixp": ..., "method": ..., "outcome": ...}
-    {"kind": "row", "unit": ..., "rtt_delta_ms": ..., ...}
     {"kind": "skip", "unit": ..., "reason": ...}
-    {"kind": "batch", "index": ..., "rows": ...}
     {"kind": "unitfit", "unit": ..., "effect": ..., "donors": [...], ...}
     {"kind": "placebo", "unit": ..., "col": ..., "donor": ..., ...}
+    {"kind": "batch", "index": ..., "rows": ...}
 
-``batch`` records are written by the streaming engine
-(:class:`repro.stream.StreamStudy`) after each fully ingested
-measurement batch; on resume the engine replays journaled batches into
-its state layer (skipping their live refits) and validates the row
-counts, so a stream killed mid-batch re-ingests exactly the unjournaled
-suffix.
+==========  ============================================================
+record      meaning
+==========  ============================================================
+``skip``    a unit the plan's screen or its base fit rejected, with the
+            reason
+``unitfit`` a unit's base fit: effect, RMSE ratio, periods, donors
+``placebo`` one placebo refit of a unit's donor column: its RMSE ratio,
+            or ``null`` and the reason it was skipped
+``batch``   one fully ingested stream batch and its row count
+==========  ============================================================
 
-``unitfit`` and ``placebo`` records are written by the campaign
-scheduler (:mod:`repro.campaign`), which journals at a finer grain than
-the batch study: a unit's base fit and each individual placebo refit
-land separately, so an adaptive budget run resumes mid-*unit* — already
--journaled refits are served from the file and only the unspent part of
-the budget is executed.
+The batch study, the stream's finalize and every campaign scenario
+write the same ``skip``/``unitfit``/``placebo`` records, so each resumes
+mid-*unit*: a study killed between two of a unit's placebo records
+refits only that unit's missing columns, and a campaign replays its
+budget rounds around the journaled refits.  A row is not journaled; the
+ledger rebuilds it from the unit's fit and refits.  ``batch`` records
+are written by the streaming engine (:class:`repro.stream.StreamStudy`)
+after each fully ingested measurement batch; on resume the engine
+replays journaled batches into its state layer (skipping their live
+refits) and validates the row counts, so a stream killed mid-batch
+re-ingests exactly the unjournaled suffix.
 
 A ``kill -9`` can land mid-append, leaving a truncated final line.
 :func:`read_jsonl_tolerant` therefore drops a partial **last** record
@@ -49,7 +57,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import CheckpointError
-from repro.pipeline.study import StudyRow
+from repro.pipeline.study import UnitFit
+from repro.synthcontrol.placebo import Refit
 
 logger = logging.getLogger(__name__)
 
@@ -78,19 +87,6 @@ def live_checkpoint_bytes() -> int:
         except OSError:
             pass
     return total
-
-
-_ROW_FIELDS = (
-    "unit",
-    "rtt_delta_ms",
-    "rmse_ratio",
-    "p_value",
-    "pre_periods",
-    "post_periods",
-    "n_donors",
-    "n_placebos",
-    "n_placebos_skipped",
-)
 
 
 def read_jsonl_tolerant(path: str | Path) -> tuple[list[dict], int]:
@@ -144,40 +140,8 @@ def read_jsonl_tolerant(path: str | Path) -> tuple[list[dict], int]:
     return records, good_bytes
 
 
-def _row_to_record(row: StudyRow) -> dict:
-    record: dict[str, Any] = {"kind": "row"}
-    for name in _ROW_FIELDS:
-        record[name] = getattr(row, name)
-    return record
-
-
-def _record_to_result(record: dict) -> StudyRow | tuple[str, str]:
-    kind = record.get("kind")
-    if kind == "row":
-        try:
-            return StudyRow(
-                unit=str(record["unit"]),
-                rtt_delta_ms=float(record["rtt_delta_ms"]),
-                rmse_ratio=float(record["rmse_ratio"]),
-                p_value=float(record["p_value"]),
-                pre_periods=int(record["pre_periods"]),
-                post_periods=int(record["post_periods"]),
-                n_donors=int(record["n_donors"]),
-                n_placebos=int(record["n_placebos"]),
-                n_placebos_skipped=int(record["n_placebos_skipped"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"unusable row record {record!r}: {exc}") from exc
-    if kind == "skip":
-        try:
-            return (str(record["unit"]), str(record["reason"]))
-        except KeyError as exc:
-            raise CheckpointError(f"unusable skip record {record!r}") from exc
-    raise CheckpointError(f"unknown checkpoint record kind {kind!r}")
-
-
 class StudyCheckpoint:
-    """An append-only JSONL journal of completed per-unit outcomes.
+    """An append-only JSONL journal of fit-stage outcomes and stream batches.
 
     Open with ``resume=True`` to load prior results (validating the
     header against this run's parameters) and continue appending after
@@ -195,12 +159,10 @@ class StudyCheckpoint:
         resume: bool = False,
     ) -> None:
         self.path = Path(path)
-        self.completed: dict[str, StudyRow | tuple[str, str]] = {}
+        self.completed_skips: dict[str, str] = {}
+        self.completed_fits: dict[str, UnitFit] = {}
+        self.completed_refits: dict[tuple[str, int], Refit] = {}
         self.completed_batches: dict[int, int] = {}  # batch index -> row count
-        # Campaign-grain records: journaled base fits keyed by unit, and
-        # journaled placebo refits keyed by (unit, leave-one-out column).
-        self.completed_fits: dict[str, dict] = {}
-        self.completed_refits: dict[tuple[str, int], tuple[str, float | None, str]] = {}
         header = {
             "kind": "header",
             "ixp": ixp_name,
@@ -220,8 +182,8 @@ class StudyCheckpoint:
             self._append(header)
         _LIVE_JOURNALS.add(self.path)
         logger.info(
-            "checkpoint %s: %d completed units loaded",
-            self.path, len(self.completed),
+            "checkpoint %s: %d fits and %d placebo refits loaded",
+            self.path, len(self.completed_fits), len(self.completed_refits),
         )
 
     def _load(self, records: list[dict], header: dict) -> None:
@@ -240,98 +202,74 @@ class StudyCheckpoint:
                         f"{header[field]!r}; pass a fresh checkpoint path"
                     )
         for record in records[1:]:
-            kind = record.get("kind")
-            if kind == "batch":
-                try:
-                    self.completed_batches[int(record["index"])] = int(record["rows"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CheckpointError(
-                        f"unusable batch record {record!r}"
-                    ) from exc
-                continue
-            if kind == "unitfit":
-                try:
-                    self.completed_fits[str(record["unit"])] = {
-                        "unit": str(record["unit"]),
-                        "effect": float(record["effect"]),
-                        "rmse_ratio": float(record["rmse_ratio"]),
-                        "pre_periods": int(record["pre_periods"]),
-                        "post_periods": int(record["post_periods"]),
-                        "donors": [str(d) for d in record["donors"]],
-                    }
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CheckpointError(
-                        f"unusable unitfit record {record!r}: {exc}"
-                    ) from exc
-                continue
-            if kind == "placebo":
-                try:
-                    ratio = record["ratio"]
-                    self.completed_refits[
-                        (str(record["unit"]), int(record["col"]))
-                    ] = (
-                        str(record["donor"]),
-                        None if ratio is None else float(ratio),
-                        str(record.get("reason", "")),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CheckpointError(
-                        f"unusable placebo record {record!r}: {exc}"
-                    ) from exc
-                continue
-            result = _record_to_result(record)
-            unit = result.unit if isinstance(result, StudyRow) else result[0]
-            self.completed[unit] = result
+            self._take(record)
+
+    def _take(self, record: dict) -> None:
+        """Fold one record into the ``completed_*`` tables."""
+        kind = record.get("kind")
+        try:
+            if kind == "skip":
+                self.completed_skips[str(record["unit"])] = str(record["reason"])
+            elif kind == "unitfit":
+                fit = UnitFit(
+                    unit=str(record["unit"]),
+                    effect=float(record["effect"]),
+                    rmse_ratio=float(record["rmse_ratio"]),
+                    pre_periods=int(record["pre_periods"]),
+                    post_periods=int(record["post_periods"]),
+                    donors=tuple(str(d) for d in record["donors"]),
+                )
+                self.completed_fits[fit.unit] = fit
+            elif kind == "placebo":
+                ratio = record["ratio"]
+                self.completed_refits[(str(record["unit"]), int(record["col"]))] = (
+                    str(record["donor"]),
+                    None if ratio is None else float(ratio),
+                    str(record.get("reason", "")),
+                )
+            elif kind == "batch":
+                self.completed_batches[int(record["index"])] = int(record["rows"])
+            else:
+                raise CheckpointError(f"unknown checkpoint record kind {kind!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"unusable {kind} record {record!r}: {exc}") from exc
 
     def _append(self, record: dict) -> None:
         self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._file.flush()
 
-    def append_result(self, result: StudyRow | tuple[str, str]) -> None:
-        """Journal one finished unit (flushed immediately)."""
-        if isinstance(result, StudyRow):
-            self._append(_row_to_record(result))
-        else:
-            unit, reason = result
-            self._append({"kind": "skip", "unit": unit, "reason": reason})
-
-    def append_unit_fit(
-        self,
-        unit: str,
-        effect: float,
-        rmse_ratio: float,
-        pre_periods: int,
-        post_periods: int,
-        donors: list[str],
-    ) -> None:
-        """Journal one completed base unit fit (flushed immediately)."""
-        record = {
-            "kind": "unitfit",
-            "unit": unit,
-            "effect": float(effect),
-            "rmse_ratio": float(rmse_ratio),
-            "pre_periods": int(pre_periods),
-            "post_periods": int(post_periods),
-            "donors": [str(d) for d in donors],
-        }
+    def _journal(self, record: dict) -> None:
+        """Append *record* (flushed immediately) and fold it in."""
         self._append(record)
-        self.completed_fits[unit] = {k: v for k, v in record.items() if k != "kind"}
+        self._take(record)
 
-    def append_placebo(
-        self,
-        unit: str,
-        col: int,
-        donor: str,
-        ratio: float | None,
-        reason: str = "",
-    ) -> None:
-        """Journal one placebo refit outcome (flushed immediately).
+    def append_skip(self, unit: str, reason: str) -> None:
+        """Journal one skipped unit."""
+        self._journal({"kind": "skip", "unit": unit, "reason": reason})
 
-        *ratio* is ``None`` for a skipped refit, with *reason* carrying
-        the skip explanation — both round-trip exactly so a resumed
-        campaign reproduces the original run's placebo accounting.
+    def append_fit(self, fit: UnitFit) -> None:
+        """Journal one unit's base fit."""
+        self._journal(
+            {
+                "kind": "unitfit",
+                "unit": fit.unit,
+                "effect": float(fit.effect),
+                "rmse_ratio": float(fit.rmse_ratio),
+                "pre_periods": int(fit.pre_periods),
+                "post_periods": int(fit.post_periods),
+                "donors": [str(d) for d in fit.donors],
+            }
+        )
+
+    def append_placebo(self, unit: str, col: int, refit: Refit) -> None:
+        """Journal one placebo refit of *unit*'s donor column *col*.
+
+        *refit* is ``(donor, ratio | None, reason)``; a skipped refit's
+        ``None`` ratio and reason round-trip exactly, so a resumed run
+        reproduces the original run's placebo accounting.
         """
-        self._append(
+        donor, ratio, reason = refit
+        self._journal(
             {
                 "kind": "placebo",
                 "unit": unit,
@@ -341,21 +279,15 @@ class StudyCheckpoint:
                 "reason": reason,
             }
         )
-        self.completed_refits[(unit, int(col))] = (
-            donor,
-            None if ratio is None else float(ratio),
-            reason,
-        )
 
     def append_batch(self, index: int, rows: int) -> None:
-        """Journal one fully ingested stream batch (flushed immediately).
+        """Journal one fully ingested stream batch.
 
         A batch record only lands *after* the state layer has absorbed
         the whole batch, so a kill mid-ingest leaves the batch
         unjournaled and the resuming stream re-ingests it.
         """
-        self._append({"kind": "batch", "index": int(index), "rows": int(rows)})
-        self.completed_batches[int(index)] = int(rows)
+        self._journal({"kind": "batch", "index": int(index), "rows": int(rows)})
 
     def close(self) -> None:
         """Flush, fsync, and close the journal file (idempotent).

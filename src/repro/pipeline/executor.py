@@ -553,14 +553,3 @@ def get_executor(
     if resolved == 1:
         return SerialExecutor(retry=retry)
     return ProcessPoolBackend(resolved, retry=retry)
-
-
-def parallel_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    n_jobs: int | None = 1,
-    retry: RetryPolicy | None = None,
-) -> list[_R]:
-    """One-shot order-stable map under the requested backend."""
-    with get_executor(n_jobs, retry=retry) as executor:
-        return executor.map(fn, items)

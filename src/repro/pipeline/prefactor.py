@@ -17,7 +17,7 @@ pass** before the fits:
   pass records one ``fits.prefactor`` span.
 - The resulting :class:`UnitPrefactor` table, keyed by
   ``(scenario, unit)``, is handed by its caller to every fit that reads
-  it (:func:`~repro.pipeline.study.fit_unit` and its siblings); the
+  it (:func:`~repro.pipeline.study.run_unit_task`); the
   fits run in the same process, so the table is never copied.  The
   batch study's scenario is ``""``; a campaign keys each scenario's
   units by its name, so scenarios that share unit labels never share a

@@ -9,21 +9,27 @@ estimated RTT change with RMSE-ratio and placebo-p diagnostics.
 The plan (:func:`prepare_unit_plan`) screens every treated unit once —
 shape checks, then the donor pool — into tasks, and one planning pass
 batch-factors their donor matrices (:mod:`repro.pipeline.prefactor`).
-The fits then run in this process, on a
-:class:`~repro.pipeline.executor.SerialExecutor` that keeps the retry
-policy and the per-unit checkpoint journal.  They are a small share of
-a study's time next to generating and pivoting the measurements, so no
-study fans its fits out; the campaign's process pool builds whole
-scenarios instead (:func:`~repro.campaign.scheduler.run_campaign`).
-The same fit engine runs a campaign's budgeted fits: :func:`fit_unit`
-for the base fit, :func:`refit_unit` for one placebo refit at a time.
+The fit stage is one :class:`UnitLedger` per plan and one task
+function, :func:`run_unit_task`: a unit's base fit when the ledger
+holds none, then one placebo ensemble over the columns asked for.  The
+ledger journals each outcome to the checkpoint as it lands (``unitfit``,
+``placebo`` and ``skip`` records) and builds the rows in plan order.
+The batch study and the stream's finalize run every unit's fit and
+placebo columns as one task (:func:`execute_unit_plan`); a campaign
+runs the same tasks with a budget — base fits first, then the granted
+prefix of each scenario's refit queue, round by round
+(:func:`~repro.campaign.scheduler.run_campaign`).  The fits run in this
+process, on a :class:`~repro.pipeline.executor.SerialExecutor` that
+keeps the retry policy: they are a small share of a study's time next
+to generating and pivoting the measurements, so the campaign's process
+pool builds whole scenarios instead.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -49,9 +55,9 @@ from repro.synthcontrol.placebo import (
     _check_method,
     _PlaceboContext,
     placebo_context,
+    placebo_columns,
     placebo_outcomes,
     placebo_p_value,
-    placebo_refits,
     record_placebo,
     treated_fit,
 )
@@ -325,8 +331,8 @@ class _UnitTask:
 class UnitFit:
     """One planned unit's base fit: everything but the p-value.
 
-    A campaign journals this and computes the p-value later, from
-    however many placebo refits its budget ended up granting.
+    The :class:`UnitLedger` journals it as a ``unitfit`` record and
+    computes the p-value later, from however many placebo refits ran.
     """
 
     unit: str
@@ -411,77 +417,75 @@ def unit_row(fit: UnitFit, refits: Sequence[Refit], exhausted: bool) -> StudyRow
     )
 
 
-def _run_unit(
-    task: _UnitTask, prefactors: Prefactors, with_placebos: bool
-) -> StudyRow | UnitFit | tuple[str, str]:
-    """One ``fits.unit`` span: the base fit, then its placebo refits.
+#: One unit task: the planned unit, its base fit when the ledger already
+#: holds one (``None`` fits it first), and the placebo columns to refit.
+UnitWork = tuple[_UnitTask, UnitFit | None, tuple[int, ...]]
 
-    The fault key is scenario-qualified (``"<scenario>/<unit>"``) in a
-    campaign so chaos plans can target one scenario's fits.
+#: What a unit task returns: the unit's base fit, or its ``(unit,
+#: reason)`` skip, and the placebo refits it ran, by column.
+UnitOutcome = tuple[UnitFit | tuple[str, str], dict[int, Refit]]
+
+
+def _fault_key(task: _UnitTask, name: str) -> str:
+    """*name* as a fault key: ``"<scenario>/<name>"`` in a campaign."""
+    return f"{task.scenario}/{name}" if task.scenario else name
+
+
+def _refit_columns(
+    task: _UnitTask, ctx: _PlaceboContext, cols: Sequence[int]
+) -> dict[int, Refit]:
+    """Refit *cols* of *task*'s donors in one placebo ensemble."""
+    if not cols:
+        return {}
+    attrs = {"scenario": task.scenario, "unit": task.unit} if task.scenario else {}
+    outcomes = placebo_outcomes(ctx, cols)
+    return {
+        col: record_placebo(
+            ctx, col, outcome, key=_fault_key(task, ctx.donor_names[col]), **attrs
+        )
+        for col, outcome in zip(cols, outcomes)
+    }
+
+
+def run_unit_task(work: UnitWork, prefactors: Prefactors) -> UnitOutcome:
+    """The fit stage's one task: a unit's base fit if needed, then its refits.
+
+    Without a cached fit, the base fit runs in a ``fits.unit`` span
+    behind the ``fits.unit`` fault point; a fit the estimator rejects
+    is returned as the ``(unit, reason)`` skip and no refit runs.  The
+    refits of *cols* share one :func:`_placebo_context` and one
+    :func:`~repro.synthcontrol.placebo.placebo_outcomes` call, and each
+    passes the ``placebo.refit`` fault point.  Fault keys are
+    scenario-qualified in a campaign (:func:`_fault_key`).
     """
+    task, fit, cols = work
+    if fit is not None:
+        return fit, _refit_columns(task, _placebo_context(task, prefactors), cols)
     metrics = get_metrics()
     scenario = {"scenario": task.scenario} if task.scenario else {}
-    key = f"{task.scenario}/{task.unit}" if task.scenario else task.unit
-    attrs: dict[str, object] = {}
     with span("fits.unit", unit=task.unit, **scenario) as sp:
-        fault_point("fits.unit", key=key)
+        fault_point("fits.unit", key=_fault_key(task, task.unit))
         try:
             fit, ctx = _base_fit(task, prefactors)
-            result: StudyRow | UnitFit = fit
-            if with_placebos:
-                result = unit_row(
-                    fit, placebo_refits(ctx, task.max_placebos), exhausted=True
-                )
-                attrs = {"n_placebos": result.n_placebos}
+            refits = _refit_columns(task, ctx, cols)
         except (DonorPoolError, EstimationError) as exc:
             logger.warning("skipping unit %s: %s", task.unit, exc)
             sp.set(status="skipped", reason=str(exc))
             metrics.counter(
                 "units_skipped_total", "treated units the study could not fit"
             ).inc()
-            return (task.unit, str(exc))
+            return (task.unit, str(exc)), {}
+        attrs: dict[str, object] = {}
+        if cols:
+            attrs["n_placebos"] = sum(r[1] is not None for r in refits.values())
         sp.set(status="ok", n_donors=len(task.donors), **attrs)
         metrics.counter(
-            "units_analysed_total", "treated units with a fitted StudyRow"
+            "units_analysed_total", "treated units with a base fit"
         ).inc()
         metrics.histogram(
             "donor_pool_size", COUNT_BUCKETS, "donors surviving the screen, per unit"
         ).observe(len(task.donors))
-        return result
-
-
-def _analyse_unit(
-    task: _UnitTask, prefactors: Prefactors
-) -> StudyRow | tuple[str, str]:
-    """Fit one treated unit: a :class:`StudyRow`, or ``(unit, reason)``."""
-    return _run_unit(task, prefactors, with_placebos=True)  # type: ignore[return-value]
-
-
-def fit_unit(task: _UnitTask, prefactors: Prefactors) -> UnitFit | tuple[str, str]:
-    """Base-fit one planned unit without placebos (a campaign's stage B)."""
-    return _run_unit(task, prefactors, with_placebos=False)  # type: ignore[return-value]
-
-
-def refit_unit(item: tuple[_UnitTask, int], prefactors: Prefactors) -> Refit:
-    """One placebo refit ``(task, col)``: ``(donor, ratio | None, reason)``.
-
-    A campaign's stage C spends its budget one refit at a time; each
-    runs the study's own refit on the unit's shared factorization, so a
-    campaign that exhausts a unit's queue reproduces the study's
-    ratios.  The fault site is ``campaign.refit``, keyed by
-    ``"<scenario>/<unit>/<donor>"``.
-    """
-    task, col = item
-    ctx = _placebo_context(task, prefactors)
-    return record_placebo(
-        ctx,
-        col,
-        placebo_outcomes(ctx, [col])[0],
-        site="campaign.refit",
-        key=f"{task.scenario}/{task.unit}/{task.donors[col]}",
-        scenario=task.scenario,
-        unit=task.unit,
-    )
+    return fit, refits
 
 
 def prepare_unit_plan(
@@ -542,17 +546,6 @@ def prepare_unit_plan(
     return plan
 
 
-def journal_planned_skips(
-    plan: list[tuple[str, str] | _UnitTask], checkpoint: "StudyCheckpoint | None"
-) -> None:
-    """Append the plan's skips that *checkpoint* does not hold yet."""
-    if checkpoint is None:
-        return
-    for step in plan:
-        if not isinstance(step, _UnitTask) and step[0] not in checkpoint.completed:
-            checkpoint.append_result(step)
-
-
 def check_serial_fits(n_jobs: int | None, owner: str) -> None:
     """Reject a worker count for fits that always run in-process.
 
@@ -567,6 +560,154 @@ def check_serial_fits(n_jobs: int | None, owner: str) -> None:
         )
 
 
+def interleave(lists: Sequence[Sequence]) -> list:
+    """Round-robin merge: element 0 of each list, then element 1, ..."""
+    merged: list = []
+    for i in range(max((len(lst) for lst in lists), default=0)):
+        merged.extend(lst[i] for lst in lists if i < len(lst))
+    return merged
+
+
+class UnitLedger:
+    """One unit plan's fit stage: base fits, fit skips, and placebo refits.
+
+    The batch study, the stream's finalize and each campaign scenario
+    keep one.  *checkpoint*, when given, is an **open**
+    :class:`~repro.pipeline.checkpoint.StudyCheckpoint` owned by the
+    caller: the ledger loads the fits, skips and refits it journaled,
+    journals the plan's skips it lacks, and journals every fresh
+    outcome as it lands (:meth:`record`), so a resumed run refits only
+    the columns the journal is missing.
+
+    The refit queue (:meth:`queue`) runs breadth-first over the plan's
+    units, each capped at its task's
+    :func:`~repro.synthcontrol.placebo.placebo_columns`: the study asks
+    for the whole queue at once, a campaign for the prefix its budget
+    grants.  Rows follow the plan order (:meth:`rows`); a unit whose
+    queued columns have all run is *exhausted*, and one that is not
+    gets ``p = 1``.
+    """
+
+    def __init__(
+        self,
+        plan: list[tuple[str, str] | _UnitTask],
+        checkpoint: "StudyCheckpoint | None" = None,
+    ) -> None:
+        self.plan = plan
+        self.checkpoint = checkpoint
+        self.tasks = {
+            step.unit: step for step in plan if isinstance(step, _UnitTask)
+        }
+        self.fits: dict[str, UnitFit] = {}
+        self.fit_skips: dict[str, str] = {}
+        self.refits: dict[tuple[str, int], Refit] = {}
+        if checkpoint is None:
+            return
+        for unit in self.tasks:
+            if unit in checkpoint.completed_fits:
+                self.fits[unit] = checkpoint.completed_fits[unit]
+            elif unit in checkpoint.completed_skips:
+                self.fit_skips[unit] = checkpoint.completed_skips[unit]
+        self.refits.update(checkpoint.completed_refits)
+        for step in plan:
+            if isinstance(step, _UnitTask) or step[0] in checkpoint.completed_skips:
+                continue
+            checkpoint.append_skip(*step)
+
+    def columns(self, unit: str) -> range:
+        """*unit*'s queued placebo columns (none once its fit is skipped)."""
+        if unit in self.fit_skips:
+            return range(0)
+        task = self.tasks[unit]
+        return placebo_columns(len(task.donors), task.max_placebos)
+
+    def queue(self) -> list[tuple[str, int]]:
+        """Every queued ``(unit, col)`` refit, breadth-first across units.
+
+        Column 0 of every unit comes before column 1 of any, so a small
+        budget samples every unit's null distribution instead of
+        exhausting the first unit's donors.
+        """
+        return interleave(
+            [[(unit, col) for col in self.columns(unit)] for unit in self.tasks]
+        )
+
+    def work(self, refits: Iterable[tuple[str, int]] = ()) -> list[UnitWork]:
+        """Tasks, in plan order, for units lacking a base fit or one of *refits*."""
+        wanted: dict[str, list[int]] = {}
+        for unit, col in refits:
+            if (unit, col) not in self.refits:
+                wanted.setdefault(unit, []).append(col)
+        return [
+            (task, self.fits.get(unit), tuple(wanted.get(unit, ())))
+            for unit, task in self.tasks.items()
+            if unit not in self.fit_skips and (unit not in self.fits or unit in wanted)
+        ]
+
+    def record(self, outcome: UnitOutcome) -> None:
+        """Take in one task's outcome, journaling what is new."""
+        fit, refits = outcome
+        ckpt = self.checkpoint
+        if not isinstance(fit, UnitFit):
+            self.fit_skips[fit[0]] = fit[1]
+            if ckpt is not None:
+                ckpt.append_skip(*fit)
+            return
+        if fit.unit not in self.fits:
+            self.fits[fit.unit] = fit
+            if ckpt is not None:
+                ckpt.append_fit(fit)
+        for col, refit in refits.items():
+            self.refits[(fit.unit, col)] = refit
+            if ckpt is not None:
+                ckpt.append_placebo(fit.unit, col, refit)
+
+    def rows(self) -> tuple[list[StudyRow], list[tuple[str, str]]]:
+        """The plan's rows and skips, in plan order.
+
+        Each row is :func:`unit_row` over the unit's refits in column
+        order; a unit left with no surviving placebo after its queue
+        was exhausted becomes a skip with the study's reason.
+        """
+        rows: list[StudyRow] = []
+        skipped: list[tuple[str, str]] = []
+        for step in self.plan:
+            if not isinstance(step, _UnitTask):
+                skipped.append(step)
+                continue
+            unit = step.unit
+            if unit in self.fit_skips:
+                skipped.append((unit, self.fit_skips[unit]))
+                continue
+            cols = self.columns(unit)
+            refits = [self.refits[unit, c] for c in cols if (unit, c) in self.refits]
+            try:
+                rows.append(unit_row(self.fits[unit], refits, len(refits) == len(cols)))
+            except DonorPoolError as exc:
+                logger.warning("skipping unit %s: %s", unit, exc)
+                get_metrics().counter(
+                    "units_skipped_total", "treated units the study could not fit"
+                ).inc()
+                skipped.append((unit, str(exc)))
+        return rows, skipped
+
+
+def run_unit_work(
+    executor: SerialExecutor,
+    ledgers: Mapping[str, UnitLedger],
+    work: Sequence[UnitWork],
+    prefactors: Prefactors,
+) -> None:
+    """Run *work* under *executor*; each outcome lands in its scenario's ledger."""
+    executor.map(
+        partial(run_unit_task, prefactors=prefactors),
+        work,
+        on_result=lambda index, outcome: ledgers[work[index][0].scenario].record(
+            outcome
+        ),
+    )
+
+
 def execute_unit_plan(
     plan: list[tuple[str, str] | _UnitTask],
     *,
@@ -574,14 +715,14 @@ def execute_unit_plan(
     checkpoint: "StudyCheckpoint | None" = None,
     batch_fits: bool = True,
 ) -> tuple[list[StudyRow], list[tuple[str, str]]]:
-    """Run a unit plan's fits and merge outcomes back into plan order.
+    """Run a unit plan's fits and refits; rows and skips in plan order.
 
-    *checkpoint*, when given, is an **open**
-    :class:`~repro.pipeline.checkpoint.StudyCheckpoint` (the caller
-    owns its lifecycle): the plan's skips and each fresh outcome are
-    journaled, and units already journaled are served from
-    ``checkpoint.completed``.  The fits run in this process under
-    *retry*.
+    The plan's :class:`UnitLedger` holds the outcomes, loading and
+    journaling them through *checkpoint* when one is given (an open
+    :class:`~repro.pipeline.checkpoint.StudyCheckpoint`; the caller owns
+    its lifecycle).  Each unit with work left is one
+    :func:`run_unit_task` — its base fit and every placebo column it
+    still lacks — run in this process under *retry*.
 
     With *batch_fits* (the default), a planning pass batch-factors
     every robust unit's donor matrix across units first — one stacked
@@ -591,44 +732,15 @@ def execute_unit_plan(
     ``batch_fits=False`` is the reference path on which every fit
     factors its own donor matrix.
     """
-    fit_units = [step for step in plan if isinstance(step, _UnitTask)]
-    completed: dict[str, StudyRow | tuple[str, str]] = (
-        checkpoint.completed if checkpoint is not None else {}
-    )
-    tasks = [t for t in fit_units if t.unit not in completed]
-
-    def _journal(index: int, result: StudyRow | tuple[str, str]) -> None:
-        if checkpoint is not None:
-            checkpoint.append_result(result)
-
-    rows: list[StudyRow] = []
-    skipped: list[tuple[str, str]] = []
-    with span(
-        "fits",
-        n_tasks=len(tasks),
-        n_resumed=len(fit_units) - len(tasks),
-    ):
-        journal_planned_skips(plan, checkpoint)
+    ledger = UnitLedger(plan, checkpoint)
+    work = ledger.work(ledger.queue())
+    with span("fits", n_tasks=len(work), n_resumed=len(ledger.tasks) - len(work)):
         prefactors: dict[PrefactorKey, UnitPrefactor] = {}
-        if batch_fits and tasks:
+        if batch_fits and work:
+            tasks = [task for task, _fit, _cols in work]
             prefactors = prefactor_unit_plan(tasks[0].panel, tasks)
-        outcomes = iter(
-            SerialExecutor(retry=retry).map(
-                partial(_analyse_unit, prefactors=prefactors), tasks, on_result=_journal
-            )
-        )
-        for step in plan:
-            if isinstance(step, _UnitTask):
-                result = completed.get(step.unit)
-                if result is None:
-                    result = next(outcomes)
-            else:
-                result = step
-            if isinstance(result, StudyRow):
-                rows.append(result)
-            else:
-                skipped.append(result)
-    return rows, skipped
+        run_unit_work(SerialExecutor(retry=retry), {"": ledger}, work, prefactors)
+        return ledger.rows()
 
 
 def run_ixp_study(
@@ -679,12 +791,12 @@ def run_ixp_study(
         this policy; results are unchanged whether or how often retries
         fire.
     checkpoint:
-        JSONL path journaling each finished unit as it completes, so a
-        killed run can be resumed.
+        JSONL path journaling each base fit, skip and placebo refit as
+        it lands, so a killed run can be resumed.
     resume:
-        With *checkpoint*: load previously finished units from the file
-        and fit only the rest.  The resumed result is byte-identical to
-        an uninterrupted run's.
+        With *checkpoint*: load the journaled fits and refits from the
+        file and run only the rest.  The resumed result is
+        byte-identical to an uninterrupted run's.
     batch_fits:
         Batch donor-matrix SVDs across treated units before fitting
         (see :func:`execute_unit_plan`); on by default.  ``False`` is
@@ -726,9 +838,10 @@ def run_ixp_study(
                 fit_kwargs=tuple(sorted(fit_kwargs.items())),
             )
 
-            # Units already journaled in a resumed checkpoint are served from
-            # the file; only the remainder is fitted.  The final row order is
-            # the plan's either way, so a resumed table is byte-identical.
+            # Fits and refits already journaled in a resumed checkpoint are
+            # served from the file; only the remainder runs.  The final row
+            # order is the plan's either way, so a resumed table is
+            # byte-identical.
             if checkpoint is not None:
                 from repro.pipeline.checkpoint import StudyCheckpoint
 

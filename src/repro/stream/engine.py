@@ -21,7 +21,9 @@ existing service stack:
   :func:`~repro.pipeline.study.execute_unit_plan`, with the same retry
   policy and checkpoint journal as ``run_ixp_study`` — which is why the
   final rows are bit-identical to the batch path's, for any batch
-  split.
+  split.  Its :class:`~repro.pipeline.study.UnitLedger` journals the
+  fits and placebo refits after the batch records, so a stream killed
+  during finalize resumes mid-unit too.
 """
 
 from __future__ import annotations
@@ -274,8 +276,8 @@ class StreamStudy:
         """Run the batch study's fit stage over the accumulated state.
 
         This is the exact code path ``run_ixp_study`` uses after its
-        panel/assignment stages — including per-unit checkpoint journal
-        and resume, and retries — so the returned rows are bit-identical
+        panel/assignment stages — including the fit and refit journal,
+        resume, and retries — so the returned rows are bit-identical
         to the batch study's on the same measurements, independent of
         how they were batched.
         """

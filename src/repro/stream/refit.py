@@ -151,7 +151,7 @@ class LiveRefitter:
                 # The study's kernel without its per-column bookkeeping:
                 # live rows are advisory and refresh hundreds of times.
                 outcomes = placebo_outcomes(
-                    ctx, placebo_columns(ctx, self._max_placebos)
+                    ctx, placebo_columns(len(donors), self._max_placebos)
                 )
                 state.refits = tuple(
                     (donor, ratio, reason)

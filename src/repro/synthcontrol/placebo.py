@@ -301,7 +301,6 @@ def record_placebo(
     ctx: _PlaceboContext,
     col: int,
     outcome: Outcome,
-    site: str = "placebo.refit",
     key: str | None = None,
     **attrs: object,
 ) -> Refit:
@@ -309,13 +308,13 @@ def record_placebo(
 
     Records one ``placebo`` span (``ok`` attribute marks survivors;
     *attrs* add context) and bumps the placebo counters, whichever
-    process it runs in.  Its fault point is *site*, keyed by *key*
-    (default: the donor name).
+    process it runs in.  Its fault point is ``placebo.refit``, keyed by
+    *key* (default: the donor name).
     """
     donor = ctx.donor_names[col]
     ratio, reason = outcome
     with span("placebo", donor=donor, **attrs) as sp:
-        fault_point(site, key=donor if key is None else key)
+        fault_point("placebo.refit", key=donor if key is None else key)
         sp.set(ok=ratio is not None)
         metrics = get_metrics()
         metrics.counter("placebos_total", "placebo refits attempted").inc()
@@ -328,20 +327,21 @@ def record_placebo(
     return donor, ratio, reason
 
 
-def placebo_columns(ctx: _PlaceboContext, max_placebos: int | None) -> range:
+def placebo_columns(n_donors: int, max_placebos: int | None) -> range:
     """The donor columns refit as placebos: the first *max_placebos*.
 
     Donors are correlation-ranked by
     :func:`~repro.synthcontrol.donor.select_donors`, so a cap keeps the
     closest ones; ``None`` refits every donor.
     """
-    j = len(ctx.donor_names)
-    return range(j if max_placebos is None else min(max_placebos, j))
+    return range(n_donors if max_placebos is None else min(max_placebos, n_donors))
 
 
 def placebo_refits(ctx: _PlaceboContext, max_placebos: int | None) -> list[Refit]:
     """One :func:`placebo_outcomes` call, then one record per column."""
-    outcomes = placebo_outcomes(ctx, placebo_columns(ctx, max_placebos))
+    outcomes = placebo_outcomes(
+        ctx, placebo_columns(len(ctx.donor_names), max_placebos)
+    )
     return [record_placebo(ctx, col, outcome) for col, outcome in enumerate(outcomes)]
 
 

@@ -247,7 +247,12 @@ class TestPrefactorEngine:
         assert prefactor_unit_plan(panel, classic) == {}
 
     def test_seeded_placebo_test_matches_private_fit(self):
-        from repro.pipeline.study import _analyse_unit
+        from repro.pipeline.study import run_unit_task, unit_row
+
+        def study_row(task, prefactors):
+            cols = tuple(range(len(task.donors)))
+            fit, refits = run_unit_task((task, None, cols), prefactors)
+            return unit_row(fit, list(refits.values()), exhausted=True)
 
         panel = self._panel()
         unit = panel.units[0]
@@ -263,8 +268,8 @@ class TestPrefactorEngine:
             energy=0.99,
             ridge=1e-2,
         )
-        seeded = _analyse_unit(task, table)
-        assert seeded == _analyse_unit(task, {})  # the unseeded fit
+        seeded = study_row(task, table)
+        assert seeded == study_row(task, {})  # the unseeded fit
         assert seeded.p_value == private.p_value
         assert seeded.rtt_delta_ms == private.fit.effect
         assert seeded.rmse_ratio == private.fit.rmse_ratio

@@ -117,7 +117,7 @@ class TestCrossScenarioIsolation:
             SEED,
             (
                 FaultSpec(
-                    site="campaign.refit", kind="error", rate=0.5,
+                    site="placebo.refit", kind="error", rate=0.5,
                     match="alpha/",
                 ),
             ),

@@ -4,12 +4,13 @@ Two contracts:
 
 - **Tolerant journal reads** (satellite): a run killed mid-append leaves
   a truncated final record; the reader drops exactly that record with a
-  warning — never raising, never dropping complete rows — and resuming
+  warning — never raising, never dropping complete records — and resuming
   truncates back to the last complete record before appending.  Proved
   by a byte-level truncation sweep over a real checkpoint file.
 - **Byte-identical resume** (acceptance): a study killed at *any*
   checkpoint boundary and resumed reproduces the uninterrupted run's
-  table byte for byte, refitting only the units the journal is missing.
+  table byte for byte, rerunning only the base fits and placebo refits
+  the journal is missing — mid-unit too.
 """
 
 import json
@@ -25,17 +26,22 @@ from repro.errors import CheckpointError
 from repro.frames.io import to_csv_text
 from repro.pipeline import run_ixp_study
 from repro.pipeline.checkpoint import StudyCheckpoint, read_jsonl_tolerant
-from repro.pipeline.study import StudyRow
+from repro.obs import get_tracer
+from repro.pipeline.study import UnitFit
 
 RECORDS = [
     {"kind": "header", "ixp": "NAPAfrica-JNB", "method": "robust", "outcome": "rtt_ms"},
-    {"kind": "row", "unit": "AS100/jnb", "rtt_delta_ms": -3.0000000000000004,
-     "rmse_ratio": 1.25, "p_value": 0.3333333333333333, "pre_periods": 10,
-     "post_periods": 10, "n_donors": 8, "n_placebos": 8, "n_placebos_skipped": 0},
     {"kind": "skip", "unit": "AS101/jnb", "reason": "only 2 pre-treatment days"},
-    {"kind": "row", "unit": "AS102/cpt", "rtt_delta_ms": 1.5e-17,
-     "rmse_ratio": 0.875, "p_value": 1.0, "pre_periods": 10,
-     "post_periods": 10, "n_donors": 7, "n_placebos": 7, "n_placebos_skipped": 1},
+    {"kind": "unitfit", "unit": "AS100/jnb", "effect": -3.0000000000000004,
+     "rmse_ratio": 1.25, "pre_periods": 10, "post_periods": 10,
+     "donors": ["AS200/jnb", "AS201/cpt"]},
+    {"kind": "placebo", "unit": "AS100/jnb", "col": 0, "donor": "AS200/jnb",
+     "ratio": 0.3333333333333333, "reason": ""},
+    {"kind": "placebo", "unit": "AS100/jnb", "col": 1, "donor": "AS201/cpt",
+     "ratio": None, "reason": "non-finite RMSE ratio"},
+    {"kind": "unitfit", "unit": "AS102/cpt", "effect": 1.5e-17,
+     "rmse_ratio": 0.875, "pre_periods": 10, "post_periods": 10,
+     "donors": ["AS200/jnb"]},
 ]
 
 
@@ -105,22 +111,34 @@ class TestStudyCheckpoint:
             outcome="rtt_ms", resume=resume,
         )
 
-    def test_rows_and_skips_round_trip(self, tmp_path):
+    def test_fits_refits_and_skips_round_trip(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
-        row = StudyRow(
-            unit="AS100/jnb", rtt_delta_ms=-2.700000000000001, rmse_ratio=1.3,
-            p_value=0.25, pre_periods=9, post_periods=11, n_donors=6,
-            n_placebos=6, n_placebos_skipped=2,
+        fit = UnitFit(
+            unit="AS100/jnb", effect=-2.700000000000001, rmse_ratio=1.3,
+            pre_periods=9, post_periods=11, donors=("AS200/jnb", "AS201/cpt"),
         )
+        refits = {
+            0: ("AS200/jnb", 0.3333333333333333, ""),
+            1: ("AS201/cpt", None, "non-finite RMSE ratio"),
+        }
         with self._open(path) as ckpt:
-            ckpt.append_result(row)
-            ckpt.append_result(("AS101/jnb", "only 1 pre-treatment days"))
+            ckpt.append_fit(fit)
+            for col, refit in refits.items():
+                ckpt.append_placebo("AS100/jnb", col, refit)
+            ckpt.append_skip("AS101/jnb", "only 1 pre-treatment days")
         resumed = self._open(path, resume=True)
         resumed.close()
-        assert resumed.completed == {
-            "AS100/jnb": row,
-            "AS101/jnb": ("AS101/jnb", "only 1 pre-treatment days"),
+        assert resumed.completed_fits == {"AS100/jnb": fit}
+        assert resumed.completed_refits == {
+            ("AS100/jnb", col): refit for col, refit in refits.items()
         }
+        assert resumed.completed_skips == {"AS101/jnb": "only 1 pre-treatment days"}
+
+    def test_unknown_record_kind_refuses_to_resume(self, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        _write_jsonl(path, [RECORDS[0], {"kind": "row", "unit": "AS1/x"}])
+        with pytest.raises(CheckpointError, match="unknown checkpoint record kind"):
+            self._open(path, resume=True)
 
     def test_header_mismatch_refuses_to_resume(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
@@ -140,22 +158,22 @@ class TestStudyCheckpoint:
     def test_without_resume_an_existing_file_is_restarted(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         with self._open(path) as ckpt:
-            ckpt.append_result(("AS1/x", "gone after restart"))
+            ckpt.append_skip("AS1/x", "gone after restart")
         fresh = self._open(path)
         fresh.close()
-        assert fresh.completed == {}
+        assert fresh.completed_skips == {}
         records, _ = read_jsonl_tolerant(path)
         assert len(records) == 1  # header only
 
     def test_resume_truncates_a_partial_tail_before_appending(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"
         with self._open(path) as ckpt:
-            ckpt.append_result(("AS1/x", "kept"))
+            ckpt.append_skip("AS1/x", "kept")
         with open(path, "ab") as f:
             f.write(b'{"kind":"skip","unit":"AS2/x","rea')  # killed mid-append
         with self._open(path, resume=True) as ckpt:
-            assert set(ckpt.completed) == {"AS1/x"}
-            ckpt.append_result(("AS3/x", "appended after truncation"))
+            assert set(ckpt.completed_skips) == {"AS1/x"}
+            ckpt.append_skip("AS3/x", "appended after truncation")
         records, _ = read_jsonl_tolerant(path)
         assert [r.get("unit") for r in records] == [None, "AS1/x", "AS3/x"]
 
@@ -184,37 +202,78 @@ class TestResumedStudyIsByteIdentical:
         assert (result.format_table(), to_csv_text(result.to_frame())) == baseline
 
     def test_resume_at_every_record_boundary(
-        self, small_frame, small_scenario, baseline, full_checkpoint,
-        tmp_path, monkeypatch
+        self, small_frame, small_scenario, baseline, full_checkpoint, tmp_path
     ):
-        import repro.pipeline.study as study_mod
-
         lines = full_checkpoint.split(b"\n")[:-1]
-        n_records = len(lines) - 1  # journaled fit outcomes, header aside
-        assert n_records >= 2, "small study should journal several units"
+        records = [json.loads(line) for line in lines[1:]]
+        kinds = [r["kind"] for r in records]
+        assert kinds.count("unitfit") >= 2, "small study should fit several units"
+        assert "placebo" in kinds
+        # Every skip is the plan's, journaled before the first fit, so
+        # what a cut loses is base fits and placebo refits alone.
+        assert "skip" not in kinds[kinds.index("unitfit"):]
 
-        refits: list[str] = []
-        analyse = study_mod._analyse_unit
-        monkeypatch.setattr(
-            study_mod, "_analyse_unit",
-            lambda task, prefactors: (
-                refits.append(task.unit), analyse(task, prefactors)
-            )[1],
-        )
-        for k in range(n_records + 1):
+        for k in range(len(records) + 1):
             path = tmp_path / f"cut{k}.jsonl"
             path.write_bytes(b"".join(line + b"\n" for line in lines[: k + 1]))
-            refits.clear()
+            lost = kinds[k:]
+            get_tracer().reset()
             result = run_ixp_study(
                 small_frame, small_scenario.ixp_name,
                 checkpoint=path, resume=True,
             )
+            spans = get_tracer().records
             assert (
                 result.format_table(), to_csv_text(result.to_frame())
-            ) == baseline, f"resume after {k} journaled units diverged"
-            assert len(refits) == n_records - k
+            ) == baseline, f"resume after {k} journaled records diverged"
+            # Only the lost fits and placebo columns run again.
+            fits = sum(1 for r in spans if r.name == "fits.unit")
+            assert fits == lost.count("unitfit")
+            assert sum(
+                r.attrs["n_cols"] for r in spans if r.name == "placebo.ensemble"
+            ) == lost.count("placebo")
             # The finished journal is whole again.
             assert path.read_bytes() == full_checkpoint
+
+    def test_resume_between_one_units_placebo_records(
+        self, small_frame, small_scenario, baseline, full_checkpoint, tmp_path
+    ):
+        lines = full_checkpoint.split(b"\n")[:-1]
+        records = [json.loads(line) for line in lines]
+        # Cut after a unit's first placebo record, before its second.
+        first = next(
+            i for i, r in enumerate(records)
+            if r["kind"] == "placebo" and r["col"] == 0
+            and records[i + 1]["kind"] == "placebo"
+        )
+        unit = records[first]["unit"]
+        missing = sum(
+            1 for r in records[first + 1:]
+            if r["kind"] == "placebo" and r["unit"] == unit
+        )
+        path = tmp_path / "mid_unit.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in lines[: first + 1]))
+        get_tracer().reset()
+        result = run_ixp_study(
+            small_frame, small_scenario.ixp_name, checkpoint=path, resume=True
+        )
+        spans = get_tracer().records
+        assert (result.format_table(), to_csv_text(result.to_frame())) == baseline
+        assert path.read_bytes() == full_checkpoint
+        # The cut unit's fit is journaled: it refits only its missing
+        # columns, in one ensemble, outside any fits.unit span; every
+        # later unit runs whole.
+        later = [r for r in records[first + 1:] if r["unit"] != unit]
+        ensembles = [r for r in spans if r.name == "placebo.ensemble"]
+        by_id = {r.span_id: r for r in spans}
+        resumed = [e for e in ensembles if by_id[e.parent_id].name == "fits"]
+        assert [e.attrs["n_cols"] for e in resumed] == [missing]
+        assert sum(e.attrs["n_cols"] for e in ensembles) == missing + sum(
+            1 for r in later if r["kind"] == "placebo"
+        )
+        assert sum(1 for r in spans if r.name == "fits.unit") == sum(
+            1 for r in later if r["kind"] == "unitfit"
+        )
 
     def test_resume_from_a_mid_record_kill(
         self, small_frame, small_scenario, baseline, full_checkpoint, tmp_path
@@ -302,7 +361,7 @@ class TestCloseSemantics:
             checkpoint_mod.os, "fsync", lambda fd: synced.append(fd)
         )
         ckpt = self._open(tmp_path / "ckpt.jsonl")
-        ckpt.append_result(("AS1/x", "reason"))
+        ckpt.append_skip("AS1/x", "reason")
         ckpt.close()
         ckpt.close()
         assert len(synced) == 1  # exactly once: close after close is a no-op

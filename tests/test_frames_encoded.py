@@ -108,18 +108,6 @@ class TestVerbParity:
         assert_same(enc.concat(plain2), want, encoded=())
         assert_same(plain.concat(enc2), want, encoded=())
 
-    def test_append(self, seed):
-        plain, enc = twin_frames(seed)
-        plain2, enc2 = twin_frames(seed + 100, n=50)
-        for prime in (False, True):
-            if prime:
-                enc.encode_keys(["u", "v"])
-                plain.encode_keys(["u", "v"])
-            got, want = enc.append_frame(enc2), plain.append_frame(plain2)
-            assert_same(got, want)
-            assert_same_factorize(got.column("u"), want.column("u"))
-            assert_same_factorize(got.column("v"), want.column("v"))
-
     def test_rename(self, seed):
         plain, enc = twin_frames(seed)
         got = enc.rename({"u": "city"})
@@ -280,15 +268,13 @@ def test_encode_keys_widens_narrow_codes_past_the_key_space(n_a, n_b):
     assert joined == plain.join(plain.take(np.arange(5)), on=["a", "b"])
 
 
-def test_append_outgrows_the_memo_dtype():
-    head = Column("u", [f"u{i}" for i in range(256)], kind="object")
-    head.factorize()
-    merged = head.append(Column("u", ["u3", "new"], kind="object"))
-    codes, uniques = merged.factorize()
-    assert codes.dtype == np.uint16
-    fresh = Column("u", [f"u{i}" for i in range(256)] + ["u3", "new"], kind="object")
-    assert_same_factorize(merged, fresh)
-    assert uniques[-1] == "new"
+def test_mutation_after_factorize_raises():
+    # The memo freezes the storage: silent staleness becomes a loud
+    # ValueError at the mutation site instead of wrong groups later.
+    col = Column("u", np.array([1.0, 2.0]))
+    col.factorize()
+    with pytest.raises(ValueError):
+        col.values[0] = 9.0
 
 
 def test_from_codes_validates_its_inputs():

@@ -14,7 +14,6 @@ from repro.pipeline.executor import (
     ProcessPoolBackend,
     SerialExecutor,
     get_executor,
-    parallel_map,
     resolve_n_jobs,
 )
 
@@ -79,14 +78,6 @@ class TestProcessPoolBackend:
     def test_needs_two_workers(self):
         with pytest.raises(ExecutionError):
             ProcessPoolBackend(1)
-
-
-class TestParallelMap:
-    def test_serial_and_pool_agree(self):
-        items = list(range(11))
-        assert parallel_map(_square, items, n_jobs=1) == parallel_map(
-            _square, items, n_jobs=2
-        )
 
 
 class TestSerialStudy:
