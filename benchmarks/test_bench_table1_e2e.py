@@ -1,9 +1,10 @@
-"""Experiment P8 — the cross-unit batched fit engine, end to end.
+"""Experiment P8 — the Table-1 fit engine, end to end.
 
 Times the **whole** Table-1 reproduction at 10x-paper scale (30 donor
 ASes, 60 days, user populations scaled 10x, >1M speed tests): generate
 the measurement stream, assign treatment, build the panel, and fit
-every treated unit through the cross-unit batched SVD engine.  The
+every treated unit, each on the one factorization its unit ledger
+holds.  The
 baseline is the seed's end-to-end path, staged the way the repo
 originally ran it — scalar per-object generation
 (``reference_measurements`` in ``tests/reference_generation.py``),
@@ -11,15 +12,15 @@ row-wise assignment and panel pivot, and one full de-noising SVD per
 donor per unit with no reuse — and the fast path must beat it by at
 least 10x wall-clock.
 
-The timing claim rests on a parity claim, asserted first: the batched
-engine's table is row-for-row identical to the unbatched fits on the
-identical frame.  (Scalar and columnar
-*generation* consume noise streams in different orders, so the
-generation halves are compared by wall-clock only — their fit-layer
-parity is covered where the inputs are bit-identical.)
+There is one fit path, so no second one to compare rows with (its
+rows are pinned on small worlds by ``tests/test_pinned_outputs.py``);
+here the table must hold at least four units and the scalar generator
+must plan the same cells.  (Scalar and columnar *generation* consume
+noise streams in different orders, so the generation halves are
+compared by wall-clock only.)
 
 Smoke mode (``ANALYSIS_BENCH_SMOKE=1``, used by CI's scaling job) runs
-a reduced scenario and checks the parity assertions, not the wall-clock
+a reduced scenario and checks those assertions, not the wall-clock
 ratio.
 """
 
@@ -86,7 +87,7 @@ def _seed_style_fits(panel, result):
 def test_table1_end_to_end(benchmark):
     scenario = _scenario()
 
-    # --- fast path: columnar generation + batched fits, one timed pass ----
+    # --- fast path: columnar generation + ledger fits, one timed pass -----
     def fast_e2e():
         frame = measurements_frame(scenario, rng=3)
         return frame, run_ixp_study(frame, scenario.ixp_name)
@@ -95,11 +96,7 @@ def test_table1_end_to_end(benchmark):
     frame, fast = benchmark.pedantic(fast_e2e, rounds=1, iterations=1)
     fast_s = time.perf_counter() - t0
 
-    # --- parity before any timing claim -----------------------------------
     assert len(fast.rows) >= 4, "need a multi-unit table"
-    unbatched = run_ixp_study(frame, scenario.ixp_name, batch_fits=False)
-    assert fast.rows == unbatched.rows
-    assert fast.skipped == unbatched.skipped
 
     # --- seed-style baseline, staged --------------------------------------
     t0 = time.perf_counter()
@@ -137,7 +134,7 @@ def test_table1_end_to_end(benchmark):
         f"scale:                           {'smoke' if SMOKE else 'bench'}",
         f"rows generated and analysed:     {frame.num_rows:,}",
         f"fast path end-to-end:            {fast_s:.2f} s",
-        f"  (generation + assignment + panel + batched fits)",
+        f"  (generation + assignment + panel + fits)",
         f"seed-style baseline, staged:",
         f"  scalar generation:             {scalar_gen_s:.2f} s",
         f"  row-wise assignment + panel:   {rowwise_s:.2f} s",
@@ -145,13 +142,12 @@ def test_table1_end_to_end(benchmark):
         f"  total:                         {baseline_s:.2f} s  ({speedup:.1f}x)",
         "",
         f"units analysed: {len(fast.rows)};",
-        "batched == unbatched rows, bit-for-bit;",
         f"threshold: >= {MIN_SPEEDUP:.0f}x end-to-end"
-        + (" (smoke mode: parity only)." if SMOKE else "."),
+        + (" (smoke mode: no timing gate)." if SMOKE else "."),
     ]
     write_report(
         "P8_table1_e2e",
-        "P8: cross-unit batched fit engine — end-to-end Table 1 vs the seed path",
+        "P8: the fit engine — end-to-end Table 1 vs the seed path",
         "\n".join(lines),
         data={
             "wall_seconds": fast_s,

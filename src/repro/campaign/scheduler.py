@@ -7,17 +7,16 @@ works at the scenario grain — distributed probing, central analysis:
 
 - **Stage A** is the pool's only job.  One task per scenario builds its
   world, generates its measurement frame, assigns treatment, and pivots
-  the panel (:func:`_scenario_inputs`); the frame never leaves the
-  worker, and the result — truth, assignment, and panel, a few KB —
-  comes back through the executor's normal pickling.  The executor's
-  retry policy covers the whole task, streamed-ingest fault points
-  included.  The parent then plans each scenario's units with the
-  batch study's own :func:`~repro.pipeline.study.prepare_unit_plan`
-  (the plan chooses every unit's donors) and keeps one
+  the panel (:func:`_scenario_inputs`), behind one
+  ``campaign.scenario`` fault point keyed by the scenario's name; the
+  frame never leaves the worker, and the result — truth, assignment,
+  and panel, a few KB — comes back through the executor's normal
+  pickling.  The executor's retry policy covers the whole task.  The
+  parent then plans each scenario's units with the batch study's own
+  :func:`~repro.pipeline.study.prepare_unit_plan` (the plan chooses
+  every unit's donors) and keeps one
   :class:`~repro.pipeline.study.UnitLedger` per scenario, journaling
-  to that scenario's checkpoint.  One prefactor table for the whole
-  fleet, keyed by ``(scenario, unit)``, then batch-factors every
-  planned unit's donor matrix.
+  to that scenario's checkpoint.
 - **Stage B** runs every scenario's base unit fits in the parent,
   interleaved round-robin so scenario B's fits don't wait behind
   scenario A's.  Each is the study's own task,
@@ -30,8 +29,11 @@ works at the scenario grain — distributed probing, central analysis:
   is the next slice of its ledger's breadth-first refit queue, and it
   runs as one task per granted unit — one donor matrix and one placebo
   ensemble over that unit's columns — interleaved across scenarios.
-  Fits and refits read their unit's factorization from the prefactor
-  table, which the scheduler hands them.  A scenario's convergence is
+  A unit's placebo context comes from its scenario's ledger, built at
+  the unit's first task (its stage-B base fit): the donor matrix is
+  factored once, and the leave-one-out panels of the unit's whole
+  queue are computed then too, whatever the budget later grants, so
+  no round repeats a sweep.  A scenario's convergence is
   one predicate (:meth:`_ScenarioState.settled`) on its pooled ratios,
   measured once per round.
 - The **verdict table** generalizes Table 1 across scenarios; each
@@ -82,7 +84,6 @@ from repro.pipeline.executor import (
     get_executor,
     resolve_n_jobs,
 )
-from repro.pipeline.prefactor import prefactor_unit_plan
 from repro.pipeline.study import (
     StudyResult,
     UnitLedger,
@@ -90,7 +91,6 @@ from repro.pipeline.study import (
     prepare_unit_plan,
     run_unit_work,
 )
-from repro.stream.state import ingest_frame
 from repro.studies.ixp_latency import scenario_truth
 from repro.synthcontrol.donor import Panel
 
@@ -280,27 +280,16 @@ def _scenario_inputs(spec: ScenarioSpec) -> tuple[dict[str, float], Any, Panel]:
     """Stage A's pool task: one scenario's ``(truth, assignment, panel)``.
 
     Builds the world, generates the measurements, and reduces them to
-    the assignment and the daily panel — streamed through the
-    accumulators when the spec asks for ingest batches, with one
-    ``stream.batch`` fault point per batch keyed
-    ``"<scenario>/<batch>"``.  The frame is freed when the task
-    returns, so it never crosses a process boundary.
+    the assignment and the daily panel, behind one ``campaign.scenario``
+    fault point keyed by the scenario's name.  The frame is freed when
+    the task returns, so it never crosses a process boundary.
     """
     with span("campaign.scenario", scenario=spec.name, kind=spec.kind):
+        fault_point("campaign.scenario", key=spec.name)
         scenario = build_scenario(spec)
         frame = measurements_frame(scenario, rng=spec.measurement_seed)
-        if spec.ingest_batches > 1:
-            assignment, panel = ingest_frame(
-                frame,
-                scenario.ixp_name,
-                n_batches=spec.ingest_batches,
-                on_batch=lambda batch: fault_point(
-                    "stream.batch", key=f"{spec.name}/{batch.index}"
-                ),
-            )
-        else:
-            assignment = assign_treatment(frame, scenario.ixp_name)
-            panel = rtt_panel(frame, period="day", outcome="rtt_ms")
+        assignment = assign_treatment(frame, scenario.ixp_name)
+        panel = rtt_panel(frame, period="day", outcome="rtt_ms")
         return scenario_truth(scenario), assignment, panel
 
 
@@ -374,7 +363,7 @@ def run_campaign(
         serial, ``-1`` all cores).  Fits and refits run in this process.
     retry:
         Retry policy for stage A's scenario tasks (dead workers,
-        injected faults such as the streamed-ingest ones, blown
+        injected faults such as the ``campaign.scenario`` ones, blown
         deadlines) and for the fits and refits.
     checkpoint_dir, resume:
         Directory holding one JSONL journal per scenario plus a
@@ -463,21 +452,13 @@ def run_campaign(
                     _ScenarioState(spec, truth, assignment, UnitLedger(plan, ckpt))
                 )
 
-            # One prefactor table for the whole fleet, keyed by
-            # (scenario, unit): the base fits and every budgeted refit
-            # read their unit's factorization from it, in this process.
-            prefactors = {}
-            for state in states:
-                tasks = list(state.ledger.tasks.values())
-                if tasks:
-                    prefactors.update(prefactor_unit_plan(tasks[0].panel, tasks))
             fits = SerialExecutor(retry=retry)
             ledgers = {state.name: state.ledger for state in states}
 
             # ------------------------------------------------- stage B
             work = interleave([state.ledger.work() for state in states])
             with span("campaign.fits", n_tasks=len(work)):
-                run_unit_work(fits, ledgers, work, prefactors)
+                run_unit_work(fits, ledgers, work)
             for state in states:
                 state.queue = state.ledger.queue()
                 state.measure()
@@ -523,7 +504,7 @@ def run_campaign(
                         dict(sorted(grants.items())), sort_keys=True
                     ),
                 ):
-                    run_unit_work(fits, ledgers, work, prefactors)
+                    run_unit_work(fits, ledgers, work)
                 spent += granted
                 metrics.counter(
                     "campaign_refits_total",

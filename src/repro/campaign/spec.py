@@ -95,12 +95,6 @@ class ScenarioSpec:
         mean fewer tests per cell, noisier panels, and wider placebo
         spreads, which is exactly the heterogeneity the adaptive budget
         allocator exploits.
-    ingest_batches:
-        When > 1, the campaign builds this scenario's panel and
-        assignment by streaming its measurement frame through the
-        incremental accumulators in that many time slices (exercising
-        the ``stream.batch`` fault site per slice) instead of the batch
-        pivot; the resulting state is bit-identical either way.
     params:
         Kind-specific knobs (e.g. ``n_late_joiners`` for
         ``staggered-join``); unknown keys are rejected by the mutator.
@@ -114,7 +108,6 @@ class ScenarioSpec:
     duration_days: int = 20
     join_day: int | None = None
     user_scale: float = 1.0
-    ingest_batches: int = 1
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -127,10 +120,6 @@ class ScenarioSpec:
             raise SimulationError(
                 f"unknown scenario kind {self.kind!r}; "
                 f"registered: {', '.join(scenario_kinds())}"
-            )
-        if self.ingest_batches < 1:
-            raise SimulationError(
-                f"ingest_batches must be >= 1, got {self.ingest_batches}"
             )
 
     @property
@@ -149,7 +138,6 @@ class ScenarioSpec:
             "duration_days": self.duration_days,
             "join_day": self.join_day,
             "user_scale": self.user_scale,
-            "ingest_batches": self.ingest_batches,
             "params": dict(self.params),
         }
 
@@ -158,8 +146,7 @@ class ScenarioSpec:
         """Rebuild a spec from :meth:`to_dict` output (or hand-written YAML)."""
         known = {
             "name", "kind", "seed", "measurement_seed", "n_donor_ases",
-            "duration_days", "join_day", "user_scale", "ingest_batches",
-            "params",
+            "duration_days", "join_day", "user_scale", "params",
         }
         unknown = set(data) - known
         if unknown:
@@ -180,7 +167,6 @@ class ScenarioSpec:
                 None if data.get("join_day") is None else int(data["join_day"])
             ),
             user_scale=float(data.get("user_scale", 1.0)),
-            ingest_batches=int(data.get("ingest_batches", 1)),
             params=dict(data.get("params", {})),
         )
 

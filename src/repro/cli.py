@@ -76,6 +76,7 @@ processes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from collections.abc import Sequence
 
@@ -95,14 +96,42 @@ def _retry_policy(args: argparse.Namespace):
 
 def _maybe_sampler(args: argparse.Namespace):
     """A running ResourceSampler context per ``--sample-resources``, or a no-op."""
-    import contextlib
-
     interval = getattr(args, "sample_resources", None)
     if not interval:
         return contextlib.nullcontext()
     from repro.obs.resources import ResourceSampler
 
     return ResourceSampler(interval_s=interval)
+
+
+@contextlib.contextmanager
+def _telemetry_endpoint(args: argparse.Namespace, sink, routes: str):
+    """Serve *sink* on ``--serve-telemetry`` for the body of a ``with``.
+
+    Prints the endpoint's URL and *routes* on stderr when it starts.
+    The server stops when the body raises; otherwise it lingers
+    ``--telemetry-linger`` seconds first.  A no-op without the flag.
+    """
+    if args.serve_telemetry is None:
+        yield
+        return
+    from repro.obs.serve import TelemetryServer
+
+    server = TelemetryServer(sink, port=args.serve_telemetry).start()
+    print(f"telemetry endpoint: {server.url()} ({routes})", file=sys.stderr)
+    try:
+        yield
+        if args.telemetry_linger > 0:
+            import time
+
+            print(
+                f"telemetry endpoint lingering {args.telemetry_linger:g}s "
+                f"at {server.url()}",
+                file=sys.stderr,
+            )
+            time.sleep(args.telemetry_linger)
+    finally:
+        server.stop()
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -260,26 +289,20 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     publisher = None
-    server = None
     if args.serve_telemetry is not None:
-        from repro.obs.serve import TelemetryPublisher, TelemetryServer
+        from repro.obs.serve import TelemetryPublisher
 
         publisher = TelemetryPublisher()
-        server = TelemetryServer(publisher, port=args.serve_telemetry).start()
-        print(
-            f"telemetry endpoint: {server.url()} "
-            f"(/metrics /health /live)",
-            file=sys.stderr,
+    exit_code = 0
+    with _telemetry_endpoint(args, publisher, "/metrics /health /live"):
+        study = StreamStudy(
+            scenario.ixp_name,
+            retry=_retry_policy(args),
+            checkpoint=args.checkpoint,
+            resume=args.resume,
+            live_refits=not args.no_live_refits,
+            telemetry=publisher,
         )
-    study = StreamStudy(
-        scenario.ixp_name,
-        retry=_retry_policy(args),
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        live_refits=not args.no_live_refits,
-        telemetry=publisher,
-    )
-    try:
         with _maybe_sampler(args), study:
             for batch in batches:
                 report = study.ingest(batch)
@@ -293,42 +316,26 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             result = study.finalize()
-    except BaseException:
-        if server is not None:
-            server.stop()
-        raise
-    print(result.format_table())
-    if result.skipped:
-        print()
-        for unit, reason in result.skipped:
-            print(f"skipped {unit}: {reason}")
-    exit_code = 0
-    if args.parity_check:
-        from repro.pipeline import run_ixp_study
+        print(result.format_table())
+        if result.skipped:
+            print()
+            for unit, reason in result.skipped:
+                print(f"skipped {unit}: {reason}")
+        if args.parity_check:
+            from repro.pipeline import run_ixp_study
 
-        reference = run_ixp_study(frame, scenario.ixp_name)
-        if to_csv_text(result.to_frame()) == to_csv_text(
-            reference.to_frame()
-        ) and result.skipped == reference.skipped:
-            print("\nparity check: streamed rows identical to batch study")
-        else:
-            print(
-                "parity check FAILED: streamed rows differ from the batch study",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    _write_obs_outputs(args)
-    if server is not None:
-        if args.telemetry_linger > 0:
-            import time
-
-            print(
-                f"telemetry endpoint lingering {args.telemetry_linger:g}s "
-                f"at {server.url()}",
-                file=sys.stderr,
-            )
-            time.sleep(args.telemetry_linger)
-        server.stop()
+            reference = run_ixp_study(frame, scenario.ixp_name)
+            if to_csv_text(result.to_frame()) == to_csv_text(
+                reference.to_frame()
+            ) and result.skipped == reference.skipped:
+                print("\nparity check: streamed rows identical to batch study")
+            else:
+                print(
+                    "parity check FAILED: streamed rows differ from the batch study",
+                    file=sys.stderr,
+                )
+                exit_code = 1
+        _write_obs_outputs(args)
     return exit_code
 
 
@@ -366,18 +373,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     telemetry = None
-    server = None
     if args.serve_telemetry is not None:
-        from repro.obs.serve import TelemetryMux, TelemetryServer
+        from repro.obs.serve import TelemetryMux
 
         telemetry = TelemetryMux()
-        server = TelemetryServer(telemetry, port=args.serve_telemetry).start()
-        print(
-            f"telemetry endpoint: {server.url()} "
-            f"(/metrics /health /live; per-scenario channels under /live)",
-            file=sys.stderr,
-        )
-    try:
+    routes = "/metrics /health /live; per-scenario channels under /live"
+    with _telemetry_endpoint(args, telemetry, routes):
         with _maybe_sampler(args):
             result = run_campaign(
                 specs,
@@ -392,31 +393,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 telemetry=telemetry,
             )
-    except BaseException:
-        if server is not None:
-            server.stop()
-        raise
-    print(result.format_campaign_table())
-    if args.export_csv:
-        with open(args.export_csv, "w") as f:
-            f.write(result.to_csv())
-        print(f"wrote verdict table to {args.export_csv}", file=sys.stderr)
-    if args.export_json:
-        with open(args.export_json, "w") as f:
-            f.write(result.to_json())
-        print(f"wrote campaign JSON to {args.export_json}", file=sys.stderr)
-    _write_obs_outputs(args)
-    if server is not None:
-        if args.telemetry_linger > 0:
-            import time
-
-            print(
-                f"telemetry endpoint lingering {args.telemetry_linger:g}s "
-                f"at {server.url()}",
-                file=sys.stderr,
-            )
-            time.sleep(args.telemetry_linger)
-        server.stop()
+        print(result.format_campaign_table())
+        if args.export_csv:
+            with open(args.export_csv, "w") as f:
+                f.write(result.to_csv())
+            print(f"wrote verdict table to {args.export_csv}", file=sys.stderr)
+        if args.export_json:
+            with open(args.export_json, "w") as f:
+                f.write(result.to_json())
+            print(f"wrote campaign JSON to {args.export_json}", file=sys.stderr)
+        _write_obs_outputs(args)
     return 0
 
 

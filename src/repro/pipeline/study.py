@@ -7,17 +7,20 @@ treated unit against a never-crossing donor pool, and report the
 estimated RTT change with RMSE-ratio and placebo-p diagnostics.
 
 The plan (:func:`prepare_unit_plan`) screens every treated unit once —
-shape checks, then the donor pool — into tasks, and one planning pass
-batch-factors their donor matrices (:mod:`repro.pipeline.prefactor`).
-The fit stage is one :class:`UnitLedger` per plan and one task
-function, :func:`run_unit_task`: a unit's base fit when the ledger
-holds none, then one placebo ensemble over the columns asked for.  The
-ledger journals each outcome to the checkpoint as it lands (``unitfit``,
-``placebo`` and ``skip`` records) and builds the rows in plan order.
-The batch study and the stream's finalize run every unit's fit and
-placebo columns as one task (:func:`execute_unit_plan`); a campaign
-runs the same tasks with a budget — base fits first, then the granted
-prefix of each scenario's refit queue, round by round
+shape checks, then the donor pool — into tasks.  The fit stage is one
+:class:`UnitLedger` per plan and one task function,
+:func:`run_unit_task`: a unit's base fit when the ledger holds none,
+then one placebo ensemble over the columns asked for.  The ledger
+builds each unit's placebo context once, at the unit's first task —
+its donor matrix, the matrix's factorization and, for a robust unit,
+the leave-one-out panels of its whole refit queue — and every later
+task of the unit reads it (:meth:`UnitLedger.context`).  It journals
+each outcome to the checkpoint as it lands (``unitfit``, ``placebo``
+and ``skip`` records) and builds the rows in plan order.  The batch
+study and the stream's finalize run every unit's fit and placebo
+columns as one task (:func:`execute_unit_plan`); a campaign runs the
+same tasks with a budget — base fits first, then the granted prefix of
+each scenario's refit queue, round by round
 (:func:`~repro.campaign.scheduler.run_campaign`).  The fits run in this
 process, on a :class:`~repro.pipeline.executor.SerialExecutor` that
 keeps the retry policy: they are a small share of a study's time next
@@ -30,8 +33,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -48,7 +50,6 @@ from repro.obs.metrics import COUNT_BUCKETS
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import TreatmentAssignment, assign_treatment
 from repro.pipeline.executor import RetryPolicy, SerialExecutor
-from repro.pipeline.prefactor import PrefactorKey, UnitPrefactor, prefactor_unit_plan
 from repro.synthcontrol.donor import Panel, select_donors
 from repro.synthcontrol.placebo import (
     Refit,
@@ -61,7 +62,7 @@ from repro.synthcontrol.placebo import (
     record_placebo,
     treated_fit,
 )
-from repro.synthcontrol.robust import factor_donor_matrix
+from repro.synthcontrol.robust import denoise_leave_out, factor_donor_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -310,10 +311,10 @@ class _UnitTask:
     its unit, donors, and fit parameters.  ``donors`` is the pool the
     plan's screen chose, so no fit re-runs the screen.
     ``scenario`` is ``""`` for the batch study and the scenario's name
-    in a campaign; it qualifies fault keys, span attributes, and the
-    unit's prefactor key.  ``fit_kwargs`` is a tuple of sorted items
-    (not a dict) so this frozen dataclass is actually hashable and no
-    fit can mutate shared fit parameters.
+    in a campaign; it qualifies fault keys and span attributes, and
+    names the ledger a task reads and lands in.  ``fit_kwargs`` is a
+    tuple of sorted items (not a dict) so this frozen dataclass is
+    actually hashable and no fit can mutate shared fit parameters.
     """
 
     unit: str
@@ -343,40 +344,13 @@ class UnitFit:
     donors: tuple[str, ...]
 
 
-#: The prefactor table a fit reads, keyed by ``(scenario, unit)``.
-Prefactors = Mapping[PrefactorKey, UnitPrefactor]
-
-
-def _placebo_context(task: _UnitTask, prefactors: Prefactors) -> _PlaceboContext:
-    """The donor matrix and factorization every fit of *task* shares.
-
-    A robust unit's factorization (and leave-one-out batch) comes from
-    *prefactors* when the planning pass produced one for it —
-    bit-identical to factoring here, which is the fallback.
-    """
-    _check_method(task.method)  # reject unknown methods before any work
-    matrix = np.column_stack([task.panel.series(d) for d in task.donors])
-    fact = loo = None
-    if task.method == "robust":
-        pf = prefactors.get((task.scenario, task.unit))
-        fact, loo = (pf.fact, pf.loo) if pf else (factor_donor_matrix(matrix), None)
-    return placebo_context(
-        matrix, task.donors, task.pre_periods, task.method, dict(task.fit_kwargs),
-        fact=fact, loo=loo,
-    )
-
-
 def _base_fit(
-    task: _UnitTask, prefactors: Prefactors
+    task: _UnitTask, ctx: _PlaceboContext
 ) -> tuple[UnitFit, _PlaceboContext]:
-    """Fit the treated unit's synthetic control (no placebos)."""
+    """Fit the treated unit's synthetic control on *ctx* (no placebos)."""
     t_fit = time.perf_counter()
     with span("fit", treated=task.unit, method=task.method):
-        fit, ctx = treated_fit(
-            _placebo_context(task, prefactors),
-            task.panel.series(task.unit),
-            task.unit,
-        )
+        fit, ctx = treated_fit(ctx, task.panel.series(task.unit), task.unit)
     get_metrics().histogram(
         "fit_seconds", help="wall-clock seconds per treated-unit fit"
     ).observe(time.perf_counter() - t_fit)
@@ -447,26 +421,27 @@ def _refit_columns(
     }
 
 
-def run_unit_task(work: UnitWork, prefactors: Prefactors) -> UnitOutcome:
+def run_unit_task(work: UnitWork, ledger: UnitLedger) -> UnitOutcome:
     """The fit stage's one task: a unit's base fit if needed, then its refits.
 
     Without a cached fit, the base fit runs in a ``fits.unit`` span
     behind the ``fits.unit`` fault point; a fit the estimator rejects
     is returned as the ``(unit, reason)`` skip and no refit runs.  The
-    refits of *cols* share one :func:`_placebo_context` and one
-    :func:`~repro.synthcontrol.placebo.placebo_outcomes` call, and each
-    passes the ``placebo.refit`` fault point.  Fault keys are
-    scenario-qualified in a campaign (:func:`_fault_key`).
+    base fit and the refits of *cols* read the unit's one placebo
+    context from *ledger* (:meth:`UnitLedger.context`), and the refits
+    run as one :func:`~repro.synthcontrol.placebo.placebo_outcomes`
+    call, each passing the ``placebo.refit`` fault point.  Fault keys
+    are scenario-qualified in a campaign (:func:`_fault_key`).
     """
     task, fit, cols = work
     if fit is not None:
-        return fit, _refit_columns(task, _placebo_context(task, prefactors), cols)
+        return fit, _refit_columns(task, ledger.context(task.unit), cols)
     metrics = get_metrics()
     scenario = {"scenario": task.scenario} if task.scenario else {}
     with span("fits.unit", unit=task.unit, **scenario) as sp:
         fault_point("fits.unit", key=_fault_key(task, task.unit))
         try:
-            fit, ctx = _base_fit(task, prefactors)
+            fit, ctx = _base_fit(task, ledger.context(task.unit))
             refits = _refit_columns(task, ctx, cols)
         except (DonorPoolError, EstimationError) as exc:
             logger.warning("skipping unit %s: %s", task.unit, exc)
@@ -583,9 +558,11 @@ class UnitLedger:
     units, each capped at its task's
     :func:`~repro.synthcontrol.placebo.placebo_columns`: the study asks
     for the whole queue at once, a campaign for the prefix its budget
-    grants.  Rows follow the plan order (:meth:`rows`); a unit whose
-    queued columns have all run is *exhausted*, and one that is not
-    gets ``p = 1``.
+    grants.  Every task of a unit shares the placebo context the ledger
+    builds at the unit's first task (:meth:`context`), so a unit's
+    donor matrix is factored once however many rounds refit it.  Rows
+    follow the plan order (:meth:`rows`); a unit whose queued columns
+    have all run is *exhausted*, and one that is not gets ``p = 1``.
     """
 
     def __init__(
@@ -601,6 +578,7 @@ class UnitLedger:
         self.fits: dict[str, UnitFit] = {}
         self.fit_skips: dict[str, str] = {}
         self.refits: dict[tuple[str, int], Refit] = {}
+        self._contexts: dict[str, _PlaceboContext] = {}
         if checkpoint is None:
             return
         for unit in self.tasks:
@@ -620,6 +598,34 @@ class UnitLedger:
             return range(0)
         task = self.tasks[unit]
         return placebo_columns(len(task.donors), task.max_placebos)
+
+    def context(self, unit: str) -> _PlaceboContext:
+        """*unit*'s placebo context, built the first time a task asks.
+
+        It holds the donor matrix and, for the robust method, the
+        matrix's factorization; a robust unit with more than one queued
+        column also gets the leave-one-out panels of every queued
+        column, whatever share of the queue a budget later grants.  An
+        unknown method or an unfactorable matrix raises here, inside
+        the unit's first task, which skips the unit.
+        """
+        ctx = self._contexts.get(unit)
+        if ctx is None:
+            task = self.tasks[unit]
+            _check_method(task.method)
+            matrix = np.column_stack([task.panel.series(d) for d in task.donors])
+            fact = factor_donor_matrix(matrix) if task.method == "robust" else None
+            ctx = placebo_context(
+                matrix, task.donors, task.pre_periods, task.method,
+                dict(task.fit_kwargs), fact=fact,
+            )
+            cols = self.columns(unit)
+            if fact is not None and len(cols) > 1:
+                ctx = replace(
+                    ctx, loo=tuple(zip(*denoise_leave_out(fact, cols, ctx.energy)))
+                )
+            self._contexts[unit] = ctx
+        return ctx
 
     def queue(self) -> list[tuple[str, int]]:
         """Every queued ``(unit, col)`` refit, breadth-first across units.
@@ -696,11 +702,10 @@ def run_unit_work(
     executor: SerialExecutor,
     ledgers: Mapping[str, UnitLedger],
     work: Sequence[UnitWork],
-    prefactors: Prefactors,
 ) -> None:
-    """Run *work* under *executor*; each outcome lands in its scenario's ledger."""
+    """Run *work* under *executor*, each task on its scenario's ledger."""
     executor.map(
-        partial(run_unit_task, prefactors=prefactors),
+        lambda item: run_unit_task(item, ledgers[item[0].scenario]),
         work,
         on_result=lambda index, outcome: ledgers[work[index][0].scenario].record(
             outcome
@@ -713,7 +718,6 @@ def execute_unit_plan(
     *,
     retry: RetryPolicy | None = None,
     checkpoint: "StudyCheckpoint | None" = None,
-    batch_fits: bool = True,
 ) -> tuple[list[StudyRow], list[tuple[str, str]]]:
     """Run a unit plan's fits and refits; rows and skips in plan order.
 
@@ -722,24 +726,13 @@ def execute_unit_plan(
     :class:`~repro.pipeline.checkpoint.StudyCheckpoint`; the caller owns
     its lifecycle).  Each unit with work left is one
     :func:`run_unit_task` — its base fit and every placebo column it
-    still lacks — run in this process under *retry*.
-
-    With *batch_fits* (the default), a planning pass batch-factors
-    every robust unit's donor matrix across units first — one stacked
-    SVD per matrix shape (:func:`~repro.pipeline.prefactor.prefactor_unit_plan`,
-    recorded as one ``fits.prefactor`` span) — and the fits read those
-    factorizations.  Rows are bit-identical with the flag on or off:
-    ``batch_fits=False`` is the reference path on which every fit
-    factors its own donor matrix.
+    still lacks, on the placebo context the ledger builds for it — run
+    in this process under *retry*.
     """
     ledger = UnitLedger(plan, checkpoint)
     work = ledger.work(ledger.queue())
     with span("fits", n_tasks=len(work), n_resumed=len(ledger.tasks) - len(work)):
-        prefactors: dict[PrefactorKey, UnitPrefactor] = {}
-        if batch_fits and work:
-            tasks = [task for task, _fit, _cols in work]
-            prefactors = prefactor_unit_plan(tasks[0].panel, tasks)
-        run_unit_work(SerialExecutor(retry=retry), {"": ledger}, work, prefactors)
+        run_unit_work(SerialExecutor(retry=retry), {"": ledger}, work)
         return ledger.rows()
 
 
@@ -759,7 +752,7 @@ def run_ixp_study(
     retry: RetryPolicy | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
-    batch_fits: bool = True,
+    batch_fits: bool = False,
 ) -> StudyResult:
     """Run the full IXP case study on a measurement frame.
 
@@ -798,13 +791,17 @@ def run_ixp_study(
         file and run only the rest.  The resumed result is
         byte-identical to an uninterrupted run's.
     batch_fits:
-        Batch donor-matrix SVDs across treated units before fitting
-        (see :func:`execute_unit_plan`); on by default.  ``False`` is
-        the unbatched reference path the parity tests compare against:
-        every fit factors its own donor matrix, and the rows are
-        bit-identical.
+        Must be ``False``: each unit's ledger factors that unit's own
+        donor matrix, once (:meth:`UnitLedger.context`), and ``True``
+        raises :class:`~repro.errors.ExecutionError`.
     """
     check_serial_fits(n_jobs, "run_ixp_study")
+    if batch_fits:
+        raise ExecutionError(
+            "run_ixp_study no longer batches fits across units (batch_fits "
+            "must be False): UnitLedger.context factors each unit's donor "
+            "matrix once"
+        )
     logger.info(
         "running IXP study on %d measurements (ixp=%s, method=%s)",
         measurements.num_rows,
@@ -852,9 +849,7 @@ def run_ixp_study(
                     outcome=outcome,
                     resume=resume,
                 )
-            rows, skipped = execute_unit_plan(
-                plan, retry=retry, checkpoint=ckpt, batch_fits=batch_fits
-            )
+            rows, skipped = execute_unit_plan(plan, retry=retry, checkpoint=ckpt)
         finally:
             if ckpt is not None:
                 ckpt.close()

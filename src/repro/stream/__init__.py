@@ -30,7 +30,6 @@ from repro.stream.state import (
     AssignmentAccumulator,
     PanelAccumulator,
     PanelDelta,
-    ingest_frame,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "StreamOutcome",
     "StreamStudy",
     "UnitFitState",
-    "ingest_frame",
     "random_batches",
     "replay_scenario",
     "slice_frame",

@@ -306,34 +306,3 @@ class AssignmentAccumulator:
             never_crossed=never,
         )
 
-
-def ingest_frame(
-    frame: Frame,
-    ixp_name: str,
-    *,
-    n_batches: int,
-    outcome: str = "rtt_ms",
-    on_batch: Any = None,
-) -> tuple["TreatmentAssignment", Panel]:
-    """Build assignment and panel by streaming *frame* in time slices.
-
-    Convenience wrapper used by the campaign scheduler: slices the frame
-    into *n_batches* contiguous windows (:func:`repro.stream.batches.
-    slice_frame`) and pushes each through fresh accumulators.  Because
-    both accumulators are bit-parity with the batch path on any prefix,
-    the returned ``(assignment, panel)`` is identical to
-    ``assign_treatment`` + ``rtt_panel`` over the whole frame — the
-    point of going through here is the per-slice ``on_batch`` hook,
-    which fires *before* each slice is absorbed (the campaign's
-    ``stream.batch`` fault site lives there).
-    """
-    from repro.stream.batches import slice_frame
-
-    panels = PanelAccumulator(outcome=outcome)
-    crossings = AssignmentAccumulator(ixp_name)
-    for batch in slice_frame(frame, n_batches=n_batches):
-        if on_batch is not None:
-            on_batch(batch)
-        crossings.apply(batch.frame)
-        panels.apply(batch.frame)
-    return crossings.assignment(), panels.panel

@@ -11,7 +11,9 @@ study, a campaign's refits, :func:`placebo_test` and the stream's live
 refresh all call it.  It runs one leave-one-out sweep
 (:func:`~repro.synthcontrol.robust.denoise_leave_out`: warm power
 iteration for the columns that provably keep rank 1, LAPACK's SVD for
-the rest) or reuses the caller's, then one stacked ridge solve
+the rest) or reuses the caller's — the study's unit ledger computes a
+unit's sweep once, over its whole refit queue, and every ensemble of
+that unit reads it — then one stacked ridge solve
 (``np.linalg.solve`` on the 3-D array) and whole-array RMSEs.  Each
 stacked slice runs the same BLAS/LAPACK call on the same bytes as the
 per-column :func:`~repro.synthcontrol.robust.fit_from_denoised`, and
@@ -143,9 +145,12 @@ def placebo_context(
     *,
     min_pre_rmse: float = 1e-9,
     fact: DonorFactorization | None = None,
-    loo: tuple[tuple[np.ndarray, int], ...] | None = None,
 ) -> _PlaceboContext:
-    """The placebo context of a donor matrix (factored as *fact* when robust)."""
+    """The placebo context of a donor matrix (factored as *fact* when robust).
+
+    Its ``loo`` field starts empty; a caller that owns a leave-one-out
+    batch for the matrix sets it with :func:`dataclasses.replace`.
+    """
     energy, ridge = 0.99, 1e-2
     kwargs = dict(fit_kwargs)
     if method == "robust":
@@ -153,7 +158,7 @@ def placebo_context(
         kwargs = {}
     return _PlaceboContext(
         donors, tuple(donor_names), pre_periods, min_pre_rmse, method, kwargs,
-        fact, energy, ridge, loo,
+        fact, energy, ridge,
     )
 
 
@@ -224,8 +229,8 @@ def placebo_ensemble(
     *fact*) is fit as pseudo-treated on the denoised panel of the
     others.  Returns ``(ratio, "")`` per surviving placebo and ``(None,
     reason)`` per skipped one.  *loo*, when given, is an
-    already-computed ``(denoised, rank)`` batch indexed by column (the
-    prefactor table's), used instead of a fresh leave-one-out sweep.
+    already-computed ``(denoised, rank)`` batch indexed by column (a
+    unit ledger's), used instead of a fresh leave-one-out sweep.
     Records one ``placebo.ensemble`` span, whose ``n_rank1`` and
     ``n_svd`` count the columns this call's sweep finished on the rank-1
     path and by SVD (both 0 when *loo* is given).

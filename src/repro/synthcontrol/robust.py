@@ -157,45 +157,6 @@ def factor_donor_matrix(matrix: np.ndarray) -> DonorFactorization:
     )
 
 
-def factor_donor_matrices(
-    matrices: Sequence[np.ndarray],
-) -> list[DonorFactorization]:
-    """Factor many donor matrices with one stacked SVD per shape group.
-
-    The cross-unit half of the batched fit engine: donor matrices from
-    different treated units usually share one ``(T, J)`` shape (every
-    unit screens the same donor pool), so their mean-imputed panels
-    stack into a ``(G, T, J)`` array that a single
-    :func:`numpy.linalg.svd` call decomposes in one gufunc sweep —
-    LAPACK runs once per matrix either way, on the same bytes, so each
-    returned factorization is bit-identical to
-    :func:`factor_donor_matrix` on the same matrix.  Mixed shapes are
-    grouped; a group of one degenerates to the single-matrix call.
-    """
-    mats = [_validate_donor_matrix(m) for m in matrices]
-    imputed = [_impute_columns(m) for m in mats]
-    facts: list[DonorFactorization | None] = [None] * len(mats)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, m in enumerate(mats):
-        groups.setdefault(m.shape, []).append(i)
-    for shape, members in groups.items():
-        stack = np.empty((len(members), *shape))
-        for pos, i in enumerate(members):
-            stack[pos] = imputed[i][0]
-        u, s, vt = np.linalg.svd(stack, full_matrices=False)
-        for pos, i in enumerate(members):
-            filled, col_means, finite_counts = imputed[i]
-            facts[i] = DonorFactorization(
-                filled=filled,
-                col_means=col_means,
-                finite_counts=finite_counts,
-                u=u[pos],
-                s=s[pos],
-                vt=vt[pos],
-            )
-    return [fact for fact in facts if fact is not None]
-
-
 def _rank_for_energy(s: np.ndarray, energy: float, min_rank: int) -> np.ndarray:
     """Smallest rank whose squared singular values reach *energy*.
 
@@ -260,14 +221,6 @@ def denoise_without_column(
         raise DonorPoolError(f"column {col} out of range for {j} donors")
     stack, ranks = denoise_leave_out(fact, [col], energy, min_rank)
     return stack[0], int(ranks[0])
-
-
-def _loo_count(fact: DonorFactorization, limit: int | None) -> int:
-    """How many leading leave-one-out columns the caller wants."""
-    j = fact.n_donors
-    if j < 2:
-        raise DonorPoolError("cannot delete the only donor column")
-    return j if limit is None else max(0, min(int(limit), j))
 
 
 def _keep_columns(cols: np.ndarray, j: int) -> np.ndarray:
@@ -459,42 +412,6 @@ def denoise_leave_out(
     """
     stack, ranks, _n_rank1 = _denoise_leave_out(fact, cols, energy, min_rank)
     return stack, ranks
-
-
-def _as_loo(stack: np.ndarray, ranks: np.ndarray) -> tuple[tuple[np.ndarray, int], ...]:
-    return tuple((panel, int(rank)) for panel, rank in zip(stack, ranks))
-
-
-def denoise_leave_one_out(
-    fact: DonorFactorization,
-    energy: float = 0.99,
-    min_rank: int = 1,
-    limit: int | None = None,
-) -> tuple[tuple[np.ndarray, int], ...]:
-    """Every leave-one-donor-out de-noising, as ``(denoised, rank)`` pairs.
-
-    :func:`denoise_leave_out` over the first *limit* columns (all of
-    them when ``None``).
-    """
-    _check_energy(energy)
-    n = _loo_count(fact, limit)
-    return _as_loo(*denoise_leave_out(fact, range(n), energy, min_rank))
-
-
-def denoise_leave_one_out_many(
-    facts: Sequence[DonorFactorization],
-    energy: float = 0.99,
-    min_rank: int = 1,
-    limit: int | None = None,
-) -> list[tuple[tuple[np.ndarray, int], ...]]:
-    """:func:`denoise_leave_one_out` for each factorization, in order.
-
-    Each unit's batch is its own :func:`denoise_leave_out` call, so
-    per-unit results are bit-identical to calling
-    :func:`denoise_leave_one_out` once per factorization.
-    """
-    _check_energy(energy)
-    return [denoise_leave_one_out(fact, energy, min_rank, limit) for fact in facts]
 
 
 def singular_value_threshold(

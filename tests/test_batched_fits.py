@@ -1,4 +1,4 @@
-"""The cross-unit batched fit engine (PR 8's tentpole, fit half).
+"""One factorization per unit: imputation, the ledger's context, the plan.
 
 What these tests pin down:
 
@@ -6,29 +6,36 @@ What these tests pin down:
   :func:`factor_donor_matrix`) is bit-identical to the historical
   per-column Python loop, across random NaN patterns, fully observed
   panels, and all-missing-column errors;
-- stacked cross-unit SVDs (:func:`factor_donor_matrices`,
-  :func:`denoise_leave_one_out_many`) match the per-unit calls
-  bit-for-bit, including degenerate spectra (``s.sum() == 0``) and
-  mixed donor-pool shapes;
-- the prefactor planning pass produces factorizations the per-unit
-  path would, and a fit handed that table leaves the study's Table-1
-  rows bit-identical to the unbatched engine's.
+- a unit ledger builds each planned unit's placebo context once — one
+  :func:`factor_donor_matrix` call per robust unit across a study and
+  across every round of a campaign — and the study's rows on those
+  shared contexts equal each unit's private :func:`placebo_test`
+  exactly, with and without a placebo cap;
+- the plan's screen is the only donor selection a study runs.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.errors import DonorPoolError
-from repro.pipeline.prefactor import prefactor_unit_plan
-from repro.pipeline.study import run_ixp_study
+from repro.errors import DonorPoolError, ExecutionError
+from repro.obs import get_tracer
+from repro.pipeline import study as study_module
+from repro.pipeline.aggregate import rtt_panel
+from repro.pipeline.crossing import assign_treatment
+from repro.pipeline.executor import SerialExecutor
+from repro.pipeline.study import (
+    UnitLedger,
+    _UnitTask,
+    prepare_unit_plan,
+    run_ixp_study,
+    run_unit_work,
+)
 from repro.synthcontrol.donor import Panel
 from repro.synthcontrol.placebo import placebo_test
-from repro.synthcontrol.robust import (
-    denoise_leave_one_out,
-    denoise_leave_one_out_many,
-    factor_donor_matrices,
-    factor_donor_matrix,
-)
+from repro.synthcontrol.robust import denoise_leave_out, factor_donor_matrix
 
 
 def _loop_impute(matrix: np.ndarray):
@@ -86,89 +93,7 @@ class TestVectorizedImputation:
         np.testing.assert_array_equal(fact.col_means, means)
 
 
-class TestCrossUnitFactorization:
-    def test_stacked_svd_matches_per_unit_exactly(self):
-        rng = np.random.default_rng(3)
-        matrices = [_random_matrix(rng, 30, 8, 0.1) for _ in range(6)]
-        batched = factor_donor_matrices(matrices)
-        for matrix, fact in zip(matrices, batched):
-            single = factor_donor_matrix(matrix)
-            np.testing.assert_array_equal(fact.filled, single.filled)
-            np.testing.assert_array_equal(fact.u, single.u)
-            np.testing.assert_array_equal(fact.s, single.s)
-            np.testing.assert_array_equal(fact.vt, single.vt)
-
-    def test_mixed_shapes_group_and_still_match(self):
-        rng = np.random.default_rng(5)
-        matrices = [
-            _random_matrix(rng, 20, 5),
-            _random_matrix(rng, 30, 8, 0.2),
-            _random_matrix(rng, 20, 5, 0.1),
-            _random_matrix(rng, 12, 3),
-            _random_matrix(rng, 30, 8),
-        ]
-        batched = factor_donor_matrices(matrices)
-        assert len(batched) == len(matrices)
-        for matrix, fact in zip(matrices, batched):
-            single = factor_donor_matrix(matrix)
-            assert fact.filled.shape == matrix.shape
-            np.testing.assert_array_equal(fact.u, single.u)
-            np.testing.assert_array_equal(fact.s, single.s)
-            np.testing.assert_array_equal(fact.vt, single.vt)
-
-    def test_degenerate_zero_spectrum_matches(self):
-        matrices = [np.zeros((6, 3)), np.ones((6, 3))]
-        batched = factor_donor_matrices(matrices)
-        for matrix, fact in zip(matrices, batched):
-            single = factor_donor_matrix(matrix)
-            np.testing.assert_array_equal(fact.s, single.s)
-            np.testing.assert_array_equal(fact.u, single.u)
-            np.testing.assert_array_equal(fact.vt, single.vt)
-
-    def test_empty_input_and_validation(self):
-        assert factor_donor_matrices([]) == []
-        with pytest.raises(DonorPoolError, match="must be 2-D"):
-            factor_donor_matrices([np.ones((4, 2)), np.ones(3)])
-
-
-class TestCrossUnitLeaveOneOut:
-    def _facts(self, shapes, rng):
-        return [
-            factor_donor_matrix(_random_matrix(rng, t, j, 0.1))
-            for t, j in shapes
-        ]
-
-    def test_many_matches_per_unit_bit_for_bit(self):
-        rng = np.random.default_rng(9)
-        facts = self._facts([(25, 6)] * 5, rng)
-        batched = denoise_leave_one_out_many(facts, energy=0.99)
-        for fact, loo in zip(facts, batched):
-            single = denoise_leave_one_out(fact, energy=0.99)
-            assert len(loo) == len(single)
-            for (d_many, r_many), (d_one, r_one) in zip(loo, single):
-                assert r_many == r_one
-                np.testing.assert_array_equal(d_many, d_one)
-
-    def test_mixed_shapes_and_zero_spectrum(self):
-        rng = np.random.default_rng(13)
-        facts = self._facts([(20, 5), (30, 7), (20, 5)], rng)
-        facts.append(factor_donor_matrix(np.zeros((10, 4))))
-        batched = denoise_leave_one_out_many(facts)
-        assert len(batched) == len(facts)
-        for fact, loo in zip(facts, batched):
-            single = denoise_leave_one_out(fact)
-            for (d_many, r_many), (d_one, r_one) in zip(loo, single):
-                assert r_many == r_one
-                np.testing.assert_array_equal(d_many, d_one)
-
-    def test_limit_is_per_unit(self):
-        rng = np.random.default_rng(17)
-        facts = self._facts([(15, 6), (15, 3)], rng)
-        batched = denoise_leave_one_out_many(facts, limit=4)
-        assert [len(loo) for loo in batched] == [4, 3]
-
-
-class TestPrefactorEngine:
+class TestUnitLedger:
     def _panel(self, n_units=8, n_times=24, seed=1):
         rng = np.random.default_rng(seed)
         matrix = rng.normal(50.0, 5.0, size=(n_times, n_units))
@@ -180,7 +105,6 @@ class TestPrefactorEngine:
         )
 
     def _tasks(self, panel, treated, max_placebos=None):
-        from repro.pipeline.study import _UnitTask
         from repro.synthcontrol.donor import select_donors
 
         return [
@@ -205,59 +129,52 @@ class TestPrefactorEngine:
             for unit in treated
         ]
 
-    def test_prefactors_match_the_private_factorization(self):
+    def test_context_is_the_units_own_factorization(self):
         panel = self._panel()
         treated = [panel.units[0], panel.units[1]]
-        tasks = self._tasks(panel, treated)
-        table = prefactor_unit_plan(panel, tasks)
-        assert set(table) == {("", unit) for unit in treated}
-        for task in tasks:
-            pf = table[("", task.unit)]
+        ledger = UnitLedger(self._tasks(panel, treated))
+        for unit in treated:
+            task = ledger.tasks[unit]
+            ctx = ledger.context(unit)
+            assert ledger.context(unit) is ctx  # built once
             matrix = np.column_stack([panel.series(d) for d in task.donors])
-            single = factor_donor_matrix(matrix)
-            np.testing.assert_array_equal(pf.fact.u, single.u)
-            np.testing.assert_array_equal(pf.fact.s, single.s)
-            np.testing.assert_array_equal(pf.fact.vt, single.vt)
-            assert pf.loo is not None
-            single_loo = denoise_leave_one_out(single, energy=0.99)
-            for (d_pf, r_pf), (d_one, r_one) in zip(pf.loo, single_loo):
-                assert r_pf == r_one
-                np.testing.assert_array_equal(d_pf, d_one)
+            np.testing.assert_array_equal(ctx.donors, matrix)
+            own = factor_donor_matrix(matrix)
+            for name in ("filled", "u", "s", "vt"):
+                np.testing.assert_array_equal(
+                    getattr(ctx.fact, name), getattr(own, name)
+                )
+            stack, ranks = denoise_leave_out(own, range(len(task.donors)))
+            assert len(ctx.loo) == len(task.donors)
+            for (denoised, rank), want, want_rank in zip(ctx.loo, stack, ranks):
+                assert rank == want_rank
+                np.testing.assert_array_equal(denoised, want)
 
     def test_placebo_cap_bounds_the_loo_batch(self):
         panel = self._panel()
-        treated = [panel.units[0]]
-        table = prefactor_unit_plan(
-            panel, self._tasks(panel, treated, max_placebos=2)
-        )
-        (pf,) = table.values()
-        assert pf.loo is not None and len(pf.loo) == 2
-        capped = prefactor_unit_plan(
-            panel, self._tasks(panel, treated, max_placebos=1)
-        )
-        assert next(iter(capped.values())).loo is None
+        unit = panel.units[0]
+        capped = UnitLedger(self._tasks(panel, [unit], max_placebos=2))
+        assert len(capped.context(unit).loo) == 2
+        single = UnitLedger(self._tasks(panel, [unit], max_placebos=1))
+        assert single.context(unit).loo is None
 
     def test_classic_tasks_are_left_out(self):
         panel = self._panel()
-        tasks = self._tasks(panel, [panel.units[0]])
         classic = [
             type(t)(**{**t.__dict__, "method": "classic", "fit_kwargs": ()})
-            for t in tasks
+            for t in self._tasks(panel, [panel.units[0]])
         ]
-        assert prefactor_unit_plan(panel, classic) == {}
+        ctx = UnitLedger(classic).context(panel.units[0])
+        assert ctx.fact is None and ctx.loo is None
 
-    def test_seeded_placebo_test_matches_private_fit(self):
-        from repro.pipeline.study import run_unit_task, unit_row
-
-        def study_row(task, prefactors):
-            cols = tuple(range(len(task.donors)))
-            fit, refits = run_unit_task((task, None, cols), prefactors)
-            return unit_row(fit, list(refits.values()), exhausted=True)
-
+    def test_ledger_task_matches_placebo_test(self):
         panel = self._panel()
         unit = panel.units[0]
         (task,) = self._tasks(panel, [unit])
-        table = prefactor_unit_plan(panel, [task])
+        ledger = UnitLedger([task])
+        run_unit_work(SerialExecutor(), {"": ledger}, ledger.work(ledger.queue()))
+        (row,), skipped = ledger.rows()
+        assert skipped == []
         matrix = np.column_stack([panel.series(d) for d in task.donors])
         private = placebo_test(
             panel.series(unit),
@@ -268,12 +185,10 @@ class TestPrefactorEngine:
             energy=0.99,
             ridge=1e-2,
         )
-        seeded = study_row(task, table)
-        assert seeded == study_row(task, {})  # the unseeded fit
-        assert seeded.p_value == private.p_value
-        assert seeded.rtt_delta_ms == private.fit.effect
-        assert seeded.rmse_ratio == private.fit.rmse_ratio
-        assert seeded.n_placebos == len(private.placebo_rmse_ratios)
+        assert row.p_value == private.p_value
+        assert row.rtt_delta_ms == private.fit.effect
+        assert row.rmse_ratio == private.fit.rmse_ratio
+        assert row.n_placebos == len(private.placebo_rmse_ratios)
 
     def test_task_is_hashable_now_fit_kwargs_is_frozen(self):
         panel = self._panel()
@@ -283,27 +198,138 @@ class TestPrefactorEngine:
         assert isinstance(task.fit_kwargs, tuple)
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every donor matrix the fit stage factors, in call order."""
+    calls: list[tuple[int, int]] = []
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return factor_donor_matrix(matrix)
+
+    monkeypatch.setattr(study_module, "factor_donor_matrix", counting)
+    return calls
+
+
+def _fits_units(records):
+    """``(scenario, unit)`` of every ``fits.unit`` span: one per planned unit."""
+    return [
+        (r.attrs.get("scenario", ""), r.attrs["unit"])
+        for r in records
+        if r.name == "fits.unit"
+    ]
+
+
 class TestStudyLevelBitIdentity:
-    def test_batched_equals_unbatched(self, small_frame, small_scenario):
-        reference = run_ixp_study(
-            small_frame, small_scenario.ixp_name, batch_fits=False
+    """The study's shared contexts give each unit's private placebo test."""
+
+    def _assert_rows_equal_private_tests(self, frame, ixp, max_placebos=None):
+        result = run_ixp_study(frame, ixp, max_placebos=max_placebos)
+        assert result.rows  # the comparison must not be vacuous
+        panel = rtt_panel(frame, period="day", outcome="rtt_ms")
+        plan = prepare_unit_plan(
+            panel, assign_treatment(frame, ixp), max_placebos=max_placebos
         )
-        assert reference.rows  # the comparison must not be vacuous
-        result = run_ixp_study(small_frame, small_scenario.ixp_name)
-        assert result.rows == reference.rows
-        assert result.skipped == reference.skipped
+        rows = {row.unit: row for row in result.rows}
+        for task in plan:
+            if not isinstance(task, _UnitTask):
+                continue
+            matrix = np.column_stack([panel.series(d) for d in task.donors])
+            private = placebo_test(
+                panel.series(task.unit),
+                matrix,
+                task.pre_periods,
+                treated_name=task.unit,
+                donor_names=task.donors,
+                max_placebos=max_placebos,
+                energy=0.99,
+                ridge=1e-2,
+            )
+            row = rows[task.unit]
+            assert row.rtt_delta_ms == private.fit.effect
+            assert row.rmse_ratio == private.fit.rmse_ratio
+            assert row.p_value == private.p_value
+            assert row.n_placebos == len(private.placebo_rmse_ratios)
+            assert row.n_placebos_skipped == len(private.skipped_placebos)
+
+    def test_batched_equals_unbatched(self, small_frame, small_scenario):
+        self._assert_rows_equal_private_tests(small_frame, small_scenario.ixp_name)
 
     def test_batched_equals_unbatched_with_placebo_cap(
         self, small_frame, small_scenario
     ):
-        reference = run_ixp_study(
-            small_frame, small_scenario.ixp_name, max_placebos=3, batch_fits=False
-        )
-        batched = run_ixp_study(
+        self._assert_rows_equal_private_tests(
             small_frame, small_scenario.ixp_name, max_placebos=3
         )
-        assert batched.rows == reference.rows
-        assert batched.skipped == reference.skipped
+
+
+class TestOneFactorizationPerUnit:
+    def test_study_factors_each_planned_unit_once(
+        self, factorizations, small_frame, small_scenario
+    ):
+        get_tracer().reset()
+        try:
+            result = run_ixp_study(small_frame, small_scenario.ixp_name)
+            records = list(get_tracer().records)
+        finally:
+            get_tracer().reset()
+        planned = _fits_units(records)
+        assert len(set(planned)) == len(planned) >= len(result.rows) > 0
+        assert len(factorizations) == len(planned)
+        assert not [r for r in records if r.name == "fits.prefactor"]
+
+    def test_campaign_factors_each_planned_unit_once_across_rounds(
+        self, factorizations
+    ):
+        from repro.campaign import ScenarioSpec, run_campaign
+
+        fleet = (
+            ScenarioSpec(
+                name="alpha", kind="baseline", seed=1, measurement_seed=5,
+                n_donor_ases=8, duration_days=10,
+            ),
+            ScenarioSpec(
+                name="bravo", kind="congestion-shock", seed=2,
+                measurement_seed=6, n_donor_ases=8, duration_days=10,
+            ),
+        )
+        get_tracer().reset()
+        try:
+            result = run_campaign(fleet, budget=24, round_refits=4, n_jobs=1)
+            records = list(get_tracer().records)
+        finally:
+            get_tracer().reset()
+        assert len(result.trace) >= 3  # stage B, then several stage-C rounds
+        planned = _fits_units(records)
+        assert {scenario for scenario, _unit in planned} == {"alpha", "bravo"}
+        assert len(set(planned)) == len(planned)
+        assert len(factorizations) == len(planned)
+        assert not [r for r in records if r.name == "fits.prefactor"]
+        # Every round's ensembles read the ledger's leave-one-out panels:
+        # no round repeats a sweep.
+        ensembles = [r for r in records if r.name == "placebo.ensemble"]
+        assert ensembles
+        assert all(r.attrs["n_rank1"] == r.attrs["n_svd"] == 0 for r in ensembles)
+
+    def test_nothing_in_src_imports_the_retired_prefactor_pass(self):
+        src = Path(study_module.__file__).resolve().parents[1]
+        importers = []
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = {f"{node.module}.{a.name}" for a in node.names}
+                    names.add(node.module or "")
+                elif isinstance(node, ast.Import):
+                    names = {a.name for a in node.names}
+                else:
+                    continue
+                if "repro.pipeline.prefactor" in names:
+                    importers.append(str(path.relative_to(src)))
+        assert importers == []
+
+    def test_batch_fits_true_is_refused(self, small_frame, small_scenario):
+        with pytest.raises(ExecutionError, match="batch_fits"):
+            run_ixp_study(small_frame, small_scenario.ixp_name, batch_fits=True)
 
 
 class TestDonorsChosenOnce:
@@ -332,16 +358,10 @@ class TestDonorsChosenOnce:
         return calls
 
     @pytest.mark.parametrize("n_jobs", [1])
-    @pytest.mark.parametrize("batch_fits", [True, False])
     def test_one_selection_per_planned_unit(
-        self, selections, small_frame, small_scenario, n_jobs, batch_fits
+        self, selections, small_frame, small_scenario, n_jobs
     ):
-        result = run_ixp_study(
-            small_frame,
-            small_scenario.ixp_name,
-            n_jobs=n_jobs,
-            batch_fits=batch_fits,
-        )
+        result = run_ixp_study(small_frame, small_scenario.ixp_name, n_jobs=n_jobs)
         # No unit fails the shape screen here, so every treated unit is
         # planned: a fitted row or a donor-screen skip.
         assert not any("treatment" in reason for _unit, reason in result.skipped)

@@ -5,8 +5,9 @@ A campaign interleaves many scenarios, so the new failure mode is
 numbers or logs.  The claims:
 
 - faults injected into ``fits.unit`` of one scenario and
-  ``stream.batch`` of another fire **only under their own scenario's
-  keys** (every campaign fault key is scenario-prefixed);
+  ``campaign.scenario`` (stage A's scenario build) of another fire
+  **only under their own scenario's keys** (every campaign fault key
+  names its scenario);
 - with retries on, the afflicted campaign's verdict table equals the
   fault-free run's row for row — also when a stage-A worker process
   dies mid-scenario and the pool rebuilds.
@@ -35,8 +36,8 @@ SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
 RETRY = RetryPolicy(max_attempts=3, base_delay=0.0)
 
-#: Two scenarios, different ingestion paths: faults target "alpha"'s
-#: unit fits and "bravo"'s stream batches — never the other way round.
+#: Two scenarios: faults target "alpha"'s unit fits and "bravo"'s
+#: scenario build — never the other way round.
 FLEET = (
     ScenarioSpec(
         name="alpha", kind="baseline", seed=1, measurement_seed=5,
@@ -44,7 +45,7 @@ FLEET = (
     ),
     ScenarioSpec(
         name="bravo", kind="congestion-shock", seed=2, measurement_seed=6,
-        n_donor_ases=8, duration_days=10, ingest_batches=3,
+        n_donor_ases=8, duration_days=10,
     ),
 )
 BUDGET = 24
@@ -53,7 +54,7 @@ PLAN = FaultPlan(
     SEED,
     (
         FaultSpec(site="fits.unit", kind="error", match="alpha/"),
-        FaultSpec(site="stream.batch", kind="error", match="bravo/"),
+        FaultSpec(site="campaign.scenario", kind="error", match="bravo"),
     ),
 )
 
@@ -87,15 +88,15 @@ class TestCrossScenarioIsolation:
             run_campaign(FLEET, budget=BUDGET, n_jobs=1, retry=RETRY)
         events = fault_events()
         assert events, "the plan should have fired"
-        by_site = {"fits.unit": [], "stream.batch": []}
+        by_site = {"fits.unit": [], "campaign.scenario": []}
         for event in events:
             by_site[event.site].append(event.key)
-        # Every fit fault carries alpha's prefix, every ingest fault
-        # bravo's — no cross-contamination in either direction.
+        # Every fit fault carries alpha's prefix, every scenario-build
+        # fault bravo's name — no cross-contamination in either direction.
         assert by_site["fits.unit"]
         assert all(k.startswith("alpha/") for k in by_site["fits.unit"])
-        assert by_site["stream.batch"]
-        assert all(k.startswith("bravo/") for k in by_site["stream.batch"])
+        assert by_site["campaign.scenario"]
+        assert all(k == "bravo" for k in by_site["campaign.scenario"])
 
     def test_parallel_campaign_same_faults_same_rows(self, baseline):
         with active_plan(PLAN):
@@ -133,11 +134,11 @@ class TestCrossScenarioIsolation:
 
 class TestPoolRecovery:
     def test_chaos_kill_in_pool_with_retries(self, baseline):
-        # A stage-A worker hard-exits while streaming bravo's batches;
-        # the pool rebuilds, the scenario task reruns, and the verdict
-        # table comes out untouched.
+        # A stage-A worker hard-exits while building bravo; the pool
+        # rebuilds, the scenario task reruns, and the verdict table
+        # comes out untouched.
         plan = FaultPlan(
-            SEED, (FaultSpec(site="stream.batch", kind="kill", match="bravo/"),)
+            SEED, (FaultSpec(site="campaign.scenario", kind="kill", match="bravo"),)
         )
         rebuilds = get_metrics().counter("pool_rebuilds_total").value
         with active_plan(plan):

@@ -23,7 +23,7 @@ class TestScenarioSpec:
         spec = ScenarioSpec(
             name="leak-3", kind="route-leak", seed=7, measurement_seed=11,
             n_donor_ases=10, duration_days=14, join_day=6, user_scale=0.75,
-            ingest_batches=3, params={"leak_day": 8},
+            params={"leak_day": 8},
         )
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
         # and through JSON (the campaign-file path)
@@ -42,6 +42,9 @@ class TestScenarioSpec:
     def test_unknown_dict_keys_rejected(self):
         with pytest.raises(SimulationError, match="unknown keys"):
             ScenarioSpec.from_dict({"name": "x", "sedd": 3})
+        # A retired field is an unknown key like any other.
+        with pytest.raises(SimulationError, match="ingest_batches"):
+            ScenarioSpec.from_dict({"name": "x", "ingest_batches": 3})
 
     def test_unknown_params_rejected_at_build(self):
         spec = ScenarioSpec(

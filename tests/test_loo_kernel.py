@@ -22,8 +22,6 @@ from repro.synthcontrol import factor_donor_matrix
 from repro.synthcontrol.placebo import placebo_ensemble
 from repro.synthcontrol.robust import (
     _denoise_leave_out,
-    denoise_leave_one_out,
-    denoise_leave_one_out_many,
     denoise_leave_out,
     denoise_without_column,
 )
@@ -213,17 +211,16 @@ class TestBatchIndependence:
             np.testing.assert_array_equal(alone[0], stack[col])
             assert alone_rank[0] == ranks[col]
 
-    def test_many_equals_per_fact_calls(self, campaign_facts):
+    def test_capped_queue_equals_the_full_sweeps_head(self, campaign_facts):
+        # A placebo cap sweeps only the queue's first columns; each must
+        # be bit-identical to the same column of the uncapped sweep.
         facts = campaign_facts[:12] + [factor_donor_matrix(tied_panel())]
-        for limit in (None, 3):
-            batched = denoise_leave_one_out_many(facts, limit=limit)
-            for fact, loo in zip(facts, batched):
-                n = fact.n_donors if limit is None else min(limit, fact.n_donors)
-                stack, ranks = denoise_leave_out(fact, range(n))
-                assert len(loo) == n
-                for (panel, rank), want, want_rank in zip(loo, stack, ranks):
-                    assert rank == want_rank
-                    np.testing.assert_array_equal(panel, want)
+        for fact in facts:
+            stack, ranks = denoise_leave_out(fact, range(fact.n_donors))
+            n = min(3, fact.n_donors)
+            head, head_ranks = denoise_leave_out(fact, range(n))
+            np.testing.assert_array_equal(head_ranks, ranks[:n])
+            np.testing.assert_array_equal(head, stack[:n])
 
 
 class TestEnsembleCounts:
@@ -261,31 +258,24 @@ class TestEnsembleCounts:
 
 
 class TestBatchedLeaveOneOut:
-    def _fact(self, with_gaps: bool = True):
+    def _fact(self):
         rng = np.random.default_rng(4)
         donors = rng.normal(40.0, 3.0, size=(30, 8))
-        if with_gaps:
-            donors[rng.random(donors.shape) < 0.1] = np.nan
+        donors[rng.random(donors.shape) < 0.1] = np.nan
         return factor_donor_matrix(donors)
 
     def test_batched_svd_matches_per_column_downdate_exactly(self):
         fact = self._fact()
-        batched = denoise_leave_one_out(fact, energy=0.99)
-        assert len(batched) == fact.n_donors
-        for col, (denoised, rank) in enumerate(batched):
+        stack, ranks = denoise_leave_out(fact, range(fact.n_donors), energy=0.99)
+        assert len(stack) == fact.n_donors
+        for col, (denoised, rank) in enumerate(zip(stack, ranks)):
             single, single_rank = denoise_without_column(fact, col, energy=0.99)
             assert rank == single_rank
             np.testing.assert_array_equal(denoised, single)
 
-    def test_limit_truncates_the_batch(self):
-        fact = self._fact(with_gaps=False)
-        assert len(denoise_leave_one_out(fact, limit=3)) == 3
-        assert len(denoise_leave_one_out(fact, limit=0)) == 0
-
     def test_zero_spectrum_falls_back_like_the_downdate(self):
         fact = factor_donor_matrix(np.zeros((6, 3)))
-        batched = denoise_leave_one_out(fact)
-        for col, (denoised, rank) in enumerate(batched):
+        for col, (denoised, rank) in enumerate(zip(*denoise_leave_out(fact, range(3)))):
             single, single_rank = denoise_without_column(fact, col)
             assert rank == single_rank == 0
             np.testing.assert_array_equal(denoised, single)
@@ -295,4 +285,4 @@ class TestBatchedLeaveOneOut:
 
         fact = factor_donor_matrix(np.ones((5, 1)))
         with pytest.raises(DonorPoolError):
-            denoise_leave_one_out(fact)
+            denoise_leave_out(fact, range(1))

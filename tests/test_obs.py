@@ -46,8 +46,8 @@ from repro.pipeline import (
 from repro.pipeline.crossing import assign_treatment
 from repro.pipeline.study import StudyRow, parse_unit_label
 
-#: A two-scenario fleet, one of them streamed, for serial-vs-pooled
-#: campaign parity: the pool builds scenarios, the fits stay serial.
+#: A two-scenario fleet for serial-vs-pooled campaign parity: the pool
+#: builds scenarios, the fits stay serial.
 def _fleet():
     from repro.campaign import ScenarioSpec
 
@@ -58,7 +58,7 @@ def _fleet():
         ),
         ScenarioSpec(
             name="bravo", kind="congestion-shock", seed=2, measurement_seed=6,
-            n_donor_ases=8, duration_days=10, ingest_batches=3,
+            n_donor_ases=8, duration_days=10,
         ),
     )
 
@@ -492,25 +492,6 @@ class TestStudyTraceParity:
         assert len(ok_units) == len(result.rows)
         survivors = [r for r in records if r.name == "placebo" and r.attrs.get("ok")]
         assert len(survivors) == sum(r.n_placebos for r in result.rows)
-
-    def test_stacked_svd_records_one_prefactor_span(
-        self, small_frame, small_scenario
-    ):
-        ixp = small_scenario.ixp_name
-        for batch_fits, expected in ((True, 1), (False, 0)):
-            get_tracer().reset()
-            try:
-                result = run_ixp_study(small_frame, ixp, batch_fits=batch_fits)
-                records = list(get_tracer().records)
-            finally:
-                get_tracer().reset()
-            spans = [r for r in records if r.name == "fits.prefactor"]
-            assert len(spans) == expected, batch_fits
-            by_id = {r.span_id: r for r in records}
-            for sp in spans:
-                assert by_id[sp.parent_id].name == "fits"
-                assert sp.attrs["n_units"] == len(result.rows)
-                assert sp.attrs["n_groups"] >= 1
 
     def test_result_identical_with_tracing_off(self, small_frame, small_scenario):
         ixp = small_scenario.ixp_name

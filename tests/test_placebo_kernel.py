@@ -29,7 +29,7 @@ from repro.synthcontrol import (
     placebo_rmse_ratios,
 )
 from repro.synthcontrol.placebo import placebo_ensemble
-from repro.synthcontrol.robust import denoise_leave_one_out
+from repro.synthcontrol.robust import denoise_leave_out
 
 
 def oracle(fact, donors, pre_periods, cols, energy=0.99, ridge=1e-2, min_pre_rmse=1e-9):
@@ -92,7 +92,7 @@ class TestKernelParity:
             cols = range(donors.shape[1])
             want = oracle(fact, donors, task.pre_periods, cols)
             assert placebo_ensemble(fact, donors, task.pre_periods, cols) == want
-            loo = denoise_leave_one_out(fact)
+            loo = tuple(zip(*denoise_leave_out(fact, cols)))
             got = placebo_ensemble(fact, donors, task.pre_periods, cols, loo=loo)
             assert got == want
 
