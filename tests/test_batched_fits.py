@@ -358,10 +358,18 @@ class TestDonorsChosenOnce:
         return calls
 
     @pytest.mark.parametrize("n_jobs", [1])
+    @pytest.mark.parametrize("journaled", [True, False])
     def test_one_selection_per_planned_unit(
-        self, selections, small_frame, small_scenario, n_jobs
+        self, selections, small_frame, small_scenario, n_jobs, journaled, tmp_path
     ):
-        result = run_ixp_study(small_frame, small_scenario.ixp_name, n_jobs=n_jobs)
+        # Journaling each fit through a checkpoint must not re-run the screen.
+        result = run_ixp_study(
+            small_frame,
+            small_scenario.ixp_name,
+            n_jobs=n_jobs,
+            checkpoint=tmp_path / "study.jsonl" if journaled else None,
+        )
+        assert (tmp_path / "study.jsonl").exists() == journaled
         # No unit fails the shape screen here, so every treated unit is
         # planned: a fitted row or a donor-screen skip.
         assert not any("treatment" in reason for _unit, reason in result.skipped)
