@@ -8,15 +8,19 @@ marker).  The class is intentionally small: it exists so that
 :class:`~repro.frames.frame.Frame` can reason about dtypes and missing
 values uniformly without pulling in pandas.
 
-An object column may instead be *dictionary-encoded*
+An object or int column may instead be *dictionary-encoded*
 (:meth:`Column.from_codes`): one narrow unsigned code per row, in
 :func:`code_dtype` of the category count, plus a small table of the
-distinct values.  Its kind is still ``object``.  Row selection,
+distinct values (an object array, or an ``int64`` array for an int
+column).  Its kind stays ``object`` or ``int``.  Row selection,
 concatenation, missing masks, equality, pickling and :meth:`Column.factorize`
-work on the codes; :attr:`Column.values` decodes the object array on first
-access and keeps it, so a reader of ``values`` sees exactly what a plain
-object column would hold.  Label columns with a few dozen distinct values
-then cost one byte per row instead of an 8-byte pointer.
+work on the codes, so a reader of ``values`` sees exactly what a plain
+column would hold.  An object column decodes its object array on first
+access of :attr:`Column.values` and keeps it; an int column decodes on
+every access and keeps nothing, since a kept ``int64`` copy would cost
+the eight bytes per row the codes save.  Label columns and integer keys
+with a few dozen distinct values (days, AS numbers) then cost one byte
+per row instead of eight.
 """
 
 from __future__ import annotations
@@ -196,6 +200,20 @@ def _object_array(values: Sequence[Any]) -> np.ndarray:
     return out
 
 
+def _category_table(categories: Sequence[Any] | np.ndarray, kind: str) -> np.ndarray:
+    """The category array of an encoded column of *kind*.
+
+    Int categories must all be integers: a float or ``None`` among them
+    raises rather than being truncated or refused later by numpy.
+    """
+    if kind == KIND_INT:
+        table = np.asarray(categories)
+        if len(table) and (table.ndim != 1 or table.dtype.kind not in "iu"):
+            raise FrameError(f"int categories must be integers, got {table.dtype}")
+        return table.astype(np.int64)
+    return _object_array(categories)
+
+
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """The row where each constant run of a non-empty array starts.
 
@@ -239,7 +257,8 @@ class Column:
         One of ``float``, ``int``, ``bool``, ``object``.  Inferred from the
         values when omitted.
 
-    :meth:`from_codes` builds a dictionary-encoded object column instead.
+    :meth:`from_codes` builds a dictionary-encoded object or int column
+    instead.
     """
 
     __slots__ = ("name", "kind", "_values", "_codes", "_categories", "_factorized")
@@ -269,19 +288,27 @@ class Column:
 
     @classmethod
     def from_codes(
-        cls, name: str, codes: np.ndarray, categories: Sequence[Any]
+        cls,
+        name: str,
+        codes: np.ndarray,
+        categories: Sequence[Any] | np.ndarray,
+        kind: str = KIND_OBJECT,
     ) -> "Column":
-        """A dictionary-encoded object column: row *i* holds ``categories[codes[i]]``.
+        """A dictionary-encoded column: row *i* holds ``categories[codes[i]]``.
 
-        *codes* must be in :func:`code_dtype` of ``len(categories)`` and
-        the categories distinct (as dict keys).  When the categories are
-        listed in first-appearance order and all used — the way a
-        writer that registers each label as it first emits it builds
-        them — :meth:`factorize` returns *codes* as they are.
+        *kind* is ``object`` (the categories are held as an object
+        array) or ``int`` (as an ``int64`` array).  *codes* must be in
+        :func:`code_dtype` of ``len(categories)`` and the categories
+        distinct (as dict keys).  When the categories are listed in
+        first-appearance order and all used — the way a writer that
+        registers each label as it first emits it builds them —
+        :meth:`factorize` returns *codes* as they are.
         """
         if not isinstance(name, str) or not name:
             raise FrameError(f"column name must be a non-empty string, got {name!r}")
-        cats = _object_array(categories)
+        if kind not in (KIND_OBJECT, KIND_INT):
+            raise FrameError(f"column {name!r}: cannot encode a {kind!r} column")
+        cats = _category_table(categories, kind)
         codes = np.asarray(codes)
         if codes.ndim != 1 or codes.dtype != code_dtype(len(cats)):
             raise FrameError(
@@ -298,16 +325,20 @@ class Column:
     def _encoded(
         cls, name: str, codes: np.ndarray, categories: np.ndarray, canonical: bool
     ) -> "Column":
-        """Wrap validated codes; *canonical* codes are their own factorization."""
+        """Wrap validated codes; *canonical* codes are their own factorization.
+
+        The kind follows the category table: ``int`` for an ``int64``
+        table, ``object`` for an object one.
+        """
         col = cls.__new__(cls)
         col.name = name
-        col.kind = KIND_OBJECT
+        col.kind = KIND_INT if categories.dtype == np.int64 else KIND_OBJECT
         col._values = None
         col._codes = codes
         col._categories = categories
         col._factorized = None
         if canonical:
-            col._memoize(codes, categories.tolist())
+            col._memoize(codes, list(categories))
         return col
 
     def __reduce__(self) -> tuple[Any, ...]:
@@ -321,15 +352,42 @@ class Column:
 
     @property
     def values(self) -> np.ndarray:
-        """The row values as a numpy array (an encoded column decodes once)."""
-        if self._values is None:
-            self._values = self._decode()
+        """The row values as a numpy array.
+
+        An encoded object column decodes once and keeps the object
+        array; an encoded int column decodes a fresh read-only array on
+        every access and keeps none.
+        """
+        if self._values is not None:
+            return self._values
+        if self.kind == KIND_INT:
+            return self._decode()
+        self._values = self._decode()
         return self._values
 
     def _decode(self) -> np.ndarray:
         out = self._categories[self._codes]
         out.flags.writeable = False  # the codes stay the source of truth
         return out
+
+    def numeric(self) -> np.ndarray:
+        """The values as ``float64``, raising for an object column.
+
+        A float column comes back as a read-only view of its values —
+        no copy, so a caller that wants to write must copy first.  Int
+        and bool columns convert into a fresh array; an encoded int
+        column gathers it from its category table converted to float,
+        without an ``int64`` copy of the rows.
+        """
+        if self.kind == KIND_OBJECT:
+            raise FrameError(f"column {self.name!r} is not numeric")
+        if self.kind == KIND_FLOAT:
+            view = self._values.view()
+            view.flags.writeable = False
+            return view
+        if self._codes is not None:
+            return self._categories.astype(np.float64)[self._codes]
+        return self._values.astype(np.float64)
 
     @property
     def nbytes(self) -> int:
@@ -386,7 +444,7 @@ class Column:
 
     def is_missing(self) -> np.ndarray:
         """Return a boolean mask that is True where the value is missing."""
-        if self._codes is not None:
+        if self._codes is not None and self.kind == KIND_OBJECT:
             missing = np.array([c is None for c in self._categories], dtype=bool)
             return missing[self._codes]
         if self.kind == KIND_FLOAT:
@@ -468,7 +526,11 @@ class Column:
             raise ColumnMismatchError(
                 f"cannot concat column {other.name!r} onto {self.name!r}"
             )
-        if self._codes is not None and other._codes is not None:
+        if (
+            self._codes is not None
+            and other._codes is not None
+            and self.kind == other.kind
+        ):
             merged = self._concat_codes(other)
             if merged is not None:
                 return merged
@@ -487,7 +549,7 @@ class Column:
         return Column(self.name, np.concatenate([a.values, b.values]), kind=KIND_OBJECT)
 
     def _concat_codes(self, other: "Column") -> "Column | None":
-        """Two encoded columns joined on one merged category table.
+        """Two encoded columns of one kind joined on one merged category table.
 
         Returns ``None`` when a category of *other* is dict-equal to one
         of this column but of another type (``1`` and ``True``): one
@@ -513,7 +575,7 @@ class Column:
         # canonical tables merge into a canonical one.
         canonical = self._factorized is not None and other._factorized is not None
         return Column._encoded(
-            self.name, codes, _object_array(categories), canonical
+            self.name, codes, _category_table(categories, self.kind), canonical
         )
 
     def to_list(self) -> list[Any]:
@@ -532,7 +594,9 @@ class Column:
         first (``uint8 * 300`` wraps).
 
         An encoded column returns its stored codes — no hashing, no
-        memo.  After a :meth:`take` or :meth:`mask` has reordered its
+        memo — and its categories as they are held (an int column's
+        uniques are ``numpy.int64``, as a plain int column's are).
+        After a :meth:`take` or :meth:`mask` has reordered its
         rows it first renumbers them with one :func:`dense_rank` of the
         narrow codes (a radix sort, over one code per constant run) and
         keeps the result as its storage.  Numeric columns use one stable
@@ -549,7 +613,8 @@ class Column:
         n = len(self)
         if n == 0:
             return np.empty(0, dtype=code_dtype(0)), []
-        if self.kind != KIND_OBJECT:
+        encoded = self._codes is not None
+        if self.kind != KIND_OBJECT and not encoded:
             values = self._values
             codes, first_rows = dense_rank(values, nan_equal=self.kind == KIND_FLOAT)
             uniques = list(values[first_rows])
@@ -559,7 +624,6 @@ class Column:
         # label per pool), their time slices and CSV imports carry long
         # constant runs.  Worst case (no runs) this is the per-row pass
         # plus the boundary sweep.
-        encoded = self._codes is not None
         stored = self._codes if encoded else self._values
         starts = _run_starts(stored)
         heads = stored[starts]
@@ -569,7 +633,7 @@ class Column:
             # column's storage.
             run_codes, first_runs = dense_rank(heads)
             self._categories = self._categories[heads[first_runs]]
-            uniques = self._categories.tolist()
+            uniques = list(self._categories)
         else:
             table: dict[Any, int] = {}
             run_codes = np.fromiter(

@@ -209,9 +209,18 @@ class Frame:
         ]
         return Frame(cols)
 
-    def with_column(self, name: str, values: Sequence[Any] | np.ndarray) -> "Frame":
-        """Return a frame with column *name* added or replaced."""
-        col = Column(name, values)
+    def with_column(
+        self, name: str, values: Sequence[Any] | np.ndarray | Column
+    ) -> "Frame":
+        """Return a frame with column *name* added or replaced.
+
+        A :class:`Column` is kept as it is stored (an encoded column
+        stays encoded), under *name*.
+        """
+        if isinstance(values, Column):
+            col = values.rename(name)
+        else:
+            col = Column(name, values)
         if self._order and len(col) != self.num_rows:
             raise ColumnMismatchError(
                 f"new column {name!r} has length {len(col)}, expected {self.num_rows}"
@@ -486,18 +495,10 @@ class Frame:
     def numeric(self, name: str) -> np.ndarray:
         """Return column *name* as float64 (raising if non-numeric).
 
-        A float column comes back as a read-only view of its values —
-        no copy, so a caller that wants to write must copy first.  Int
-        and bool columns convert into a fresh array.
+        See :meth:`Column.numeric`: a float column comes back as a
+        read-only view, int and bool columns as a fresh array.
         """
-        col = self.column(name)
-        if col.kind == KIND_OBJECT:
-            raise FrameError(f"column {name!r} is not numeric")
-        if col.kind == KIND_FLOAT:
-            view = col.values.view()
-            view.flags.writeable = False
-            return view
-        return col.values.astype(np.float64)
+        return self.column(name).numeric()
 
 
 def _combine_codes(parts: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, bool]:
@@ -561,7 +562,7 @@ def _gather_with_missing(col: Column, indices: np.ndarray, missing: np.ndarray) 
         return Column(col.name, out, kind=KIND_FLOAT)
     if col.kind == KIND_INT:
         if not any_missing:
-            return Column(col.name, col.values[safe], kind=KIND_INT)
+            return col.take(safe)  # an encoded int column stays encoded
         out = col.values[safe].astype(np.float64)
         out[missing] = np.nan
         return Column(col.name, out, kind=KIND_FLOAT)

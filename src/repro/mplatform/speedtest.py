@@ -76,11 +76,19 @@ _FRAME_KINDS: dict[str, str] = {
 }
 
 _KIND_DTYPES: dict[str, type] = {
-    KIND_INT: np.int64,
     KIND_FLOAT: np.float64,
     KIND_BOOL: np.bool_,
-    KIND_OBJECT: np.uint8,  # label codes, widened past 256 labels
+    # Codes, widened past 256 values.
+    KIND_INT: np.uint8,
+    KIND_OBJECT: np.uint8,
 }
+
+#: Columns written as codes through a first-appearance table: the label
+#: columns and the AS number.  ``day`` is written as codes too, with its
+#: categories in ascending order.
+_TABLE_CODED = tuple(
+    name for name, kind in _FRAME_KINDS.items() if kind == KIND_OBJECT
+) + ("asn",)
 
 #: Trigger values in the order of the codes the batch classifier draws.
 _TRIGGER_VALUES = (
@@ -140,12 +148,12 @@ class _GenerationPlan:
     to the content AS per source AS).
     """
 
-    hour: np.ndarray  # int64
-    group: np.ndarray  # int64 index into the scenario's user groups
-    n_tests: np.ndarray  # int64, > 0
+    hour: np.ndarray  # unsigned, narrowest for the window's hours
+    group: np.ndarray  # unsigned index into the scenario's user groups
+    n_tests: np.ndarray  # unsigned, > 0
     ambient: np.ndarray  # float64 ms: the RTT the cell's rate was priced at
     recent: np.ndarray  # bool: the route changed within the curiosity window
-    state: np.ndarray  # int64
+    state: np.ndarray  # unsigned index into topologies and routes
     topologies: list[Topology]
     routes: list[dict[int, Route]]
 
@@ -160,7 +168,7 @@ class _GenerationPlan:
         """
         if not len(self):
             return []
-        key = self.state * (int(self.group.max()) + 1) + self.group
+        key = self.state.astype(np.int64) * (int(self.group.max()) + 1) + self.group
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         pool_start = first[inverse]  # each cell's pool, named by its first cell
         order = np.argsort(pool_start, kind="stable")
@@ -233,10 +241,11 @@ class SpeedTestGenerator:
 
         The window is walked one routing-state run at a time.  Ambient
         RTT comes from one noise-free curve per ⟨AS, routing-state⟩ over
-        the whole hour grid.  Rates use the float operations of
-        :meth:`UserGroup.test_rate` elementwise, and the counts come from
-        one Poisson call over the cells that have a route, in row-major
-        ⟨hour, group⟩ order — the draw sequence of a per-cell loop.
+        the whole hour grid, kept until the state's last run.  Rates use
+        the float operations of :meth:`UserGroup.test_rate` elementwise,
+        and the counts come from one Poisson call over the cells that
+        have a route, in row-major ⟨hour, group⟩ order — the draw
+        sequence of a per-cell loop.
         """
         scenario = self.scenario
         config = self.config
@@ -255,11 +264,14 @@ class SpeedTestGenerator:
         last_path: dict[int, tuple[int, ...]] = {}
         last_change: dict[int, float] = {}
 
-        for start, stop in self._state_runs(n_hours):
+        runs = self._state_runs(n_hours)
+        states = [scenario.timeline.state_at(float(start)) for start, _ in runs]
+        last_run = {(st.epoch, st.dead_links): i for i, st in enumerate(states)}
+        for i, ((start, stop), state) in enumerate(zip(runs, states)):
             t = float(start)
-            state = scenario.timeline.state_at(t)
             routes = scenario.timeline.routes_at(t, scenario.content_asn)
-            sid = state_ids.setdefault((state.epoch, state.dead_links), len(state_ids))
+            key = (state.epoch, state.dead_links)
+            sid = state_ids.setdefault(key, len(state_ids))
             if sid == len(topologies):
                 topologies.append(state.topology)
                 routes_by_state.append(routes)
@@ -286,6 +298,9 @@ class SpeedTestGenerator:
                 if group.asn in last_change:
                     since_change = grid[start:stop] - last_change[group.asn]
                     recent[start:stop, gi] = since_change < config.change_window_hours
+            if last_run[key] == i:
+                for group in groups:
+                    ambient_curves.pop((group.asn, sid), None)
 
         def per_group(name: str) -> np.ndarray:
             return np.array([getattr(g, name) for g in groups], dtype=np.float64)
@@ -308,15 +323,21 @@ class SpeedTestGenerator:
             rate_rng.poisson(lam[has_route]), config.max_tests_per_group_hour
         )
 
+        # One entry per cell for the whole emission: store each index in
+        # the narrowest unsigned dtype its range allows.
         cells = np.flatnonzero(counts)
         hour, group = np.divmod(cells, n_groups)
+        del cells
+        hour = hour.astype(code_dtype(n_hours))
         return _GenerationPlan(
             hour=hour,
-            group=group,
-            n_tests=counts.ravel()[cells],
-            ambient=ambient.ravel()[cells],
-            recent=recent.ravel()[cells],
-            state=state_of_hour[hour],
+            group=group.astype(code_dtype(n_groups)),
+            n_tests=counts[hour, group].astype(
+                code_dtype(config.max_tests_per_group_hour + 1)
+            ),
+            ambient=ambient[hour, group],
+            recent=recent[hour, group],
+            state=state_of_hour.astype(code_dtype(len(topologies)))[hour],
             topologies=topologies,
             routes=routes_by_state,
         )
@@ -332,9 +353,10 @@ class SpeedTestGenerator:
         and no intermediate ``Measurement`` objects.  Each link's
         pre-noise load is computed once per pool for both the RTT and
         the throughput draw.  The label columns (city, unit label, AS
-        path, IXP list, trigger, server site) are dictionary-encoded
+        path, IXP list, trigger, server site) and the integer keys
+        (``asn``, ``day``) are dictionary-encoded
         (:meth:`~repro.frames.Column.from_codes`): one narrow code per
-        row, no string or pointer per row.
+        row, no string, pointer or ``int64`` per row.
         """
         with span("generate") as sp:
             rate_rng, noise_rng = _split_rng(rng)
@@ -357,14 +379,19 @@ class SpeedTestGenerator:
         pre-noise load is computed once per pool and read by both the
         RTT draw and the throughput bottleneck.
 
-        Label columns are written as codes.  Each one keeps a table of
-        its labels, and a pool registers its label when it writes its
-        rows; pools are never empty and come in row order, so the
-        tables list the labels in first-appearance order.  Trigger
-        labels are registered in the order they first occur.  Codes
-        start as ``uint8`` and a column is widened when its table
+        Label columns and ``asn`` are written as codes.  Each one keeps
+        a table of its values, and a pool registers its value when it
+        writes its rows; pools are never empty and come in row order,
+        so the tables list the values in first-appearance order.
+        Trigger labels are registered in the order they first occur.
+        Codes start as ``uint8`` and a column is widened when its table
         outgrows its dtype, so every column ends in the code dtype of
         its table's size.
+
+        ``day`` is written as its value, in the code dtype of the
+        window's day count; its categories are the days that hold a
+        test, ascending, and the codes are renumbered only when a day
+        below the last holds none.
         """
         scenario = self.scenario
         latency = scenario.latency
@@ -372,15 +399,22 @@ class SpeedTestGenerator:
         share_loads = self.throughput.latency is latency
         pools = plan.pools()
         total = int(plan.n_tests.sum())
-        labels: dict[str, dict[str, int]] = {
-            name: {} for name, kind in _FRAME_KINDS.items() if kind == KIND_OBJECT
-        }
+        labels: dict[str, dict[str | int, int]] = {name: {} for name in _TABLE_CODED}
+        # A test at hour h < n_hours falls on day (h + u) // 24 for u in
+        # [0, 1), which rounding can carry to n_hours // 24.
+        n_days = int(scenario.duration_hours) // 24 + 1
+        day_seen = np.zeros(n_days, dtype=bool)
         columns = {
-            name: np.empty(total, dtype=_KIND_DTYPES[_FRAME_KINDS[name]])
+            name: np.empty(
+                total,
+                dtype=code_dtype(n_days)
+                if name == "day"
+                else _KIND_DTYPES[_FRAME_KINDS[name]],
+            )
             for name in MEASUREMENT_COLUMNS
         }
 
-        def put(name: str, rows: slice, label: str) -> None:
+        def put(name: str, rows: slice, label: str | int) -> None:
             table = labels[name]
             code = table.setdefault(label, len(table))
             if code > np.iinfo(columns[name].dtype).max:
@@ -439,20 +473,27 @@ class SpeedTestGenerator:
 
                 register_triggers(triggers)
                 crossings = self._crossings(group.asn, float(plan.hour[first]))
-                columns["asn"][rows] = group.asn
+                put("asn", rows, group.asn)
                 put("city", rows, group.city)
                 put("unit", rows, group.unit_label)
-                columns["day"][rows] = time_hour // 24.0
+                day = columns["day"][rows]
+                day[:] = time_hour // 24.0
+                day_seen[day] = True
                 put("as_path", rows, "-".join(str(a) for a in route.path))
                 columns["crosses_ixp"][rows] = len(crossings) > 0
                 put("ixps", rows, ",".join(crossings))
                 np.take(trigger_code, triggers, out=columns["trigger"][rows])
                 put("server_site", rows, "default")
                 columns["download_mbps"][rows] = tput.download_mbps
+        categories = {name: list(table) for name, table in labels.items()}
+        categories["day"] = np.flatnonzero(day_seen)
+        columns["day"] = _renumber_days(columns["day"], categories["day"])
         return Frame(
             [
-                Column.from_codes(name, columns[name], list(labels[name]))
-                if name in labels
+                Column.from_codes(
+                    name, columns[name], categories[name], kind=_FRAME_KINDS[name]
+                )
+                if name in categories
                 else Column(name, columns[name], kind=_FRAME_KINDS[name])
                 for name in MEASUREMENT_COLUMNS
             ]
@@ -489,6 +530,21 @@ class SpeedTestGenerator:
         out[draw >= 1.0] = 1  # performance
         out[draw >= perf_mult] = 2  # route change
         return out
+
+
+def _renumber_days(day: np.ndarray, days: np.ndarray) -> np.ndarray:
+    """Day values as codes into the ascending table *days* of those present.
+
+    The values already are those codes when no day below the last one
+    present lacks a test; otherwise they go through one lookup.  Either
+    way the result is in the code dtype of the table's size.
+    """
+    dtype = code_dtype(len(days))
+    if len(days) and days[-1] != len(days) - 1:
+        lookup = np.zeros(int(days[-1]) + 1, dtype=dtype)
+        lookup[days] = np.arange(len(days))
+        return lookup[day]
+    return day.astype(dtype, copy=False)
 
 
 def measurements_frame(

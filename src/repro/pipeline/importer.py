@@ -13,7 +13,9 @@ Expected input columns (M-Lab NDT + traceroute join, simplified):
     trigger, server_site                    (optional)
 
 Everything else the pipeline needs (``unit``, ``day``, ``ixps``,
-``crosses_ixp``) is derived here.
+``crosses_ixp``) is derived here, once per distinct key rather than once
+per row, and written as codes (:meth:`~repro.frames.Column.from_codes`)
+the way the measurement generator writes them.
 """
 
 from __future__ import annotations
@@ -21,9 +23,13 @@ from __future__ import annotations
 import logging
 from collections.abc import Mapping, Sequence
 from pathlib import Path
+from typing import Any
+
+import numpy as np
 
 from repro.chaos.runtime import fault_point
 from repro.errors import FrameError
+from repro.frames.column import KIND_INT, Column, code_dtype
 from repro.frames.frame import Frame
 from repro.frames.io import read_csv_text
 from repro.netsim.ids import Prefix
@@ -68,6 +74,11 @@ def normalise_measurements(
 ) -> Frame:
     """Validate a raw import and derive the pipeline's expected columns.
 
+    ``unit`` is labelled once per distinct ⟨asn, city⟩, ``ixps`` once per
+    distinct ``hop_ips`` and ``crosses_ixp`` once per distinct ``ixps``;
+    ``day`` is one floor-divide of ``time_hour``.  ``unit``, ``day``, a
+    derived ``ixps`` and the filled-in label columns are stored as codes.
+
     Raises :class:`FrameError` with an actionable message when required
     columns are missing or malformed.
     """
@@ -84,28 +95,53 @@ def normalise_measurements(
     if out.num_rows == 0:
         raise FrameError("no complete measurement rows after dropping missing")
 
-    out = out.derive("unit", lambda r: f"AS{int(r['asn'])}/{r['city']}")
-    out = out.derive("day", lambda r: int(float(r["time_hour"]) // 24))
+    key_codes, keys = out.encode_keys(["asn", "city"])
+    out = out.with_column(
+        "unit", _label_column("unit", key_codes, [f"AS{int(a)}/{c}" for a, c in keys])
+    )
+    hours = out.numeric("time_hour")
+    if not np.isfinite(hours).all():
+        raise FrameError("measurement import has non-finite time_hour values")
+    days, day_codes = np.unique(np.floor_divide(hours, 24.0), return_inverse=True)
+    day_codes = day_codes.astype(code_dtype(len(days)))
+    out = out.with_column(
+        "day", Column.from_codes("day", day_codes, days.astype(np.int64), kind=KIND_INT)
+    )
 
     if "ixps" not in out:
         if ixp_prefixes and "hop_ips" in out:
-            out = out.derive(
-                "ixps",
-                lambda r: ",".join(
-                    detect_crossings_from_hops(r.get("hop_ips") or "", ixp_prefixes)
-                ),
-            )
+            hop_codes, hops = out.column("hop_ips").factorize()
+            crossed = [
+                ",".join(detect_crossings_from_hops(h or "", ixp_prefixes)) for h in hops
+            ]
+            out = out.with_column("ixps", _label_column("ixps", hop_codes, crossed))
         else:
-            out = out.with_column("ixps", [""] * out.num_rows)
-    out = out.derive("crosses_ixp", lambda r: bool(r["ixps"]))
+            out = out.with_column("ixps", _constant_column("ixps", "", out.num_rows))
+    ixp_codes, ixps = out.column("ixps").factorize()
+    crosses = np.array([bool(v) for v in ixps], dtype=bool)
+    out = out.with_column("crosses_ixp", crosses[ixp_codes])
 
-    if "trigger" not in out:
-        out = out.with_column("trigger", ["unknown"] * out.num_rows)
-    if "server_site" not in out:
-        out = out.with_column("server_site", ["default"] * out.num_rows)
-    if "as_path" not in out:
-        out = out.with_column("as_path", [""] * out.num_rows)
+    for name, value in (("trigger", "unknown"), ("server_site", "default"), ("as_path", "")):
+        if name not in out:
+            out = out.with_column(name, _constant_column(name, value, out.num_rows))
     return out
+
+
+def _label_column(name: str, codes: np.ndarray, labels: Sequence[Any]) -> Column:
+    """Row *i* labelled ``labels[codes[i]]``, stored as codes over distinct labels.
+
+    *codes* number their keys by first appearance (a ``factorize``);
+    keys that share a label share its code.
+    """
+    table: dict[Any, int] = {}
+    remap = [table.setdefault(label, len(table)) for label in labels]
+    lookup = np.array(remap, dtype=code_dtype(len(table)))
+    return Column.from_codes(name, lookup[codes], list(table))
+
+
+def _constant_column(name: str, value: Any, n: int) -> Column:
+    """*n* rows of one label, stored as codes."""
+    return Column.from_codes(name, np.zeros(n, dtype=code_dtype(1)), [value])
 
 
 def read_measurement_csv(path: str | Path) -> Frame:

@@ -1,10 +1,10 @@
-"""Dictionary-encoded object columns against plain object columns.
+"""Dictionary-encoded columns against plain columns.
 
-Every Column/Frame verb runs on the same seeded labels held both ways —
-an object array of Python values, and narrow codes plus a category
-table (:meth:`Column.from_codes`) — and must give the same values,
-kinds, factorizations and serialisations.  Verbs that select or join
-rows keep an encoded column encoded.
+Every Column/Frame verb runs on the same seeded labels and integer keys
+held both ways — an object or ``int64`` array, and narrow codes plus a
+category table (:meth:`Column.from_codes`) — and must give the same
+values, kinds, factorizations and serialisations.  Verbs that select or
+join rows keep an encoded column encoded.
 """
 
 import pickle
@@ -15,18 +15,25 @@ import pytest
 from repro.errors import FrameError
 from repro.frames import Column, Frame, group_by, read_csv_text, to_csv_text
 from repro.frames.column import code_dtype
+from repro.frames.groupby import pivot_grid
 
 CITIES = np.array(["ams", "jnb", None, "cpt", "dur", "lon"], dtype=object)
 PATHS = np.array(["1-2", "1-3-2", "1-4-2", ""], dtype=object)
+#: Integer keys: negative, zero, and past what a uint8 code could hold.
+DAYS = np.array([20, 3, -7, 3000, 0, 12], dtype=np.int64)
 
 
-def encode(name, values):
+def encode(name, values, kind="object"):
     """The encoded twin of *values*: codes numbered by first appearance."""
     table = {}
     codes = [table.setdefault(v, len(table)) for v in values]
     return Column.from_codes(
-        name, np.array(codes, dtype=code_dtype(len(table))), list(table)
+        name, np.array(codes, dtype=code_dtype(len(table))), list(table), kind=kind
     )
+
+
+def encode_int(name, values):
+    return encode(name, np.asarray(values, dtype=np.int64), kind="int")
 
 
 def twin_frames(seed, n=200):
@@ -36,16 +43,24 @@ def twin_frames(seed, n=200):
     v = PATHS[rng.integers(0, len(PATHS), size=n)]
     x = rng.normal(size=n)
     k = rng.integers(0, 5, size=n)
+    d = DAYS[rng.integers(0, len(DAYS), size=n)]
     plain = Frame(
         [
             Column("u", u.copy(), kind="object"),
             Column("v", v.copy(), kind="object"),
             Column("x", x.copy()),
             Column("k", k.copy()),
+            Column("d", d.copy()),
         ]
     )
     encoded = Frame(
-        [encode("u", u), encode("v", v), Column("x", x.copy()), Column("k", k.copy())]
+        [
+            encode("u", u),
+            encode("v", v),
+            Column("x", x.copy()),
+            Column("k", k.copy()),
+            encode_int("d", d),
+        ]
     )
     return plain, encoded
 
@@ -54,8 +69,8 @@ def is_encoded(col):
     return col._codes is not None
 
 
-def assert_same(got: Frame, want: Frame, encoded=("u", "v")):
-    """Same schema and values; label columns still stored as codes."""
+def assert_same(got: Frame, want: Frame, encoded=("u", "v", "d")):
+    """Same schema and values; encoded columns still stored as codes."""
     assert got.column_names == want.column_names
     assert got.num_rows == want.num_rows
     for name in want.column_names:
@@ -67,6 +82,7 @@ def assert_same(got: Frame, want: Frame, encoded=("u", "v")):
             np.testing.assert_array_equal(a.values, b.values)
         else:
             assert a.to_list() == b.to_list(), name
+            assert [type(x) for x in a.to_list()] == [type(x) for x in b.to_list()]
         assert a.values.dtype == b.values.dtype, name
 
 
@@ -76,6 +92,7 @@ def assert_same_factorize(got: Column, want: Column):
     np.testing.assert_array_equal(got_codes, want_codes)
     assert got_codes.dtype == want_codes.dtype
     assert got_uniques == want_uniques
+    assert [type(u) for u in got_uniques] == [type(u) for u in want_uniques]
 
 
 SEEDS = range(3)
@@ -89,6 +106,7 @@ class TestVerbParity:
         got, want = enc.take(idx), plain.take(idx)
         assert_same(got, want)
         assert_same_factorize(got.column("u"), want.column("u"))
+        assert_same_factorize(got.column("d"), want.column("d"))
 
     def test_filter(self, seed):
         plain, enc = twin_frames(seed)
@@ -96,6 +114,7 @@ class TestVerbParity:
         got, want = enc.filter(keep), plain.filter(keep)
         assert_same(got, want)
         assert_same_factorize(got.column("v"), want.column("v"))
+        assert_same_factorize(got.column("d"), want.column("d"))
         assert_same(enc.filter(np.zeros(plain.num_rows, bool)), plain.head(0))
 
     def test_concat(self, seed):
@@ -104,6 +123,8 @@ class TestVerbParity:
         got, want = enc.concat(enc2), plain.concat(plain2)
         assert_same(got, want)
         assert_same_factorize(got.column("u"), want.column("u"))
+        assert_same_factorize(got.column("d"), want.column("d"))
+        assert got.column("d")._categories.dtype == np.int64
         # Mixed storage concatenates to the same values.
         assert_same(enc.concat(plain2), want, encoded=())
         assert_same(plain.concat(enc2), want, encoded=())
@@ -126,6 +147,8 @@ class TestVerbParity:
         plain, enc = twin_frames(seed)
         for value in ("jnb", None, "nowhere"):
             assert_same(enc.where_equal(u=value), plain.where_equal(u=value))
+        for day in (3000, -7, 5):
+            assert_same(enc.where_equal(d=day), plain.where_equal(d=day))
         assert_same(
             enc.where_equal(u="ams", v="1-2"), plain.where_equal(u="ams", v="1-2")
         )
@@ -143,7 +166,7 @@ class TestVerbParity:
     @pytest.mark.parametrize("descending", [False, True])
     def test_sort_by(self, seed, descending):
         plain, enc = twin_frames(seed)
-        for keys in (["u"], ["u", "x"], ["v", "u", "k"]):
+        for keys in (["u"], ["u", "x"], ["v", "u", "k"], ["d"], ["d", "u"]):
             assert_same(
                 enc.sort_by(keys, descending=descending),
                 plain.sort_by(keys, descending=descending),
@@ -158,6 +181,12 @@ class TestVerbParity:
         want = group_by(plain, ["u", "v"]).aggregate(**specs)
         assert_same(got, want, encoded=())
         assert list(group_by(enc, "u").groups()) == list(group_by(plain, "u").groups())
+        day_specs = dict(n=("x", "median"), lo=("d", "min"), days=("d", "nunique"))
+        assert_same(
+            group_by(enc, ["d", "u"]).aggregate(**day_specs),
+            group_by(plain, ["d", "u"]).aggregate(**day_specs),
+            encoded=(),
+        )
 
     @pytest.mark.parametrize("how", ["inner", "left"])
     def test_join(self, seed, how):
@@ -182,10 +211,19 @@ class TestVerbParity:
             ),
             encoded=(),
         )
+        # Joined on an int key; an int-coded right column joins in
+        # encoded when every row matches, as float when one does not.
+        days = [3, 3000, 99]
+        right_days_plain = Frame([Column("d", days), Column("n", [7, 8, 9])])
+        right_days_enc = Frame([encode_int("d", days), encode_int("n", [7, 8, 9])])
+        want = plain.join(right_days_plain, on="d", how=how)
+        got = enc.join(right_days_enc, on="d", how=how)
+        assert_same(got, want, encoded=("u", "v", "d", "n") if how == "inner" else ())
+        assert_same(enc.join(right_days_plain, on="d", how=how), want, encoded=())
 
     def test_encode_keys(self, seed):
         plain, enc = twin_frames(seed)
-        for names in ("u", ["u", "v"], ["v", "k", "u"]):
+        for names in ("u", ["u", "v"], ["v", "k", "u"], "d", ["d", "u"]):
             got_codes, got_keys = enc.encode_keys(names)
             want_codes, want_keys = plain.encode_keys(names)
             np.testing.assert_array_equal(got_codes, want_codes)
@@ -194,7 +232,7 @@ class TestVerbParity:
 
     def test_factorize(self, seed):
         plain, enc = twin_frames(seed)
-        for name in ("u", "v"):
+        for name in ("u", "v", "d"):
             assert_same_factorize(enc.column(name), plain.column(name))
             codes, _ = enc.column(name).factorize()
             assert codes.dtype == np.uint8
@@ -215,6 +253,14 @@ class TestVerbParity:
         other = enc.with_column("u", ["zzz"] * plain.num_rows)
         assert other != enc
         assert enc.column("u") != enc.column("v").rename("u")
+        days = flipped.column("d")
+        days.factorize()
+        assert days == plain.column("d").take(reverse)
+        a = Column.from_codes("d", np.array([0, 1, 0], dtype=np.uint8), [5, 9], kind="int")
+        b = Column.from_codes("d", np.array([1, 0, 1], dtype=np.uint8), [9, 5], kind="int")
+        assert a == b and a == Column("d", [5, 9, 5])
+        assert a != Column.from_codes("d", np.array([0, 1, 0], dtype=np.uint8), [5, 8], kind="int")
+        assert a != Column("d", ["5", "9", "5"])
 
     def test_pickle_round_trip(self, seed):
         plain, enc = twin_frames(seed)
@@ -223,12 +269,46 @@ class TestVerbParity:
             back = pickle.loads(pickle.dumps(frame))
             assert_same(back, reference)
             assert_same_factorize(back.column("u"), reference.column("u"))
+            assert_same_factorize(back.column("d"), reference.column("d"))
 
     def test_csv_round_trip(self, seed):
         plain, enc = twin_frames(seed)
         text = to_csv_text(enc)
         assert text == to_csv_text(plain)
         assert read_csv_text(text) == read_csv_text(to_csv_text(plain))
+
+
+def test_int_coded_concat_sorts_numerically():
+    """Two int-coded day columns concatenate to an int-coded column.
+
+    Concatenated into an object column, days 9 and 10 would sort as the
+    strings ``"10" < "9"`` in a time-sorted pivot.
+    """
+    first = Frame([encode_int("day", [9, 9]), Column("y", [1.0, 2.0])])
+    second = Frame([encode_int("day", [10]), Column("y", [3.0])])
+    both = first.concat(second)
+    day = both.column("day")
+    assert day.kind == "int" and day._codes is not None
+    times, _, grid = pivot_grid(
+        both.with_column("unit", ["a"] * 3), "day", "unit", "y", agg="median",
+        sort_index=True,
+    )
+    assert times == [9, 10]
+    assert all(type(t) is np.int64 for t in times)
+    np.testing.assert_array_equal(grid[:, 0], [1.5, 3.0])
+
+
+def test_int_values_decode_without_keeping_a_copy():
+    """An int-coded column never holds an int64 array per row."""
+    _, enc = twin_frames(0)
+    col = enc.column("d")
+    before = col.nbytes
+    values = col.values
+    assert values.dtype == np.int64 and not values.flags.writeable
+    assert col.nbytes == before
+    np.testing.assert_array_equal(enc.numeric("d"), values.astype(np.float64))
+    assert col.nbytes == before
+    assert not col.is_missing().any()
 
 
 def test_first_appearance_order_after_a_shuffled_take():
@@ -284,6 +364,14 @@ def test_from_codes_validates_its_inputs():
         Column.from_codes("u", np.array([0, 2], dtype=np.uint8), ["a", "b"])
     with pytest.raises(FrameError):
         Column.from_codes("u", np.array([0, 1], dtype=np.uint8), ["a", "a"])
+    with pytest.raises(FrameError):
+        Column.from_codes("d", np.array([0, 1], dtype=np.uint8), [1.5, 2.0], kind="int")
+    with pytest.raises(FrameError):
+        Column.from_codes("d", np.array([0, 1], dtype=np.uint8), [1, None], kind="int")
+    with pytest.raises(FrameError):
+        Column.from_codes("x", np.array([0], dtype=np.uint8), [1.0], kind="float")
+    ints = Column.from_codes("d", np.empty(0, dtype=np.uint8), [], kind="int")
+    assert ints.kind == "int" and ints.values.dtype == np.int64
     empty = Column.from_codes("u", np.empty(0, dtype=np.uint8), [])
     assert len(empty) == 0 and empty.kind == "object"
     assert empty.values.dtype == object and empty.factorize()[1] == []

@@ -1,5 +1,6 @@
 """Unit tests for the measurement CSV importer."""
 
+import numpy as np
 import pytest
 
 from repro.errors import FrameError
@@ -12,6 +13,7 @@ from repro.pipeline import (
     normalise_measurements,
     run_ixp_study,
 )
+from repro.pipeline.importer import read_measurement_csv
 
 PREFIXES = {"NAPAfrica-JNB": [Prefix.parse("196.60.8.0/24")]}
 
@@ -98,6 +100,84 @@ class TestNormalisation:
     def test_no_prefixes_yields_empty_crossings(self):
         out = normalise_measurements(raw_frame())
         assert all(r["ixps"] == "" for r in out.iter_rows())
+
+    def test_non_finite_hours_rejected(self):
+        bad = raw_frame().with_column("time_hour", [0.5, float("inf"), 1.0])
+        with pytest.raises(FrameError, match="non-finite"):
+            normalise_measurements(bad, PREFIXES)
+
+
+def rowwise_normalise(raw, ixp_prefixes=None):
+    """The per-row derivation the importer replaced, as the reference."""
+    out = raw.drop_missing(["asn", "city", "time_hour", "rtt_ms"])
+    out = out.derive("unit", lambda r: f"AS{int(r['asn'])}/{r['city']}")
+    out = out.derive("day", lambda r: int(float(r["time_hour"]) // 24))
+    if "ixps" not in out:
+        if ixp_prefixes and "hop_ips" in out:
+            out = out.derive(
+                "ixps",
+                lambda r: ",".join(
+                    detect_crossings_from_hops(r.get("hop_ips") or "", ixp_prefixes)
+                ),
+            )
+        else:
+            out = out.with_column("ixps", [""] * out.num_rows)
+    out = out.derive("crosses_ixp", lambda r: bool(r["ixps"]))
+    for name, value in (("trigger", "unknown"), ("server_site", "default"), ("as_path", "")):
+        if name not in out:
+            out = out.with_column(name, [value] * out.num_rows)
+    return out
+
+
+def assert_same_frame(got, want):
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        a, b = got.column(name), want.column(name)
+        assert a.kind == b.kind, name
+        assert a == b, name
+        assert [type(v) for v in a.to_list()] == [type(v) for v in b.to_list()], name
+
+
+class TestDerivedOncePerKey:
+    """Per-key derivation gives the per-row derivation's values, as codes."""
+
+    def mixed_frame(self, n=400):
+        rng = np.random.default_rng(5)
+        hops = ["10.0.1.1|196.60.8.7", "10.0.4.1|*", "", None, "196.60.8.200"]
+        return Frame.from_dict(
+            {
+                # Fractional ASNs: two keys can share one unit label.
+                "asn": rng.choice([3741.0, 3741.5, 37053.0, 64500.0], size=n),
+                "city": rng.choice(["Cape Town", "East London", "Durban"], size=n),
+                "time_hour": rng.uniform(-30.0, 100.0, size=n).round(1),
+                "rtt_ms": rng.uniform(10.0, 90.0, size=n),
+                "hop_ips": [hops[i] for i in rng.integers(0, len(hops), size=n)],
+            }
+        )
+
+    @pytest.mark.parametrize("prefixes", [PREFIXES, None])
+    def test_matches_the_rowwise_derivation(self, prefixes):
+        raw = self.mixed_frame()
+        out = normalise_measurements(raw, prefixes)
+        assert_same_frame(out, rowwise_normalise(raw, prefixes))
+        for name in ("unit", "day", "trigger", "server_site", "as_path"):
+            assert out.column(name)._codes is not None, name
+        assert out.column("day").kind == "int"
+        assert min(out["day"]) < 0  # negative hours floor to negative days
+
+    def test_matches_with_an_ixps_column_present(self):
+        raw = raw_frame().drop("hop_ips").with_column("ixps", ["", "NAP", None])
+        assert_same_frame(
+            normalise_measurements(raw, PREFIXES), rowwise_normalise(raw, PREFIXES)
+        )
+
+    def test_simulated_csv_imports_like_the_rowwise_derivation(self, tmp_path, small_frame):
+        csv_path = tmp_path / "sim.csv"
+        write_csv(small_frame, csv_path)
+        imported = import_csv(csv_path)
+        assert_same_frame(imported, rowwise_normalise(read_measurement_csv(csv_path)))
+        for name in ("unit", "day"):
+            assert imported.column(name) == small_frame.column(name), name
 
 
 class TestRoundTripThroughPipeline:
