@@ -5,8 +5,9 @@ read, columns are type-inferred: values parse as int, then float, then
 bool literals (``true``/``false``), falling back to strings; empty cells
 are missing.  Inference and parsing run column-wise — one bulk numpy
 cast per homogeneous column, with a per-cell fallback only for mixed
-columns — and writing formats each column as one vectorized cast, so
-the ``simulate → import`` round-trip scales with columns, not cells.
+columns — and writing formats each column as one vectorized cast (a
+coded label column formats each category once), so the
+``simulate → import`` round-trip scales with columns, not cells.
 
 Rows wider than the header are an error (their extra cells would
 otherwise vanish silently); underscore number literals like ``1_000``,
@@ -149,19 +150,29 @@ def _format_column(col: Column) -> Any:
 
     ``float64 -> str`` via numpy's unicode cast is digit-for-digit
     identical to ``repr(float(v))`` (shortest round-trip repr), so float
-    columns need no Python-level loop.
+    columns need no Python-level loop.  A dictionary-encoded column
+    formats its category table once and gathers the strings by code.
     """
-    if col.kind == KIND_FLOAT:
-        out = col.values.astype("U32")
-        nan_mask = np.isnan(col.values)
+    if col._codes is not None:
+        return _format_values(col._categories, col.kind)[col._codes]
+    return _format_values(col.values, col.kind)
+
+
+def _format_values(values: np.ndarray, kind: str) -> np.ndarray:
+    """CSV cell strings for one array of a column's *kind*."""
+    if kind == KIND_FLOAT:
+        out = values.astype("U32")
+        nan_mask = np.isnan(values)
         if nan_mask.any():
             out[nan_mask] = ""
         return out
-    if col.kind == KIND_INT:
-        return col.values.astype("U21")
-    if col.kind == KIND_BOOL:
-        return np.where(col.values, "true", "false")
-    return [_format_cell(v) for v in col.values]
+    if kind == KIND_INT:
+        return values.astype("U21")
+    if kind == KIND_BOOL:
+        return np.where(values, "true", "false")
+    out = np.empty(len(values), dtype=object)
+    out[:] = [_format_cell(v) for v in values]
+    return out
 
 
 def write_csv(frame: Frame, path: str | Path) -> None:

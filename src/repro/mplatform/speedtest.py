@@ -241,11 +241,12 @@ class SpeedTestGenerator:
 
         The window is walked one routing-state run at a time.  Ambient
         RTT comes from one noise-free curve per ⟨AS, routing-state⟩ over
-        the whole hour grid, kept until the state's last run.  Rates use
-        the float operations of :meth:`UserGroup.test_rate` elementwise,
-        and the counts come from one Poisson call over the cells that
-        have a route, in row-major ⟨hour, group⟩ order — the draw
-        sequence of a per-cell loop.
+        the whole hour grid, kept until the state's last run; it sums
+        per-link queueing curves, each priced once per ⟨region, bias⟩.
+        Rates use the float operations of :meth:`UserGroup.test_rate`
+        elementwise, and the counts come from one Poisson call over the
+        cells that have a route, in row-major ⟨hour, group⟩ order — the
+        draw sequence of a per-cell loop.
         """
         scenario = self.scenario
         config = self.config
@@ -261,6 +262,7 @@ class SpeedTestGenerator:
         topologies: list[Topology] = []
         routes_by_state: list[dict[int, Route]] = []
         ambient_curves: dict[tuple[int, int], np.ndarray] = {}
+        link_curves: dict[tuple[str, float], np.ndarray] = {}
         last_path: dict[int, tuple[int, ...]] = {}
         last_change: dict[int, float] = {}
 
@@ -288,7 +290,7 @@ class SpeedTestGenerator:
                 if curve is None:
                     curve = ambient_curves[(group.asn, sid)] = (
                         scenario.latency.expected_rtt_batch(
-                            route, grid, topology=state.topology
+                            route, grid, topology=state.topology, curves=link_curves
                         )
                     )
                 has_route[start:stop, gi] = True

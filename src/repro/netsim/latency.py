@@ -177,14 +177,15 @@ class LatencyModel:
         needs both computes the diurnal curves once.
         """
         return self.congestion.loads_batch(
-            [
-                (
-                    self.link_region(link),
-                    link.congestion_bias + self.load_bias.get(link.key, 0.0),
-                )
-                for link in self._links_on(route, topology)
-            ],
+            [self._link_load_key(link) for link in self._links_on(route, topology)],
             hours,
+        )
+
+    def _link_load_key(self, link: Link) -> tuple[str, float]:
+        """``(region, bias)``: all a link's noise-free load depends on."""
+        return (
+            self.link_region(link),
+            link.congestion_bias + self.load_bias.get(link.key, 0.0),
         )
 
     def sample_rtt_batch(
@@ -252,18 +253,35 @@ class LatencyModel:
         return prop + queueing + self.last_mile_ms
 
     def expected_rtt_batch(
-        self, route: Route, hours: np.ndarray, topology: Topology | None = None
+        self,
+        route: Route,
+        hours: np.ndarray,
+        topology: Topology | None = None,
+        *,
+        curves: dict[tuple[str, float], np.ndarray] | None = None,
     ) -> np.ndarray:
         """Noise-free RTT along *route* for a whole array of *hours*.
 
         The vectorised ambient-RTT curve the batched generator prices
         test rates from: one pass per link instead of one per hour.
+        Each link's round-trip queueing curve depends only on its
+        ``(region, bias)``; *curves*, when given, keeps them by that key
+        so a caller pricing many routes over one *hours* array computes
+        each curve once (pass one dict per *hours* array).  Curves are
+        summed in path order either way, so the bytes do not change.
         """
         hours = np.asarray(hours, dtype=np.float64)
+        if curves is None:
+            curves = {}
         congestion = self.congestion
         queueing = np.zeros_like(hours)
-        for load in self.link_loads(route, hours, topology):
-            queueing += 2.0 * congestion.queueing_from_utilization(
-                congestion.utilization_from_load(load)
-            )
+        for link in self._links_on(route, topology):
+            key = self._link_load_key(link)
+            curve = curves.get(key)
+            if curve is None:
+                (load,) = congestion.loads_batch([key], hours)
+                curve = curves[key] = 2.0 * congestion.queueing_from_utilization(
+                    congestion.utilization_from_load(load)
+                )
+            queueing += curve
         return self.propagation_ms(route, topology) + queueing + self.last_mile_ms

@@ -142,11 +142,16 @@ def _assign_treatment(
             by_code.order[by_code.starts[c] : by_code.ends[c]] for c in unit_codes
         ]
         rows = runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs))
+        unit_cross = crosses[rows]
+        if not unit_cross.any():
+            # No crossing row: never sustained, and no hour sort needed.
+            never.append(unit)
+            continue
         slice_hours = hours[rows]
         hour_order = np.argsort(slice_hours)
         candidate = _first_sustained_crossing(
             slice_hours[hour_order],
-            crosses[rows][hour_order],
+            unit_cross[hour_order],
             min_crossing_share,
             window_hours,
         )

@@ -13,6 +13,13 @@ Slicing is one stable argsort of the per-row slice ids plus a count of
 each slice's rows, so cutting a frame into hundreds of per-hour batches
 stays ``O(N log N)`` total, not ``O(N x batches)``.  Rows keep their
 original relative order inside each batch.
+
+A batch cut from a feed copies no column: it holds the feed itself and
+its rows' positions, a view into one narrow (:func:`code_dtype` of the
+row count) copy of that sort order, so a sliced feed costs one small
+index per row on top of the feed.  Each batch keeps its feed alive.
+:attr:`MeasurementBatch.frame` gathers the rows when it is read and
+caches nothing; the engine reads it once per ingest.
 """
 
 from __future__ import annotations
@@ -22,11 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import FrameError
+from repro.frames.column import code_dtype
 from repro.frames.frame import Frame
 from repro.frames.groupby import _Segments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBatch:
     """One time-slice of measurements, as the ingestion layer sees it.
 
@@ -37,19 +45,33 @@ class MeasurementBatch:
         dropped before numbering, so resume bookkeeping is dense).
     start_hour, end_hour:
         Smallest and largest measurement hour in the batch (inclusive).
-    frame:
-        The measurement rows, same columns as the full frame.
+    feed:
+        The frame the batch's rows live in: the whole sliced feed, or
+        a standalone frame holding just this batch.  The batch keeps it
+        alive.
+    rows:
+        Positions of the batch's rows in *feed*, in feed order; ``None``
+        means every row of *feed*.
+
+    Equality is identity (``eq=False``): a field-wise comparison would
+    compare the feed frame and the row array element by element.
     """
 
     index: int
     start_hour: float
     end_hour: float
-    frame: Frame = field(repr=False)
+    feed: Frame = field(repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def frame(self) -> Frame:
+        """The batch's measurement rows, gathered from the feed on each read."""
+        return self.feed if self.rows is None else self.feed.take(self.rows)
 
     @property
     def n_rows(self) -> int:
         """Number of measurement rows in this batch."""
-        return self.frame.num_rows
+        return self.feed.num_rows if self.rows is None else len(self.rows)
 
 
 def slice_frame(
@@ -143,20 +165,26 @@ def replay_scenario(
 def _gather_batches(
     frame: Frame, hours: np.ndarray, ids: np.ndarray, n: int
 ) -> list[MeasurementBatch]:
-    """Materialize slice frames from per-row slice ids in one sorted pass."""
+    """Cut batches from per-row slice ids in one sorted pass.
+
+    Every batch's rows are a view into one narrow copy of the stable
+    slice order; no column is copied.
+    """
     slices = _Segments(ids, n)  # stable: original order kept per slice
+    order = slices.order.astype(code_dtype(frame.num_rows))
     batches: list[MeasurementBatch] = []
     for start, end in zip(slices.starts, slices.ends):
         if start == end:
             continue
-        rows = slices.order[start:end]
+        rows = order[start:end]
         slice_hours = hours[rows]
         batches.append(
             MeasurementBatch(
                 index=len(batches),
                 start_hour=float(slice_hours.min()),
                 end_hour=float(slice_hours.max()),
-                frame=frame.take(rows),
+                feed=frame,
+                rows=rows,
             )
         )
     return batches

@@ -186,9 +186,10 @@ class StreamStudy:
         metrics = get_metrics()
         with span("ingest", batch=batch.index, rows=batch.n_rows) as sp:
             fault_point("stream.batch", key=str(batch.index))
+            frame = batch.frame  # gathered from the feed, once per ingest
             pre_times = self._panel_acc.panel.times
             with span("panel.apply"):
-                delta = self._panel_acc.apply(batch.frame)
+                delta = self._panel_acc.apply(frame)
             if delta.edited_old_times and delta.oldest_edited_time < pre_times[-1]:
                 # A sealed row (a day before the open newest one) changed;
                 # every cached warm-start factorization is stale now.
@@ -196,7 +197,7 @@ class StreamStudy:
                 # and the refitter never caches that row.
                 self._epoch += 1
             with span("assignment.apply"):
-                self._assign_acc.apply(batch.frame)
+                self._assign_acc.apply(frame)
             refits = 0
             warm0, cold0 = self._refitter.warm_refits, self._refitter.cold_refits
             placebo0 = self._refitter.placebo_refreshes

@@ -17,7 +17,11 @@ measurement batch at a time:
   IXP crossing.  A unit touched by a batch has its candidate recomputed
   over its full (merged, hour-sorted) history — new rows landing inside
   an earlier candidate's debounce window can flip a previous pass or
-  fail, so a suffix-only recompute would be wrong.
+  fail, so a suffix-only recompute would be wrong.  A unit that has
+  never crossed (most donors, for the whole stream) cannot have a
+  candidate, so its hours are kept as the batches' unsorted chunks —
+  no sort, no crossing flags, no growable buffer — and are sorted once,
+  into that history, if the unit ever crosses.
 
 Both reproduce the batch stage's output exactly on any prefix of the
 stream: the panel because median cells depend only on value multisets,
@@ -191,13 +195,15 @@ class AssignmentAccumulator:
         self.ixp_name = ixp_name
         self._share = min_crossing_share
         self._window = window_hours
-        # Per unit, sorted ascending: views ``buf[:n]`` of growable
-        # buffers (see :meth:`_append`), so a pure append costs O(batch).
+        # Units that have crossed, sorted ascending: views ``buf[:n]`` of
+        # growable buffers (see :meth:`_append`), so a pure append costs
+        # O(batch).
         self._hours: dict[str, np.ndarray] = {}
         self._cross: dict[str, np.ndarray] = {}
         self._buffers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # Units that have never crossed: their hours as unsorted chunks.
+        self._chunks: dict[str, list[np.ndarray]] = {}
         self._first: dict[str, float] = {}
-        self._any_cross: set[str] = set()  # units with >= 1 crossing row ever
 
     def apply(self, frame: Frame) -> tuple[str, ...]:
         """Absorb one batch; returns the units whose history it touched."""
@@ -225,38 +231,45 @@ class AssignmentAccumulator:
             rows = segments.order[segments.starts[g] : segments.ends[g]]
             batch_hours = hours[rows]
             batch_cross = crosses[rows]
-            hour_order = np.argsort(batch_hours, kind="stable")
-            batch_hours = batch_hours[hour_order]
-            batch_cross = batch_cross[hour_order]
-            known = self._hours.get(label)
-            if known is None:
-                self._store(label, batch_hours, batch_cross)
-            elif batch_hours[0] >= known[-1]:
-                # Pure append — the live-feed steady state.
-                self._append(label, batch_hours, batch_cross)
+            if label not in self._hours:
+                # No crossing row in the whole history so far: trivially
+                # never sustained, so the hours need no order yet.
+                if not batch_cross.any():
+                    self._chunks.setdefault(label, []).append(batch_hours)
+                    continue
+                # The first crossing: sort the whole history once.
+                known = self._chunks.pop(label, [])
+                all_hours = np.concatenate(known + [batch_hours])
+                all_cross = np.zeros(len(all_hours), dtype=bool)
+                all_cross[-len(batch_hours) :] = batch_cross
+                hour_order = np.argsort(all_hours, kind="stable")
+                self._store(label, all_hours[hour_order], all_cross[hour_order])
             else:
-                # Sorted-merge insert: O(history) memcpy, no re-sort.  Ties
-                # land left of existing equal hours — immaterial, the
-                # debounce windows cut on hour values.
-                at = np.searchsorted(known, batch_hours, side="left")
-                self._store(
-                    label,
-                    np.insert(known, at, batch_hours),
-                    np.insert(self._cross[label], at, batch_cross),
-                )
-            if batch_cross.any():
-                self._any_cross.add(label)
-            elif label not in self._any_cross:
-                # No crossing row in the whole history: trivially never
-                # sustained.  This skips the scan for every donor unit.
-                continue
-            cached = self._first.get(label)
-            if cached is not None and batch_hours[0] >= cached + self._window:
-                # Every new hour lies past the cached decision's debounce
-                # window, so neither that window nor any earlier (failed)
-                # candidate window gained or lost rows: the first
-                # sustained crossing cannot have moved.  Exact skip.
-                continue
+                hour_order = np.argsort(batch_hours, kind="stable")
+                batch_hours = batch_hours[hour_order]
+                batch_cross = batch_cross[hour_order]
+                known = self._hours[label]
+                if batch_hours[0] >= known[-1]:
+                    # Pure append — the live-feed steady state.
+                    self._append(label, batch_hours, batch_cross)
+                else:
+                    # Sorted-merge insert: O(history) memcpy, no re-sort.
+                    # Ties land left of existing equal hours — immaterial,
+                    # the debounce windows cut on hour values.
+                    at = np.searchsorted(known, batch_hours, side="left")
+                    self._store(
+                        label,
+                        np.insert(known, at, batch_hours),
+                        np.insert(self._cross[label], at, batch_cross),
+                    )
+                cached = self._first.get(label)
+                if cached is not None and batch_hours[0] >= cached + self._window:
+                    # Every new hour lies past the cached decision's
+                    # debounce window, so neither that window nor any
+                    # earlier (failed) candidate window gained or lost
+                    # rows: the first sustained crossing cannot have
+                    # moved.  Exact skip.
+                    continue
             candidate = _first_sustained_crossing(
                 self._hours[label], self._cross[label], self._share, self._window
             )
@@ -297,7 +310,7 @@ class AssignmentAccumulator:
         insertion order, so this is part of the bit-parity contract,
         not a style choice.
         """
-        names = sorted(self._hours)
+        names = sorted(self._hours.keys() | self._chunks.keys())
         first = {u: self._first[u] for u in names if u in self._first}
         never = tuple(u for u in names if u not in self._first)
         return TreatmentAssignment(

@@ -1,10 +1,14 @@
 """Unit tests for repro.stream.batches (the ingestion layer)."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import FrameError
 from repro.frames import Frame
+from repro.frames.column import code_dtype
 from repro.stream import MeasurementBatch, random_batches, replay_scenario, slice_frame
 
 
@@ -74,6 +78,55 @@ class TestSliceFrame:
                 Frame.from_dict({"time_hour": np.empty(0, dtype=float)}),
                 n_batches=2,
             )
+
+
+class TestFeedSelections:
+    """A cut batch is a row selection of its feed, never a column copy."""
+
+    def test_slice_frame_keeps_one_narrow_index_per_row(self, small_frame):
+        n = small_frame.num_rows
+        feed_bytes = sum(
+            small_frame.column(c).nbytes for c in small_frame.column_names
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batches = slice_frame(small_frame, batch_hours=6.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One narrow row index in all, plus each batch's small objects;
+        # a copy of the batch's columns is 33 bytes per row.
+        index_bytes = n * code_dtype(n).itemsize
+        assert kept - base <= index_bytes + 512 * len(batches), (kept - base) / n
+        assert peak - base < feed_bytes, (peak - base) / n
+
+    def test_batches_share_the_feed_and_one_order(self, small_frame):
+        batches = slice_frame(small_frame, n_batches=5)
+        order = batches[0].rows.base
+        assert order is not None and order.dtype == code_dtype(small_frame.num_rows)
+        for batch in batches:
+            assert batch.feed is small_frame
+            assert batch.rows.base is order
+
+    def test_frame_is_gathered_on_each_read(self, small_frame):
+        batch = slice_frame(small_frame, n_batches=3)[1]
+        first, second = batch.frame, batch.frame
+        assert first is not second  # never cached on the batch
+        assert first == small_frame.take(batch.rows)
+        assert first.num_rows == batch.n_rows
+
+    def test_standalone_frame_batch_is_its_whole_feed(self, small_frame):
+        batch = MeasurementBatch(
+            index=0, start_hour=0.0, end_hour=1.0, feed=small_frame
+        )
+        assert batch.frame is small_frame
+        assert batch.n_rows == small_frame.num_rows
+
+    def test_equality_is_identity(self, small_frame):
+        (batch,) = slice_frame(small_frame, n_batches=1)
+        assert batch == batch
+        assert batch != dataclasses.replace(batch)
 
 
 class TestRandomBatches:

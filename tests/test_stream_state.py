@@ -124,9 +124,20 @@ class TestAssignmentAccumulator:
 
 
 class TestAssignmentBuffers:
-    """Pure appends grow per-unit buffers in place; inserts re-seat them."""
+    """Never-crossed units keep unsorted chunks; crossed units keep sorted
+    buffers that pure appends grow in place and inserts re-seat."""
 
     IXP = "IX-TEST"
+
+    @staticmethod
+    def _crosses(unit, hour):
+        # Unit "a" crosses from hour 6; "b" crosses every other hour, so
+        # its windows stay contested; "c" crosses only from hour 40.
+        if unit == "a":
+            return hour >= 6
+        if unit == "b":
+            return int(hour) % 2 == 0
+        return hour >= 40
 
     def _batch(self, unit_hours):
         units, hours, ixps = [], [], []
@@ -134,43 +145,48 @@ class TestAssignmentBuffers:
             for hour in unit_hours_:
                 units.append(unit)
                 hours.append(float(hour))
-                # Unit "a" crosses from hour 6 on; "b" crosses every
-                # other hour, so its windows stay contested.
-                crossing = hour >= 6 if unit == "a" else int(hour) % 2 == 0
-                ixps.append(self.IXP if crossing else "")
+                ixps.append(self.IXP if self._crosses(unit, hour) else "")
         return Frame.from_dict({"unit": units, "time_hour": hours, "ixps": ixps})
 
     def test_append_grow_insert_append_matches_oracle(self):
-        # (batch, whether unit "a" keeps the buffer it had before it)
+        # (batch, unit "a"'s layout after it: None while it has never
+        # crossed, else whether it kept the buffer it had before)
         feed = [
-            ({"a": [0, 1, 2, 3], "b": [0, 1]}, False),  # seeds the buffers
-            ({"a": [4, 5, 6], "b": [2, 3, 4]}, False),  # grows past capacity
-            ({"a": [7], "b": [5]}, True),  # fits the doubled capacity
-            ({"a": [2.5, 5.5], "b": [0.5, 4.5]}, False),  # sorted insert
-            ({"a": [30, 31, 32, 33, 34, 35], "b": [40, 41]}, False),  # grows
+            ({"a": [0, 1, 2, 3], "b": [0, 1], "c": [0, 1]}, None),  # chunks
+            ({"a": [4, 5, 6], "b": [2, 3, 4], "c": [2, 3]}, False),  # first cross
+            ({"a": [7, 8, 9, 10, 11, 12], "b": [5]}, False),  # grows
+            ({"a": [13], "b": [6]}, True),  # fits the doubled capacity
+            ({"a": [2.5, 5.5], "b": [0.5, 4.5], "c": [30, 31]}, False),  # insert
+            ({"a": [30, 31, 32, 33, 34, 35], "b": [40, 41], "c": [4, 5]}, False),
             ({"a": [36], "b": [42]}, True),
+            # "c" first crosses late, in a batch out of hour order that
+            # also reaches back before its latest hours.
+            ({"c": [45, 3.5, 41, 40, 2.5], "a": [37]}, True),
         ]
         acc = AssignmentAccumulator(self.IXP)
-        want_hours = {"a": np.empty(0), "b": np.empty(0)}
+        seen = {"a": [], "b": [], "c": []}
         merged = None
         for batch, in_place in feed:
             before = acc._buffers.get("a", (None,))[0]
             frame = self._batch(batch)
             acc.apply(frame)
-            assert (acc._buffers["a"][0] is before) == in_place
+            if in_place is None:
+                assert "a" not in acc._buffers
+            else:
+                assert (acc._buffers["a"][0] is before) == in_place
             merged = frame if merged is None else merged.concat(frame)
             for unit, hours in batch.items():
-                new = np.sort(np.asarray(hours, dtype=float))
-                known = want_hours[unit]
-                if known.size == 0 or new[0] >= known[-1]:
-                    want_hours[unit] = np.concatenate([known, new])
+                seen[unit].extend(float(h) for h in hours)
+                want_hours = np.sort(np.asarray(seen[unit]))
+                if any(self._crosses(unit, h) for h in seen[unit]):
+                    assert unit not in acc._chunks
+                    got = acc._hours[unit]
+                    np.testing.assert_array_equal(got, want_hours)
+                    expect_cross = [self._crosses(unit, h) for h in got]
+                    np.testing.assert_array_equal(acc._cross[unit], expect_cross)
                 else:
-                    at = np.searchsorted(known, new, side="left")
-                    want_hours[unit] = np.insert(known, at, new)
-                got = acc._hours[unit]
-                np.testing.assert_array_equal(got, want_hours[unit])
-                expect_cross = (
-                    got >= 6 if unit == "a" else got.astype(int) % 2 == 0
-                )
-                np.testing.assert_array_equal(acc._cross[unit], expect_cross)
+                    assert unit not in acc._hours and unit not in acc._cross
+                    got = np.sort(np.concatenate(acc._chunks[unit]))
+                    np.testing.assert_array_equal(got, want_hours)
             assert acc.assignment() == assign_treatment(merged, self.IXP)
+        assert acc.assignment().first_crossing_hour["c"] == 40.0

@@ -8,6 +8,7 @@ a stream killed mid-feed and resumed from its checkpoint, including a
 journal truncated mid-record by the kill.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -68,6 +69,35 @@ class TestStreamingEquivalence:
         study = StreamStudy(small_scenario.ixp_name, live_refits=False)
         out = study.run(random_batches(small_frame, n_batches=6, seed=seed))
         _assert_parity(out.result, reference, reference_csv)
+
+    def test_feed_cut_batches_equal_standalone_frame_batches(
+        self, small_frame, small_scenario, reference, reference_csv
+    ):
+        # The same rows, once as row selections of the feed and once as
+        # their own frames, give the same reports, live rows and table.
+        cut = slice_frame(small_frame, batch_hours=6.0)
+        standalone = [
+            MeasurementBatch(
+                index=b.index,
+                start_hour=b.start_hour,
+                end_hour=b.end_hour,
+                feed=b.frame,
+            )
+            for b in cut
+        ]
+        outcomes = []
+        for batches in (cut, standalone):
+            study = StreamStudy(small_scenario.ixp_name)
+            trace = []
+            for batch in batches:
+                report = dataclasses.replace(study.ingest(batch), seconds=0.0)
+                live = study.live_result()
+                trace.append(repr((report, live.rows, live.skipped)))
+            outcomes.append((trace, study.finalize()))
+        (cut_trace, cut_result), (own_trace, own_result) = outcomes
+        assert cut_trace == own_trace
+        _assert_parity(cut_result, reference, reference_csv)
+        _assert_parity(own_result, reference, reference_csv)
 
     def test_worker_count_is_refused(self, small_scenario):
         assert StreamStudy(small_scenario.ixp_name, n_jobs=1).reports == []
@@ -194,7 +224,7 @@ class TestIntraDayWarmStart:
                 index=len(batches),
                 start_hour=late.start_hour,
                 end_hour=late.end_hour,
-                frame=late.frame,
+                feed=late.frame,
             )
         )
         assert study._epoch == epoch + 1
@@ -254,12 +284,12 @@ class TestResume:
         for batch in batches:
             first.ingest(batch)
         first.close()
-        second = StreamStudy(
+        with StreamStudy(
             small_scenario.ixp_name, checkpoint=path, resume=True, live_refits=False
-        )
-        with pytest.raises(CheckpointError, match="does not match"):
-            for batch in slice_frame(small_frame, n_batches=7):
-                second.ingest(batch)
+        ) as second:
+            with pytest.raises(CheckpointError, match="does not match"):
+                for batch in slice_frame(small_frame, n_batches=7):
+                    second.ingest(batch)
 
     def test_chaos_kill_mid_stream_then_resume(
         self, tmp_path, small_frame, small_scenario, reference, reference_csv
