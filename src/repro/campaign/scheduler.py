@@ -434,9 +434,8 @@ def run_campaign(
                     min_post_periods=min_post_periods,
                     max_donor_missing=max_donor_missing,
                     method="robust",
-                    fit_kwargs=tuple(
-                        sorted({"energy": energy, "ridge": ridge}.items())
-                    ),
+                    energy=energy,
+                    ridge=ridge,
                     scenario=spec.name,
                 )
                 ckpt = None

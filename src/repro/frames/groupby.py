@@ -139,6 +139,18 @@ class _Segments:
         return seg
 
 
+def _median(values: np.ndarray, valid: int) -> float:
+    """The grouped median of one group's float64 *values*.
+
+    *valid* of them are not NaN.  Sorts *values* in place (NaN last)
+    and averages the middle two valid ones; NaN when none is valid.
+    """
+    if valid == 0:
+        return np.nan
+    values.sort()
+    return (values[(valid - 1) // 2] + values[valid // 2]) / 2.0
+
+
 def _grouped_fast(
     values: np.ndarray,
     segments: _Segments,
@@ -195,10 +207,8 @@ def _grouped_fast(
         out[ok] = reduce.reduceat(gf, starts)[ok]
     else:  # median
         for g in np.flatnonzero(ok):
-            ss = np.asarray(values[order[starts[g] : ends[g]]], dtype=np.float64)
-            ss.sort()  # NaN sorts last
-            k = valid[g]
-            out[g] = (ss[(k - 1) // 2] + ss[k // 2]) / 2.0
+            seg = np.asarray(values[order[starts[g] : ends[g]]], dtype=np.float64)
+            out[g] = _median(seg, valid[g])
     return out
 
 

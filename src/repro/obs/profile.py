@@ -37,9 +37,10 @@ def _children_by_parent(
 ) -> dict[int | None, list[SpanRecord]]:
     """Record-order children per parent id; orphans root at ``None``.
 
-    Orphan adoption matches :func:`repro.obs.report.render_trace`: a
-    record whose parent id is absent (a truncated trace, or worker
-    spans exported before merging) is treated as a root.
+    The one span forest of this module and
+    :func:`repro.obs.report.render_trace`: a record whose parent id is
+    absent (a truncated trace, or worker spans exported before merging)
+    is treated as a root.
     """
     ids = {r.span_id for r in records}
     by_parent: dict[int | None, list[SpanRecord]] = {}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.obs.profile import _children_by_parent
 from repro.obs.trace import SpanRecord
 
 _INDENT = "  "
@@ -37,11 +38,7 @@ def render_trace(
     """
     if not records:
         return "(empty trace)"
-    by_parent: dict[int | None, list[SpanRecord]] = {}
-    ids = {r.span_id for r in records}
-    for r in records:
-        parent = r.parent_id if r.parent_id in ids else None
-        by_parent.setdefault(parent, []).append(r)
+    by_parent = _children_by_parent(records)
 
     # Depth-first, children in record order.
     lines: list[tuple[str, float, str]] = []

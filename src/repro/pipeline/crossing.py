@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import FrameError
+from repro.frames.column import code_dtype
 from repro.frames.frame import Frame
 from repro.frames.groupby import _Segments
 from repro.obs import span
@@ -110,6 +111,29 @@ def assign_treatment(
     return result
 
 
+def unit_rows(frame: Frame) -> dict[str, np.ndarray]:
+    """Each unit label's rows of *frame*, ascending, in factorize order.
+
+    Every row is sorted by unit in one stable pass — no per-unit
+    O(rows) mask rebuilds — and that order is the only row-length
+    index: each unit's rows are a slice of it.  Factorize codes that
+    share a string label (the historical scan compared ``str(u)``) are
+    one unit.
+    """
+    codes, uniques = frame.column("unit").factorize()
+    labels = [str(u) for u in uniques]
+    names = list(dict.fromkeys(labels))
+    if len(names) < len(labels):
+        gid = {name: g for g, name in enumerate(names)}
+        merge = np.array([gid[label] for label in labels], dtype=code_dtype(len(names)))
+        codes = merge[codes]
+    segments = _Segments(codes, len(names))
+    return {
+        name: segments.order[segments.starts[g] : segments.ends[g]]
+        for g, name in enumerate(names)
+    }
+
+
 def _assign_treatment(
     frame: Frame,
     ixp_name: str,
@@ -119,29 +143,14 @@ def _assign_treatment(
     crosses = crossing_mask(frame, ixp_name)
     hours = frame.numeric("time_hour")
 
-    # Factorize units once and sort every row by unit code in one
-    # stable pass — no per-unit O(rows) mask rebuilds.  The order is the
-    # only row-length index: each unit's rows are its codes' slices of
-    # it, and codes that share a string label (the historical scan
-    # compared str(u)) are merged back into row order.
-    codes, uniques = frame.column("unit").factorize()
-    by_code = _Segments(codes, len(uniques))
-    codes_of: dict[str, list[int]] = {}
-    for code, unit in enumerate(uniques):
-        codes_of.setdefault(str(unit), []).append(code)
-
-    # Each unit's slice is then ordered by hour separately — cheaper
-    # than one global lexsort, and the tie order among equal hours is
-    # immaterial: the debounce windows cut on hour *values*, so they
-    # always cover whole equal-hour runs and the share test sees the
-    # same counts either way.
+    # Each unit's rows are ordered by hour separately — cheaper than one
+    # global lexsort, and the tie order among equal hours is immaterial:
+    # the debounce windows cut on hour *values*, so they always cover
+    # whole equal-hour runs and the share test sees the same counts
+    # either way.
     first: dict[str, float] = {}
     never: list[str] = []
-    for unit, unit_codes in sorted(codes_of.items()):
-        runs = [
-            by_code.order[by_code.starts[c] : by_code.ends[c]] for c in unit_codes
-        ]
-        rows = runs[0] if len(runs) == 1 else np.sort(np.concatenate(runs))
+    for unit, rows in sorted(unit_rows(frame).items()):
         unit_cross = crosses[rows]
         if not unit_cross.any():
             # No crossing row: never sustained, and no hour sort needed.

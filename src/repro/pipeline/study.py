@@ -472,7 +472,8 @@ def prepare_unit_plan(
     max_donor_missing: float = 0.5,
     method: str = "robust",
     max_placebos: int | None = None,
-    fit_kwargs: tuple[tuple[str, object], ...] = (),
+    energy: float = 0.99,
+    ridge: float = 1e-2,
     scenario: str = "",
 ) -> list[tuple[str, str] | _UnitTask]:
     """Screen treated units into an ordered plan of fits and skips.
@@ -484,8 +485,10 @@ def prepare_unit_plan(
     study, the streaming engine's finalize, and the campaign all build
     their plans here, which is what keeps their rows bit-identical:
     given equal panels and assignments, the plans (and therefore every
-    downstream fit) are equal.
+    downstream fit) are equal.  *energy* and *ridge* are the robust
+    method's fit parameters; a classic plan carries none.
     """
+    fit_kwargs = (("energy", energy), ("ridge", ridge)) if method == "robust" else ()
     screen = UnitScreen(min_pre_periods, min_post_periods, max_donor_missing)
     plan: list[tuple[str, str] | _UnitTask] = []
     for unit in assignment.treated_units:
@@ -819,10 +822,6 @@ def run_ixp_study(
             panel = fault_point("study.panel", key=ixp_name, value=panel)
             t2 = time.perf_counter()
 
-            fit_kwargs: dict[str, object] = {}
-            if method == "robust":
-                fit_kwargs = {"energy": energy, "ridge": ridge}
-
             # Cheap shape screens run inline; only real fit work is fanned out.
             plan = prepare_unit_plan(
                 panel,
@@ -832,7 +831,8 @@ def run_ixp_study(
                 max_donor_missing=max_donor_missing,
                 method=method,
                 max_placebos=max_placebos,
-                fit_kwargs=tuple(sorted(fit_kwargs.items())),
+                energy=energy,
+                ridge=ridge,
             )
 
             # Fits and refits already journaled in a resumed checkpoint are

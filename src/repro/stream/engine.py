@@ -46,7 +46,7 @@ from repro.pipeline.study import (
 )
 from repro.stream.batches import MeasurementBatch
 from repro.stream.refit import LiveRefitter
-from repro.stream.state import AssignmentAccumulator, PanelAccumulator, PanelDelta
+from repro.stream.state import AssignmentAccumulator, PanelAccumulator
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,6 @@ class BatchReport:
     seconds: float
     replayed: bool = False
     placebo_refreshes: int = 0
-
-
-def _live_summary(result: StudyResult) -> dict:
-    """A JSON-ready view of a live (advisory) result for telemetry."""
-    from dataclasses import asdict
-
-    return {
-        "rows": [asdict(row) for row in result.rows],
-        "skipped": [
-            {"unit": unit, "reason": reason} for unit, reason in result.skipped
-        ],
-    }
 
 
 @dataclass(frozen=True)
@@ -130,7 +118,6 @@ class StreamStudy:
         self._outcome = outcome
         self._retry = retry
         self._live = live_refits and method == "robust"
-        self._epoch = 0
         self._panel_acc = PanelAccumulator(outcome=outcome)
         self._assign_acc = AssignmentAccumulator(ixp_name)
         self._refitter = LiveRefitter(
@@ -187,15 +174,8 @@ class StreamStudy:
         with span("ingest", batch=batch.index, rows=batch.n_rows) as sp:
             fault_point("stream.batch", key=str(batch.index))
             frame = batch.frame  # gathered from the feed, once per ingest
-            pre_times = self._panel_acc.panel.times
             with span("panel.apply"):
                 delta = self._panel_acc.apply(frame)
-            if delta.edited_old_times and delta.oldest_edited_time < pre_times[-1]:
-                # A sealed row (a day before the open newest one) changed;
-                # every cached warm-start factorization is stale now.
-                # Edits to the open row are what intra-day batches do,
-                # and the refitter never caches that row.
-                self._epoch += 1
             with span("assignment.apply"):
                 self._assign_acc.apply(frame)
             refits = 0
@@ -208,9 +188,7 @@ class StreamStudy:
                     if unit not in treated:
                         continue
                     with span("refit.unit", unit=unit):
-                        self._refitter.refresh(
-                            self._panel_acc.panel, assignment, unit, self._epoch
-                        )
+                        self._refitter.refresh(self._panel_acc.panel, assignment, unit)
                     refits += 1
             seconds = time.perf_counter() - t0
             sp.set(
@@ -244,10 +222,12 @@ class StreamStudy:
         )
         self.reports.append(report)
         if self._telemetry is not None:
+            from repro.obs.serve import _result_summary
+
             live = self.live_result() if self._live else None
             self._telemetry.publish_batch(
                 report,
-                live_summary=None if live is None else _live_summary(live),
+                live_summary=None if live is None else _result_summary(live),
             )
         return report
 
@@ -285,9 +265,6 @@ class StreamStudy:
         if self._panel_acc.n_rows == 0:
             raise PipelineError("cannot finalize a stream with no ingested batches")
         assignment = self._assign_acc.assignment()
-        fit_kwargs: dict[str, object] = {}
-        if self._method == "robust":
-            fit_kwargs = {"energy": self._energy, "ridge": self._ridge}
         try:
             with span("finalize", ixp=self.ixp_name):
                 plan = prepare_unit_plan(
@@ -298,7 +275,8 @@ class StreamStudy:
                     max_donor_missing=self._max_missing,
                     method=self._method,
                     max_placebos=self._max_placebos,
-                    fit_kwargs=tuple(sorted(fit_kwargs.items())),
+                    energy=self._energy,
+                    ridge=self._ridge,
                 )
                 rows, skipped = execute_unit_plan(
                     plan, retry=self._retry, checkpoint=self._ckpt

@@ -14,13 +14,14 @@ extends the result by the open row to get the full-matrix
 factorization it fits on.  Both steps are the exact append identity of
 :mod:`repro.synthcontrol.incremental`, so a warm refresh costs two
 small-core SVDs instead of a donor screen plus a full factorization —
-for day batches and for batches shorter than a day alike.  Anything
-that breaks growth of the sealed block — the engine's epoch bump on an
-edit to a sealed day, a day inserted inside the cached prefix, imputed
-cells in the sealed block, a failed prior fit — falls back to the cold
-path: a fresh donor screen and a full SVD of the sealed rows.  Either
-route feeds the same downstream math, and on exact inputs both routes
-agree.
+for day batches and for batches shorter than a day alike.  The cache
+is reused only when the donor matrix's leading rows still equal the
+cached filled block byte for byte, which is the identity's own
+precondition; anything else — a changed value on a sealed day, a day
+inserted inside the cached prefix, imputed cells in the sealed block, a
+failed prior fit — falls back to the cold path: a fresh donor screen
+and a full SVD of the sealed rows.  Either route feeds the same
+downstream math, and on exact inputs both routes agree.
 
 The fit and the p-value are the batch study's own code: a refresh
 builds a placebo context on its warm factorization, fits with
@@ -53,8 +54,6 @@ never depends on this layer's warm-start or amortization bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
-
 import numpy as np
 
 from repro.errors import DonorPoolError, EstimationError, PipelineError
@@ -79,9 +78,7 @@ class UnitFitState:
     unit: str
     donors: tuple[str, ...] = ()
     fact: DonorFactorization | None = field(default=None, repr=False)  # sealed rows
-    times: tuple[Any, ...] = ()  # sealed panel days the factorization covers
     full: DonorFactorization | None = field(default=None, repr=False)  # + open row
-    epoch: int = -1  # engine epoch the factorization was built under
     row: StudyRow | None = None
     skip_reason: str | None = None
     refits: tuple[Refit, ...] | None = None  # cached placebo ensemble
@@ -125,7 +122,6 @@ class LiveRefitter:
         panel: Panel,
         assignment: TreatmentAssignment,
         unit: str,
-        epoch: int,
     ) -> UnitFitState:
         """Refit one dirty treated unit against the current panel."""
         state = self._states.get(unit)
@@ -135,7 +131,7 @@ class LiveRefitter:
         try:
             pre_periods, post_periods = self._screen.periods(panel, assignment, unit)
             donors, donor_matrix, sealed, fact, warm = self._donor_pool(
-                state, panel, assignment, unit, epoch, pre_periods
+                state, panel, assignment, unit, pre_periods
             )
             ctx = placebo_context(
                 donor_matrix, donors, pre_periods, "robust", self._fit_kwargs,
@@ -172,7 +168,6 @@ class LiveRefitter:
             state.fact = None
             state.full = None
             state.donors = ()
-            state.times = ()
             state.row = None
             state.refits = None
             state.since_placebo = 0
@@ -180,9 +175,7 @@ class LiveRefitter:
             return state
         state.donors = donors
         state.fact = sealed
-        state.times = () if sealed is None else panel.times[: sealed.n_times]
         state.full = fact
-        state.epoch = epoch
         state.skip_reason = None
         state.row = row
         return state
@@ -193,7 +186,6 @@ class LiveRefitter:
         panel: Panel,
         assignment: TreatmentAssignment,
         unit: str,
-        epoch: int,
         pre_periods: int,
     ) -> tuple[
         tuple[str, ...],
@@ -204,41 +196,36 @@ class LiveRefitter:
     ]:
         """The unit's donor pool, matrix, sealed and full SVDs, and warmth.
 
-        When the cached sealed factorization is warm-eligible — same
-        engine epoch, and its days are still the panel's leading sealed
-        days — the cached donor pool is reused *without* re-running the
-        correlation screen: none of the screen's pre-period inputs
-        changed, and skipping it keeps the warm refresh at the cost of
-        two small-core SVDs.  (The screen's ``max_missing`` filter also
-        sees the later rows, so a pool picked today could differ at the
-        margin from one picked at first fit; live rows are advisory and
-        ``finalize()`` re-screens every unit from scratch.)  Otherwise
-        the refresh goes cold: a fresh screen and a full SVD of the
-        sealed rows, extended by the open row.  The sealed factorization
-        is ``None`` when its block has imputed cells, which no warm
-        extension could keep exact.
+        The cached sealed factorization is warm-eligible when it covers
+        no more than the panel's sealed days and the cached donors'
+        leading rows still equal its filled block: then the append
+        identity is exact, and the cached donor pool is reused *without*
+        re-running the correlation screen — none of the screen's
+        pre-period inputs changed, and skipping it keeps the warm
+        refresh at the cost of two small-core SVDs.  (The screen's
+        ``max_missing`` filter also sees the later rows, so a pool
+        picked today could differ at the margin from one picked at first
+        fit; live rows are advisory and ``finalize()`` re-screens every
+        unit from scratch.)  Otherwise the refresh goes cold: a fresh
+        screen and a full SVD of the sealed rows, extended by the open
+        row.  The sealed factorization is ``None`` when its block has
+        imputed cells, which no warm extension could keep exact.
         """
         n_sealed = panel.n_times - 1
-        n_known = len(state.times)
-        warm_ok = (
-            state.fact is not None
-            and state.donors
-            and state.epoch == epoch
-            and n_sealed >= n_known
-            and panel.times[:n_known] == state.times
-        )
-        if warm_ok:
+        cached = state.fact
+        if cached is not None and cached.n_times <= n_sealed:
             donors = state.donors
             donor_matrix = np.column_stack([panel.series(d) for d in donors])
-            try:
-                sealed = extend_factorization(
-                    state.fact, donor_matrix[n_known:n_sealed]
-                )
-                fact = extend_factorization(sealed, donor_matrix[n_sealed:])
-                self.warm_refits += 1
-                return donors, donor_matrix, sealed, fact, True
-            except EstimationError:
-                pass  # imputed sealed block: exactness would be lost, go cold
+            if np.array_equal(donor_matrix[: cached.n_times], cached.filled):
+                try:
+                    sealed = extend_factorization(
+                        cached, donor_matrix[cached.n_times : n_sealed]
+                    )
+                    fact = extend_factorization(sealed, donor_matrix[n_sealed:])
+                    self.warm_refits += 1
+                    return donors, donor_matrix, sealed, fact, True
+                except EstimationError:
+                    pass  # imputed sealed block: exactness would be lost, go cold
         donors = self._screen.donors(panel, assignment, unit, pre_periods)
         donor_matrix = np.column_stack([panel.series(d) for d in donors])
         self.cold_refits += 1

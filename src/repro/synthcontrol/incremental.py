@@ -21,9 +21,12 @@ at millisecond scale however long the stream runs.
 Exactness caveat: the identity needs the old block of the *filled*
 matrix to be unchanged — no old cell edited, and no old cell imputed
 (appending rows shifts column means, which would retroactively change
-previously imputed cells).  :func:`extend_factorization` raises
-:class:`~repro.errors.EstimationError` in those cases and the caller
-falls back to a cold :func:`~repro.synthcontrol.robust.factor_donor_matrix`.
+previously imputed cells).  The caller checks the first on the bytes
+themselves: the live refitter extends a cached factorization only
+while its donors' leading rows equal the cached ``filled`` block.
+:func:`extend_factorization` checks the second and raises
+:class:`~repro.errors.EstimationError`; either way the caller falls
+back to a cold :func:`~repro.synthcontrol.robust.factor_donor_matrix`.
 
 Inference needs no streaming counterpart: a live refresh fits and ranks
 its unit with the study's own

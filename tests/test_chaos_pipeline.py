@@ -5,10 +5,9 @@ The claims the chaos subsystem exists to prove:
 - the Table-1 result is **failure-invariant**: with retries on, a study
   riddled with injected transient faults produces row-for-row the same
   :class:`StudyResult` as a fault-free run;
-- faults are **placement-invariant**: the batched fit engine and the
-  unbatched reference path inject identical fault sequences and agree
-  on every row (the campaign's serial and pooled stage A are held to
-  the same in ``tests/test_campaign_chaos.py``);
+- faults are **placement-invariant**: the campaign's serial and pooled
+  stage A inject identical fault sequences and agree on every row
+  (held in ``tests/test_campaign_chaos.py``);
 - every scenario is **reproducible from one integer seed**: consecutive
   runs log identical fault events (the acceptance criterion), and even
   corrupted-input runs are deterministic.
@@ -81,24 +80,6 @@ class TestFaultsDoNotChangeTheTable:
         assert any(e.site == "placebo.refit" for e in fault_events())
 
 
-class TestChaosParityOnTheFastPath:
-    def test_fault_logs_identical_batched_vs_unbatched(
-        self, small_frame, small_scenario
-    ):
-        plan = FaultPlan(
-            SEED,
-            (FaultSpec(site="study.panel", kind="corrupt", corruption="nan_cell"),),
-        )
-        with active_plan(plan):
-            batched = _study(small_frame, small_scenario)
-            batched_log = fault_events()
-            clear_events()
-            plain = _study(small_frame, small_scenario, batch_fits=False)
-            plain_log = fault_events()
-        assert batched.rows == plain.rows
-        assert batched_log == plain_log
-
-
 class TestReproducibility:
     def test_identical_fault_logs_on_consecutive_study_runs(
         self, small_frame, small_scenario
@@ -134,10 +115,14 @@ class TestReproducibility:
         )
         with active_plan(plan):
             first = _study(small_frame, small_scenario)
+            first_log = fault_events()
+            clear_events()
             second = _study(small_frame, small_scenario)
+            second_log = fault_events()
         assert first.format_table() == second.format_table()
         assert first.rows == second.rows
-        assert [e.kind for e in fault_events()] == ["corrupt", "corrupt"]
+        assert [e.kind for e in first_log] == ["corrupt"]
+        assert first_log == second_log
 
 
 def _measurement_csv(path) -> Frame:

@@ -53,28 +53,6 @@ class TestPanelAccumulator:
             acc.apply(batch.frame)
         _assert_panels_equal(acc.panel, rtt_panel(small_frame))
 
-    def test_mid_day_batch_boundary_marks_old_times_edited(self, small_frame):
-        # Hour-width slices revisit the same day across batches, so the
-        # second slice of a day must report edited_old_times (the warm
-        # SVD path keys off this).
-        batches = slice_frame(small_frame, batch_hours=6.0)
-        acc = PanelAccumulator()
-        acc.apply(batches[0].frame)
-        delta = acc.apply(batches[1].frame)
-        assert delta.edited_old_times
-        assert delta.n_new_times == 0
-
-    def test_fresh_day_batch_is_append_only(self, small_frame):
-        batches = slice_frame(small_frame, batch_hours=24.0)
-        acc = PanelAccumulator()
-        acc.apply(batches[0].frame)
-        # find a batch entirely inside a later day
-        for batch in batches[1:]:
-            if int(batch.start_hour // 24) > int(batches[0].end_hour // 24):
-                delta = acc.apply(batch.frame)
-                assert delta.n_new_times >= 1
-                break
-
     def test_empty_frame_is_noop(self, small_frame):
         acc = PanelAccumulator()
         acc.apply(small_frame)
@@ -124,8 +102,8 @@ class TestAssignmentAccumulator:
 
 
 class TestAssignmentBuffers:
-    """Never-crossed units keep unsorted chunks; crossed units keep sorted
-    buffers that pure appends grow in place and inserts re-seat."""
+    """Hours are kept as chunks, crossing flags only once a unit crossed;
+    whatever the batch order, every prefix matches the batch stage."""
 
     IXP = "IX-TEST"
 
@@ -149,44 +127,41 @@ class TestAssignmentBuffers:
         return Frame.from_dict({"unit": units, "time_hour": hours, "ixps": ixps})
 
     def test_append_grow_insert_append_matches_oracle(self):
-        # (batch, unit "a"'s layout after it: None while it has never
-        # crossed, else whether it kept the buffer it had before)
         feed = [
-            ({"a": [0, 1, 2, 3], "b": [0, 1], "c": [0, 1]}, None),  # chunks
-            ({"a": [4, 5, 6], "b": [2, 3, 4], "c": [2, 3]}, False),  # first cross
-            ({"a": [7, 8, 9, 10, 11, 12], "b": [5]}, False),  # grows
-            ({"a": [13], "b": [6]}, True),  # fits the doubled capacity
-            ({"a": [2.5, 5.5], "b": [0.5, 4.5], "c": [30, 31]}, False),  # insert
-            ({"a": [30, 31, 32, 33, 34, 35], "b": [40, 41], "c": [4, 5]}, False),
-            ({"a": [36], "b": [42]}, True),
+            {"a": [0, 1, 2, 3], "b": [0, 1], "c": [0, 1]},  # no crossing yet
+            {"a": [4, 5, 6], "b": [2, 3, 4], "c": [2, 3]},  # "a" first crosses
+            {"a": [7, 8, 9, 10, 11, 12], "b": [5]},
+            {"a": [13], "b": [6]},
+            {"a": [2.5, 5.5], "b": [0.5, 4.5], "c": [30, 31]},  # reaches back
+            {"a": [30, 31, 32, 33, 34, 35], "b": [40, 41], "c": [4, 5]},
+            {"a": [36], "b": [42]},
             # "c" first crosses late, in a batch out of hour order that
             # also reaches back before its latest hours.
-            ({"c": [45, 3.5, 41, 40, 2.5], "a": [37]}, True),
+            {"c": [45, 3.5, 41, 40, 2.5], "a": [37]},
         ]
         acc = AssignmentAccumulator(self.IXP)
         seen = {"a": [], "b": [], "c": []}
         merged = None
-        for batch, in_place in feed:
-            before = acc._buffers.get("a", (None,))[0]
+        for batch in feed:
             frame = self._batch(batch)
-            acc.apply(frame)
-            if in_place is None:
-                assert "a" not in acc._buffers
-            else:
-                assert (acc._buffers["a"][0] is before) == in_place
+            assert set(acc.apply(frame)) == set(batch)
             merged = frame if merged is None else merged.concat(frame)
             for unit, hours in batch.items():
                 seen[unit].extend(float(h) for h in hours)
-                want_hours = np.sort(np.asarray(seen[unit]))
-                if any(self._crosses(unit, h) for h in seen[unit]):
-                    assert unit not in acc._chunks
-                    got = acc._hours[unit]
-                    np.testing.assert_array_equal(got, want_hours)
-                    expect_cross = [self._crosses(unit, h) for h in got]
-                    np.testing.assert_array_equal(acc._cross[unit], expect_cross)
-                else:
-                    assert unit not in acc._hours and unit not in acc._cross
-                    got = np.sort(np.concatenate(acc._chunks[unit]))
-                    np.testing.assert_array_equal(got, want_hours)
+            for unit, unit_seen in seen.items():
+                # Every absorbed hour is kept, once.
+                got = np.sort(np.concatenate(acc._hours[unit]))
+                np.testing.assert_array_equal(got, np.sort(np.asarray(unit_seen)))
+                flags = acc._cross.get(unit)
+                if not any(self._crosses(unit, h) for h in unit_seen):
+                    # A unit that never crossed holds no crossing flags.
+                    assert flags is None
+                    continue
+                # Flags stay aligned with the hours they describe.
+                hours_now = np.concatenate(acc._hours[unit])
+                np.testing.assert_array_equal(
+                    np.concatenate(flags),
+                    [self._crosses(unit, h) for h in hours_now],
+                )
             assert acc.assignment() == assign_treatment(merged, self.IXP)
         assert acc.assignment().first_crossing_hour["c"] == 40.0

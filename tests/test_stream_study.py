@@ -209,27 +209,82 @@ class TestIntraDayWarmStart:
         cold_refits = sum(r.cold_refits for r in study.reports)
         assert warm_refits > cold_refits
 
-    def test_late_edit_to_sealed_day_goes_cold(self, small_frame, small_scenario):
+    @staticmethod
+    def _ingest_late(study, n_batches, frame):
+        late = MeasurementBatch(
+            index=n_batches,
+            start_hour=float(frame.numeric("time_hour").min()),
+            end_hour=float(frame.numeric("time_hour").max()),
+            feed=frame,
+        )
+        return study.ingest(late)
+
+    @staticmethod
+    def _assert_warm_equals_cold(study, unit):
+        state = study._refitter.state(unit)
+        panel = study.panel
+        matrix = np.column_stack([panel.series(d) for d in state.donors])
+        warm, warm_rank = denoise_from_factorization(state.full)
+        cold, cold_rank = denoise_from_factorization(factor_donor_matrix(matrix))
+        assert warm_rank == cold_rank
+        np.testing.assert_allclose(warm, cold, rtol=1e-9)
+
+    def _day_fed_study(self, small_frame, small_scenario):
         study = StreamStudy(small_scenario.ixp_name)
         batches = slice_frame(small_frame, batch_hours=24.0)
         for batch in batches:
             study.ingest(batch)
-        # Late rows for a day well before the newest one: a sealed row
-        # changes, so no cached sealed factorization may be reused.
+        # Late rows for a day well before the newest one: a sealed day.
         late = batches[-4]
         assert int(late.end_hour // 24) < study.panel.times[-1]
-        epoch = study._epoch
-        report = study.ingest(
-            MeasurementBatch(
-                index=len(batches),
-                start_hour=late.start_hour,
-                end_hour=late.end_hour,
-                feed=late.frame,
-            )
-        )
-        assert study._epoch == epoch + 1
+        return study, len(batches), late.frame
+
+    def test_late_edit_to_sealed_day_goes_cold(self, small_frame, small_scenario):
+        study, n_batches, late = self._day_fed_study(small_frame, small_scenario)
+        # The late rows move the sealed day's medians, so no cached
+        # sealed factorization may be reused.
+        shifted = late.with_column("rtt_ms", late.numeric("rtt_ms") + 5.0)
+        report = self._ingest_late(study, n_batches, shifted)
         assert report.cold_refits > 0
         assert report.warm_refits == 0
+
+    def test_unchanged_late_rows_stay_warm_and_exact(
+        self, small_frame, small_scenario
+    ):
+        # Re-sent rows double each cell's multiset, which leaves every
+        # median, and so the sealed donor block, bit-identical.
+        study, n_batches, late = self._day_fed_study(small_frame, small_scenario)
+        report = self._ingest_late(study, n_batches, late)
+        assert report.warm_refits > 0
+        assert report.cold_refits == 0
+        treated = set(study.assignment().treated_units)
+        late_units = {str(u) for u in late.column("unit").factorize()[1]}
+        assert treated & late_units
+        for unit in sorted(treated & late_units):
+            self._assert_warm_equals_cold(study, unit)
+
+    def test_late_edit_outside_donor_pool_stays_warm(
+        self, small_frame, small_scenario
+    ):
+        study, n_batches, late = self._day_fed_study(small_frame, small_scenario)
+        units = np.array([str(u) for u in late.column("unit").values])
+        states = [study._refitter.state(u) for u in study.assignment().treated_units]
+        state = next(
+            st for st in states
+            if st is not None and st.fact is not None and st.unit in units
+        )
+        unit = state.unit
+        cached = state.fact
+        before = study.panel.series(unit).copy()
+        # Shift only the rows of units outside the unit's donor pool:
+        # the unit itself and every non-donor.
+        edited = late.take(np.flatnonzero(~np.isin(units, state.donors)))
+        edited = edited.with_column("rtt_ms", edited.numeric("rtt_ms") + 5.0)
+        self._ingest_late(study, n_batches, edited)
+        after = study._refitter.state(unit)
+        assert not np.array_equal(study.panel.series(unit), before, equal_nan=True)
+        assert after.fact is cached  # the sealed factorization was reused
+        self._assert_warm_equals_cold(study, unit)
 
 
 class TestResume:

@@ -102,7 +102,7 @@ class TestLivePlaceboRatios:
         # fed the same donor matrix.
         panel, assignment = _live_world(8, seed=6)
         refitter = LiveRefitter()
-        state = refitter.refresh(panel, assignment, "AS1/T", epoch=0)
+        state = refitter.refresh(panel, assignment, "AS1/T")
         assert refitter.cold_refits == 1
         matrix = np.column_stack([panel.series(d) for d in state.donors])
         summary = placebo_test(
@@ -117,7 +117,7 @@ class TestLivePlaceboRatios:
 
     def test_one_donor_unit_skipped_with_study_reason(self):
         panel, assignment = _live_world(1, seed=7)
-        state = LiveRefitter().refresh(panel, assignment, "AS1/T", epoch=0)
+        state = LiveRefitter().refresh(panel, assignment, "AS1/T")
         _rows, skipped = execute_unit_plan(prepare_unit_plan(panel, assignment))
         assert state.row is None
         assert skipped == [("AS1/T", state.skip_reason)]
@@ -125,7 +125,5 @@ class TestLivePlaceboRatios:
 
     def test_limit_caps_placebo_count(self):
         panel, assignment = _live_world(6, seed=8)
-        state = LiveRefitter(max_placebos=3).refresh(
-            panel, assignment, "AS1/T", epoch=0
-        )
+        state = LiveRefitter(max_placebos=3).refresh(panel, assignment, "AS1/T")
         assert state.row.n_placebos + state.row.n_placebos_skipped == 3
