@@ -98,13 +98,15 @@ def code_dtype(n_distinct: int) -> np.dtype:
 def narrow_codes(codes: np.ndarray, n_distinct: int) -> np.ndarray:
     """Dense codes in ``[0, n_distinct)`` cast to :func:`code_dtype`.
 
-    The key to hand a stable argsort: its permutation depends only on
-    the keys' order, which the cast keeps, and numpy's stable sort is a
-    radix sort for keys of 16 bits or fewer (timsort above that) — on
-    run-structured row codes a ``uint16`` key sorts two to three times
-    faster than the ``int64`` codes, and the key itself is a quarter of
-    their size.  Codes already in that dtype (every :meth:`Column.factorize`
-    result) come back as they are, without a copy.
+    The sort key of :func:`repro.frames.groupby.group_order`, which
+    stable-sorts it (or its runs of equal codes) a chunk at a time: a
+    stable permutation depends only on the keys' order, which the cast
+    keeps, and numpy's stable sort is a radix sort for keys of 16 bits
+    or fewer (timsort above that) — on run-structured row codes a
+    ``uint16`` key sorts two to three times faster than the ``int64``
+    codes, and the key itself is a quarter of their size.  Codes already
+    in that dtype (every :meth:`Column.factorize` result) come back as
+    they are, without a copy.
     """
     return codes.astype(code_dtype(n_distinct), copy=False)
 

@@ -21,7 +21,9 @@ the reproduction's own pipeline:
   checkpoint size, executor queue depth, and GC pressure into
   timestamped gauge series;
 - :mod:`repro.obs.serve` — the live telemetry endpoint
-  (``/metrics``, ``/health``, ``/live``) over a stream's publisher;
+  (``/metrics``, ``/health``, ``/live``) over a stream's publisher,
+  loaded on first use of its names (it imports ``http.server``, which
+  no run without telemetry needs);
 - :mod:`repro.obs.logs` — stdlib-logging wiring (`NullHandler` at the
   package root, a ``--log-level`` configurator for the CLI).
 """
@@ -57,12 +59,6 @@ from repro.obs.profile import (
 )
 from repro.obs.report import render_trace, span_counts
 from repro.obs.resources import ResourceSample, ResourceSampler, take_resource_sample
-from repro.obs.serve import (
-    TelemetryMux,
-    TelemetryPublisher,
-    TelemetryServer,
-    fault_load,
-)
 from repro.obs.trace import (
     SpanRecord,
     Tracer,
@@ -127,3 +123,16 @@ __all__ = [
     "traced",
     "tracing_disabled",
 ]
+
+_SERVE_NAMES = frozenset(
+    {"TelemetryMux", "TelemetryPublisher", "TelemetryServer", "fault_load"}
+)
+
+
+def __getattr__(name: str):
+    """Serve the telemetry server's names, importing it on first access."""
+    if name in _SERVE_NAMES:
+        from repro.obs import serve
+
+        return getattr(serve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

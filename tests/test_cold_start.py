@@ -19,6 +19,10 @@ says nothing about a cold start.
   campaign on a process pool: scenarios come home through the
   executor's pickling and every fit runs in the parent, so no process
   shares memory with another.
+- No entry point loads the telemetry server's HTTP stack
+  (``http.server``, ``http.client``, ``socketserver``) unless telemetry
+  is served: ``repro.obs`` imports :mod:`repro.obs.serve` on first use
+  of its names, not at package import.
 """
 
 import json
@@ -97,6 +101,31 @@ def test_entry_points_never_load_shared_memory():
         print(json.dumps({"imported": imported, "ran": ran}))
     """
     assert json.loads(_run_child(script)) == {"imported": False, "ran": False}
+
+
+def test_entry_points_never_load_the_telemetry_server():
+    script = """
+        import contextlib, io, json, sys
+
+        import repro.campaign
+        import repro.cli
+        import repro.stream
+        import repro.studies
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            repro.cli.main(["table1", "--days", "12", "--donors", "6", "--seed", "0"])
+            repro.cli.main(
+                ["stream", "--days", "12", "--donors", "6", "--seed", "0",
+                 "--batches", "4"]
+            )
+            repro.cli.main(
+                ["campaign", "--scenarios", "2", "--days", "10", "--donors", "6",
+                 "--seed", "0"]
+            )
+        server = ("http.server", "http.client", "socketserver")
+        print(json.dumps(sorted(m for m in server if m in sys.modules)))
+    """
+    assert json.loads(_run_child(script)) == []
 
 
 def test_lazy_scipy_sites_still_work():

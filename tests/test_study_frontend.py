@@ -7,6 +7,13 @@ same frame both must give the same assignments (insertion order
 included) and byte-identical grids — on NaN outcomes and NaN day keys,
 unit labels whose ``str`` collides, empty and one-row frames, and key
 counts on both sides of the ``uint8``, ``uint16`` and ``uint32`` limits.
+
+The memory tests bound each stage's traced peak above its input.  On a
+generated frame, whose columns are codes and need no factorize memo,
+the bound is per row: the stage's row order is one narrow index built
+chunk by chunk (:func:`repro.frames.groupby.group_order`), and the
+chunk scratch is fixed-size, so the bound holds from about half a
+million rows up.
 """
 
 from __future__ import annotations
@@ -19,8 +26,11 @@ import pytest
 from repro.frames.column import Column, code_dtype, dense_rank, narrow_codes
 from repro.frames.frame import Frame
 from repro.frames.groupby import _Segments, pivot_grid
+from repro.mplatform import measurements_frame
+from repro.netsim import build_table1_scenario
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import assign_treatment
+from repro.stream.batches import slice_frame
 from tests import reference_study_frontend as ref
 
 IXP = "NAPAfrica-JNB"
@@ -154,6 +164,7 @@ def test_segments_sort_narrow_codes_to_the_wide_permutation(n):
     seg = _Segments(codes, n)
     order = np.argsort(codes, kind="stable")
     bounds = np.searchsorted(codes[order], np.arange(n + 1), side="left")
+    assert seg.order.dtype == code_dtype(len(codes))
     np.testing.assert_array_equal(seg.order, order)
     np.testing.assert_array_equal(seg.starts, bounds[:-1])
     np.testing.assert_array_equal(seg.ends, bounds[1:])
@@ -207,8 +218,8 @@ def test_dense_rank_bool_and_float_match_reference(seed):
         np.testing.assert_array_equal(got[1], want[1])
 
 
-def _traced_float_columns(frame: Frame, stage) -> float:
-    """The stage's traced peak above its start, in row-length float64 columns."""
+def _traced_bytes_per_row(frame: Frame, stage) -> float:
+    """The stage's traced peak above its start, in bytes per frame row."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -216,26 +227,72 @@ def _traced_float_columns(frame: Frame, stage) -> float:
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return peak / (8 * frame.num_rows)
+    return peak / frame.num_rows
+
+
+def _traced_float_columns(frame: Frame, stage) -> float:
+    """The stage's traced peak above its start, in row-length float64 columns."""
+    return _traced_bytes_per_row(frame, stage) / 8
 
 
 def test_assignment_peak_memory(small_frame, small_scenario):
-    """Factorize memos, one order and one narrow key: under 5 columns.
+    """Factorize memos, one order and one narrow key: under 2.5 columns.
 
     Group ids per row, their sorted copy and unit-ordered copies of the
-    hours and crossing flags peaked at about 7.3 columns.
+    hours and crossing flags peaked at about 7.3 columns; an int64 order
+    with its sort scratch at about 2.4; the narrow order reads 1.9.
     """
     columns = _traced_float_columns(
         _copy(small_frame), lambda f: assign_treatment(f, small_scenario.ixp_name)
     )
-    assert columns <= 5.0, columns
+    assert columns <= 2.5, columns
 
 
 def test_panel_peak_memory(small_frame):
-    """Factorize memos, one order and one narrow cell code: under 5 columns.
+    """Factorize memos, one order and one narrow cell code: under 4 columns.
 
     An int64 cell code per row, its sorted copy, the values gathered
-    into cell order and an int64 NaN count peaked at about 9.4 columns.
+    into cell order and an int64 NaN count peaked at about 9.4 columns;
+    this frame is smaller than one sort chunk and reads 3.3.
     """
     columns = _traced_float_columns(_copy(small_frame), rtt_panel)
-    assert columns <= 5.0, columns
+    assert columns <= 4.0, columns
+
+
+@pytest.fixture(scope="module")
+def generated():
+    """A generated 5x-paper world (about 830k rows), its columns coded."""
+    scenario = build_table1_scenario(
+        n_donor_ases=30, duration_days=60, join_day=30, user_scale=5.0, seed=0
+    )
+    return scenario, measurements_frame(scenario, rng=0)
+
+
+def test_assignment_scratch_on_a_generated_frame(generated):
+    """The unit order (4 bytes a row), the crossing flags and one unit's
+    hour-sorted rows: under 8 bytes a row.  A whole-frame int64 order
+    with its sort buffer and the unsorted per-unit copies read 17.
+    """
+    scenario, frame = generated
+    per_row = _traced_bytes_per_row(
+        frame, lambda f: assign_treatment(f, scenario.ixp_name)
+    )
+    assert per_row <= 8.0, per_row
+
+
+def test_panel_scratch_on_a_generated_frame(generated):
+    """A narrow cell code and the cell order: under 8 bytes a row.  An
+    int64 order beside the intp copy of the row remap's indices read 12.
+    """
+    _, frame = generated
+    per_row = _traced_bytes_per_row(frame, rtt_panel)
+    assert per_row <= 8.0, per_row
+
+
+def test_slice_scratch_on_a_generated_frame(generated):
+    """Narrow slice ids and the order the batches keep: under 8 bytes a
+    row.  int64 slice ids, an int64 order and its narrow copy read 20.
+    """
+    _, frame = generated
+    per_row = _traced_bytes_per_row(frame, lambda f: slice_frame(f, batch_hours=6.0))
+    assert per_row <= 8.0, per_row
