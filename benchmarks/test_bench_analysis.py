@@ -65,7 +65,7 @@ def test_analysis_fast_path(benchmark):
     # Vectorized path, as the study pipeline runs it.
     def fast_stages():
         assignment = assign_treatment(frame, scenario.ixp_name)
-        panel = rtt_panel(frame, period="day")
+        panel = rtt_panel(frame)
         return assignment, panel
 
     t0 = time.perf_counter()

@@ -64,7 +64,7 @@ def test_tracing_overhead():
 
     def stages():
         assign_treatment(frame, scenario.ixp_name)
-        rtt_panel(frame, period="day")
+        rtt_panel(frame)
 
     # Disabled first, then enabled, interleaving warm caches fairly.
     with tracing_disabled():

@@ -112,7 +112,7 @@ def test_table1_end_to_end(benchmark):
     rowwise_s = time.perf_counter() - t0
 
     assignment = assign_treatment(frame, scenario.ixp_name)
-    panel = rtt_panel(frame, period="day")
+    panel = rtt_panel(frame)
     del assignment
     t0 = time.perf_counter()
     _seed_style_fits(panel, fast)

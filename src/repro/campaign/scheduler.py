@@ -289,7 +289,7 @@ def _scenario_inputs(spec: ScenarioSpec) -> tuple[dict[str, float], Any, Panel]:
         scenario = build_scenario(spec)
         frame = measurements_frame(scenario, rng=spec.measurement_seed)
         assignment = assign_treatment(frame, scenario.ixp_name)
-        panel = rtt_panel(frame, period="day", outcome="rtt_ms")
+        panel = rtt_panel(frame, outcome="rtt_ms")
         return scenario_truth(scenario), assignment, panel
 
 
@@ -302,6 +302,7 @@ def _campaign_manifest(
     floor: int,
     min_ratios: int,
     alloc_seed: int,
+    plan_params: dict[str, Any],
 ) -> dict[str, Any]:
     return {
         "kind": "campaign",
@@ -313,6 +314,7 @@ def _campaign_manifest(
         "floor": floor,
         "min_ratios": min_ratios,
         "alloc_seed": alloc_seed,
+        **plan_params,
     }
 
 
@@ -391,13 +393,21 @@ def run_campaign(
     if round_refits < 1:
         raise PipelineError(f"round_refits must be >= 1, got {round_refits}")
 
+    plan_params = dict(
+        min_pre_periods=min_pre_periods,
+        min_post_periods=min_post_periods,
+        max_donor_missing=max_donor_missing,
+        method="robust",
+        energy=energy,
+        ridge=ridge,
+    )
     ckpt_dir: Path | None = None
     if checkpoint_dir is not None:
         ckpt_dir = Path(checkpoint_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
         manifest = _campaign_manifest(
             specs, budget, allocation, tol, round_refits, floor, min_ratios,
-            alloc_seed,
+            alloc_seed, plan_params,
         )
         manifest_path = ckpt_dir / "campaign.json"
         if resume and manifest_path.exists():
@@ -428,24 +438,16 @@ def run_campaign(
                 inputs = pool.map(_scenario_inputs, specs)
             for spec, (truth, assignment, panel) in zip(specs, inputs):
                 plan = prepare_unit_plan(
-                    panel,
-                    assignment,
-                    min_pre_periods=min_pre_periods,
-                    min_post_periods=min_post_periods,
-                    max_donor_missing=max_donor_missing,
-                    method="robust",
-                    energy=energy,
-                    ridge=ridge,
-                    scenario=spec.name,
+                    panel, assignment, scenario=spec.name, **plan_params
                 )
                 ckpt = None
                 if ckpt_dir is not None:
                     ckpt = StudyCheckpoint(
                         ckpt_dir / f"{spec.name}.jsonl",
-                        ixp_name=f"campaign:{spec.name}",
-                        method="robust",
+                        f"campaign:{spec.name}",
+                        resume,
                         outcome="rtt_ms",
-                        resume=resume,
+                        **plan_params,
                     )
                 states.append(
                     _ScenarioState(spec, truth, assignment, UnitLedger(plan, ckpt))

@@ -2,7 +2,7 @@
 
 :class:`Frame` holds an ordered set of equal-length :class:`Column` objects
 and supports the handful of relational verbs the analysis pipeline needs —
-filter, sort, select, derive, group-by, and join.  It deliberately favours
+filter, sort, select, derive, concat, and group-by.  It deliberately favours
 explicitness over pandas-style magic: row predicates are plain callables or
 boolean masks, and every transform returns a new frame.
 """
@@ -18,7 +18,6 @@ from repro.errors import ColumnMismatchError, FrameError
 from repro.frames.column import (
     KIND_BOOL,
     KIND_FLOAT,
-    KIND_INT,
     KIND_OBJECT,
     Column,
     code_dtype,
@@ -257,14 +256,6 @@ class Frame:
                 )
         return Frame([self._columns[n].mask(mask) for n in self._order])
 
-    def where_equal(self, **conditions: Any) -> "Frame":
-        """Return rows where each named column equals the given value."""
-        mask = np.ones(self.num_rows, dtype=bool)
-        for name, value in conditions.items():
-            col = self.column(name)
-            mask &= _equals_mask(col, value, self.num_rows)
-        return self.filter(mask)
-
     def drop_missing(self, names: Sequence[str] | None = None) -> "Frame":
         """Drop rows with a missing value in any of *names* (default: all)."""
         names = list(names) if names is not None else self._order
@@ -323,73 +314,6 @@ class Frame:
             [self._columns[n].concat(other._columns[n]) for n in self._order]
         )
 
-    # -- joins -------------------------------------------------------------------
-
-    def join(
-        self,
-        other: "Frame",
-        on: Sequence[str] | str,
-        how: str = "inner",
-        suffix: str = "_right",
-    ) -> "Frame":
-        """Hash join with *other* on the given key column(s).
-
-        Supports ``inner`` and ``left`` joins.  Non-key columns of *other*
-        that collide with a column of *self* are renamed with *suffix*.
-        """
-        if isinstance(on, str):
-            on = [on]
-        if how not in ("inner", "left"):
-            raise FrameError(f"unsupported join type {how!r}")
-        for k in on:
-            self.column(k)
-            other.column(k)
-
-        n_left = self.num_rows
-        n_right = other.num_rows
-        # Factorize each key over both sides at once so equal keys share a
-        # code (Column.concat unifies int/float the way tuple == would).
-        if on:
-            parts = []
-            for k in on:
-                both = self.column(k).concat(other.column(k))
-                codes, uniques = both.factorize()
-                parts.append((codes, max(len(uniques), 1)))
-            combined, _ = _combine_codes(parts)
-        else:
-            combined = np.zeros(n_left + n_right, dtype=np.int64)
-        left_codes = combined[:n_left]
-        right_codes = combined[n_left:]
-
-        # Sort the right side by key code; each left row's matches are then
-        # one contiguous slice found by binary search.
-        right_order = np.argsort(right_codes, kind="stable")
-        right_sorted = right_codes[right_order]
-        lo = np.searchsorted(right_sorted, left_codes, side="left")
-        hi = np.searchsorted(right_sorted, left_codes, side="right")
-        counts = hi - lo
-
-        reps = counts if how == "inner" else np.maximum(counts, 1)
-        total = int(reps.sum())
-        left_idx = np.repeat(np.arange(n_left, dtype=np.int64), reps)
-        run_starts = np.cumsum(reps) - reps
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(run_starts, reps)
-        positions = np.repeat(lo, reps) + offsets
-        right_idx = right_order[np.minimum(positions, max(n_right - 1, 0))] if n_right else np.zeros(total, dtype=np.int64)
-        unmatched = np.repeat(counts == 0, reps)  # all-False for inner joins
-        right_idx = np.where(unmatched, -1, right_idx)
-
-        left_part = self.take(left_idx)
-        out_cols = [left_part.column(n) for n in left_part.column_names]
-        taken = set(self._order)
-        for n in other.column_names:
-            if n in on:
-                continue
-            col = other.column(n)
-            name = n + suffix if n in taken else n
-            out_cols.append(_gather_with_missing(col, right_idx, unmatched).rename(name))
-        return Frame(out_cols)
-
     # -- aggregation helpers (full group-by lives in groupby.py) -------------------
 
     def encode_keys(
@@ -403,8 +327,7 @@ class Frame:
         distinct key tuples in first-appearance order (``keys[codes[i]]``
         is row *i*'s key).  The tuples are read at each group's first row
         through the columns' codes, so an encoded column is never
-        decoded.  This is the primitive under :meth:`group_indices`,
-        ``group_by``, ``pivot``, and the panel builder.
+        decoded.  This is the primitive under ``group_by``.
         """
         if isinstance(names, str):
             names = [names]
@@ -445,53 +368,6 @@ class Frame:
         keys = list(zip(*(c[first_rows] for c in cols)))
         return codes, keys
 
-    def group_indices(self, names: Sequence[str] | str) -> dict[tuple[Any, ...], np.ndarray]:
-        """Map each distinct key tuple to the row indices holding it.
-
-        Keys appear in first-appearance order and each index array is
-        ascending, matching the historical row-wise scan.
-        """
-        if self.num_rows == 0:
-            if isinstance(names, str):
-                names = [names]
-            for n in names:
-                self.column(n)
-            return {}
-        codes, keys = self.encode_keys(names)
-        order = np.argsort(codes, kind="stable")
-        boundaries = np.flatnonzero(np.diff(codes[order])) + 1
-        return dict(zip(keys, np.split(order, boundaries)))
-
-    def describe(self) -> "Frame":
-        """Summary statistics for every numeric column.
-
-        Returns a frame with one row per numeric column: count, number
-        missing, mean, std, min, median, max.
-        """
-        records = []
-        for name in self._order:
-            col = self._columns[name]
-            if col.kind == KIND_OBJECT:
-                continue
-            values = self.numeric(name)
-            finite = values[~np.isnan(values)]
-            records.append(
-                {
-                    "column": name,
-                    "count": int(len(finite)),
-                    "missing": int(len(values) - len(finite)),
-                    "mean": float(finite.mean()) if len(finite) else None,
-                    "std": float(finite.std(ddof=1)) if len(finite) > 1 else None,
-                    "min": float(finite.min()) if len(finite) else None,
-                    "median": float(np.median(finite)) if len(finite) else None,
-                    "max": float(finite.max()) if len(finite) else None,
-                }
-            )
-        return Frame.from_records(
-            records,
-            columns=["column", "count", "missing", "mean", "std", "min", "median", "max"],
-        )
-
     def numeric(self, name: str) -> np.ndarray:
         """Return column *name* as float64 (raising if non-numeric).
 
@@ -523,62 +399,3 @@ def _combine_codes(parts: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray,
         np.add(combined, codes, out=combined, dtype=np.int64, casting="unsafe")
     return combined, False
 
-
-def _equals_mask(col: Column, value: Any, n: int) -> np.ndarray:
-    """Elementwise ``col == value`` as a boolean mask, NaN never equal."""
-    if col.kind == KIND_OBJECT and value is None:
-        return col.is_missing()
-    try:
-        raw = col.values == value
-    except (TypeError, ValueError):
-        raw = None
-    if isinstance(raw, np.ndarray) and raw.shape == (n,):
-        return raw.astype(bool, copy=False)
-    if raw is not None and np.isscalar(raw):
-        # numpy collapsed an incomparable-type comparison to one bool
-        return np.full(n, bool(raw), dtype=bool)
-    return np.array([v == value for v in col.values], dtype=bool)
-
-
-def _gather_with_missing(col: Column, indices: np.ndarray, missing: np.ndarray) -> Column:
-    """``col.take(indices)`` with *missing* rows set to the null marker.
-
-    Mirrors the historical per-row join gather, including its kind
-    promotions: int columns with missing matches become float (NaN),
-    bool columns become object (None), object columns are re-inferred
-    from their gathered values.
-    """
-    if not len(col) or bool(missing.all()):
-        # Every output row is unmatched; the historical list path then
-        # saw only Nones and inferred an object column.
-        return Column(col.name, [None] * len(indices))
-    safe = np.where(missing, 0, indices)
-    any_missing = bool(missing.any())
-    if col.kind == KIND_FLOAT:
-        out = col.values[safe]
-        if any_missing:
-            out = out.copy()
-            out[missing] = np.nan
-        return Column(col.name, out, kind=KIND_FLOAT)
-    if col.kind == KIND_INT:
-        if not any_missing:
-            return col.take(safe)  # an encoded int column stays encoded
-        out = col.values[safe].astype(np.float64)
-        out[missing] = np.nan
-        return Column(col.name, out, kind=KIND_FLOAT)
-    if col.kind == KIND_BOOL:
-        if not any_missing:
-            return Column(col.name, col.values[safe], kind=KIND_BOOL)
-        out = col.values[safe].astype(object)
-        out[missing] = None
-        return Column(col.name, out, kind=KIND_OBJECT)
-    if len(col):
-        out = col[safe]
-        if any_missing:
-            out = out.copy()
-            out[missing] = None
-    else:
-        out = np.full(len(safe), None, dtype=object)
-    # Re-infer like the historical list-building path did (an object
-    # column of plain ints came back as an int column, for example).
-    return Column(col.name, out.tolist())

@@ -16,18 +16,18 @@ Grouping is factorized (:meth:`Frame.encode_keys`): rows are assigned
 dense integer group codes, and :func:`group_order` lays them out in
 group order — the permutation of one stable argsort, built chunk by
 chunk as a narrow index, so its scratch is chunk-sized — which makes
-every group a contiguous slice.  The hot aggregations (``count``/
-``sum``/``mean``/``median``/``min``/``max`` over numeric columns) run
-as grouped array kernels over those slices — NaN handling happens once
-per column, and the median uses a single per-group value sort instead
-of a Python loop.
-Numeric results come back as plain Python floats (``count`` stays int);
-callables and the remaining builtins see exactly the per-group value
-arrays the row-wise path produced, in the same row order.
+every group a contiguous slice of that order.  :meth:`_Segments.rows`
+is the one way to read a group: aggregations, the pivot and the
+stream's accumulators gather each group's values through it.  The fast
+builtins (``count``/``sum``/``mean``/``median``/``min``/``max`` over
+numeric columns) reduce each gathered group in :func:`_grouped_fast`,
+NaN dropped per group; callables and the remaining builtins see
+exactly the per-group value arrays, in row order.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
@@ -258,16 +258,46 @@ class _Segments:
             g = h
 
 
-def _median(values: np.ndarray, valid: int) -> float:
-    """The grouped median of one group's float64 *values*.
+def _median(values: np.ndarray) -> float:
+    """The median of one group's values, NaN ignored; NaN if all are.
 
-    *valid* of them are not NaN.  Sorts *values* in place (NaN last)
-    and averages the middle two valid ones; NaN when none is valid.
+    *values* is non-empty; float64 values are sorted in place, others
+    are copied to float64 first.  The middle two valid values are
+    averaged.  NaN sorts last, so the valid values are a prefix, and
+    only a group whose last value is NaN has its NaNs counted.
     """
-    if valid == 0:
-        return np.nan
+    values = values.astype(np.float64, copy=False)
     values.sort()
+    valid = len(values)
+    if math.isnan(values[-1]):
+        valid -= int(np.count_nonzero(np.isnan(values)))
+        if valid == 0:
+            return np.nan
     return (values[(valid - 1) // 2] + values[valid // 2]) / 2.0
+
+
+def _nan_dropped(reduce: Callable[[np.ndarray], Any], empty: float) -> Callable:
+    """*reduce* over a group's non-NaN values; *empty* when it has none."""
+
+    def kernel(seg: np.ndarray) -> Any:
+        if seg.dtype.kind == "f":
+            seg = seg[~np.isnan(seg)]
+        return reduce(seg) if len(seg) else empty
+
+    return kernel
+
+
+#: Each fast builtin but ``count`` over one group's gathered values.
+#: Sums and means keep numpy's pairwise summation, bit-identical to the
+#: row-wise ``np.sum``/``np.mean``; ``fmin``/``fmax`` skip NaN and give
+#: NaN only for a group with no other value.
+_KERNELS: dict[str, Callable[[np.ndarray], Any]] = {
+    "sum": _nan_dropped(np.sum, 0.0),
+    "mean": _nan_dropped(np.mean, np.nan),
+    "median": _median,
+    "min": np.fmin.reduce,
+    "max": np.fmax.reduce,
+}
 
 
 def _grouped_fast(
@@ -275,59 +305,20 @@ def _grouped_fast(
     segments: _Segments,
     agg: str,
 ) -> np.ndarray:
-    """One builtin over every group at once; NaN handled once per column.
+    """One builtin over every group, one gather per group.
 
     Returns a float64 array (NaN where the row-wise builtin returned
-    ``None``), except ``count`` which returns int64 group sizes.  Sums,
-    means and medians gather each group's values through
-    :meth:`_Segments.rows`, so no group-sorted copy of the column is
-    made; min and max reduce over one.
+    ``None``), except ``count``, which returns int64 group sizes.  Each
+    group's values are gathered through :meth:`_Segments.rows` and
+    reduced on their own (:data:`_KERNELS`), so no group-sorted copy
+    of the column and no row-length NaN mask is made.
     """
-    starts, ends, order = segments.starts, segments.ends, segments.order
     if agg == "count":
-        return ends - starts
-    is_float = values.dtype.kind == "f"
-    if agg in ("sum", "mean"):
-        # Summing each group's gathered values keeps numpy's pairwise
-        # summation — bit-identical to the historical per-group
-        # np.sum/np.mean.
-        out = np.empty(len(starts), dtype=np.float64)
-        for g, rows in enumerate(segments.rows()):
-            seg = values[rows]
-            if is_float:
-                seg = seg[~np.isnan(seg)]
-            if len(seg):
-                out[g] = np.sum(seg) if agg == "sum" else np.mean(seg)
-            else:
-                out[g] = 0.0 if agg == "sum" else np.nan
-        return out
-    # median/min/max: NaN counts come from one reduceat over the
-    # group-ordered NaN mask (skipped when the column has no NaN);
-    # min/max reduce over NaN-neutralised gathered copies (min/max pick
-    # an element, so association cannot change the result), and the
-    # median sorts each group's values (NaN last) and picks middles by
-    # the valid counts.
-    sizes = ends - starts
-    nan_mask = np.isnan(values) if is_float else None
-    if nan_mask is not None and nan_mask.any():
-        valid = sizes - np.add.reduceat(nan_mask[order], starts)  # bools add as ints
-    else:
-        nan_mask = None
-        valid = sizes
-    out = np.full(len(starts), np.nan)
-    ok = valid > 0
-    if not ok.any():
-        return out
-    if agg in ("min", "max"):
-        gf = values[order].astype(np.float64, copy=False)
-        if nan_mask is not None:
-            gf[nan_mask[order]] = np.inf if agg == "min" else -np.inf
-        reduce = np.minimum if agg == "min" else np.maximum
-        out[ok] = reduce.reduceat(gf, starts)[ok]
-    else:  # median
-        for g, rows in enumerate(segments.rows()):
-            if ok[g]:
-                out[g] = _median(np.asarray(values[rows], dtype=np.float64), valid[g])
+        return segments.ends - segments.starts
+    kernel = _KERNELS[agg]
+    out = np.empty(len(segments.starts), dtype=np.float64)
+    for g, rows in enumerate(segments.rows()):
+        out[g] = kernel(values[rows])
     return out
 
 
@@ -351,10 +342,6 @@ class GroupedFrame:
     def _group_items(self) -> Iterator[tuple[tuple[Any, ...], np.ndarray]]:
         """Each key tuple with its ascending row indices."""
         return zip(self._key_tuples, self._segments.rows())
-
-    def groups(self) -> dict[tuple[Any, ...], Frame]:
-        """Return each group's rows as its own frame."""
-        return {k: self._frame.take(idx) for k, idx in self._group_items()}
 
     def aggregate(self, **specs: _AggSpec) -> Frame:
         """Aggregate each group into one output row.
@@ -387,24 +374,15 @@ class GroupedFrame:
         ] if n_groups else [Column(kname, []) for kname in self._keys]
 
         seg = self._segments
-        gathered_cache: dict[str, np.ndarray] = {}
         for out_name, src, agg_name, fn in resolved:
             col = self._frame.column(src)
             if n_groups == 0:
                 cols.append(Column(out_name, []))
-                continue
-            if agg_name in _FAST_AGGS and col.kind != KIND_OBJECT:
-                result = _grouped_fast(col.values, seg, agg_name)
-                cols.append(Column(out_name, result))
-                continue
-            src_gathered = gathered_cache.get(src)
-            if src_gathered is None:
-                src_gathered = gathered_cache[src] = col.values[seg.order]
-            values = [
-                fn(src_gathered[seg.starts[g] : seg.ends[g]])
-                for g in range(n_groups)
-            ]
-            cols.append(Column(out_name, values))
+            elif agg_name in _FAST_AGGS and col.kind != KIND_OBJECT:
+                cols.append(Column(out_name, _grouped_fast(col.values, seg, agg_name)))
+            else:
+                # col[rows] gathers an encoded column through its codes.
+                cols.append(Column(out_name, [fn(col[rows]) for rows in seg.rows()]))
         return Frame(cols)
 
     def apply(self, fn: Callable[[tuple[Any, ...], Frame], dict[str, Any]]) -> Frame:
@@ -428,21 +406,18 @@ def pivot_grid(
     columns: str,
     values: str,
     agg: str = "mean",
-    sort_index: bool = False,
 ) -> tuple[list[Any], list[Any], np.ndarray]:
-    """The core of :func:`pivot`: ``(row_keys, col_keys, grid)``.
+    """Spread *values* into a grid: ``(row_keys, col_keys, grid)``.
 
-    Row and column keys are the distinct values of their columns in
-    first-appearance order; ``grid`` is a dense float matrix with NaN in
-    unobserved cells.  Observed cells are aggregated with one grouped
-    kernel and scattered with a single fancy-indexed assignment —
-    :func:`repro.synthcontrol.build_panel` reads the grid directly
-    instead of round-tripping through a wide frame.
-
-    With *sort_index* the row keys come back sorted by value (object
-    keys by ``str``, matching :meth:`Frame.sort_by`): the row codes are
-    remapped through the sort permutation *before* the scatter, so the
-    grid lands already ordered — there is no post-hoc row-gather copy.
+    Row keys are the distinct *index* values sorted by value (object
+    keys by ``str``, matching :meth:`Frame.sort_by`); column keys are
+    the distinct *columns* values in first-appearance order.  ``grid``
+    is a dense float matrix with NaN in unobserved cells.  Observed
+    cells are aggregated with one grouped kernel and scattered with a
+    single fancy-indexed assignment; the row codes are remapped through
+    the sort permutation *before* the scatter, so the grid lands
+    already ordered.  :func:`repro.synthcontrol.build_panel` reads the
+    grid as its panel.
     """
     agg_fn = _BUILTINS.get(agg)
     if agg_fn is None:
@@ -450,77 +425,48 @@ def pivot_grid(
     row_codes, row_keys = frame.column(index).factorize()
     col_codes, col_keys = frame.column(columns).factorize()
     vals = frame.numeric(values)
-
-    n_cols = max(len(col_keys), 1)
-    cell_dtype = code_dtype(len(row_keys) * n_cols)
-    rank = None
-    if sort_index and row_keys:
-        if frame.column(index).kind == KIND_OBJECT:
-            sort_keys = np.array([str(v) for v in row_keys])
-        else:
-            sort_keys = np.asarray(row_keys)
-        order = np.argsort(sort_keys, kind="stable")
-        rank = np.empty(len(order), dtype=cell_dtype)
-        rank[order] = np.arange(len(order))
-        row_keys = [row_keys[i] for i in order]
-
     grid = np.full((len(row_keys), len(col_keys)), np.nan)
-    if frame.num_rows:
-        # One cell-code buffer, as narrow as the grid's cell count
-        # allows: the row remap, the multiply and the add write into it,
-        # and its group order (:func:`group_order`) both orders the rows
-        # by cell and bounds every cell, so the occupied cells come out
-        # in ascending flat order.
-        cells = np.empty(frame.num_rows, dtype=cell_dtype)
-        if rank is None:
-            np.copyto(cells, row_codes, casting="unsafe")
-        else:
-            # np.take widens its indices to intp: a chunk at a time.
-            for lo in range(0, frame.num_rows, _CHUNK_ROWS):
-                hi = lo + _CHUNK_ROWS
-                np.take(rank, row_codes[lo:hi], out=cells[lo:hi], mode="clip")
-        if len(row_keys) > 1:
-            np.multiply(cells, cell_dtype.type(n_cols), out=cells)
-        np.add(cells, col_codes, out=cells, casting="unsafe")
-        order, bounds = group_order(cells, len(row_keys) * n_cols)
-        del cells
-        occupied = np.flatnonzero(bounds[1:] != bounds[:-1])
-        segments = _Segments.from_parts(
-            order, bounds[occupied], bounds[occupied + 1]
+    if not frame.num_rows:
+        return row_keys, col_keys, grid
+
+    if frame.column(index).kind == KIND_OBJECT:
+        sort_keys = np.array([str(v) for v in row_keys])
+    else:
+        sort_keys = np.asarray(row_keys)
+    by_value = np.argsort(sort_keys, kind="stable")
+    row_keys = [row_keys[i] for i in by_value]
+    n_cols = len(col_keys)
+    cell_dtype = code_dtype(len(row_keys) * n_cols)
+    rank = np.empty(len(by_value), dtype=cell_dtype)
+    rank[by_value] = np.arange(len(by_value))
+
+    # One cell-code buffer, as narrow as the grid's cell count allows:
+    # the row remap, the multiply and the add write into it, and its
+    # group order (:func:`group_order`) both orders the rows by cell and
+    # bounds every cell, so the occupied cells come out in ascending
+    # flat order.
+    cells = np.empty(frame.num_rows, dtype=cell_dtype)
+    # np.take widens its indices to intp: a chunk at a time.
+    for lo in range(0, frame.num_rows, _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        np.take(rank, row_codes[lo:hi], out=cells[lo:hi], mode="clip")
+    if len(row_keys) > 1:
+        np.multiply(cells, cell_dtype.type(n_cols), out=cells)
+    np.add(cells, col_codes, out=cells, casting="unsafe")
+    order, bounds = group_order(cells, len(row_keys) * n_cols)
+    del cells
+    occupied = np.flatnonzero(bounds[1:] != bounds[:-1])
+    segments = _Segments.from_parts(order, bounds[occupied], bounds[occupied + 1])
+    if agg in _FAST_AGGS:
+        cell_values = _grouped_fast(vals, segments, agg).astype(np.float64, copy=False)
+    else:
+        cell_values = np.array(
+            [_none_to_nan(agg_fn(vals[rows])) for rows in segments.rows()],
+            dtype=np.float64,
         )
-        if agg in _FAST_AGGS:
-            cell_values = _grouped_fast(vals, segments, agg).astype(
-                np.float64, copy=False
-            )
-        else:
-            cell_values = np.array(
-                [_none_to_nan(agg_fn(vals[rows])) for rows in segments.rows()],
-                dtype=np.float64,
-            )
-        grid.flat[occupied] = cell_values
+    grid.flat[occupied] = cell_values
     return row_keys, col_keys, grid
 
 
 def _none_to_nan(value: Any) -> float:
     return np.nan if value is None else float(value)
-
-
-def pivot(
-    frame: Frame,
-    index: str,
-    columns: str,
-    values: str,
-    agg: str = "mean",
-) -> tuple[Frame, list[Any]]:
-    """Spread *values* into one output column per distinct *columns* value.
-
-    Returns ``(wide_frame, column_keys)`` where ``wide_frame`` has the
-    *index* column plus one float column per key (named ``str(key)``), and
-    ``column_keys`` preserves the original key objects in column order.
-    Missing cells are NaN.
-    """
-    row_keys, col_keys, grid = pivot_grid(frame, index, columns, values, agg)
-    cols = [Column(index, row_keys)]
-    for j, key in enumerate(col_keys):
-        cols.append(Column(str(key), grid[:, j]))
-    return Frame(cols), col_keys

@@ -8,9 +8,9 @@ the reproduction's own pipeline:
   (``span``/``traced``), JSONL export, and order-stable cross-process
   merge, so a parallel study's trace has the same tree shape as the
   serial one;
-- :mod:`repro.obs.metrics` — counters, gauges, timestamped gauge
-  series, and fixed-bucket histograms with a Prometheus-style text dump
-  and order-deterministic worker-snapshot merging;
+- :mod:`repro.obs.metrics` — counters, timestamped gauge series, and
+  fixed-bucket histograms with a Prometheus-style text dump and
+  worker-snapshot merging;
 - :mod:`repro.obs.capture` — the worker-side shim the executor uses to
   ship spans/metrics/tracebacks home with each result;
 - :mod:`repro.obs.report` — aligned text rendering of span trees
@@ -39,12 +39,10 @@ from repro.obs.metrics import (
     COUNT_BUCKETS,
     SECONDS_BUCKETS,
     Counter,
-    Gauge,
     GaugeSeries,
     Histogram,
     MetricsRegistry,
     get_metrics,
-    merge_epoch,
     set_metrics,
 )
 from repro.obs.profile import (
@@ -62,8 +60,6 @@ from repro.obs.resources import ResourceSample, ResourceSampler, take_resource_s
 from repro.obs.trace import (
     SpanRecord,
     Tracer,
-    child_seconds,
-    current_span_id,
     export_jsonl,
     get_tracer,
     load_jsonl,
@@ -78,7 +74,6 @@ from repro.obs.trace import (
 __all__ = [
     "COUNT_BUCKETS",
     "Counter",
-    "Gauge",
     "GaugeSeries",
     "Histogram",
     "Hotspot",
@@ -94,10 +89,8 @@ __all__ = [
     "WorkerOutcome",
     "WorkerTraceback",
     "absorb_outcome",
-    "child_seconds",
     "configure_logging",
     "critical_path",
-    "current_span_id",
     "export_folded",
     "export_jsonl",
     "fault_load",
@@ -109,7 +102,6 @@ __all__ = [
     "hotspots",
     "install_null_handler",
     "load_jsonl",
-    "merge_epoch",
     "merge_worker_records",
     "render_trace",
     "run_captured",

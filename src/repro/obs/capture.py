@@ -5,9 +5,10 @@ executor wraps every task in :func:`run_captured`: the task runs
 against a fresh span buffer and a fresh metrics registry, and the
 result ships home as a :class:`WorkerOutcome` carrying the value (or
 the exception *with its formatted worker traceback*), the spans, a
-metrics snapshot, and any chaos fault events the task fired.  The
-parent calls :func:`absorb_outcome` on each outcome **in task order**,
-which grafts the spans under its current span
+metrics snapshot, and any chaos fault events the task fired.  After
+the map returns, the parent calls :func:`absorb_outcome` on each
+outcome **in task order**, whatever order the tasks finished in: it
+grafts the spans under its current span
 (:func:`~repro.obs.trace.merge_worker_records`), folds the metrics and
 fault log in, and re-raises failures with the worker stack chained on —
 so a parallel run's trace, metrics, fault log, and error reports all
@@ -85,27 +86,23 @@ def run_captured(
         tracer.records = saved_records
 
 
-def merge_outcome_observability(
-    outcome: WorkerOutcome, task_order: tuple | None = None
-) -> None:
+def merge_outcome_observability(outcome: WorkerOutcome) -> None:
     """Fold one outcome's spans, metrics, and fault events in — no raise.
 
     The executor uses this for the failed attempts of a retried task:
     their observations belong in the parent's trace (a serial run would
     have recorded them inline) even though their exceptions were
-    swallowed by the retry.  *task_order* (``(epoch, index)`` from the
-    executor) makes the gauge merge order-independent — see
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
+    swallowed by the retry.
     """
     from repro.chaos.runtime import record_events
 
     merge_worker_records(outcome.spans)
-    get_metrics().merge(outcome.metrics, task_order=task_order)
+    get_metrics().merge(outcome.metrics)
     if outcome.faults:
         record_events(outcome.faults)
 
 
-def absorb_outcome(outcome: WorkerOutcome, task_order: tuple | None = None) -> Any:
+def absorb_outcome(outcome: WorkerOutcome) -> Any:
     """Merge one worker outcome into this process; return its value.
 
     Spans land under the caller's current span in buffer order; metrics
@@ -114,7 +111,7 @@ def absorb_outcome(outcome: WorkerOutcome, task_order: tuple | None = None) -> A
     :class:`WorkerTraceback` chained as its cause, so the worker-side
     stack survives the process boundary.
     """
-    merge_outcome_observability(outcome, task_order=task_order)
+    merge_outcome_observability(outcome)
     if outcome.exception is not None:
         raise outcome.exception from WorkerTraceback(
             "worker-side traceback:\n" + outcome.traceback_text

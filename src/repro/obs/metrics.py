@@ -1,4 +1,4 @@
-"""A small metrics registry: counters, gauges, fixed-bucket histograms.
+"""A small metrics registry: counters, gauge series, fixed-bucket histograms.
 
 The pipeline's quantitative health signals (`placebos_skipped_total`,
 `donor_pool_size`, `fit_seconds`, ...) are registered here by the code
@@ -10,23 +10,13 @@ Instruments are get-or-create by name through the process-wide
 registry (:func:`get_metrics`); worker processes record into their own
 registry per task, :meth:`MetricsRegistry.snapshot` makes the state
 picklable, and :meth:`MetricsRegistry.merge` folds worker snapshots
-back into the parent — counters and histograms add, gauges resolve by
-**task order** — so serial and parallel runs report identical values.
+back into the parent — counters and histograms add — so serial and
+parallel runs report identical values.
 
-Gauge merge determinism: a bare ``merge(snapshot)`` is last-write-wins
-in *call* order, which is only deterministic if every caller merges in
-task order.  The executor therefore passes ``task_order=(epoch, index)``
-(one :func:`merge_epoch` per fan-out, the task index within it) and the
-registry keeps, per gauge, the highest task order merged so far: a
-snapshot merged late — because its task *completed* late, e.g. after
-retries — can no longer clobber a logically-later task's value.  This
-mirrors the span graft's task-order contract in
-:mod:`repro.obs.capture`.
-
-:class:`GaugeSeries` extends the gauge with a bounded, timestamped
-sample history — what the resource sampler
-(:mod:`repro.obs.resources`) records — rendered as a plain gauge (its
-latest value) in the exposition text.
+:class:`GaugeSeries` is a bounded, timestamped sample history — what
+the resource sampler (:mod:`repro.obs.resources`) records — rendered
+as a plain gauge (its latest value) in the exposition text.  Only the
+parent process records them, so snapshots leave them out.
 
 Deliberately not implemented: metric labels (beyond the histogram's
 ``le``) and exemplars.  Stage identity lives in the trace; metrics
@@ -35,7 +25,6 @@ stay cheap aggregates.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from bisect import bisect_left
@@ -80,28 +69,6 @@ class Counter:
         self.value += amount
 
 
-@dataclass
-class Gauge:
-    """A point-in-time value (last write wins).
-
-    ``merge_order`` is the task order of the last *merged* write (see
-    the module docstring); a direct :meth:`set` clears it, because a
-    local write is by definition more recent than any shipped snapshot.
-    """
-
-    name: str
-    help: str = ""
-    value: float = 0.0
-    touched: bool = False
-    merge_order: tuple | None = None
-
-    def set(self, value: float) -> None:
-        """Record the current value."""
-        self.value = float(value)
-        self.touched = True
-        self.merge_order = None
-
-
 @dataclass(frozen=True)
 class SeriesPoint:
     """One timestamped observation in a :class:`GaugeSeries`."""
@@ -111,7 +78,7 @@ class SeriesPoint:
 
 
 class GaugeSeries:
-    """A gauge that also keeps a bounded, timestamped sample history.
+    """A gauge that keeps a bounded, timestamped sample history.
 
     The resource sampler records into these; ``render()`` exposes only
     the latest value (as a plain gauge), while :meth:`points` hands the
@@ -179,20 +146,19 @@ class MetricsRegistry:
     A re-entrant lock guards instrument *creation* and whole-registry
     reads (``snapshot``/``render``/``merge``): the telemetry server and
     the resource sampler both touch the registry from their own threads
-    while the study writes to it.  Individual ``inc``/``set``/``observe``
+    while the study writes to it.  Individual ``inc``/``record``/``observe``
     calls stay lock-free — they mutate single floats/ints under the GIL
     and sit on hot paths.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._series: dict[str, GaugeSeries] = {}
         self._lock = threading.RLock()
 
     def _families(self) -> tuple[dict, ...]:
-        return (self._counters, self._gauges, self._histograms, self._series)
+        return (self._counters, self._histograms, self._series)
 
     def _claim(self, name: str, kind: dict) -> None:
         for family in self._families():
@@ -209,17 +175,6 @@ class MetricsRegistry:
                     self._claim(name, self._counters)
                     c = self._counters[name] = Counter(name, help)
         return c
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        """The gauge named *name* (created on first use)."""
-        g = self._gauges.get(name)
-        if g is None:
-            with self._lock:
-                g = self._gauges.get(name)
-                if g is None:
-                    self._claim(name, self._gauges)
-                    g = self._gauges[name] = Gauge(name, help)
-        return g
 
     def series(
         self, name: str, help: str = "", capacity: int = 4096
@@ -259,7 +214,6 @@ class MetricsRegistry:
         """Forget every instrument (tests)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
             self._series.clear()
 
@@ -276,38 +230,17 @@ class MetricsRegistry:
                 "counters": {
                     n: (c.help, c.value) for n, c in self._counters.items()
                 },
-                "gauges": {
-                    n: (g.help, g.value)
-                    for n, g in self._gauges.items()
-                    if g.touched
-                },
                 "histograms": {
                     n: (h.help, h.buckets, tuple(h.counts), h.sum, h.count)
                     for n, h in self._histograms.items()
                 },
             }
 
-    def merge(self, snapshot: dict, task_order: tuple | None = None) -> None:
-        """Fold a worker snapshot in: counters/histograms add, gauges resolve.
-
-        With *task_order* (any comparable tuple, e.g. ``(epoch, index)``)
-        a gauge is overwritten only when this snapshot's order is >= the
-        order that produced the gauge's current value, so the outcome is
-        the task-order-maximal write no matter when each task finished.
-        Without it, behaviour stays last-write-wins (callers merging in
-        a known order).
-        """
+    def merge(self, snapshot: dict) -> None:
+        """Fold a worker snapshot in: counters and histograms add."""
         with self._lock:
             for name, (help_, value) in snapshot.get("counters", {}).items():
                 self.counter(name, help_).inc(value)
-            for name, (help_, value) in snapshot.get("gauges", {}).items():
-                g = self.gauge(name, help_)
-                if task_order is None:
-                    g.set(value)
-                elif g.merge_order is None or task_order >= g.merge_order:
-                    g.value = float(value)
-                    g.touched = True
-                    g.merge_order = task_order
             for name, (help_, buckets, counts, sum_, count) in snapshot.get(
                 "histograms", {}
             ).items():
@@ -337,12 +270,9 @@ class MetricsRegistry:
                 lines.append(f"# HELP {name} {c.help}")
             lines.append(f"# TYPE {name} counter")
             lines.append(f"{name} {_fmt(c.value)}")
-        exposable_gauges = dict(self._gauges)
-        for name, s in self._series.items():
-            if s.touched and name not in exposable_gauges:
-                exposable_gauges[name] = s
-        for name in sorted(exposable_gauges):
-            g = exposable_gauges[name]
+        for name, g in sorted(self._series.items()):
+            if not g.touched:
+                continue
             if g.help:
                 lines.append(f"# HELP {name} {g.help}")
             lines.append(f"# TYPE {name} gauge")
@@ -370,20 +300,6 @@ def _fmt(value: float) -> str:
 
 
 _registry = MetricsRegistry()
-
-_merge_epochs = itertools.count()
-
-
-def merge_epoch() -> int:
-    """The next merge-epoch number (process-wide, monotonically increasing).
-
-    Each executor fan-out claims one epoch and merges its outcomes with
-    ``task_order=(epoch, index)``, so gauges from a *later* map call
-    always outrank gauges from an earlier one even though both use
-    small task indices.
-    """
-    return next(_merge_epochs)
-
 
 def get_metrics() -> MetricsRegistry:
     """The current process-wide registry."""

@@ -91,21 +91,6 @@ class Tracer:
         """Drop every recorded span (tests and long-lived services)."""
         self.records.clear()
 
-    def drain(self) -> list[SpanRecord]:
-        """Return and clear the recorded spans (worker shipping)."""
-        records = list(self.records)
-        self.records.clear()
-        return records
-
-    def children(self, parent_id: int, name: str | None = None) -> list[SpanRecord]:
-        """Recorded direct children of *parent_id*, optionally by name."""
-        return [
-            r
-            for r in self.records
-            if r.parent_id == parent_id and (name is None or r.name == name)
-        ]
-
-
 _tracer = Tracer()
 _current: ContextVar[int | None] = ContextVar("repro_obs_current_span", default=None)
 
@@ -113,11 +98,6 @@ _current: ContextVar[int | None] = ContextVar("repro_obs_current_span", default=
 def get_tracer() -> Tracer:
     """The process-wide tracer."""
     return _tracer
-
-
-def current_span_id() -> int | None:
-    """The id of the innermost open span in this context, if any."""
-    return _current.get()
 
 
 def set_tracing(enabled: bool) -> bool:
@@ -261,21 +241,6 @@ def traced(name: str | None = None, **attrs: Any) -> Callable[[_F], _F]:
         return wrapper  # type: ignore[return-value]
 
     return decorate
-
-
-def child_seconds(parent: Span, name: str) -> float | None:
-    """Summed duration of *parent*'s finished children named *name*.
-
-    None when no such child was recorded (e.g. tracing was disabled),
-    so callers can fall back to their own clocks.
-    """
-    if isinstance(parent, _NullSpan):
-        return None
-    total: float | None = None
-    for record in _tracer.records:
-        if record.parent_id == parent.span_id and record.name == name:
-            total = (total or 0.0) + record.duration_s
-    return total
 
 
 def merge_worker_records(

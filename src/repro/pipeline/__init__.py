@@ -4,7 +4,8 @@
   detection from traceroute evidence and first-crossing treatment
   timing;
 - :func:`daily_median_rtt` / :func:`rtt_panel` — ⟨ASN, city⟩ daily
-  median-RTT panels;
+  median RTTs, as a long table and as the study's (days x units)
+  panel; :func:`measurement_volume` — tests per unit;
 - :func:`run_ixp_study` — the end-to-end Table-1 runner with donor
   screening, robust synthetic control, and placebo inference;
 - :func:`get_executor` — serial and process-pool execution backends
@@ -16,7 +17,6 @@
 """
 
 from repro.pipeline.aggregate import (
-    completeness,
     daily_median_rtt,
     measurement_volume,
     rtt_panel,
@@ -59,7 +59,6 @@ __all__ = [
     "StudyTimings",
     "TreatmentAssignment",
     "assign_treatment",
-    "completeness",
     "crossing_mask",
     "daily_median_rtt",
     "detect_crossings_from_hops",

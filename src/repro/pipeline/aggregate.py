@@ -1,16 +1,15 @@
 """Aggregation of raw measurements into analysis panels.
 
-The paper analyses median RTT per ⟨ASN, city⟩ per period.  These
-helpers reduce a measurement frame to a long table of per-unit
-per-period medians and hand it to
-:func:`repro.synthcontrol.build_panel` for pivoting.
+The paper analyses median RTT per ⟨ASN, city⟩ per day.  These helpers
+reduce a measurement frame with :func:`repro.frames.group_by`: to a
+long table of per-unit daily medians, to the study's (days x units)
+median panel (through :func:`repro.synthcontrol.build_panel`), and to
+per-unit test counts.
 """
 
 from __future__ import annotations
 
 import logging
-
-import numpy as np
 
 from repro.errors import FrameError
 from repro.frames.frame import Frame
@@ -35,27 +34,17 @@ def daily_median_rtt(frame: Frame) -> Frame:
     )
 
 
-def rtt_panel(
-    frame: Frame,
-    period: str = "day",
-    outcome: str = "rtt_ms",
-) -> Panel:
-    """Pivot a measurement frame into a (periods x units) median-outcome panel.
+def rtt_panel(frame: Frame, outcome: str = "rtt_ms") -> Panel:
+    """Pivot a measurement frame into a (days x units) median-outcome panel.
 
     *outcome* defaults to RTT; pass ``"download_mbps"`` for the
     throughput variant of the analysis.
     """
-    if period not in ("day", "time_hour"):
-        raise FrameError(f"unknown period column {period!r}")
     if outcome not in frame:
         raise FrameError(f"measurement frame has no outcome column {outcome!r}")
-    with span("panel", rows=frame.num_rows, period=period, outcome=outcome) as sp:
+    with span("panel", rows=frame.num_rows, outcome=outcome) as sp:
         panel = build_panel(
-            frame,
-            unit="unit",
-            time=period,
-            outcome=outcome,
-            agg="median",
+            frame, unit="unit", time="day", outcome=outcome, agg="median"
         )
         sp.set(times=panel.n_times, units=panel.n_units)
     logger.debug(
@@ -76,10 +65,3 @@ def measurement_volume(frame: Frame) -> Frame:
         rtt_median=("rtt_ms", "median"),
     )
 
-
-def completeness(panel: Panel) -> dict[str, float]:
-    """Share of non-missing cells per unit of a panel."""
-    return {
-        unit: 1.0 - float(np.mean(~np.isfinite(panel.series(unit))))
-        for unit in panel.units
-    }

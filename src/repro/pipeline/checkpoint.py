@@ -11,7 +11,7 @@ uninterrupted run's.
 
 The file format is one JSON object per line::
 
-    {"kind": "header", "ixp": ..., "method": ..., "outcome": ...}
+    {"kind": "header", "ixp": ..., "method": ..., "outcome": ..., ...}
     {"kind": "skip", "unit": ..., "reason": ...}
     {"kind": "unitfit", "unit": ..., "effect": ..., "donors": [...], ...}
     {"kind": "placebo", "unit": ..., "col": ..., "donor": ..., ...}
@@ -20,6 +20,11 @@ The file format is one JSON object per line::
 ==========  ============================================================
 record      meaning
 ==========  ============================================================
+``header``  the run every record belongs to: the exchange and each
+            parameter that changes a row (``method``, ``outcome``,
+            ``energy``, ``ridge``, ``max_placebos``, ``min_pre_periods``,
+            ``min_post_periods``, ``max_donor_missing``); a resume must
+            match it field for field
 ``skip``    a unit the plan's screen or its base fit rejected, with the
             reason
 ``unitfit`` a unit's base fit: effect, RMSE ratio, periods, donors
@@ -143,8 +148,10 @@ def read_jsonl_tolerant(path: str | Path) -> tuple[list[dict], int]:
 class StudyCheckpoint:
     """An append-only JSONL journal of fit-stage outcomes and stream batches.
 
-    Open with ``resume=True`` to load prior results (validating the
-    header against this run's parameters) and continue appending after
+    The header holds *ixp_name* and every keyword in *params*: the
+    run's parameters that change a row, as JSON values.  Open with
+    ``resume=True`` to load prior results (refusing a file whose header
+    differs from this run's in any field) and continue appending after
     the last complete record; without it, any existing file is
     restarted from scratch.  Use as a context manager or call
     :meth:`close`.
@@ -154,21 +161,15 @@ class StudyCheckpoint:
         self,
         path: str | Path,
         ixp_name: str,
-        method: str,
-        outcome: str,
         resume: bool = False,
+        **params: Any,
     ) -> None:
         self.path = Path(path)
         self.completed_skips: dict[str, str] = {}
         self.completed_fits: dict[str, UnitFit] = {}
         self.completed_refits: dict[tuple[str, int], Refit] = {}
         self.completed_batches: dict[int, int] = {}  # batch index -> row count
-        header = {
-            "kind": "header",
-            "ixp": ixp_name,
-            "method": method,
-            "outcome": outcome,
-        }
+        header = {"kind": "header", "ixp": ixp_name, **params}
         if resume and self.path.exists():
             records, good_bytes = read_jsonl_tolerant(self.path)
             self._load(records, header)
@@ -194,12 +195,12 @@ class StudyCheckpoint:
                     f"{self.path}: first record is not a header; refusing to "
                     f"resume from an unrecognised file"
                 )
-            for field in ("ixp", "method", "outcome"):
-                if first.get(field) != header[field]:
+            for field in sorted(header.keys() | first.keys()):
+                if first.get(field) != header.get(field):
                     raise CheckpointError(
                         f"{self.path}: checkpoint was written for "
                         f"{field}={first.get(field)!r} but this run uses "
-                        f"{header[field]!r}; pass a fresh checkpoint path"
+                        f"{header.get(field)!r}; pass a fresh checkpoint path"
                     )
         for record in records[1:]:
             self._take(record)

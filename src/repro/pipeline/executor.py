@@ -75,7 +75,7 @@ from repro.obs.capture import (
     merge_outcome_observability,
     run_captured,
 )
-from repro.obs.metrics import get_metrics, merge_epoch
+from repro.obs.metrics import get_metrics
 
 logger = logging.getLogger(__name__)
 
@@ -505,24 +505,20 @@ class _MapState:
     def collect(self) -> list:
         """Merge observability and assemble results in input order.
 
-        Every merge carries ``task_order=(epoch, index)`` — one merge
-        epoch per map call — so the registry's gauge resolution is the
-        task-order-maximal write regardless of completion order, and a
-        second map's task 0 still outranks the first map's last task.
-        Failed attempts of a retried task share the final attempt's
-        order; merging them first keeps the final value on top.
+        This runs after the map returns, so every outcome merges in task
+        order whatever order the tasks finished in — each task's failed
+        attempts first, then its final one — and a pooled run's trace,
+        metrics and fault log match the serial run's.
         """
-        epoch = merge_epoch()
         results: list = []
         for index in range(len(self.work)):
-            order = (epoch, index)
             attempts = self.buffers[index]
             for earlier in attempts[:-1]:
-                merge_outcome_observability(earlier, task_order=order)
+                merge_outcome_observability(earlier)
             last = attempts[-1]
             exc = last.exception
             if isinstance(exc, BrokenProcessPool):
-                merge_outcome_observability(last, task_order=order)
+                merge_outcome_observability(last)
                 raise ExecutionError(
                     f"ProcessPoolBackend: worker process died while running "
                     f"task {index} of {len(self.work)} "
@@ -531,14 +527,14 @@ class _MapState:
             if exc is not None and not last.traceback_text:
                 # Parent-side synthetic failures (timeouts) have no
                 # worker traceback to chain.
-                merge_outcome_observability(last, task_order=order)
+                merge_outcome_observability(last)
                 raise exc
             if exc is not None:
                 logger.error(
                     "worker task %d failed: %r\n%s",
                     index, exc, last.traceback_text,
                 )
-            results.append(absorb_outcome(last, task_order=order))
+            results.append(absorb_outcome(last))
         return results
 
 

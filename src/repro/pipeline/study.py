@@ -45,7 +45,7 @@ if TYPE_CHECKING:
 from repro.chaos.runtime import fault_point
 from repro.errors import DonorPoolError, EstimationError, ExecutionError, PipelineError
 from repro.frames.frame import Frame
-from repro.obs import child_seconds, get_metrics, span
+from repro.obs import get_metrics, span
 from repro.obs.metrics import COUNT_BUCKETS
 from repro.pipeline.aggregate import rtt_panel
 from repro.pipeline.crossing import TreatmentAssignment, assign_treatment
@@ -138,13 +138,11 @@ class StudyRow:
 class StudyTimings:
     """Wall-clock seconds per study stage, for perf observability.
 
-    Re-derived from the study's trace spans (``assignment``, ``panel``,
-    ``fits`` under the ``study`` root) when tracing is on, with plain
-    perf-counter segments as the fallback — the API is the same either
-    way.  ``generation_s`` is ``None`` when the measurements came from
-    disk rather than the simulator.  Timings never participate in
-    result equality — two runs of the same study are the *same result*
-    however long they took.
+    Each stage is one ``perf_counter`` segment of the study, so the
+    timings read the same with tracing on or off.  ``generation_s`` is
+    ``None`` when the measurements came from disk rather than the
+    simulator.  Timings never participate in result equality — two runs
+    of the same study are the *same result* however long they took.
     """
 
     assignment_s: float
@@ -312,9 +310,9 @@ class _UnitTask:
     plan's screen chose, so no fit re-runs the screen.
     ``scenario`` is ``""`` for the batch study and the scenario's name
     in a campaign; it qualifies fault keys and span attributes, and
-    names the ledger a task reads and lands in.  ``fit_kwargs`` is a
-    tuple of sorted items (not a dict) so this frozen dataclass is
-    actually hashable and no fit can mutate shared fit parameters.
+    names the ledger a task reads and lands in.  ``energy`` and
+    ``ridge`` are the robust method's fit parameters; a classic fit
+    ignores them.
     """
 
     unit: str
@@ -324,7 +322,8 @@ class _UnitTask:
     donors: tuple[str, ...]
     method: str
     max_placebos: int | None
-    fit_kwargs: tuple[tuple[str, object], ...]
+    energy: float
+    ridge: float
     scenario: str = ""
 
 
@@ -486,9 +485,8 @@ def prepare_unit_plan(
     their plans here, which is what keeps their rows bit-identical:
     given equal panels and assignments, the plans (and therefore every
     downstream fit) are equal.  *energy* and *ridge* are the robust
-    method's fit parameters; a classic plan carries none.
+    method's fit parameters.
     """
-    fit_kwargs = (("energy", energy), ("ridge", ridge)) if method == "robust" else ()
     screen = UnitScreen(min_pre_periods, min_post_periods, max_donor_missing)
     plan: list[tuple[str, str] | _UnitTask] = []
     for unit in assignment.treated_units:
@@ -512,7 +510,8 @@ def prepare_unit_plan(
                 donors=donors,
                 method=method,
                 max_placebos=max_placebos,
-                fit_kwargs=fit_kwargs,
+                energy=energy,
+                ridge=ridge,
                 scenario=scenario,
             )
         )
@@ -620,7 +619,7 @@ class UnitLedger:
             fact = factor_donor_matrix(matrix) if task.method == "robust" else None
             ctx = placebo_context(
                 matrix, task.donors, task.pre_periods, task.method,
-                dict(task.fit_kwargs), fact=fact,
+                energy=task.energy, ridge=task.ridge, fact=fact,
             )
             cols = self.columns(unit)
             if fact is not None and len(cols) > 1:
@@ -811,6 +810,15 @@ def run_ixp_study(
         ixp_name,
         method,
     )
+    plan_params = dict(
+        min_pre_periods=min_pre_periods,
+        min_post_periods=min_post_periods,
+        max_donor_missing=max_donor_missing,
+        method=method,
+        max_placebos=max_placebos,
+        energy=energy,
+        ridge=ridge,
+    )
     with span("study", ixp=ixp_name, method=method) as study_sp:
         t0 = time.perf_counter()
         assignment = assign_treatment(measurements, ixp_name)
@@ -818,22 +826,12 @@ def run_ixp_study(
         t1 = time.perf_counter()
         ckpt = None
         try:
-            panel = rtt_panel(measurements, period="day", outcome=outcome)
+            panel = rtt_panel(measurements, outcome=outcome)
             panel = fault_point("study.panel", key=ixp_name, value=panel)
             t2 = time.perf_counter()
 
             # Cheap shape screens run inline; only real fit work is fanned out.
-            plan = prepare_unit_plan(
-                panel,
-                assignment,
-                min_pre_periods=min_pre_periods,
-                min_post_periods=min_post_periods,
-                max_donor_missing=max_donor_missing,
-                method=method,
-                max_placebos=max_placebos,
-                energy=energy,
-                ridge=ridge,
-            )
+            plan = prepare_unit_plan(panel, assignment, **plan_params)
 
             # Fits and refits already journaled in a resumed checkpoint are
             # served from the file; only the remainder runs.  The final row
@@ -843,11 +841,7 @@ def run_ixp_study(
                 from repro.pipeline.checkpoint import StudyCheckpoint
 
                 ckpt = StudyCheckpoint(
-                    checkpoint,
-                    ixp_name=ixp_name,
-                    method=method,
-                    outcome=outcome,
-                    resume=resume,
+                    checkpoint, ixp_name, resume, outcome=outcome, **plan_params
                 )
             rows, skipped = execute_unit_plan(plan, retry=retry, checkpoint=ckpt)
         finally:
@@ -856,13 +850,10 @@ def run_ixp_study(
         t3 = time.perf_counter()
         study_sp.set(n_rows=len(rows), n_skipped=len(skipped))
 
-    # Timings re-derive from the trace (the spans the stages recorded);
-    # with tracing disabled the perf_counter segments stand in, so the
-    # StudyTimings API behaves identically either way.
     timings = StudyTimings(
-        assignment_s=_stage_seconds(study_sp, "assignment", t1 - t0),
-        panel_s=_stage_seconds(study_sp, "panel", t2 - t1),
-        fits_s=_stage_seconds(study_sp, "fits", t3 - t2),
+        assignment_s=t1 - t0,
+        panel_s=t2 - t1,
+        fits_s=t3 - t2,
         generation_s=generation_seconds,
     )
     logger.info(
@@ -874,12 +865,6 @@ def run_ixp_study(
         skipped=tuple(skipped),
         timings=timings,
     )
-
-
-def _stage_seconds(study_sp, name: str, fallback: float) -> float:
-    """One stage's duration from the study span's trace, if recorded."""
-    recorded = child_seconds(study_sp, name)
-    return fallback if recorded is None else recorded
 
 
 def _pre_period_count(panel: Panel, first_day: int) -> int:

@@ -108,14 +108,15 @@ class StreamStudy:
     ) -> None:
         check_serial_fits(n_jobs, "StreamStudy")
         self.ixp_name = ixp_name
-        self._method = method
-        self._min_pre = min_pre_periods
-        self._min_post = min_post_periods
-        self._max_missing = max_donor_missing
-        self._max_placebos = max_placebos
-        self._energy = energy
-        self._ridge = ridge
-        self._outcome = outcome
+        self._plan_params = dict(
+            min_pre_periods=min_pre_periods,
+            min_post_periods=min_post_periods,
+            max_donor_missing=max_donor_missing,
+            method=method,
+            max_placebos=max_placebos,
+            energy=energy,
+            ridge=ridge,
+        )
         self._retry = retry
         self._live = live_refits and method == "robust"
         self._panel_acc = PanelAccumulator(outcome=outcome)
@@ -139,11 +140,7 @@ class StreamStudy:
         self._ckpt: StudyCheckpoint | None = None
         if checkpoint is not None:
             self._ckpt = StudyCheckpoint(
-                checkpoint,
-                ixp_name=ixp_name,
-                method=method,
-                outcome=outcome,
-                resume=resume,
+                checkpoint, ixp_name, resume, outcome=outcome, **self._plan_params
             )
 
     @property
@@ -268,15 +265,7 @@ class StreamStudy:
         try:
             with span("finalize", ixp=self.ixp_name):
                 plan = prepare_unit_plan(
-                    self._panel_acc.panel,
-                    assignment,
-                    min_pre_periods=self._min_pre,
-                    min_post_periods=self._min_post,
-                    max_donor_missing=self._max_missing,
-                    method=self._method,
-                    max_placebos=self._max_placebos,
-                    energy=self._energy,
-                    ridge=self._ridge,
+                    self._panel_acc.panel, assignment, **self._plan_params
                 )
                 rows, skipped = execute_unit_plan(
                     plan, retry=self._retry, checkpoint=self._ckpt

@@ -102,7 +102,8 @@ class LiveRefitter:
     ) -> None:
         if placebo_every < 1:
             raise PipelineError(f"placebo_every must be >= 1, got {placebo_every}")
-        self._fit_kwargs = {"energy": energy, "ridge": ridge}
+        self._energy = energy
+        self._ridge = ridge
         self._max_placebos = max_placebos
         self._screen = UnitScreen(
             min_pre_periods, min_post_periods, max_donor_missing
@@ -134,8 +135,8 @@ class LiveRefitter:
                 state, panel, assignment, unit, pre_periods
             )
             ctx = placebo_context(
-                donor_matrix, donors, pre_periods, "robust", self._fit_kwargs,
-                fact=fact,
+                donor_matrix, donors, pre_periods, "robust",
+                energy=self._energy, ridge=self._ridge, fact=fact,
             )
             fit, _ = treated_fit(ctx, panel.series(unit), unit)
             rebuild = (

@@ -116,7 +116,7 @@ class PanelAccumulator:
             else:
                 buffer.append(chunk)
 
-        # Extend the time axis (sorted, like the pivot's sort_index).
+        # Extend the time axis (sorted, like the pivot's row keys).
         if fresh_times:
             self._times = sorted(self._times + list(fresh_times))
             self._time_pos = {t: i for i, t in enumerate(self._times)}
@@ -134,7 +134,7 @@ class PanelAccumulator:
                 self._cells[(pos, day)] = [merged]
             else:
                 merged = chunks[0]
-            medians[i] = _median(merged, len(merged) - int(np.isnan(merged).sum()))
+            medians[i] = _median(merged)
             row_index[i] = self._time_pos[day]
             col_index[i] = pos
 

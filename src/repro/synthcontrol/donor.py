@@ -168,16 +168,10 @@ def build_panel(
     Multiple measurements per (unit, time) cell are reduced with *agg*
     (default median, matching the paper's median-RTT outcome).  The
     grouped-median grid from :func:`repro.frames.groupby.pivot_grid` is
-    used directly, with the time sort folded into the scatter
-    (``sort_index=True``) so there is no final row-gather copy.
+    used directly; its rows come sorted by time.
     """
     time_keys, unit_keys, grid = pivot_grid(
-        data,
-        index=time,
-        columns=unit,
-        values=outcome,
-        agg=agg,
-        sort_index=True,
+        data, index=time, columns=unit, values=outcome, agg=agg
     )
     return Panel(
         times=tuple(time_keys), units=tuple(str(k) for k in unit_keys), matrix=grid

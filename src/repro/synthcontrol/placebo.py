@@ -70,15 +70,6 @@ def _check_method(method: str) -> None:
         raise DonorPoolError(f"unknown synthetic-control method {method!r}")
 
 
-def _robust_params(**fit_kwargs: object) -> tuple[float, float]:
-    """Split robust-method fit kwargs, rejecting unknown names loudly."""
-
-    def accept(energy: float = 0.99, ridge: float = 1e-2) -> tuple[float, float]:
-        return float(energy), float(ridge)
-
-    return accept(**fit_kwargs)  # type: ignore[arg-type]
-
-
 @dataclass(frozen=True)
 class PlaceboRatios(Sequence):
     """Placebo RMSE ratios plus an account of the refits that failed.
@@ -129,7 +120,6 @@ class _PlaceboContext:
     pre_periods: int
     min_pre_rmse: float
     method: str
-    fit_kwargs: dict
     fact: DonorFactorization | None
     energy: float
     ridge: float
@@ -141,24 +131,22 @@ def placebo_context(
     donor_names: Sequence[str],
     pre_periods: int,
     method: str,
-    fit_kwargs: dict,
     *,
+    energy: float = 0.99,
+    ridge: float = 1e-2,
     min_pre_rmse: float = 1e-9,
     fact: DonorFactorization | None = None,
 ) -> _PlaceboContext:
     """The placebo context of a donor matrix (factored as *fact* when robust).
 
-    Its ``loo`` field starts empty; a caller that owns a leave-one-out
-    batch for the matrix sets it with :func:`dataclasses.replace`.
+    *energy* and *ridge* are the robust method's fit parameters; the
+    classic method ignores them.  Its ``loo`` field starts empty; a
+    caller that owns a leave-one-out batch for the matrix sets it with
+    :func:`dataclasses.replace`.
     """
-    energy, ridge = 0.99, 1e-2
-    kwargs = dict(fit_kwargs)
-    if method == "robust":
-        energy, ridge = _robust_params(**kwargs)
-        kwargs = {}
     return _PlaceboContext(
-        donors, tuple(donor_names), pre_periods, min_pre_rmse, method, kwargs,
-        fact, energy, ridge,
+        donors, tuple(donor_names), pre_periods, min_pre_rmse, method, fact,
+        float(energy), float(ridge),
     )
 
 
@@ -296,7 +284,6 @@ def placebo_outcomes(ctx: _PlaceboContext, cols: Sequence[int]) -> list[Outcome]
             ctx.donors[:, col],
             np.delete(ctx.donors, col, axis=1),
             ctx.pre_periods,
-            **ctx.fit_kwargs,
         )
         for col in cols
     ]
@@ -371,7 +358,6 @@ def treated_fit(
             ctx.pre_periods,
             treated_name=name,
             donor_names=ctx.donor_names,
-            **ctx.fit_kwargs,
         )
         return fit, ctx
     if ctx.fact is None:
@@ -440,7 +426,7 @@ def placebo_rmse_ratios(
             f"donor matrix must be 2-D (T x J), got shape {donors.shape}"
         )
     ctx = placebo_context(
-        donors, donor_names, pre_periods, method, fit_kwargs,
+        donors, donor_names, pre_periods, method, **fit_kwargs,
         min_pre_rmse=min_pre_rmse,
         fact=factor_donor_matrix(donors) if method == "robust" else None,
     )
@@ -470,7 +456,7 @@ def placebo_test(
     _check_method(method)
     ctx = placebo_context(
         np.asarray(donors, dtype=float), donor_names, pre_periods, method,
-        fit_kwargs, min_pre_rmse=min_pre_rmse,
+        **fit_kwargs, min_pre_rmse=min_pre_rmse,
     )
     t_fit = time.perf_counter()
     with span("fit", treated=treated_name, method=method):

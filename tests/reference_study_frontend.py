@@ -160,9 +160,8 @@ def pivot_grid(
     columns: str,
     values: str,
     agg: str = "median",
-    sort_index: bool = False,
 ) -> tuple[list[Any], list[Any], np.ndarray]:
-    """``(row_keys, col_keys, grid)`` from an int64 cell code per row."""
+    """``(row_keys, col_keys, grid)`` from an int64 cell code per row, rows sorted."""
     row_codes, row_keys = frame.column(index).factorize()
     col_codes, col_keys = frame.column(columns).factorize()
     # factorize returns narrow codes; this reference works in int64.
@@ -170,7 +169,7 @@ def pivot_grid(
     col_codes = col_codes.astype(np.int64)
     vals = frame.column(values).values.astype(np.float64)
 
-    if sort_index and row_keys:
+    if row_keys:
         if frame.column(index).kind == KIND_OBJECT:
             sort_keys = np.array([str(v) for v in row_keys])
         else:

@@ -3,8 +3,8 @@
 These are the pre-vectorization algorithms — per-row Python loops over
 dict-of-lists accumulators — kept verbatim as an executable spec.  The
 parity tests in ``tests/test_frames_rowwise_parity.py`` and the analysis
-benchmark compare the vectorized kernels in :mod:`repro.frames.frame`
-and :mod:`repro.frames.groupby` against these functions; they are not
+benchmark compare the vectorized kernels in :mod:`repro.frames.groupby`
+against these functions; they are not
 used by the pipeline itself.
 """
 
@@ -132,53 +132,3 @@ def pivot(
         cols.append(Column(str(key), grid[:, j]))
     return Frame(cols), col_keys
 
-
-def join(
-    left: Frame,
-    right: Frame,
-    on: Sequence[str] | str,
-    how: str = "inner",
-    suffix: str = "_right",
-) -> Frame:
-    """Per-row hash join (the old ``Frame.join``)."""
-    if isinstance(on, str):
-        on = [on]
-    if how not in ("inner", "left"):
-        raise FrameError(f"unsupported join type {how!r}")
-    for k in on:
-        left.column(k)
-        right.column(k)
-
-    right_index: dict[tuple[Any, ...], list[int]] = {}
-    right_key_cols = [right.column(k).values for k in on]
-    for i in range(right.num_rows):
-        key = tuple(c[i] for c in right_key_cols)
-        right_index.setdefault(key, []).append(i)
-
-    left_idx: list[int] = []
-    right_idx: list[int] = []  # -1 means "no match" (left join)
-    left_key_cols = [left.column(k).values for k in on]
-    for i in range(left.num_rows):
-        key = tuple(c[i] for c in left_key_cols)
-        matches = right_index.get(key)
-        if matches:
-            for j in matches:
-                left_idx.append(i)
-                right_idx.append(j)
-        elif how == "left":
-            left_idx.append(i)
-            right_idx.append(-1)
-
-    left_part = left.take(np.asarray(left_idx, dtype=np.int64))
-    out_cols = [left_part.column(n) for n in left_part.column_names]
-    taken = set(left.column_names)
-    for n in right.column_names:
-        if n in on:
-            continue
-        col = right.column(n)
-        name = n + suffix if n in taken else n
-        values: list[Any] = []
-        for j in right_idx:
-            values.append(None if j < 0 else col.values[j])
-        out_cols.append(Column(name, values))
-    return Frame(out_cols)

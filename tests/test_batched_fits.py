@@ -124,7 +124,8 @@ class TestUnitLedger:
                 ),
                 method="robust",
                 max_placebos=max_placebos,
-                fit_kwargs=(("energy", 0.99), ("ridge", 1e-2)),
+                energy=0.99,
+                ridge=1e-2,
             )
             for unit in treated
         ]
@@ -161,7 +162,7 @@ class TestUnitLedger:
     def test_classic_tasks_are_left_out(self):
         panel = self._panel()
         classic = [
-            type(t)(**{**t.__dict__, "method": "classic", "fit_kwargs": ()})
+            type(t)(**{**t.__dict__, "method": "classic"})
             for t in self._tasks(panel, [panel.units[0]])
         ]
         ctx = UnitLedger(classic).context(panel.units[0])
@@ -195,7 +196,7 @@ class TestUnitLedger:
         (task,) = self._tasks(panel, [panel.units[0]])
         (twin,) = self._tasks(panel, [panel.units[0]])
         assert hash(task) == hash(twin)
-        assert isinstance(task.fit_kwargs, tuple)
+        assert (task.energy, task.ridge) == (0.99, 1e-2)
 
 
 @pytest.fixture
@@ -226,7 +227,7 @@ class TestStudyLevelBitIdentity:
     def _assert_rows_equal_private_tests(self, frame, ixp, max_placebos=None):
         result = run_ixp_study(frame, ixp, max_placebos=max_placebos)
         assert result.rows  # the comparison must not be vacuous
-        panel = rtt_panel(frame, period="day", outcome="rtt_ms")
+        panel = rtt_panel(frame, outcome="rtt_ms")
         plan = prepare_unit_plan(
             panel, assign_treatment(frame, ixp), max_placebos=max_placebos
         )

@@ -211,6 +211,16 @@ class TestCheckpointResume:
             reference.format_campaign_table()
         )
 
+    def test_resume_refuses_a_changed_fit_parameter(self, full_run, tmp_path):
+        full_ckpt, _ = full_run
+        cut = tmp_path / "energy"
+        shutil.copytree(full_ckpt, cut)
+        with pytest.raises(CheckpointError, match="manifest"):
+            run_campaign(
+                FLEET, budget=BUDGET, n_jobs=1, checkpoint_dir=cut, resume=True,
+                energy=0.6,
+            )
+
     def test_resume_refuses_a_mismatched_manifest(self, full_run, tmp_path):
         full_ckpt, _ = full_run
         cut = tmp_path / "mismatch"

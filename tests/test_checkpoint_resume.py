@@ -28,6 +28,7 @@ from repro.pipeline import run_ixp_study
 from repro.pipeline.checkpoint import StudyCheckpoint, read_jsonl_tolerant
 from repro.obs import get_tracer
 from repro.pipeline.study import UnitFit
+from repro.stream import StreamStudy
 
 RECORDS = [
     {"kind": "header", "ixp": "NAPAfrica-JNB", "method": "robust", "outcome": "rtt_ms"},
@@ -176,6 +177,66 @@ class TestStudyCheckpoint:
             ckpt.append_skip("AS3/x", "appended after truncation")
         records, _ = read_jsonl_tolerant(path)
         assert [r.get("unit") for r in records] == [None, "AS1/x", "AS3/x"]
+
+
+#: One changed value for each fit parameter the journal header records
+#: beside the exchange, the method and the outcome.
+CHANGED_PARAMETERS = [
+    ("energy", 0.6),
+    ("ridge", 0.5),
+    ("max_placebos", 3),
+    ("min_pre_periods", 5),
+    ("min_post_periods", 2),
+    ("max_donor_missing", 0.4),
+]
+
+
+class TestResumeRefusesChangedParameters:
+    """A journal serves fits only to a run with the parameters that made them."""
+
+    @pytest.fixture(scope="class")
+    def journal(self, small_frame, small_scenario, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "default.jsonl"
+        run_ixp_study(small_frame, small_scenario.ixp_name, checkpoint=path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("name,value", CHANGED_PARAMETERS)
+    def test_study_resume(
+        self, small_frame, small_scenario, journal, tmp_path, name, value
+    ):
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(journal)
+        with pytest.raises(CheckpointError, match=name):
+            run_ixp_study(
+                small_frame, small_scenario.ixp_name,
+                checkpoint=path, resume=True, **{name: value},
+            )
+        assert path.read_bytes() == journal
+
+    @pytest.mark.parametrize("name,value", CHANGED_PARAMETERS)
+    def test_stream_resume(self, small_scenario, tmp_path, name, value):
+        path = tmp_path / "stream.jsonl"
+        StreamStudy(small_scenario.ixp_name, checkpoint=path, live_refits=False).close()
+        with pytest.raises(CheckpointError, match=name):
+            StreamStudy(
+                small_scenario.ixp_name, checkpoint=path, resume=True,
+                live_refits=False, **{name: value},
+            )
+
+    def test_journal_without_fit_parameters_refuses_to_resume(
+        self, small_frame, small_scenario, tmp_path
+    ):
+        """A header that records only the exchange, method and outcome."""
+        path = tmp_path / "old.jsonl"
+        _write_jsonl(
+            path,
+            [{"kind": "header", "ixp": small_scenario.ixp_name,
+              "method": "robust", "outcome": "rtt_ms"}],
+        )
+        with pytest.raises(CheckpointError, match="energy=None"):
+            run_ixp_study(
+                small_frame, small_scenario.ixp_name, checkpoint=path, resume=True
+            )
 
 
 class TestResumedStudyIsByteIdentical:

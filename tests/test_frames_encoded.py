@@ -3,8 +3,8 @@
 Every Column/Frame verb runs on the same seeded labels and integer keys
 held both ways — an object or ``int64`` array, and narrow codes plus a
 category table (:meth:`Column.from_codes`) — and must give the same
-values, kinds, factorizations and serialisations.  Verbs that select or
-join rows keep an encoded column encoded.
+values, kinds, factorizations and serialisations.  Verbs that select
+rows keep an encoded column encoded.
 """
 
 import pickle
@@ -143,16 +143,6 @@ class TestVerbParity:
         assert enc.to_text(max_rows=7) == plain.to_text(max_rows=7)
         assert enc.column("u")._values is None  # rows read through the codes
 
-    def test_where_equal(self, seed):
-        plain, enc = twin_frames(seed)
-        for value in ("jnb", None, "nowhere"):
-            assert_same(enc.where_equal(u=value), plain.where_equal(u=value))
-        for day in (3000, -7, 5):
-            assert_same(enc.where_equal(d=day), plain.where_equal(d=day))
-        assert_same(
-            enc.where_equal(u="ams", v="1-2"), plain.where_equal(u="ams", v="1-2")
-        )
-
     def test_drop_missing_with_a_none_category(self, seed):
         plain, enc = twin_frames(seed)
         assert None in enc.column("u").factorize()[1]
@@ -180,46 +170,14 @@ class TestVerbParity:
         got = group_by(enc, ["u", "v"]).aggregate(**specs)
         want = group_by(plain, ["u", "v"]).aggregate(**specs)
         assert_same(got, want, encoded=())
-        assert list(group_by(enc, "u").groups()) == list(group_by(plain, "u").groups())
+        sizes = lambda key, g: {"u": key[0], "n": g.num_rows}
+        assert group_by(enc, "u").apply(sizes) == group_by(plain, "u").apply(sizes)
         day_specs = dict(n=("x", "median"), lo=("d", "min"), days=("d", "nunique"))
         assert_same(
             group_by(enc, ["d", "u"]).aggregate(**day_specs),
             group_by(plain, ["d", "u"]).aggregate(**day_specs),
             encoded=(),
         )
-
-    @pytest.mark.parametrize("how", ["inner", "left"])
-    def test_join(self, seed, how):
-        plain, enc = twin_frames(seed)
-        lookup = ["ams", "cpt", None, "zzz"]
-        weights = [1.0, 2.0, 3.0, 4.0]
-        right_plain = Frame([Column("u", lookup, kind="object"), Column("w", weights)])
-        right_enc = Frame([encode("u", lookup), Column("w", weights)])
-        want = plain.join(right_plain, on="u", how=how)
-        assert_same(enc.join(right_enc, on="u", how=how), want)
-        assert_same(enc.join(right_plain, on="u", how=how), want, encoded=())
-        # An encoded right-hand label column joins in as values.
-        right_paths = Frame([encode("v", list(PATHS)), encode("tag", list("abcd"))])
-        assert_same(
-            enc.join(right_paths, on="v", how=how),
-            plain.join(
-                Frame(
-                    [Column("v", list(PATHS), kind="object"), Column("tag", list("abcd"))]
-                ),
-                on="v",
-                how=how,
-            ),
-            encoded=(),
-        )
-        # Joined on an int key; an int-coded right column joins in
-        # encoded when every row matches, as float when one does not.
-        days = [3, 3000, 99]
-        right_days_plain = Frame([Column("d", days), Column("n", [7, 8, 9])])
-        right_days_enc = Frame([encode_int("d", days), encode_int("n", [7, 8, 9])])
-        want = plain.join(right_days_plain, on="d", how=how)
-        got = enc.join(right_days_enc, on="d", how=how)
-        assert_same(got, want, encoded=("u", "v", "d", "n") if how == "inner" else ())
-        assert_same(enc.join(right_days_plain, on="d", how=how), want, encoded=())
 
     def test_encode_keys(self, seed):
         plain, enc = twin_frames(seed)
@@ -228,7 +186,6 @@ class TestVerbParity:
             want_codes, want_keys = plain.encode_keys(names)
             np.testing.assert_array_equal(got_codes, want_codes)
             assert got_keys == want_keys
-        assert enc.group_indices(["u", "v"]).keys() == plain.group_indices(["u", "v"]).keys()
 
     def test_factorize(self, seed):
         plain, enc = twin_frames(seed)
@@ -290,8 +247,7 @@ def test_int_coded_concat_sorts_numerically():
     day = both.column("day")
     assert day.kind == "int" and day._codes is not None
     times, _, grid = pivot_grid(
-        both.with_column("unit", ["a"] * 3), "day", "unit", "y", agg="median",
-        sort_index=True,
+        both.with_column("unit", ["a"] * 3), "day", "unit", "y", agg="median"
     )
     assert times == [9, 10]
     assert all(type(t) is np.int64 for t in times)
@@ -343,9 +299,7 @@ def test_encode_keys_widens_narrow_codes_past_the_key_space(n_a, n_b):
     codes, keys = frame.encode_keys(["a", "b"])
     assert keys == list(table)
     np.testing.assert_array_equal(codes, want)
-    plain = Frame([Column("a", a, kind="object"), Column("b", b, kind="object")])
-    joined = frame.join(frame.select(["a", "b"]).take(np.arange(5)), on=["a", "b"])
-    assert joined == plain.join(plain.take(np.arange(5)), on=["a", "b"])
+    assert len(group_by(frame, ["a", "b"])) == len(table)
 
 
 def test_mutation_after_factorize_raises():

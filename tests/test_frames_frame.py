@@ -128,9 +128,6 @@ class TestRowTransforms:
         out = frame.filter(lambda r: r["city"] == "jnb")
         assert out.num_rows == 3
 
-    def test_where_equal(self, frame):
-        assert frame.where_equal(asn=200, city="jnb").num_rows == 2
-
     def test_drop_missing(self, frame):
         assert frame.drop_missing(["rtt"]).num_rows == 4
 
@@ -185,40 +182,6 @@ class TestRowTransforms:
             frame.concat(frame.drop("rtt"))
 
 
-class TestJoin:
-    def test_inner_join(self, frame):
-        names = Frame.from_dict({"asn": [100, 200], "name": ["ISP-A", "ISP-B"]})
-        out = frame.join(names, on="asn")
-        assert out.num_rows == 4  # AS300 has no match
-        assert "name" in out
-
-    def test_left_join_fills_missing(self, frame):
-        names = Frame.from_dict({"asn": [100], "name": ["ISP-A"]})
-        out = frame.join(names, on="asn", how="left")
-        assert out.num_rows == 5
-        missing = [r["name"] for r in out.iter_rows() if r["asn"] != 100]
-        assert all(v is None for v in missing)
-
-    def test_join_suffix_on_collision(self, frame):
-        other = Frame.from_dict({"asn": [100], "rtt": [99.0]})
-        out = frame.join(other, on="asn")
-        assert "rtt_right" in out
-
-    def test_join_unknown_key(self, frame):
-        with pytest.raises(FrameError):
-            frame.join(frame, on="nope")
-
-    def test_join_bad_how(self, frame):
-        with pytest.raises(FrameError):
-            frame.join(frame, on="asn", how="outer")
-
-    def test_join_one_to_many(self):
-        left = Frame.from_dict({"k": [1], "a": [10]})
-        right = Frame.from_dict({"k": [1, 1], "b": [5, 6]})
-        out = left.join(right, on="k")
-        assert out.num_rows == 2
-
-
 class TestRendering:
     def test_to_text_contains_data(self, frame):
         text = frame.to_text()
@@ -243,25 +206,3 @@ class TestEquality:
     def test_not_hashable(self, frame):
         with pytest.raises(TypeError):
             hash(frame)
-
-
-class TestDescribe:
-    def test_numeric_columns_only(self, frame):
-        out = frame.describe()
-        assert set(out["column"]) == {"asn", "rtt"}
-
-    def test_statistics(self, frame):
-        out = frame.describe()
-        rtt = next(r for r in out.iter_rows() if r["column"] == "rtt")
-        assert rtt["count"] == 4
-        assert rtt["missing"] == 1
-        assert rtt["min"] == 10.0
-        assert rtt["max"] == 30.0
-        assert rtt["median"] == 16.0
-
-    def test_all_missing_numeric_column(self):
-        out = Frame.from_dict({"x": np.array([np.nan, np.nan])}).describe()
-        row = out.row(0)
-        assert row["count"] == 0
-        assert row["missing"] == 2
-        assert row["mean"] is None or np.isnan(row["mean"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FrameError
-from repro.frames import Frame, group_by, pivot
+from repro.frames import Frame, group_by, pivot_grid
 
 
 @pytest.fixture
@@ -65,10 +65,6 @@ class TestGroupBy:
         with pytest.raises(FrameError):
             group_by(frame, "nope")
 
-    def test_groups_returns_frames(self, frame):
-        groups = group_by(frame, "unit").groups()
-        assert groups[("a",)].num_rows == 2
-
     def test_apply(self, frame):
         out = group_by(frame, "unit").apply(
             lambda key, g: {"unit": key[0], "rows": g.num_rows}
@@ -88,23 +84,25 @@ class TestGroupBy:
 
 class TestPivot:
     def test_shape(self, frame):
-        wide, keys = pivot(frame, index="day", columns="unit", values="rtt")
-        assert wide.num_rows == 2
-        assert keys == ["a", "b"]
+        days, units, grid = pivot_grid(frame, index="day", columns="unit", values="rtt")
+        assert grid.shape == (2, 2)
+        assert days == [0, 1]
+        assert units == ["a", "b"]
 
     def test_missing_cell_is_nan(self, frame):
-        wide, _ = pivot(frame, index="day", columns="unit", values="rtt")
-        by_day = {r["day"]: r for r in wide.iter_rows()}
-        assert np.isnan(by_day[1]["b"])  # only a NaN measurement that day
+        days, units, grid = pivot_grid(frame, index="day", columns="unit", values="rtt")
+        # only a NaN measurement that day
+        assert np.isnan(grid[days.index(1), units.index("b")])
 
     def test_aggregates_multiple_cells(self, frame):
-        wide, _ = pivot(frame, index="day", columns="unit", values="rtt", agg="mean")
-        by_day = {r["day"]: r for r in wide.iter_rows()}
-        assert by_day[0]["b"] == 6.0
+        days, units, grid = pivot_grid(
+            frame, index="day", columns="unit", values="rtt", agg="mean"
+        )
+        assert grid[days.index(0), units.index("b")] == 6.0
 
     def test_unknown_agg(self, frame):
         with pytest.raises(FrameError):
-            pivot(frame, index="day", columns="unit", values="rtt", agg="nope")
+            pivot_grid(frame, index="day", columns="unit", values="rtt", agg="nope")
 
 
 class TestBuiltinDtypes:

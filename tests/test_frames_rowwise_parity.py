@@ -1,7 +1,7 @@
 """Vectorized kernels vs the row-wise reference implementations.
 
-Every factorized fast path (grouping, aggregation, pivot, join, the
-crossing scan, and the panel builder) must reproduce the historical
+Every factorized fast path (grouping, aggregation, pivot, the crossing
+scan, and the panel builder) must reproduce the historical
 per-row Python loops exactly — same keys, same order, same floats to
 the last bit.  The references live in ``tests/rowwise_frames.py`` and
 ``tests/rowwise_pipeline.py``; frames here are randomized with duplicate
@@ -10,12 +10,15 @@ keys and missing values to exercise the edge paths.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.frames import groupby
 from repro.frames.column import Column
 from repro.frames.frame import Frame
-from repro.frames.groupby import group_by, pivot
+from repro.frames.groupby import group_by, pivot_grid
 from repro.pipeline.crossing import assign_treatment, crossing_mask
 from repro.synthcontrol.donor import build_panel
 from tests import rowwise_frames as frw
@@ -43,8 +46,9 @@ def random_frame(seed: int, n: int = 200) -> Frame:
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_group_indices_matches_rowwise(seed):
+    """group_by's key tuples and ``_Segments.rows()`` are the row-wise groups."""
     frame = random_frame(seed)
-    fast = frame.group_indices(["asn", "city"])
+    fast = dict(group_by(frame, ["asn", "city"])._group_items())
     ref = frw.group_indices(frame, ["asn", "city"])
     assert list(fast.keys()) == list(ref.keys())
     for key in ref:
@@ -67,6 +71,53 @@ def test_aggregate_matches_rowwise(seed, agg):
             assert a.to_list() == b.to_list()
 
 
+def _same_value(got, want) -> bool:
+    """Equal, or both missing; a float equal to the bit."""
+    if want is None or (isinstance(want, float) and np.isnan(want)):
+        return got is None or (isinstance(got, float) and np.isnan(got))
+    if isinstance(want, float):
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+    return got == want
+
+
+#: Every builtin, per source column kind.  Object columns take the
+#: builtins defined on arbitrary values; ``min``/``max`` need a column
+#: without None.
+BUILTINS_BY_COLUMN = {
+    "value": sorted(frw.ROWWISE_BUILTINS),
+    "weight": sorted(frw.ROWWISE_BUILTINS),
+    "flag": sorted(frw.ROWWISE_BUILTINS),
+    "city": ["count", "first", "last", "nunique"],
+    "tag": ["count", "first", "last", "max", "min", "nunique"],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("column", sorted(BUILTINS_BY_COLUMN))
+def test_every_builtin_matches_rowwise_over_many_row_blocks(seed, column):
+    """Float with NaN, int, bool and object columns, in seven-row chunks.
+
+    Every group is read through ``_Segments.rows()``, which then widens
+    the order a few rows at a time.  A fast kernel returns floats where
+    the row-wise builtin returned numpy ints or bools, so values are
+    compared, not column kinds.
+    """
+    rng = np.random.default_rng(seed + 20)
+    frame = random_frame(seed, n=400)
+    tags = np.array(["a", "b", "c"], dtype=object)
+    frame = frame.with_column("flag", rng.random(400) < 0.3).with_column(
+        "tag", Column("tag", tags[rng.integers(0, 3, size=400)], kind="object")
+    )
+    with mock.patch.object(groupby, "_CHUNK_ROWS", 7):
+        for agg in BUILTINS_BY_COLUMN[column]:
+            fast = group_by(frame, ["asn", "city"]).aggregate(out=(column, agg))
+            ref = frw.aggregate(frame, ["asn", "city"], out=(column, agg))
+            assert fast.column("asn") == ref.column("asn")
+            got, want = fast["out"].tolist(), ref["out"].tolist()
+            assert len(got) == len(want)
+            assert all(_same_value(g, w) for g, w in zip(got, want)), agg
+
+
 def test_aggregate_callable_matches_rowwise():
     frame = random_frame(3)
     span = lambda v: float(np.nanmax(v) - np.nanmin(v)) if len(v) else None
@@ -78,48 +129,17 @@ def test_aggregate_callable_matches_rowwise():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("agg", ["median", "mean", "count"])
 def test_pivot_matches_rowwise(seed, agg):
+    """pivot_grid is the row-wise wide pivot with its rows sorted by key."""
     frame = random_frame(seed).drop_missing(["city"])
-    fast, fast_keys = pivot(frame, index="asn", columns="city", values="value", agg=agg)
-    ref, ref_keys = frw.pivot(frame, index="asn", columns="city", values="value", agg=agg)
-    assert fast_keys == ref_keys
-    assert fast == ref
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("how", ["inner", "left"])
-def test_join_matches_rowwise(seed, how):
-    rng = np.random.default_rng(seed + 10)
-    left = random_frame(seed)
-    # Right side keyed on a subset of (asn, city), with duplicates, plus a
-    # colliding column name to exercise the suffix path.
-    n = 12
-    cities = np.array(["jnb", "cpt", "dur", "xxx"], dtype=object)
-    right = Frame(
-        [
-            Column("asn", rng.integers(100, 106, size=n).astype(np.int64)),
-            Column("city", list(cities[rng.integers(0, 4, size=n)])),
-            Column("pop", rng.integers(1, 9, size=n).astype(np.int64)),
-            Column("value", rng.normal(size=n)),
-        ]
+    rows, cols, grid = pivot_grid(
+        frame, index="asn", columns="city", values="value", agg=agg
     )
-    fast = left.join(right, on=["asn", "city"], how=how)
-    ref = frw.join(left, right, on=["asn", "city"], how=how)
-    assert fast.column_names == ref.column_names
-    for name in ref.column_names:
-        a, b = fast.column(name), ref.column(name)
-        assert a.kind == b.kind, name
-        assert a == b, name
-
-
-def test_join_single_key_and_empty_right():
-    left = random_frame(4)
-    empty = Frame([Column("asn", np.empty(0, dtype=np.int64)), Column("pop", [])])
-    for how in ("inner", "left"):
-        fast = left.join(empty, on="asn", how=how)
-        ref = frw.join(left, empty, on="asn", how=how)
-        assert fast.column_names == ref.column_names
-        for name in ref.column_names:
-            assert fast.column(name) == ref.column(name), name
+    ref, ref_keys = frw.pivot(frame, index="asn", columns="city", values="value", agg=agg)
+    ref = ref.sort_by("asn")
+    assert cols == ref_keys
+    assert rows == ref["asn"].tolist()
+    for j, key in enumerate(ref_keys):
+        np.testing.assert_array_equal(grid[:, j], ref[str(key)])
 
 
 def measurement_like(seed: int, n: int = 400) -> Frame:

@@ -16,15 +16,13 @@ import logging
 
 import pytest
 
-from repro.chaos import current_attempt
 from repro.cli import main
-from repro.errors import InjectedFault, PipelineError, ReproError
+from repro.errors import PipelineError, ReproError
 from repro.obs import (
     Histogram,
     MetricsRegistry,
     SpanRecord,
     WorkerTraceback,
-    child_seconds,
     export_jsonl,
     get_metrics,
     get_tracer,
@@ -39,8 +37,6 @@ from repro.obs import (
 )
 from repro.pipeline import (
     ProcessPoolBackend,
-    RetryPolicy,
-    SerialExecutor,
     run_ixp_study,
 )
 from repro.pipeline.crossing import assign_treatment
@@ -119,20 +115,6 @@ class TestSpans:
         (record,) = get_tracer().records
         assert record.name == "worker.step"
         assert record.attrs == {"kind": "unit"}
-
-    def test_child_seconds(self):
-        with span("parent") as parent:
-            with span("stage"):
-                pass
-            with span("stage"):
-                pass
-        total = child_seconds(parent, "stage")
-        assert total is not None and total >= 0
-        assert child_seconds(parent, "missing") is None
-        with tracing_disabled():
-            with span("parent") as null_parent:
-                pass
-        assert child_seconds(null_parent, "stage") is None
 
     def test_jsonl_round_trip(self, tmp_path):
         with span("a", unit="AS1/x"):
@@ -217,24 +199,22 @@ class TestMetrics:
     def test_name_cannot_change_type(self):
         get_metrics().counter("taken")
         with pytest.raises(ReproError, match="another type"):
-            get_metrics().gauge("taken")
+            get_metrics().series("taken")
 
     def test_merge_adds_counters_and_histograms(self):
         worker = MetricsRegistry()
         worker.counter("n_total", "n").inc(3)
         worker.histogram("h", (1.0, 2.0)).observe(1.5)
-        worker.gauge("level").set(7)
         get_metrics().counter("n_total", "n").inc(1)
         get_metrics().merge(worker.snapshot())
         get_metrics().merge(worker.snapshot())
         assert get_metrics().counter("n_total").value == 7
         h = get_metrics().histogram("h", (1.0, 2.0))
         assert h.count == 2
-        assert get_metrics().gauge("level").value == 7
 
     def test_render_exposition_format(self):
         get_metrics().counter("jobs_total", "jobs run").inc(2)
-        get_metrics().gauge("depth").set(1.5)
+        get_metrics().series("depth").record(1.5)
         get_metrics().histogram("h", (1.0, 2.0), "hist").observe(1.0)
         text = get_metrics().render()
         assert "# TYPE jobs_total counter" in text
@@ -243,100 +223,6 @@ class TestMetrics:
         assert 'h_bucket{le="1"} 1' in text
         assert 'h_bucket{le="+Inf"} 1' in text  # cumulative
         assert "h_count 1" in text
-
-
-# -- gauge merge ordering (bugfix) --------------------------------------------
-
-
-def _gauge_snapshot(value: float) -> dict:
-    worker = MetricsRegistry()
-    worker.gauge("depth", "queue depth").set(value)
-    return worker.snapshot()
-
-
-class TestGaugeMergeOrder:
-    """Gauge merges resolve by task order, not arrival order.
-
-    Regression for the order-dependent merge: a pooled run used to leave
-    whichever worker snapshot *arrived* last in the gauge, so `--jobs 4`
-    could disagree with serial (and with itself) run-to-run.
-    """
-
-    def test_arrival_order_does_not_matter(self):
-        a = MetricsRegistry()
-        a.merge(_gauge_snapshot(1.0), task_order=(0, 0))
-        a.merge(_gauge_snapshot(2.0), task_order=(0, 1))
-        b = MetricsRegistry()
-        b.merge(_gauge_snapshot(2.0), task_order=(0, 1))  # arrives first
-        b.merge(_gauge_snapshot(1.0), task_order=(0, 0))  # stale, loses
-        assert a.gauge("depth").value == b.gauge("depth").value == 2.0
-
-    def test_later_epoch_outranks_earlier_map_call(self):
-        # The first task of a second map call must beat the last task of
-        # the first call, whatever their per-call indices say.
-        reg = MetricsRegistry()
-        reg.merge(_gauge_snapshot(1.0), task_order=(0, 99))
-        reg.merge(_gauge_snapshot(2.0), task_order=(1, 0))
-        assert reg.gauge("depth").value == 2.0
-
-    def test_equal_order_lets_final_attempt_win(self):
-        # A retried task's attempts share one task order; the final
-        # attempt merges last and must overwrite the doomed one.
-        reg = MetricsRegistry()
-        reg.merge(_gauge_snapshot(-1.0), task_order=(0, 2))
-        reg.merge(_gauge_snapshot(4.0), task_order=(0, 2))
-        assert reg.gauge("depth").value == 4.0
-
-    def test_direct_set_clears_merge_order(self):
-        reg = MetricsRegistry()
-        reg.merge(_gauge_snapshot(5.0), task_order=(3, 7))
-        reg.gauge("depth").set(9.0)  # a fresh serial write wins outright
-        assert reg.gauge("depth").merge_order is None
-        # ...and the next merge epoch starts from a clean slate.
-        reg.merge(_gauge_snapshot(1.0), task_order=(0, 0))
-        assert reg.gauge("depth").value == 1.0
-
-    def test_merge_without_order_keeps_legacy_last_write(self):
-        reg = MetricsRegistry()
-        reg.merge(_gauge_snapshot(1.0))
-        reg.merge(_gauge_snapshot(2.0))
-        assert reg.gauge("depth").value == 2.0
-
-
-def _gauge_last_task(x: int) -> int:
-    get_metrics().gauge("last_task", "last task index seen").set(x)
-    return x
-
-
-def _flaky_gauge_task(x: int) -> int:
-    if x == 2 and current_attempt() == 0:
-        get_metrics().gauge("last_task").set(-1.0)  # doomed attempt's write
-        raise InjectedFault("first attempt dies")
-    get_metrics().gauge("last_task").set(x)
-    return x
-
-
-class TestGaugeParityAcrossBackends:
-    def _final_gauge(self, backend: str, fn, retry=None) -> float:
-        set_metrics(MetricsRegistry())
-        items = [0, 1, 2, 3, 4, 5, 6, 7]
-        if backend == "serial":
-            assert SerialExecutor(retry=retry).map(fn, items) == items
-        else:
-            with ProcessPoolBackend(n_jobs=4, retry=retry) as pool:
-                assert pool.map(fn, items) == items
-        return get_metrics().gauge("last_task").value
-
-    def test_pooled_gauge_matches_serial(self):
-        serial = self._final_gauge("serial", _gauge_last_task)
-        pooled = self._final_gauge("pool", _gauge_last_task)
-        assert serial == pooled == 7.0
-
-    def test_parity_survives_retries(self):
-        retry = RetryPolicy(max_attempts=2, base_delay=0, jitter=0)
-        serial = self._final_gauge("serial", _flaky_gauge_task, retry=retry)
-        pooled = self._final_gauge("pool", _flaky_gauge_task, retry=retry)
-        assert serial == pooled == 7.0
 
 
 # -- span -> histogram bridge -------------------------------------------------
@@ -500,11 +386,12 @@ class TestStudyTraceParity:
             untraced_result = run_ixp_study(small_frame, ixp)
         assert traced_result.rows == untraced_result.rows
         assert traced_result.skipped == untraced_result.skipped
-        # Timings fall back to perf-counter segments and stay sane.
+        # Timings are perf-counter segments either way.
         assert untraced_result.timings is not None
         assert untraced_result.timings.total_s >= 0
 
-    def test_timings_derive_from_trace(self, small_frame, small_scenario):
+    def test_timings_cover_their_stage_spans(self, small_frame, small_scenario):
+        """Each timing is a perf-counter segment around its stage's span."""
         result = run_ixp_study(small_frame, small_scenario.ixp_name)
         records = get_tracer().records
         study = next(r for r in records if r.name == "study")
@@ -513,9 +400,13 @@ class TestStudyTraceParity:
             for r in records
             if r.parent_id == study.span_id
         }
-        assert result.timings.assignment_s == pytest.approx(stages["assignment"])
-        assert result.timings.panel_s == pytest.approx(stages["panel"])
-        assert result.timings.fits_s == pytest.approx(stages["fits"])
+        timings = result.timings
+        for name, seconds in (
+            ("assignment", timings.assignment_s),
+            ("panel", timings.panel_s),
+            ("fits", timings.fits_s),
+        ):
+            assert stages[name] <= seconds < stages[name] + 0.5, name
 
 
 # -- unit-label validation (bugfix) -------------------------------------------

@@ -7,7 +7,6 @@ from repro.errors import FrameError
 from repro.frames import Frame
 from repro.pipeline import (
     assign_treatment,
-    completeness,
     crossing_mask,
     daily_median_rtt,
     measurement_volume,
@@ -115,11 +114,6 @@ class TestAggregation:
     def test_measurement_volume(self, small_frame):
         vol = measurement_volume(small_frame)
         assert (np.asarray(vol["n_tests"]) > 0).all()
-
-    def test_completeness(self, small_frame):
-        panel = rtt_panel(small_frame)
-        comp = completeness(panel)
-        assert all(0.0 <= v <= 1.0 for v in comp.values())
 
     def test_missing_columns_rejected(self):
         with pytest.raises(FrameError):

@@ -4,9 +4,12 @@ Treatment assignment and the panel pivot sort narrow keys and keep one
 row-length index live at a time; ``tests/reference_study_frontend.py``
 holds the earlier code that made a row-length copy per step.  Under the
 same frame both must give the same assignments (insertion order
-included) and byte-identical grids — on NaN outcomes and NaN day keys,
-unit labels whose ``str`` collides, empty and one-row frames, and key
-counts on both sides of the ``uint8``, ``uint16`` and ``uint32`` limits.
+included) and byte-identical grids — on NaN outcomes (all-NaN cells
+too) and NaN day keys, unit labels whose ``str`` collides, empty and
+one-row frames, key counts on both sides of the ``uint8``, ``uint16``
+and ``uint32`` limits, and chunks of seven rows, so that
+:meth:`~repro.frames.groupby._Segments.rows` widens the order in many
+blocks.
 
 The memory tests bound each stage's traced peak above its input.  On a
 generated frame, whose columns are codes and need no factorize memo,
@@ -19,10 +22,12 @@ million rows up.
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.frames import groupby
 from repro.frames.column import Column, code_dtype, dense_rank, narrow_codes
 from repro.frames.frame import Frame
 from repro.frames.groupby import _Segments, pivot_grid
@@ -102,17 +107,14 @@ def assert_frontend_matches_reference(frame: Frame) -> None:
         assert got == want
         assert list(got.first_crossing_hour) == list(want.first_crossing_hour)
     for agg in ref.FAST_AGGS:
-        for sort_index in (True, False):
-            rows, cols, grid = pivot_grid(
-                _copy(frame), "day", "unit", "rtt_ms", agg=agg, sort_index=sort_index
-            )
-            rows_ref, cols_ref, grid_ref = ref.pivot_grid(
-                _copy(frame), "day", "unit", "rtt_ms", agg=agg, sort_index=sort_index
-            )
-            assert _keys_equal(rows, rows_ref)
-            assert cols == cols_ref
-            assert grid.shape == grid_ref.shape
-            assert grid.tobytes() == grid_ref.tobytes(), (agg, sort_index)
+        rows, cols, grid = pivot_grid(_copy(frame), "day", "unit", "rtt_ms", agg=agg)
+        rows_ref, cols_ref, grid_ref = ref.pivot_grid(
+            _copy(frame), "day", "unit", "rtt_ms", agg=agg
+        )
+        assert _keys_equal(rows, rows_ref)
+        assert cols == cols_ref
+        assert grid.shape == grid_ref.shape
+        assert grid.tobytes() == grid_ref.tobytes(), agg
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -128,6 +130,32 @@ def test_random_frames_match_reference(seed):
         colliding_labels=seed >= 3,
     )
     assert_frontend_matches_reference(frame)
+
+
+def test_nan_outcome_cells_match_reference():
+    """Cells with no valid outcome, with a NaN among valid ones, and with none.
+
+    A cell's NaNs land anywhere in its rows, so each kernel must drop
+    them wherever they sit, and a cell whose outcomes are all NaN reads
+    NaN.
+    """
+    frame = study_frame(11, n_rows=2000, n_units=12, n_days=10)
+    rtt = frame["rtt_ms"].copy()
+    rtt[::7] = np.nan
+    day, unit = frame["day"], frame["unit"]
+    rtt[(day == 3) & (unit == "AS104/jnb")] = np.nan  # one all-NaN cell
+    frame = frame.with_column("rtt_ms", rtt)
+    assert_frontend_matches_reference(frame)
+
+
+@pytest.mark.parametrize("nan_days", [False, True])
+def test_rows_widened_in_many_blocks_match_reference(nan_days):
+    """Seven-row chunks: group orders and ``rows()`` blocks cross many bounds."""
+    frame = study_frame(
+        12, n_rows=1500, n_units=9, n_days=12, nan_share=0.2, nan_days=nan_days
+    )
+    with mock.patch.object(groupby, "_CHUNK_ROWS", 7):
+        assert_frontend_matches_reference(frame)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1])
